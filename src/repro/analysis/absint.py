@@ -34,10 +34,11 @@ verdicts are withheld rather than guessed.
 
 Findings surface as REX300-REX306 diagnostics (only runtime REX307 —
 "a delta contradicted a proof" — is an error; the static pass never
-blocks execution).  The executor consumes the same inference to arm
-proof-directed fast paths (``ExecOptions(absint=True)``); the sanitizer
-downgrades shadow replay to polarity assertions on proven operators and
-escalates any contradiction to REX307.
+blocks execution).  The operators execute the same general loops
+whatever the verdicts say; on sanitized runs under
+``ExecOptions(absint=True)`` the executor hands the inference to the
+sanitizer, which downgrades shadow replay to polarity assertions on
+proven operators and escalates any contradiction to REX307.
 """
 
 from __future__ import annotations
@@ -287,9 +288,10 @@ class _Pass:
                        f"input to {label} is proven insert-only "
                        f"(polarity {in_pol.name})",
                        path,
-                       hint="retraction and replacement bookkeeping is "
-                            "skippable here; the executor fast-paths this "
-                            "under ExecOptions(absint=True)")
+                       hint="retraction and replacement bookkeeping can "
+                            "never run here; the sanitizer checks this "
+                            "operator by polarity assertion instead of "
+                            "shadow replay under ExecOptions(absint=True)")
         dead = BOTTOM
         if in_pol.exact and in_pol.kinds:
             dead = handled - in_pol.kinds
@@ -526,8 +528,9 @@ class _PhysicalPass(_Pass):
                        "in its constituents can never run (chain input "
                        f"polarity {chain_in.name})",
                        here,
-                       hint="the kernel drops replacement handling from "
-                            "the chain under ExecOptions(absint=True)")
+                       hint="informational: the constituents keep their "
+                            "replacement handling; it is dead on this "
+                            "input, not removed")
         self._record(node, NodeProperties(
             path=here, label="Fused", out_polarity=current,
             in_polarity=chain_in, dead=dead))

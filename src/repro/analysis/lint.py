@@ -37,15 +37,6 @@ states globally:
   is conservative (only constant subscripts and tuple unpacks count as
   reads), so the rule is escape-silent: an aliased or escaping row
   never fires it.
-* **REX108** — per-row dict idioms inside a *columnar kernel* body (a
-  function registered with
-  :func:`repro.operators.blocks.columnar_kernel`): a string-keyed
-  subscript (``row["col"]``) or a ``.items()``-driven loop.  Block rows
-  are positional tuples and columns are integer-indexed vectors; a
-  keyed access implies a per-row dict the columnar layout never
-  materializes, so it either crashes or silently walks a shadow
-  structure the kernel should not carry.  Use ``block.column(i)`` /
-  tuple positions (``names`` exists for presentation only).
 
 Suppression: append ``# noqa: REXnnn`` (or a bare ``# noqa``) to the
 offending line.  Run as ``python -m repro.analysis.lint [paths...]`` or
@@ -112,27 +103,6 @@ _ROUTING_CALLEES = {
 
 def _posix(path: str) -> str:
     return path.replace(os.sep, "/")
-
-
-def _is_columnar_kernel(node) -> bool:
-    """True when ``node`` is a registered columnar kernel body — i.e. it
-    carries the ``@columnar_kernel`` decorator (bare or dotted) that
-    appends it to :data:`repro.operators.blocks.COLUMNAR_KERNELS`."""
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Name) and target.id == "columnar_kernel":
-            return True
-        if (isinstance(target, ast.Attribute)
-                and target.attr == "columnar_kernel"):
-            return True
-    return False
-
-
-def _is_items_call(expr: ast.expr) -> bool:
-    return (isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "items"
-            and not expr.args and not expr.keywords)
 
 
 class _NoqaIndex:
@@ -303,60 +273,9 @@ class _Linter(ast.NodeVisitor):
                 self.from_imports.add(f"{node.module}.{alias.name}")
         self.generic_visit(node)
 
-    # -- REX101 / REX102 / REX108 ----------------------------------------
+    # -- REX101 / REX102 -------------------------------------------------
     def _visit_function(self, node) -> None:
-        if _is_columnar_kernel(node):
-            self._check_columnar_kernel(node)
         calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
-        self._check_rex101(node, calls)
-        self._func_stack.append(node)
-        self.generic_visit(node)
-        self._func_stack.pop()
-
-    def _check_columnar_kernel(self, node) -> None:
-        """REX108: per-row dict idioms on the columnar hot path.  Block
-        rows are positional tuples and columns integer-indexed vectors,
-        so a string-keyed subscript or an ``.items()``-driven loop in a
-        kernel body means the kernel is carrying (or imagining) a
-        per-row dict the block layout never materializes."""
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Subscript):
-                index = sub.slice
-                if (isinstance(index, ast.Constant)
-                        and isinstance(index.value, str)):
-                    self.emit(
-                        "REX108",
-                        f"string-keyed subscript [{index.value!r}] inside "
-                        f"columnar kernel {node.name!r}: block rows are "
-                        f"positional, not dicts",
-                        sub,
-                        hint="index columns by position — block.column(i) "
-                             "or row[i]; ColumnBlock.names exists for "
-                             "presentation, not per-row keyed access")
-            elif isinstance(sub, ast.For) and _is_items_call(sub.iter):
-                self.emit(
-                    "REX108",
-                    f".items() loop inside columnar kernel {node.name!r}: "
-                    f"per-row dict iteration has no columnar layout",
-                    sub,
-                    hint="iterate the block's row tuples (or a "
-                         "materialized column vector) instead of a "
-                         "per-row dict view")
-            elif isinstance(sub, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                  ast.GeneratorExp)):
-                for gen in sub.generators:
-                    if _is_items_call(gen.iter):
-                        self.emit(
-                            "REX108",
-                            f".items() comprehension inside columnar "
-                            f"kernel {node.name!r}: per-row dict "
-                            f"iteration has no columnar layout",
-                            gen.iter,
-                            hint="iterate the block's row tuples (or a "
-                                 "materialized column vector) instead of "
-                                 "a per-row dict view")
-
-    def _check_rex101(self, node, calls) -> None:
         charges = any(_is_charge_call(c) for c in calls)
         for call in calls:
             clock = _is_wall_clock_call(call, self.from_imports)
@@ -371,6 +290,9 @@ class _Linter(ast.NodeVisitor):
                     call,
                     hint="hoist the timing out of the charged function "
                          "or derive the duration from the cost model")
+        self._func_stack.append(node)
+        self.generic_visit(node)
+        self._func_stack.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function

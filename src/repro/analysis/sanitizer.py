@@ -308,8 +308,7 @@ class Sanitizer:
 
         Returns True when the operator carries an exact polarity proof
         (``proof_polarity``), i.e. the caller may downgrade the heavy
-        invariant machinery to this assertion mode — the proof-directed
-        payoff item (2).
+        invariant machinery to this assertion mode.
         """
         allowed = getattr(op, "proof_polarity", None)
         insert_ports = getattr(op, "proof_insert_only_ports", None) or ()
@@ -342,7 +341,8 @@ class Sanitizer:
                     hint="either an operator emitted an undeclared delta "
                          "kind or a UDF's emits_polarity declaration is "
                          "wrong; rerun with ExecOptions(absint=False) and "
-                         "sanitize='full' to localize the source")
+                         "sanitize='full' so full shadow replay, not the "
+                         "downgraded assertion mode, localizes the source")
 
         if batch:
             orig_push = op.push_batch

@@ -64,13 +64,12 @@ def load_baseline(path: str) -> Dict:
 
 def baseline_wall(entry: Dict) -> Optional[float]:
     """The comparable wall-clock number from a baseline workload entry:
-    columnar (BENCH_10), rewrite (BENCH_9), absint (BENCH_8), fused
-    (BENCH_5), or plain batch (BENCH_1) seconds.  BENCH_9's extra
-    ``wide_reach`` workload has no counterpart in the re-measured set;
-    it is held to row-set identity instead (see :func:`compare`)."""
-    for key in ("columnar_wall_seconds", "rewrite_wall_seconds",
-                "absint_wall_seconds", "fused_wall_seconds",
-                "batch_wall_seconds"):
+    rewrite (BENCH_9), absint (BENCH_8), fused (BENCH_5), or plain batch
+    (BENCH_1) seconds.  BENCH_9's extra ``wide_reach`` workload has no
+    counterpart in the re-measured set; it is held to row-set identity
+    instead (see :func:`compare`)."""
+    for key in ("rewrite_wall_seconds", "absint_wall_seconds",
+                "fused_wall_seconds", "batch_wall_seconds"):
         if entry.get(key):
             return float(entry[key])
     return None

@@ -31,9 +31,7 @@ post-mortem bundles.  Plain query runs refuse plans with error-level
 diagnostics unless ``--force`` is given (the bypassed report is still
 printed to stderr and attached to the trace), ``--sanitize=sample|full``
 turns on the runtime delta sanitizer (REX200-REX204, exit 1 on
-violations), ``--columnar`` runs stateless chains on the column-major
-block backend (same simulated metrics, different physical layout),
-``--telemetry FILE`` exports the run's metrics registry, and
+violations), ``--telemetry FILE`` exports the run's metrics registry, and
 ``--flight-dir DIR`` names where post-mortem bundles land.
 """
 
@@ -139,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default off)")
     parser.add_argument("--sanitize-seed", type=int, default=0,
                         help="seed for the sanitizer's sampling (default 0)")
-    parser.add_argument("--columnar", action="store_true",
-                        help="run stateless chains on the column-major "
-                             "block backend (simulated metrics are "
-                             "bit-identical to the row path by contract)")
     parser.add_argument("--telemetry", metavar="FILE", default=None,
                         help="export the run's metrics registry: OpenMetrics"
                              " text ('-' for stdout; a .json suffix switches"
@@ -441,7 +435,7 @@ def main_analyze(argv: List[str]) -> int:
         # The fusion and abstract-interpretation passes run on the lowered
         # physical plan; surface their per-chain / per-node verdicts
         # alongside the diagnostics so the report shows what the executor
-        # will actually collapse and fast-path.
+        # will actually collapse and what the sanitizer may assume.
         node = session.logical_plan(query)
         if not session.optimize:
             node = add_exchanges(node)
@@ -553,7 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         options = ExecOptions(max_strata=args.max_strata, obs=obs,
                               sanitize=args.sanitize,
                               sanitize_seed=args.sanitize_seed,
-                              columnar=args.columnar,
                               flight_dir=args.flight_dir)
         result = session.execute(query, options, check=not args.force)
     except ReproError as exc:

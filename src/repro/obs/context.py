@@ -175,7 +175,6 @@ class ObsContext:
                 "label": stats.name,
                 "constituents": [c.name for c in constituents],
                 "fused_batches": getattr(op, "fused_batches", 0),
-                "block_batches": getattr(op, "block_batches", 0),
             })
         return groups
 
@@ -192,8 +191,6 @@ class ObsContext:
         self._ops.append((op, stats))
         self._wrap_receive(op, stats)
         self._wrap_push_batch(op, stats)
-        if getattr(type(op), "accepts_blocks", False):
-            self._wrap_push_block(op, stats)
         self._wrap_frame_only(op, stats, "on_punctuation")
         if hasattr(op, "run_stratum"):
             self._wrap_run_stratum(op, stats)
@@ -292,68 +289,6 @@ class ObsContext:
 
         op.push_batch = push_batch
 
-    def _wrap_push_block(self, op, stats: OperatorStats) -> None:
-        """Instrument the columnar entry point like ``push_batch``.
-
-        Installed only on block-capable operator classes
-        (``accepts_blocks``); a block counts its entries as tuples_in and
-        its kind vector as the same ``+/-/->/δ`` annotation symbols, so
-        EXPLAIN ANALYZE rows read identically columnar on or off.  Block
-        kernels that internally fall back to the row loop do so through
-        the *class-level* ``push_batch`` precisely so this wrapper and
-        the batch wrapper never both count one physical batch.
-        """
-        orig = op.push_block
-        tracer = self.tracer
-        clock = self._clock
-
-        def push_block(block, port=0):
-            n = len(block)
-            if n == 0:
-                return orig(block, port)
-            stats.calls += 1
-            stats.tuples_in += n
-            batch_kinds = {}
-            if block.kinds is None:
-                kind = block.kind
-                if kind is _INS:
-                    sym = "+"
-                elif kind is _UPD:
-                    sym = "δ"
-                elif kind is _REP:
-                    sym = "->"
-                else:
-                    sym = "-"
-                batch_kinds[sym] = n
-            else:
-                for kind in block.kinds:
-                    if kind is _INS:
-                        sym = "+"
-                    elif kind is _UPD:
-                        sym = "δ"
-                    elif kind is _REP:
-                        sym = "->"
-                    else:
-                        sym = "-"
-                    batch_kinds[sym] = batch_kinds.get(sym, 0) + 1
-            kinds = stats.kinds
-            for sym, count in batch_kinds.items():
-                kinds[sym] = kinds.get(sym, 0) + count
-            frame = self._enter(stats)
-            t0 = clock()
-            try:
-                orig(block, port)
-            finally:
-                elapsed = clock() - t0
-                self._leave(frame, elapsed)
-                if tracer.enabled and self.trace_pushes:
-                    tracer.complete(
-                        "push_block", "operator", stats.node,
-                        ts=tracer.now(), dur=elapsed, stratum=self.stratum,
-                        op=stats.op_id, port=port, n=n, kinds=batch_kinds)
-
-        op.push_block = push_block
-
     def _wrap_frame_only(self, op, stats: OperatorStats, name: str) -> None:
         """Attribute charges made inside ``name`` (e.g. punctuation-driven
         flushes) without counting tuples or emitting per-call events."""
@@ -442,15 +377,8 @@ class ObsContext:
             stats.tuples_out += len(deltas)
             orig_emit_batch(deltas)
 
-        orig_emit_block = op.emit_block
-
-        def emit_block(block):
-            stats.tuples_out += len(block)
-            orig_emit_block(block)
-
         op.emit = emit
         op.emit_batch = emit_batch
-        op.emit_block = emit_block
 
     # ------------------------------------------------------------------
     # Worker instrumentation
@@ -599,9 +527,6 @@ class ObsContext:
             fused_batches = getattr(op, "fused_batches", None)
             if fused_batches is not None:
                 reg.counter(f"{base}.fused_batches").value = fused_batches
-            block_batches = getattr(op, "block_batches", None)
-            if block_batches is not None:
-                reg.counter(f"{base}.block_batches").value = block_batches
             state_size = getattr(op, "state_size", None)
             if state_size is not None:
                 reg.gauge(f"{base}.state_size").set(state_size())

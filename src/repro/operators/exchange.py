@@ -19,7 +19,6 @@ from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes, value_bytes
 from repro.net.network import Message, PUNCT_BYTES
 from repro.operators.base import Operator
-from repro.operators.blocks import columnar_kernel
 from repro.storage.hashing import normalize_key
 
 
@@ -36,8 +35,6 @@ class RehashSender(Operator):
     #: dict probe).  Class attribute so tests can pin eviction behavior
     #: with a small cap.
     memo_cap: int = 131072
-
-    accepts_blocks = True
 
     def __init__(self, exchange: str,
                  key_fn: Optional[Callable[[tuple], tuple]] = None,
@@ -66,7 +63,6 @@ class RehashSender(Operator):
         # miss the row level but skip the ring hash via the key level.
         self._dst_cache: Dict[tuple, tuple] = {}
         self._key_dst_cache: Dict[tuple, int] = {}
-        self.block_batches = 0
         self._dst_version = -1
         # Memo accounting, surfaced by repro.obs as memo.rehash.* counters.
         # Only exceptional branches touch these per-delta (misses, cap
@@ -229,89 +225,6 @@ class RehashSender(Operator):
                 flush(dst)
         self.memo_misses += misses
         self.memo_hits += len(deltas) - splits - misses
-
-    @columnar_kernel
-    def push_block(self, block, port: int = 0) -> None:
-        """Columnar kernel for the exchange's local half: routes the
-        block's row vector through the destination memo and materializes
-        wire deltas straight into the per-destination send buffers (the
-        wire format is row deltas, so this is the natural block→row
-        boundary).  Broadcast, mixed-polarity, and REPLACE blocks take
-        the row fallback — the key-straddle split needs per-delta
-        treatment — with identical routing, message boundaries, and
-        charges either way."""
-        if not block:
-            return
-        kind = block.kind
-        if self.broadcast or kind is None or kind is DeltaOp.REPLACE:
-            deltas = block.to_deltas()
-            if deltas:
-                # Class-level call: the row entry point charges the batch
-                # itself, and any obs wrapper already counted this block.
-                type(self).push_batch(self, deltas, port)
-            return
-        self.block_batches += 1
-        ctx = self.ctx
-        n = len(block)
-        ctx.charge_tuple_batch(n, self.per_tuple_cost)
-        buffers = self._buffers
-        buf_bytes = self._buf_bytes
-        batch_size = self.batch_size
-        flush = self._flush
-        snapshot = ctx.snapshot
-        key_fn = self.key_fn
-        normalize = normalize_key
-        primary = snapshot.primary
-        size_row = row_bytes
-        size_value = value_bytes
-        if self._dst_version != snapshot.version:
-            if self._dst_cache:
-                self.memo_evictions += len(self._dst_cache)
-            self._dst_cache.clear()
-            self._key_dst_cache.clear()
-            self._dst_version = snapshot.version
-        dst_for_row = self._dst_cache
-        dst_for_key = self._key_dst_cache
-        memo_cap = self.memo_cap
-        misses = 0
-        payloads = block.payloads or ((None,) * n)
-        for row, payload in zip(block.rows, payloads):
-            try:
-                memo = dst_for_row.get(row)
-            except TypeError:
-                misses += 1
-                memo = (primary(normalize(key_fn(row))), 1 + size_row(row))
-            else:
-                if memo is None:
-                    misses += 1
-                    key = key_fn(row)
-                    dst = dst_for_key.get(key)
-                    if dst is None:
-                        dst = primary(normalize(key))
-                        if len(dst_for_key) >= memo_cap:
-                            dst_for_key.clear()
-                        dst_for_key[key] = dst
-                    if len(dst_for_row) >= memo_cap:
-                        self.memo_evictions += len(dst_for_row)
-                        dst_for_row.clear()
-                    memo = dst_for_row[row] = (dst, 1 + size_row(row))
-            dst, nbytes = memo
-            if payload is not None:
-                nbytes += (8 if payload.__class__ is float
-                           else size_value(payload))
-                delta = Delta(kind, row, payload=payload)
-            else:
-                delta = Delta(kind, row)
-            try:
-                buf = buffers[dst]
-            except KeyError:
-                buf = buffers[dst] = []
-            buf.append(delta)
-            buf_bytes[dst] = buf_bytes.get(dst, 0) + nbytes
-            if len(buf) >= batch_size:
-                flush(dst)
-        self.memo_misses += misses
-        self.memo_hits += n - misses
 
     def _flush(self, dst: int) -> None:
         batch = self._buffers.pop(dst, None)

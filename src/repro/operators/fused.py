@@ -39,9 +39,6 @@ class _Outlet:
     def push_batch(self, deltas, port: int = 0) -> None:
         self.kernel.emit_batch(deltas)
 
-    def push_block(self, block, port: int = 0) -> None:
-        self.kernel.emit_block(block)
-
     def receive(self, delta, port: int = 0) -> None:
         self.kernel.emit(delta)
 
@@ -49,12 +46,6 @@ class _Outlet:
 class FusedKernel(Operator):
     """Executes ``constituents`` (stateless operators, data-flow order)
     as one pipeline stage."""
-
-    #: Every fusable constituent (Filter/Project/ApplyFunction) carries a
-    #: ``transform_block`` columnar kernel, so a fused chain is always
-    #: block-capable: one block flows through every constituent kernel
-    #: with zero intermediate delta materialization.
-    accepts_blocks = True
 
     def __init__(self, constituents: Sequence[Operator],
                  name: Optional[str] = None):
@@ -70,9 +61,6 @@ class FusedKernel(Operator):
         #: Batches executed through the fused fast path (surfaced by
         #: repro.obs as the ``op.*.fused_batches`` counter).
         self.fused_batches = 0
-        #: Column blocks executed through the fused columnar chain
-        #: (surfaced by repro.obs as ``op.*.block_batches``).
-        self.block_batches = 0
         self._use_chain = False
 
     def open(self, ctx) -> None:
@@ -110,25 +98,6 @@ class FusedKernel(Operator):
             if not deltas:
                 return
         self.emit_batch(deltas)
-
-    def push_block(self, block, port: int = 0) -> None:
-        """Fused columnar chain: each constituent's ``transform_block``
-        kernel runs in data-flow order on the same block — identical
-        charges to the fused row path, no per-link dispatch, and no
-        delta materialization until a row-only consumer needs one."""
-        if not block:
-            return
-        self.block_batches += 1
-        if self._use_chain:
-            # Obs mode: real chain dispatch so each constituent's
-            # instrumentation frame attributes its own charges.
-            self.constituents[0].push_block(block, 0)
-            return
-        for constituent in self.constituents:
-            block = constituent.transform_block(block)
-            if not block:
-                return
-        self.emit_block(block)
 
     def process(self, delta: Delta, port: int) -> None:  # pragma: no cover
         # receive() is overridden; nothing routes through process().

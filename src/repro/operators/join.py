@@ -36,10 +36,11 @@ class HashJoin(Operator):
     per_tuple_cost = None  # set from cost model at open()
 
     #: Proofs from the delta-polarity abstract interpretation, set by the
-    #: executor.  ``proof_insert_only_ports`` lists non-handler ports whose
-    #: input is statically proven insert-only: their probe loop drops the
-    #: per-delta op dispatch.  ``proof_polarity`` is asserted (not trusted
-    #: blindly) by the sanitizer; a contradiction is REX307.
+    #: executor on sanitized runs; only the sanitizer reads them.
+    #: ``proof_insert_only_ports`` lists non-handler ports whose input is
+    #: statically proven insert-only (the sanitizer skips their shadow
+    #: bucket replay); ``proof_polarity`` is asserted, and a
+    #: contradiction is REX307.
     proof_polarity: Optional[frozenset] = None
     proof_insert_only_ports: frozenset = frozenset()
 
@@ -128,35 +129,6 @@ class HashJoin(Operator):
                 if result:
                     out_extend(as_deltas(key, result))
             ctx.charge_cpu(call_cost, len(deltas))
-        elif port in self.proof_insert_only_ports:
-            # Insert-only probe loop (REX300 proof): the abstract
-            # interpretation guarantees every delta on this port is an
-            # insertion, so the per-delta op dispatch disappears and the
-            # bulk-load body runs unconditionally.  State mutation and
-            # charges are identical to the general loop below.
-            key_fn = self.keys[port]
-            buckets = self.buckets
-            worker = ctx.worker
-            charge_state_access = worker.charge_state_access
-            memory_budget = worker.cost.worker_memory_bytes
-            add_state_bytes = worker.add_state_bytes
-            insert_op = DeltaOp.INSERT
-            opp = 1 - port
-            append_out = out.append
-            for delta in deltas:
-                row = delta.row
-                key = key_fn(row)
-                if worker.state_bytes > memory_budget:
-                    charge_state_access()
-                try:
-                    bucket = buckets[key]
-                except KeyError:
-                    bucket = buckets[key] = ([], [])
-                bucket[port].append(row)
-                add_state_bytes(row_bytes(row))
-                if bucket[opp]:
-                    for pair in self._pairs(row, port, bucket[opp]):
-                        append_out(Delta(insert_op, pair))
         else:
             apply_rules = self._apply_rules
             key_fn = self.keys[port]

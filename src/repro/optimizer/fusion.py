@@ -53,15 +53,6 @@ class FusionDecision:
     """Constituent operator kinds in data-flow order (deepest first)."""
     fused: bool
     reason: str
-    columnar: bool = False
-    """Whether the fused kernel is block-capable: every constituent kind
-    carries a ``transform_block`` columnar kernel, so under
-    ``ExecOptions(columnar=True)`` one :class:`ColumnBlock` flows through
-    the whole chain with no intermediate delta materialization.  All
-    FUSABLE kinds currently qualify; the field exists so a future
-    row-only constituent degrades the *report*, not the execution (the
-    kernel's boundary adapter already handles that case)."""
-
     def label(self) -> str:
         return "Fused[" + "→".join(self.ops) + "]"
 
@@ -71,7 +62,6 @@ class FusionDecision:
             "ops": list(self.ops),
             "fused": self.fused,
             "reason": self.reason,
-            "columnar": self.columnar,
             "label": self.label() if self.fused else None,
         }
 
@@ -125,7 +115,6 @@ def fuse_plan(root: PNode) -> Tuple[PNode, List[FusionDecision]]:
                     path=path, ops=ops, fused=True,
                     reason=(f"{len(chain)} stateless operators; chain ends "
                             f"at {_terminator(cursor)}"),
-                    columnar=all(isinstance(n, FUSABLE) for n in chain),
                 ))
                 constituents = tuple(replace(n, children=())
                                      for n in reversed(chain))

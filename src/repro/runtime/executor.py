@@ -10,6 +10,7 @@ punctuation, replicates each stratum's Δᵢ set for incremental recovery
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -59,6 +60,13 @@ from repro.runtime.plan import (
 )
 
 _attempt_counter = itertools.count()
+
+#: Strata whose admitted Δ-set is at or below this size take the
+#: small-stratum turnover path on quiet ``fuse`` runs (no
+#: obs/sanitizer/perturbation hooks): empty feedback and
+#: checkpoint-replication work is elided instead of walked.  Wall clock
+#: only; simulated metrics are unchanged at any value.
+SMALL_STRATUM_THRESHOLD = 64
 
 
 @dataclass
@@ -126,15 +134,9 @@ class ExecOptions:
     metric-preserving fabric fast paths — bulk punctuation-fanout
     accounting, the observer-free drain loop, checkpoint route/wire-size
     memoization, and the small-stratum turnover path.  Simulated metrics
-    are bit-identical on or off (enforced by tests and the wallclock
-    harness); only wall clock changes.  Set False for the unfused
-    baseline, mirroring how ``batch`` landed."""
-    small_stratum_threshold: int = 64
-    """Strata whose admitted Δ-set is at or below this size take the
-    small-stratum turnover path when ``fuse`` is on and no
-    obs/sanitizer/perturbation hooks are attached: empty feedback and
-    checkpoint-replication work is elided instead of walked.  Wall-clock
-    knob only; simulated metrics are unchanged at any value."""
+    are bit-identical on or off (enforced by
+    ``tests/test_fusion_equivalence.py``); only wall clock changes.  Set
+    False for the unfused baseline, mirroring how ``batch`` landed."""
     flight: bool = True
     """Keep a :class:`repro.obs.flight.FlightRecorder` for this run (the
     default).  The recorder appends one breadcrumb per stratum boundary
@@ -150,18 +152,16 @@ class ExecOptions:
     (``QueryResult.flight.last_bundle`` / the exception's
     ``rex_flight_bundle`` attribute)."""
     absint: bool = True
-    """Proof-directed fast paths from the delta-polarity abstract
-    interpretation (:mod:`repro.analysis.absint`, REX3xx): run the
-    inference over the (fused) physical plan at instantiation and arm
-    the operator specializations its proofs license — insert-only /
-    update-only group-by folding, the no-retraction keyed-fixpoint loop,
-    insert-only join build ports, and replacement-free stateless chains.
-    Every fast path preserves outputs and simulated charge multisets
-    exactly, so :meth:`QueryMetrics.fingerprint` is bit-identical on or
-    off (enforced by tests and the wallclock harness); only wall clock
-    changes.  The sanitizer additionally downgrades shadow replay to
-    cheap polarity assertions on proven operators — a violated proof is
-    escalated to a hard REX307 error."""
+    """Let an attached sanitizer use the delta-polarity abstract
+    interpretation (:mod:`repro.analysis.absint`, REX3xx): the inference
+    runs over the (fused) physical plan at instantiation and the
+    sanitizer downgrades shadow replay to cheap polarity assertions on
+    operators whose input polarity is proven — a violated proof is a
+    hard REX307 error.  Set False for maximal checking (full replay
+    everywhere).  Has no effect on unsanitized runs: the operators
+    execute the same loops either way, and
+    :meth:`QueryMetrics.fingerprint` is bit-identical on or off
+    (enforced by ``tests/test_absint_runtime.py``)."""
     rewrite: bool = True
     """Proof-directed plan rewrites from the column-lineage analysis
     (:mod:`repro.analysis.lineage`, REX4xx): run
@@ -175,21 +175,6 @@ class ExecOptions:
     plans where nothing fires (all three original bench workloads) keep
     :meth:`QueryMetrics.fingerprint` bit-identical as well.  Applied and
     declined candidates are recorded in ``rewrite_decisions``."""
-    columnar: bool = False
-    """Columnar execution backend: sources emit
-    :class:`~repro.operators.blocks.ColumnBlock` batches (column-major
-    row/polarity/payload vectors with lineage-pruned column
-    materialization) and block-capable operators — Filter, Project,
-    ApplyFunction, fused stateless chains, the local half of Rehash, and
-    GroupBy — run whole-column ``push_block`` kernels.  Stateful
-    operators without a columnar kernel (HashJoin, Fixpoint, the
-    exchange receiver) consume block traffic through the block→row
-    boundary adapter, so the row path stays the oracle:
-    :meth:`QueryMetrics.fingerprint` is bit-identical columnar on or off
-    across the fuse×absint×sanitize matrix (enforced by tests and the
-    wallclock harness); only wall clock changes.  Requires ``batch``;
-    under an attached sanitizer the row path runs regardless (its
-    delta-invariant wrappers hook ``push_batch``)."""
 
 
 @dataclass
@@ -274,10 +259,6 @@ class QueryExecutor:
         # Every fixpoint key ever checkpointed: used to detect, on
         # recovery, ranges whose replicas have all been lost.
         self._checkpointed_keys: set = set()
-        # Table name -> frozenset of live column positions (lineage
-        # pruning for columnar scans); populated in _instantiate only
-        # when the columnar fabric is armed.
-        self._scan_live: Dict[str, frozenset] = {}
 
     # ------------------------------------------------------------------
     # Plan instantiation
@@ -325,14 +306,6 @@ class QueryExecutor:
             from repro.optimizer.fusion import fuse_plan
             exec_root, self.fusion_decisions = fuse_plan(exec_root)
         self._exec_root = exec_root
-        # Abstract interpretation over the tree the executor builds from:
-        # its per-node proofs (insert-only inputs, no-retraction loops,
-        # replacement-free chains) are pushed onto the operator instances
-        # in _make_operator and arm the charge-identical fast paths.
-        self._absint_props = None
-        if self.options.absint:
-            from repro.analysis.absint import infer
-            self._absint_props, _ = infer(exec_root)
         self._assign_exchanges(exec_root)
         live = self._live_ids()
         if plan.fixpoint is not None:
@@ -353,6 +326,14 @@ class QueryExecutor:
             # Installed after obs so the sanitizer's tee wraps (and keeps
             # forwarding to) the observability hook.
             self.sanitizer.install_network(self.cluster.network)
+        # Abstract interpretation over the tree the executor builds from.
+        # Only the sanitizer reads its per-node proofs (pushed onto the
+        # operator instances in _make_operator), so unsanitized runs skip
+        # the inference.
+        self._absint_props = None
+        if self.sanitizer is not None and self.options.absint:
+            from repro.analysis.absint import infer
+            self._absint_props, _ = infer(exec_root)
         if self.options.perturb is not None:
             self.options.perturb.install(self.cluster.network)
         # The fabric fast paths preserve message order and charge
@@ -361,16 +342,6 @@ class QueryExecutor:
         # (Paths that need observer==None additionally check that live.)
         fuse_fabric = self.options.fuse and self.options.perturb is None
         self.cluster.network.fast_path = fuse_fabric
-        # The columnar fabric needs batch mode and no sanitizer: the
-        # sanitizer's delta-invariant wrappers hook push_batch, so block
-        # traffic would flow around them — the row oracle runs instead
-        # (identical fingerprints by construction, pinned by tests).
-        # Obs is fine: push_block is instrumented like push_batch.
-        columnar_fabric = (self.options.columnar and self.options.batch
-                           and self.sanitizer is None
-                           and self.options.perturb is None)
-        self._scan_live = self._infer_scan_live(exec_root) \
-            if columnar_fabric else {}
         for node_id in live:
             worker = self.cluster.worker(node_id)
             if obs is not None:
@@ -378,8 +349,7 @@ class QueryExecutor:
             ctx = ExecContext(worker, cluster=self.cluster,
                               snapshot=self.snapshot, hooks=self._hooks,
                               batch=self.options.batch, obs=obs,
-                              sanitizer=self.sanitizer, fuse=fuse_fabric,
-                              columnar=columnar_fabric)
+                              sanitizer=self.sanitizer, fuse=fuse_fabric)
             wp = _WorkerPlan(node_id)
             self.worker_plans[node_id] = wp
             self._build(exec_root, None, ctx, wp, len(live))
@@ -425,40 +395,6 @@ class QueryExecutor:
         for child in node.children:
             self._build(child, op, ctx, wp, n_live, in_recursive)
 
-    def _infer_scan_live(self, exec_root: PNode) -> Dict[str, frozenset]:
-        """Lineage-driven column pruning map for columnar scans.
-
-        Runs the REX4xx column-lineage analysis over the tree the
-        executor builds from and keeps, per *table name*, the union of
-        the exact ``Live`` sets on its scans' output edges.  A scan
-        whose demand is inexact (a row escaped into an opaque consumer)
-        disables pruning for that table entirely — full rows are always
-        carried; the live set only gates which columns a
-        :class:`~repro.operators.blocks.ColumnBlock` will materialize.
-        Analysis failures degrade to "no pruning", never to an error.
-        """
-        try:
-            from repro.analysis.lineage import infer_lineage
-            table_arity = {
-                name: len(self.cluster.catalog.get(name).schema.fields)
-                for name in self.cluster.catalog.names()
-            }
-            facts, _ = infer_lineage(exec_root, table_arity=table_arity)
-            live: Dict[str, Optional[frozenset]] = {}
-            for node in exec_root.walk():
-                if not isinstance(node, PScan):
-                    continue
-                lin = facts.of(node)
-                if lin is None or not lin.live.exact:
-                    live[node.table] = None
-                elif live.get(node.table, frozenset()) is not None:
-                    live[node.table] = (live.get(node.table, frozenset())
-                                        | lin.live.cols)
-            return {name: cols for name, cols in live.items()
-                    if cols is not None}
-        except Exception:  # pragma: no cover - analysis must never abort
-            return {}
-
     def _make_operator(self, node: PNode, ctx: ExecContext, wp: _WorkerPlan):
         op = self._create_operator(node, ctx, wp)
         if self._absint_props is not None:
@@ -466,31 +402,21 @@ class QueryExecutor:
         return op
 
     def _apply_proofs(self, node: PNode, op) -> None:
-        """Arm the fast paths licensed by the abstract interpretation.
+        """Hand the sanitizer the abstract interpretation's verdicts.
 
         Each attribute set here is a *proof*: the static analysis
-        guarantees the corresponding delta kinds can never reach this
-        operator, so skipping their handling preserves outputs and
-        simulated charge multisets exactly.  The sanitizer asserts the
-        proofs at runtime (a contradiction is a hard REX307)."""
+        guarantees no other delta kinds reach this operator.  The
+        sanitizer asserts the proofs at runtime (a contradiction is a
+        hard REX307) and downgrades shadow replay where they hold; the
+        operators themselves never read them."""
         props = self._absint_props.of(node)
         if props is None:
             return
         in_pol = props.in_polarity
-        proven = (in_pol is not None and in_pol.exact and in_pol.kinds)
-        if isinstance(op, (Filter, Project, ApplyFunction)):
-            if proven and DeltaOp.REPLACE not in in_pol.kinds:
-                op.proof_no_replace = True
-        elif isinstance(op, GroupBy):
-            if proven:
-                op.proof_polarity = in_pol.kinds
-                if in_pol.kinds <= {DeltaOp.INSERT}:
-                    op.proof_insert_only = True
-                elif in_pol.kinds <= {DeltaOp.UPDATE}:
-                    op.proof_update_only = True
-        elif isinstance(op, HashJoin):
-            if proven:
-                op.proof_polarity = in_pol.kinds
+        if (isinstance(op, (GroupBy, HashJoin, Fixpoint))
+                and in_pol is not None and in_pol.exact and in_pol.kinds):
+            op.proof_polarity = in_pol.kinds
+        if isinstance(op, HashJoin):
             ports = props.port_polarities or ()
             insert_only_ports = frozenset(
                 port for port, p in enumerate(ports)
@@ -498,19 +424,8 @@ class QueryExecutor:
                 and p.exact and p.kinds and p.kinds <= {DeltaOp.INSERT})
             if insert_only_ports:
                 op.proof_insert_only_ports = insert_only_ports
-        elif isinstance(op, Fixpoint):
-            if proven:
-                op.proof_polarity = in_pol.kinds
-                if (op.semantics == "keyed" and op.while_handler is None
-                        and in_pol.kinds <= {DeltaOp.INSERT,
-                                             DeltaOp.REPLACE}):
-                    op.proof_no_delete = True
-            if props.monotone:
-                op.proof_monotone = True
-        elif isinstance(op, FusedKernel):
-            # Constituents got their own proofs when _make_operator built
-            # them; nothing to arm on the kernel shell itself.
-            pass
+        elif isinstance(op, Fixpoint) and props.monotone:
+            op.proof_monotone = True
 
     def _create_operator(self, node: PNode, ctx: ExecContext,
                          wp: _WorkerPlan):
@@ -518,7 +433,6 @@ class QueryExecutor:
             return Collect(exchange=self._collect_exchange)
         if isinstance(node, PScan):
             scan = TableScan(self.cluster.catalog.get(node.table))
-            scan.live_columns = self._scan_live.get(node.table)
             wp.sources.append(scan)
             return scan
         if isinstance(node, PFeedback):
@@ -645,7 +559,6 @@ class QueryExecutor:
         # under delta feedback has nothing to move or replicate).
         quiet = (opts.fuse and obs is None and sanitizer is None
                  and perturb is None and not failures_by_stratum)
-        small_threshold = opts.small_stratum_threshold
         delta_feedback = opts.feedback_mode == "delta"
         plans = self._live_plans()
         stratum = 0
@@ -674,7 +587,7 @@ class QueryExecutor:
 
             pending: Dict[int, List[Delta]] = {}
             if recursive:
-                small = quiet and admitted <= small_threshold
+                small = quiet and admitted <= SMALL_STRATUM_THRESHOLD
                 if not (small and delta_feedback and admitted == 0):
                     # Small-stratum fast path, terminal case: with delta
                     # feedback, zero admissions means every fixpoint's
@@ -926,28 +839,7 @@ class QueryExecutor:
     def _restart(self, plan: PhysicalPlan) -> QueryResult:
         """Discard all progress; re-run the query on the surviving nodes."""
         wasted = self.metrics.total_seconds()
-        fresh_options = ExecOptions(
-            max_strata=self.options.max_strata,
-            feedback_mode=self.options.feedback_mode,
-            termination=self.options.termination,
-            checkpointing=self.options.checkpointing,
-            checkpoint_replication=self.options.checkpoint_replication,
-            failure=None,
-            recovery=self.options.recovery,
-            collect_result=self.options.collect_result,
-            batch=self.options.batch,
-            obs=self.options.obs,
-            sanitize=self.options.sanitize,
-            sanitize_seed=self.options.sanitize_seed,
-            perturb=self.options.perturb,
-            fuse=self.options.fuse,
-            small_stratum_threshold=self.options.small_stratum_threshold,
-            flight=self.options.flight,
-            flight_dir=self.options.flight_dir,
-            absint=self.options.absint,
-            rewrite=self.options.rewrite,
-            columnar=self.options.columnar,
-        )
+        fresh_options = dataclasses.replace(self.options, failure=None)
         retry = QueryExecutor(self.cluster, fresh_options)
         result = retry.execute(plan)
         result.metrics.recovery_seconds += wasted

@@ -204,9 +204,9 @@ def _run_rex201():
     """PageRank with the hidden-self-state FlakySum.
 
     absint is off here on purpose: the polarity proofs downgrade shadow
-    replay to assertion mode on proven groups (the REX3xx fast-path
-    payoff), and this case pins the replay machinery itself — the
-    maximal-checking configuration is sanitize='full' + absint=False.
+    replay to assertion mode on proven groups, and this case pins the
+    replay machinery itself — the maximal-checking configuration is
+    sanitize='full' + absint=False.
     """
     cluster = _graph_cluster()
     plan = _pagerank_plan_with_sum(FlakySum)

@@ -1,24 +1,28 @@
 """Runtime property suite for the delta-polarity abstract interpretation
-(REX3xx) and its proof-directed fast paths.
+(REX3xx) and what the sanitizer does with its proofs.
 
 Three properties, asserted on every benchmark workload (smoke sizes):
 
 1. **Fingerprint identity**: the simulated metrics fingerprint is
    bit-identical with ``ExecOptions(absint=...)`` on or off, at every
-   sanitize level — the fast paths change wall clock only, never the
-   simulated execution.
+   sanitize level — the flag changes how much the sanitizer re-checks,
+   never the simulated execution.
 2. **Observation consistency**: under the full sanitizer every
    runtime-observed delta kind stays inside the static polarity verdict
    (no REX307, and a direct per-port subset check against the armed
    proofs).
 3. **Violation detection**: a delta kind that contradicts a proof trips
-   a hard REX307 error (unit-level, via a fabricated operator).
+   a hard REX307 error under the sanitizer, and is computed correctly
+   without one — the operators never trust a proof.
 """
 
 import itertools
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+from helpers import Capture
 from repro.algorithms.sssp import make_start_table
 from repro.bench.common import fresh_cluster
 from repro.bench.wallclock import (
@@ -27,8 +31,12 @@ from repro.bench.wallclock import (
     _time_run,
     _workloads,
 )
-from repro.common.deltas import Delta, DeltaOp
+from repro.cluster import CostModel, Worker
+from repro.common.deltas import Delta, DeltaOp, delete, insert
+from repro.common.punctuation import Punctuation
 from repro.datasets import geo_points, sample_centroids
+from repro.operators import ExecContext, GroupBy
+from repro.udf import AggregateSpec, Min
 
 SMOKE = dict(_workloads(smoke=True, nodes=4, seed=7))
 
@@ -53,10 +61,24 @@ def test_fingerprint_identical_with_and_without_absint(name):
             f"absint={key[1]}")
 
 
+@pytest.mark.parametrize("sanitize, expected_calls", [("off", 0),
+                                                      ("full", 1)])
+def test_executor_infers_only_for_the_sanitizer(sanitize, expected_calls):
+    """Nothing but the sanitizer reads the proofs, so an unsanitized
+    ``_instantiate`` must not pay for the inference.  ``rewrite=False``
+    isolates the executor's own call: rewrite licensing runs the
+    inference too, on plans with rewrite candidates."""
+    from repro.analysis import absint
+
+    with mock.patch.object(absint, "infer", wraps=absint.infer) as spy:
+        _time_run(SMOKE["sssp"], batch=True, sanitize=sanitize,
+                  flight=False, absint=True, rewrite=False)
+    assert spy.call_count == expected_calls
+
+
 @pytest.mark.parametrize("name", sorted(SMOKE))
 def test_fingerprint_identical_unfused(name):
-    """The stateless proof loops also serve fused chains; check the
-    unfused shape too so both code paths stay charge-identical."""
+    """The unfused operator shape under the same toggle."""
     fps = [
         _metrics_fingerprint(_time_run(SMOKE[name], batch=True, fuse=False,
                                        flight=False, absint=absint)[2])
@@ -181,3 +203,55 @@ def test_proof_violation_trips_rex307():
     observed = sanitizer.observed_polarities()
     assert observed["FakeGroupBy@n0"][0] == frozenset(
         {DeltaOp.INSERT, DeltaOp.REPLACE})
+
+
+def _insert_only_groupby_min():
+    """GroupBy(Min) carrying an exact insert-only input proof, attached
+    the way the executor attaches it."""
+    from repro.analysis.absint import INSERT_ONLY, NodeProperties, Polarity
+    from repro.runtime.executor import QueryExecutor
+
+    gb = GroupBy(key_fn=lambda r: (r[0],),
+                 specs=[AggregateSpec(Min(), arg=lambda r: r[1],
+                                      output="m")])
+    proven = Polarity(INSERT_ONLY, exact=True)
+    executor = QueryExecutor.__new__(QueryExecutor)
+    executor._absint_props = SimpleNamespace(of=lambda node: NodeProperties(
+        "/GroupBy", "GroupBy", proven, in_polarity=proven))
+    executor._apply_proofs(None, gb)
+    assert gb.proof_polarity == INSERT_ONLY
+    return gb
+
+
+def _insert_then_delete(gb, batch, sanitizer=None):
+    """One ``+`` stratum, then one ``-`` stratum contradicting the proof."""
+    ctx = ExecContext(Worker(0, CostModel()), batch=batch,
+                      sanitizer=sanitizer)
+    sink = Capture()
+    sink.add_input(gb)
+    gb.open(ctx)
+    sink.open(ctx)
+    for stratum, delta in enumerate([insert((1, 1)), delete((1, 1))]):
+        if batch:
+            gb.push_batch([delta], 0)
+        else:
+            gb.receive(delta, 0)
+        gb.on_punctuation(Punctuation.end_of_stratum(stratum), 0)
+    return sink.deltas, dict(gb.groups)
+
+
+def test_contradicted_proof_computes_correctly_and_trips_rex307():
+    from repro.analysis.sanitizer import Sanitizer
+
+    oracle = _insert_then_delete(_insert_only_groupby_min(), batch=False)
+    assert oracle == ([insert((1, 1)), delete((1, 1))], {})
+    assert _insert_then_delete(_insert_only_groupby_min(),
+                               batch=True) == oracle
+
+    sanitizer = Sanitizer("full")
+    out, groups = _insert_then_delete(_insert_only_groupby_min(), batch=True,
+                                      sanitizer=sanitizer)
+    assert (out, groups) == oracle
+    assert "REX307" in set(sanitizer.report.codes()), \
+        sanitizer.report.format()
+    assert sanitizer.report.has_errors()

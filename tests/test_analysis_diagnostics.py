@@ -26,7 +26,7 @@ class TestCatalog:
             "REX005", "REX006", "REX007", "REX008"}
         assert {c for c in CODES if c.startswith("REX1")} == {
             "REX100", "REX101", "REX102", "REX103", "REX104", "REX105",
-            "REX106", "REX107", "REX108"}
+            "REX106", "REX107"}
         assert {c for c in CODES if c.startswith("REX2")} == {
             "REX200", "REX201", "REX202", "REX203", "REX204",
             "REX205", "REX206"}
