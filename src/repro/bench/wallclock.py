@@ -50,7 +50,6 @@ the wire-bytes and shuffled-tuple reductions::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -125,10 +124,7 @@ def _time_run(make_runner: Callable, batch: bool, obs=None,
     """Build a fresh cluster, then time one query execution.
 
     Returns ``(setup_wall, run_wall, metrics)`` so the report can split
-    per-phase wall time.  Setup garbage is collected before the timer
-    starts and the collector is paused inside the timed region (both modes
-    identically), so cluster construction debt is not billed to whichever
-    mode happens to trip a generational collection first.
+    per-phase wall time.
     """
     setup_start = time.perf_counter()
     runner = make_runner()
@@ -136,16 +132,9 @@ def _time_run(make_runner: Callable, batch: bool, obs=None,
     options = ExecOptions(batch=batch, obs=obs, sanitize=sanitize,
                           fuse=fuse, flight=flight, absint=absint,
                           rewrite=rewrite)
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        metrics = runner(options)
-        wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    start = time.perf_counter()
+    metrics = runner(options)
+    wall = time.perf_counter() - start
     return setup_wall, wall, metrics
 
 

@@ -122,6 +122,21 @@ class SimulatedNetwork:
         for key in [k for k in self._handlers if k[0] == node]:
             del self._handlers[key]
 
+    def unregister_exchanges(self, exchanges) -> None:
+        """Drop a finished query's handlers, on every node, together with
+        any mail still queued for them (an aborted query leaves some).
+
+        The handlers are bound methods and closures over the query's
+        operators and executor; left registered they would keep every
+        query ever run on this cluster alive."""
+        exchanges = frozenset(exchanges)
+        for key in [k for k in self._handlers if k[1] in exchanges]:
+            del self._handlers[key]
+        if self._queue:
+            kept = [m for m in self._queue if m.exchange not in exchanges]
+            self._queue.clear()
+            self._queue.extend(kept)
+
     def revive_node(self, node: int) -> None:
         self._dead.discard(node)
 

@@ -26,6 +26,7 @@ Inspect bundles with ``python -m repro.cli flight BUNDLE.json``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -43,6 +44,14 @@ ENV_DIR = "REX_FLIGHT_DIR"
 
 #: Most recent trace events included in a bundle.
 MAX_TRACE_EVENTS = 400
+
+
+def gc_state() -> Dict[str, Any]:
+    """The cyclic collector's state, for the ``query_start`` note and
+    every bundle's ``env``.  The executor suspends the collector for a
+    query's span: a memory post-mortem needs to see that, and how many
+    allocations were pending collection when the record was taken."""
+    return {"gc_enabled": gc.isenabled(), "gc_count": list(gc.get_count())}
 
 
 class FlightRecorder:
@@ -111,6 +120,7 @@ class FlightRecorder:
                 "python": sys.version.split()[0],
                 "platform": platform.platform(),
                 "pid": os.getpid(),
+                **gc_state(),
             },
         }
         if error is not None:

@@ -11,6 +11,7 @@ punctuation, replicates each stratum's Δᵢ set for incremental recovery
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -79,7 +80,11 @@ class FailureSpec:
 
 @dataclass
 class ExecOptions:
-    """Execution policy knobs for one query."""
+    """Execution policy knobs for one query.
+
+    Suspending the cyclic collector for the query's span is not one of
+    them: :meth:`QueryExecutor.execute` does it unconditionally.
+    """
 
     max_strata: int = 200
     feedback_mode: str = "delta"
@@ -241,6 +246,8 @@ class QueryExecutor:
         self._hooks = _MetricsHooks()
         self._exchange_names: Dict[int, str] = {}
         self._attempt = next(_attempt_counter)
+        self._collect_exchange = f"collect.a{self._attempt}"
+        self._ckpt_exchange = f"ckpt.a{self._attempt}"
         self._fixpoint_key_fn = None
         self._plan: Optional[PhysicalPlan] = None
         self.sanitizer = None
@@ -273,8 +280,6 @@ class QueryExecutor:
                 self._exchange_names[id(node)] = (
                     f"x{next(counter)}.a{self._attempt}"
                 )
-        self._collect_exchange = f"collect.a{self._attempt}"
-        self._ckpt_exchange = f"ckpt.a{self._attempt}"
 
     def _instantiate(self, plan: PhysicalPlan) -> None:
         self._plan = plan
@@ -487,16 +492,49 @@ class QueryExecutor:
     # Stratified execution
     # ------------------------------------------------------------------
     def execute(self, plan: PhysicalPlan) -> QueryResult:
-        """Run the query to completion; returns rows and metrics."""
+        """Run the query to completion; returns rows and metrics.
+
+        Automatic cyclic collection is suspended for the whole span and
+        put back as it was found on every exit.  The strata loop
+        allocates only acyclic objects (``Delta``, row tuples, lists),
+        which reference counting frees by itself, so the collector's
+        passes re-walk every loaded table and join bucket and reclaim
+        nothing (``tests/test_gc_scope.py`` pins the invariant;
+        docs/performance.md has the numbers).  A nested ``execute`` —
+        ``recovery="restart"`` — finds the collector already off and
+        leaves it off, so only the outermost scope re-enables it, and a
+        host that had disabled it keeps it disabled.  The switch is
+        process-wide.
+        """
+        collector_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return self._execute(plan)
+        finally:
+            # This attempt's handlers close over its operators and this
+            # executor; the cluster must not keep them past the query.
+            self.cluster.network.unregister_exchanges(
+                [*self._exchange_names.values(), self._collect_exchange,
+                 self._ckpt_exchange])
+            # Last, with nothing allocated after it: re-enabling makes the
+            # next container allocation run the overdue young collection,
+            # and that pass walks whatever the query built that is still
+            # alive.  Past this line an executor the caller did not keep
+            # dies with its operator state by reference counting first.
+            if collector_was_on:
+                gc.enable()
+
+    def _execute(self, plan: PhysicalPlan) -> QueryResult:
+        """The query itself, inside :meth:`execute`'s scope."""
         flight = None
         if self.options.flight:
             # Imported lazily like the other analysis hooks: the runtime
             # package must not import repro.obs at module load.
-            from repro.obs.flight import FlightRecorder
+            from repro.obs.flight import FlightRecorder, gc_state
             flight = self.flight = FlightRecorder(
                 directory=self.options.flight_dir)
             flight.note("query_start", recursive=plan.is_recursive,
-                        attempt=self._attempt)
+                        attempt=self._attempt, **gc_state())
         self.metrics.startup_seconds = self.cluster.cost.rex_query_startup
         try:
             self._instantiate(plan)

@@ -93,6 +93,20 @@ class TestDeliveryAndAccounting:
         assert net.drain() == 2
         assert hops == [1, 2]
 
+    def test_unregister_exchanges_drops_handlers_and_their_mail(self):
+        net = SimulatedNetwork()
+        delivered = []
+        for node in (1, 2):
+            net.register(node, "x", delivered.append)
+            net.register(node, "y", delivered.append)
+        net.send(msg(dst=1, exchange="x"))
+        net.send(msg(dst=2, exchange="y"))
+        net.unregister_exchanges(["x"])
+        assert sorted(net._handlers) == [(1, "y"), (2, "y")]
+        assert net.drain() == 1
+        assert [m.exchange for m in delivered] == ["y"]
+        net.register(1, "x", delivered.append)  # the name is free again
+
 
 class TestDeadNodes:
     def test_dead_node_cannot_send(self):
