@@ -775,27 +775,36 @@ class Sanitizer:
 
         def precheck(deltas, port):
             keys = op.keys[port]
+            # Copies of each row the batch's own earlier deltas added to
+            # (+) or took out of (-) the side: the join applies a batch in
+            # order, so a ``-`` may target what a ``+`` before it inserted.
+            net: Dict[tuple, int] = {}
             for d in deltas:
-                if d.op is DeltaOp.INSERT:
+                kind = d.op
+                if kind is DeltaOp.INSERT:
+                    net[d.row] = net.get(d.row, 0) + 1
                     continue
-                target = d.old if d.op is DeltaOp.REPLACE else d.row
+                target = d.old if kind is DeltaOp.REPLACE else d.row
                 try:
                     k = keys(target)
                 except Exception:
                     continue
-                if not sampled(k):
-                    continue
-                self.checks += 1
-                bucket = op.buckets.get(k)
-                side = bucket[port] if bucket is not None else ()
-                if target not in side:
-                    self._emit(
-                        "REX200",
-                        f"{d.op.name} on join input {port} targets a row "
-                        f"absent from bucket {k!r}: {target!r}",
-                        location=loc,
-                        hint="UPDATE/DELETE must hit existing state rows "
-                             "(Definition 1)")
+                if sampled(k):
+                    self.checks += 1
+                    bucket = op.buckets.get(k)
+                    side = bucket[port] if bucket is not None else ()
+                    if side.count(target) + net.get(target, 0) <= 0:
+                        self._emit(
+                            "REX200",
+                            f"{kind.name} on join input {port} targets a "
+                            f"row absent from bucket {k!r}: {target!r}",
+                            location=loc,
+                            hint="UPDATE/DELETE must hit existing state "
+                                 "rows (Definition 1)")
+                if kind is not DeltaOp.UPDATE:
+                    net[target] = net.get(target, 0) - 1
+                    if kind is DeltaOp.REPLACE:
+                        net[d.row] = net.get(d.row, 0) + 1
 
         if batch:
             orig_push = op.push_batch

@@ -17,8 +17,7 @@ Dotted registry names are sanitized to the exposition charset
 (``[a-zA-Z_][a-zA-Z0-9_]*``) by mapping every illegal rune to ``_``:
 ``telemetry.stratum.delta_count`` → ``telemetry_stratum_delta_count``.
 The text ends with the mandatory ``# EOF`` terminator, so the output of
-``python -m repro.cli telemetry`` (or ``wallclock --telemetry``) can be
-served to a scraper or fed to ``promtool check metrics`` unchanged.
+``python -m repro.cli telemetry`` can be served to a scraper or fed to ``promtool check metrics`` unchanged.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ series in the metrics registry:
 Sampling is charge-neutral by construction: the sampler only reads values
 the engine already computed and writes to its own instruments, so
 ``QueryMetrics.fingerprint`` is bit-identical with sampling on or off
-(pinned by ``tests/test_telemetry_equivalence.py``).
+(pinned by ``tests/test_equivalence.py``).
 
 All series are rings (default 256 points) and the simulated-clock
 resampler emits at most ``max_ticks_per_sample`` ticks per stratum

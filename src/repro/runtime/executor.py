@@ -62,13 +62,6 @@ from repro.runtime.plan import (
 
 _attempt_counter = itertools.count()
 
-#: Strata whose admitted Δ-set is at or below this size take the
-#: small-stratum turnover path on quiet ``fuse`` runs (no
-#: obs/sanitizer/perturbation hooks): empty feedback and
-#: checkpoint-replication work is elided instead of walked.  Wall clock
-#: only; simulated metrics are unchanged at any value.
-SMALL_STRATUM_THRESHOLD = 64
-
 
 @dataclass
 class FailureSpec:
@@ -137,11 +130,11 @@ class ExecOptions:
     operator chains into :class:`~repro.operators.fused.FusedKernel`
     pipelines (:mod:`repro.optimizer.fusion`) and enable the
     metric-preserving fabric fast paths — bulk punctuation-fanout
-    accounting, the observer-free drain loop, checkpoint route/wire-size
-    memoization, and the small-stratum turnover path.  Simulated metrics
-    are bit-identical on or off (enforced by
-    ``tests/test_fusion_equivalence.py``); only wall clock changes.  Set
-    False for the unfused baseline, mirroring how ``batch`` landed."""
+    accounting, the observer-free drain loop, and checkpoint
+    route/wire-size memoization.  Simulated metrics are bit-identical on
+    or off (enforced by ``tests/test_equivalence.py``); only wall clock
+    changes.  Set False for the unfused baseline, mirroring how ``batch``
+    landed."""
     flight: bool = True
     """Keep a :class:`repro.obs.flight.FlightRecorder` for this run (the
     default).  The recorder appends one breadcrumb per stratum boundary
@@ -166,7 +159,7 @@ class ExecOptions:
     everywhere).  Has no effect on unsanitized runs: the operators
     execute the same loops either way, and
     :meth:`QueryMetrics.fingerprint` is bit-identical on or off
-    (enforced by ``tests/test_absint_runtime.py``)."""
+    (enforced by ``tests/test_equivalence.py``)."""
     rewrite: bool = True
     """Proof-directed plan rewrites from the column-lineage analysis
     (:mod:`repro.analysis.lineage`, REX4xx): run
@@ -592,9 +585,9 @@ class QueryExecutor:
             failures_by_stratum.setdefault(spec.after_stratum,
                                            []).append(spec)
         # Quiet run: no hooks anywhere in the stratum loop.  Only then may
-        # the small-stratum turnover below elide work — and only work that
-        # is a no-op on simulated metrics by construction (an empty Δ-set
-        # under delta feedback has nothing to move or replicate).
+        # the terminal stratum below elide work — and only work that is a
+        # no-op on simulated metrics by construction (an empty Δ-set under
+        # delta feedback has nothing to move or replicate).
         quiet = (opts.fuse and obs is None and sanitizer is None
                  and perturb is None and not failures_by_stratum)
         delta_feedback = opts.feedback_mode == "delta"
@@ -625,12 +618,11 @@ class QueryExecutor:
 
             pending: Dict[int, List[Delta]] = {}
             if recursive:
-                small = quiet and admitted <= SMALL_STRATUM_THRESHOLD
-                if not (small and delta_feedback and admitted == 0):
-                    # Small-stratum fast path, terminal case: with delta
-                    # feedback, zero admissions means every fixpoint's
-                    # pending list is empty — collecting and replicating
-                    # them would move nothing.
+                # A quiet run skips this on its terminal stratum: with
+                # delta feedback, zero admissions means every fixpoint's
+                # pending list is empty — collecting and replicating them
+                # would move nothing.
+                if not (quiet and delta_feedback and admitted == 0):
                     for wp in plans:
                         if wp.fixpoint:
                             pending[wp.worker_id] = wp.fixpoint.take_pending(

@@ -1,65 +1,38 @@
 """Runtime property suite for the delta-polarity abstract interpretation
 (REX3xx) and what the sanitizer does with its proofs.
 
-Three properties, asserted on every benchmark workload (smoke sizes):
+That ``ExecOptions(absint=...)`` never changes the simulated execution —
+fingerprints identical on or off, sanitized or not, fused or not — is the
+``sanitize_full_no_absint``, ``unfused_no_absint`` and ``all_off_sanitized``
+rows of ``tests/test_equivalence.py``.  Here:
 
-1. **Fingerprint identity**: the simulated metrics fingerprint is
-   bit-identical with ``ExecOptions(absint=...)`` on or off, at every
-   sanitize level — the flag changes how much the sanitizer re-checks,
-   never the simulated execution.
+1. **Who pays for the inference**: only a sanitized run.
 2. **Observation consistency**: under the full sanitizer every
    runtime-observed delta kind stays inside the static polarity verdict
    (no REX307, and a direct per-port subset check against the armed
-   proofs).
+   proofs), on every workload of ``tests/workloads.py``.
 3. **Violation detection**: a delta kind that contradicts a proof trips
    a hard REX307 error under the sanitizer, and is computed correctly
    without one — the operators never trust a proof.
 """
 
-import itertools
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
 from helpers import Capture
-from repro.algorithms.sssp import make_start_table
-from repro.bench.common import fresh_cluster
-from repro.bench.wallclock import (
-    _graph_cluster,
-    _metrics_fingerprint,
-    _time_run,
-    _workloads,
-)
 from repro.cluster import CostModel, Worker
 from repro.common.deltas import Delta, DeltaOp, delete, insert
 from repro.common.punctuation import Punctuation
-from repro.datasets import geo_points, sample_centroids
 from repro.operators import ExecContext, GroupBy
 from repro.udf import AggregateSpec, Min
-
-SMOKE = dict(_workloads(smoke=True, nodes=4, seed=7))
+from workloads import WORKLOADS, build, run
 
 
 # ---------------------------------------------------------------------------
-# Property 1: absint on/off never changes the simulated execution
+# Property 1: only the sanitizer pays for the inference
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", sorted(SMOKE))
-def test_fingerprint_identical_with_and_without_absint(name):
-    fps = {}
-    for sanitize, absint in itertools.product(("off", "full"),
-                                              (True, False)):
-        _, _, metrics = _time_run(SMOKE[name], batch=True,
-                                  sanitize=sanitize, flight=False,
-                                  absint=absint)
-        fps[(sanitize, absint)] = _metrics_fingerprint(metrics)
-    base = fps[("off", True)]
-    for key, fp in fps.items():
-        assert fp == base, (
-            f"{name}: fingerprint diverged at sanitize={key[0]!r}, "
-            f"absint={key[1]}")
-
 
 @pytest.mark.parametrize("sanitize, expected_calls", [("off", 0),
                                                       ("full", 1)])
@@ -71,20 +44,8 @@ def test_executor_infers_only_for_the_sanitizer(sanitize, expected_calls):
     from repro.analysis import absint
 
     with mock.patch.object(absint, "infer", wraps=absint.infer) as spy:
-        _time_run(SMOKE["sssp"], batch=True, sanitize=sanitize,
-                  flight=False, absint=True, rewrite=False)
+        run(build("pagerank_delta"), sanitize=sanitize, rewrite=False)
     assert spy.call_count == expected_calls
-
-
-@pytest.mark.parametrize("name", sorted(SMOKE))
-def test_fingerprint_identical_unfused(name):
-    """The unfused operator shape under the same toggle."""
-    fps = [
-        _metrics_fingerprint(_time_run(SMOKE[name], batch=True, fuse=False,
-                                       flight=False, absint=absint)[2])
-        for absint in (True, False)
-    ]
-    assert fps[0] == fps[1], f"{name}: unfused fingerprint diverged"
 
 
 # ---------------------------------------------------------------------------
@@ -93,48 +54,11 @@ def test_fingerprint_identical_unfused(name):
 
 @pytest.fixture(scope="module")
 def sanitized_runs():
-    """One full-sanitizer, proofs-armed execution per workload, keyed by
-    name; yields (sanitizer, result) pairs."""
-    from repro.algorithms.kmeans import kmeans_plan
-    from repro.algorithms.pagerank import pagerank_plan
-    from repro.algorithms.sssp import sssp_plan
-    from repro.runtime.executor import ExecOptions, QueryExecutor
-
-    runs = {}
-
-    def options():
-        return ExecOptions(batch=True, sanitize="full", flight=False,
-                           absint=True)
-
-    cluster = _graph_cluster(200, 4.0, 4, 7)
-    opts = options()
-    opts.max_strata = 60
-    opts.feedback_mode = "delta"
-    runs["pagerank"] = QueryExecutor(cluster, opts).execute(
-        pagerank_plan(mode="delta", tol=0.01))
-
-    cluster = _graph_cluster(200, 4.0, 4, 7)
-    make_start_table(cluster, 0)
-    opts = options()
-    opts.max_strata = 200
-    runs["sssp"] = QueryExecutor(cluster, opts).execute(sssp_plan())
-
-    points = geo_points(300, n_clusters=4, seed=7)
-    centroids = sample_centroids(points, 4, seed=8)
-    cluster = fresh_cluster(4)
-    cluster.create_table("points",
-                         ["pid:Integer", "x:Double", "y:Double"],
-                         points, None)
-    cluster.create_table("centroids0",
-                         ["cid:Integer", "x:Double", "y:Double"],
-                         centroids, "cid")
-    opts = options()
-    opts.max_strata = 120
-    runs["kmeans"] = QueryExecutor(cluster, opts).execute(kmeans_plan())
-    return runs
+    """One full-sanitizer, proofs-armed execution per workload."""
+    return {name: run(build(name), sanitize="full") for name in WORKLOADS}
 
 
-@pytest.mark.parametrize("name", ["pagerank", "sssp", "kmeans"])
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_runtime_polarities_respect_static_proofs(name, sanitized_runs):
     result = sanitized_runs[name]
     sanitizer = result.sanitizer
@@ -146,7 +70,7 @@ def test_runtime_polarities_respect_static_proofs(name, sanitized_runs):
     assert observed, f"{name}: sanitizer recorded no polarities"
 
 
-@pytest.mark.parametrize("name", ["pagerank", "sssp", "kmeans"])
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_observed_kinds_subset_of_armed_proofs(name, sanitized_runs):
     """Re-derive the REX307 check from raw shadow state: every kind a
     port actually saw must sit inside that port's armed proof."""

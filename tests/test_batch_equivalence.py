@@ -5,9 +5,8 @@ operator is *exactly* ``len(batch)`` per-delta receives in order: identical
 output deltas, identical operator state, and an identical charge multiset on
 the worker.  These tests drive randomized (seeded) delta streams through
 each operator with a specialized ``push_batch`` in both modes and compare
-everything observable, then check the executor end-to-end: full queries must
-produce bit-identical simulated metrics with ``ExecOptions(batch=True)``
-and ``False``.
+everything observable.  Whole queries under ``ExecOptions(batch=True)`` and
+``False`` are the ``per_tuple`` row of ``tests/test_equivalence.py``.
 """
 
 import random
@@ -297,21 +296,3 @@ def test_delta_validation_still_enforced():
         Delta(DeltaOp.INSERT, (1,), old=(2,))         # stray old
     with pytest.raises(ValueError):
         Delta(DeltaOp.INSERT, (1,), payload=3)        # stray payload
-
-
-# -- executor end-to-end ------------------------------------------------
-
-def test_executor_metrics_identical_between_modes():
-    from repro.bench.wallclock import (
-        _metrics_fingerprint,
-        _pagerank_setup,
-        _sssp_setup,
-    )
-    from repro.runtime.executor import ExecOptions
-
-    for setup in (lambda: _pagerank_setup(120, 4.0, 4, 11),
-                  lambda: _sssp_setup(120, 4.0, 4, 11)):
-        fps = []
-        for batch in (False, True):
-            fps.append(_metrics_fingerprint(setup()(ExecOptions(batch=batch))))
-        assert fps[0] == fps[1]

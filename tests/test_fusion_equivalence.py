@@ -1,24 +1,16 @@
-"""Property tests: fused execution is observationally identical to unfused.
+"""The fusion pass: what fuses, what it must decline, and that a fused
+chain computes what the unfused chain does.
 
-The fusion pass's contract is that ``ExecOptions(fuse=True)`` (kernels plus
-the metric-preserving fabric fast paths) changes only host wall-clock time:
-for every plan, the canonical result rows, the full
-``QueryMetrics.fingerprint``, and the runtime sanitizer's verdict are
-bit-identical with fusion on and off, in both batch and per-tuple mode.
-These tests drive the benchmark workloads and hand-built fusable plans
-through the whole fuse x batch matrix under ``sanitize=full``, then check
-the pass's legality decisions directly: stateful operators, exchange
-boundaries, and multi-input nodes must terminate a chain, and a
-single-operator "chain" must be declined.
+``ExecOptions(fuse=True)`` changes only host wall-clock time.  The
+workload-level identity (rows, ``QueryMetrics.fingerprint`` and sanitizer
+verdict, fuse on and off) is a row of ``tests/test_equivalence.py``; here
+hand-built fusable plans run fused and unfused, and the pass's legality
+decisions are checked directly: stateful operators, exchange boundaries,
+and multi-input nodes must terminate a chain, and a single-operator
+"chain" must be declined.
 """
 
-import pytest
-
-from repro.algorithms.kmeans import kmeans_plan
-from repro.algorithms.pagerank import pagerank_plan
-from repro.algorithms.sssp import make_start_table, sssp_plan
 from repro.cluster import Cluster
-from repro.datasets import dbpedia_like, geo_points, sample_centroids
 from repro.optimizer.fusion import fuse_plan, fusion_report
 from repro.runtime import (
     ExecOptions,
@@ -36,39 +28,6 @@ from repro.runtime.plan import PApply
 from repro.udf import AggregateSpec, Sum
 
 
-def _pagerank():
-    cluster = Cluster(4)
-    edges = dbpedia_like(150, avg_out_degree=4.0, seed=11)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    return cluster, pagerank_plan(mode="delta", tol=0.01), dict(
-        max_strata=60, feedback_mode="delta")
-
-
-def _sssp():
-    cluster = Cluster(4)
-    edges = dbpedia_like(150, avg_out_degree=4.0, seed=11)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    make_start_table(cluster, edges[0][0])
-    return cluster, sssp_plan(), dict(max_strata=200)
-
-
-def _kmeans():
-    cluster = Cluster(4)
-    points = geo_points(200, n_clusters=4, seed=11)
-    centroids = sample_centroids(points, 4, seed=12)
-    cluster.create_table("points", ["pid:Integer", "x:Double", "y:Double"],
-                         points, "pid")
-    cluster.create_table("centroids0",
-                         ["cid:Integer", "x:Double", "y:Double"],
-                         centroids, "cid")
-    return cluster, kmeans_plan(), dict(max_strata=120)
-
-
-WORKLOADS = [("pagerank", _pagerank), ("sssp", _sssp), ("kmeans", _kmeans)]
-
-
 def _observe(builder, fuse, batch, sanitize="full", obs=None):
     """One fresh run; returns every observable the contract covers."""
     cluster, plan, extra = builder()
@@ -80,27 +39,6 @@ def _observe(builder, fuse, batch, sanitize="full", obs=None):
                   if result.sanitizer is not None else None)
     return (sorted(result.rows), result.metrics.fingerprint(), violations,
             executor)
-
-
-@pytest.mark.parametrize("name,builder", WORKLOADS)
-def test_benchmark_workload_fuse_batch_matrix(name, builder):
-    """Rows, fingerprints, and sanitizer verdicts identical across the
-    full fuse x batch matrix, with zero REX diagnostics everywhere."""
-    baseline = None
-    for fuse in (True, False):
-        for batch in (True, False):
-            rows, fp, violations, _ = _observe(builder, fuse, batch)
-            assert violations == [], (
-                f"{name}: sanitizer violations with fuse={fuse}, "
-                f"batch={batch}: {violations}")
-            if baseline is None:
-                baseline = (rows, fp)
-            else:
-                assert rows == baseline[0], (
-                    f"{name}: rows diverge with fuse={fuse}, batch={batch}")
-                assert fp == baseline[1], (
-                    f"{name}: fingerprint diverges with fuse={fuse}, "
-                    f"batch={batch}")
 
 
 # -- hand-built fusable chains ------------------------------------------

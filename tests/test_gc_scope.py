@@ -14,22 +14,18 @@ import weakref
 
 import pytest
 
-from repro.algorithms import (kmeans_plan, make_start_table, pagerank_plan,
-                              sssp_plan)
+from repro.algorithms import sssp_plan
 from repro.algorithms.sssp import MonotoneMinDist
 from repro.cluster import Cluster
-from repro.common.deltas import Delta, DeltaOp
-from repro.datasets import (dbpedia_like, geo_points, lineitem,
-                            sample_centroids)
+from repro.datasets import lineitem
 from repro.datasets.tpch import LINEITEM_SCHEMA
 from repro.obs import ObsContext
 from repro.optimizer.physical import lower
 from repro.rql import RQLSession
-from repro.runtime import (ExecOptions, FailureSpec, PApply, PGroupBy, PJoin,
-                           PRehash, PScan, PhysicalPlan, QueryExecutor)
-from repro.udf import AggregateSpec, Count, Min, Sum
+from repro.runtime import (ExecOptions, FailureSpec, PhysicalPlan,
+                           QueryExecutor)
 
-GRAPH_SCHEMA = ["srcId:Integer", "destId:Integer"]
+from workloads import WORKLOADS, run, sssp_cluster
 
 
 @pytest.fixture
@@ -39,15 +35,6 @@ def collector():
     gc.enable()
     yield
     (gc.enable if was_enabled else gc.disable)()
-
-
-def sssp_cluster(vertices=250, nodes=5, seed=17):
-    cluster = Cluster(nodes)
-    cluster.create_table("graph", GRAPH_SCHEMA,
-                         dbpedia_like(vertices, avg_out_degree=4, seed=seed),
-                         "srcId", replication=3)
-    make_start_table(cluster, 0)
-    return cluster
 
 
 def probed_sssp_plan(seen, raise_at=None):
@@ -119,76 +106,6 @@ class TestCollectorRestored:
 # ---------------------------------------------------------------------------
 # The invariant that licenses the suspension
 # ---------------------------------------------------------------------------
-def _pagerank(size):
-    cluster = Cluster(4)
-    cluster.create_table("graph", GRAPH_SCHEMA,
-                         dbpedia_like(size, avg_out_degree=6, seed=5),
-                         "srcId", replication=2)
-    return cluster, pagerank_plan(mode="delta"), {"max_strata": 60}
-
-
-def _sssp_with_failure(size):
-    return (sssp_cluster(vertices=size), sssp_plan(),
-            {"failure": FailureSpec(after_stratum=2)})
-
-
-def _kmeans(size):
-    points = geo_points(size, 4, seed=5, spread=30.0)
-    cluster = Cluster(4)
-    cluster.create_table("points", ["pid:Integer", "x:Double", "y:Double"],
-                         points, None)
-    cluster.create_table("centroids0",
-                         ["cid:Integer", "x:Double", "y:Double"],
-                         sample_centroids(points, 4, seed=6), "cid")
-    return cluster, kmeans_plan(), {"max_strata": 8}
-
-
-class _ChangeToDelta:
-    """A ``(op, src, dst)`` log row becomes the ``+``/``-`` delta of its
-    edge."""
-
-    name = "change_to_delta"
-
-    def __call__(self, delta):
-        op, src, dst = delta.row
-        kind = DeltaOp.INSERT if op == "+" else DeltaOp.DELETE
-        return [Delta(kind, (src, dst))]
-
-
-def _retraction_join_groupby(size):
-    """Every edge inserted, every third one deleted again, through a plain
-    join and a stream-mode group-by (``-`` and ``->`` traffic)."""
-    edges = dbpedia_like(size, avg_out_degree=6, seed=5)
-    log = [("+", s, d) for s, d in edges]
-    log += [("-", s, d) for s, d in edges[::3]]
-    vertices = 1 + max(max(edge) for edge in edges)
-    cluster = Cluster(4)
-    cluster.create_table("changelog",
-                         ["op:Varchar", "src:Integer", "dst:Integer"],
-                         log, "src")
-    cluster.create_table("vertex", ["vid:Integer", "w:Integer"],
-                         [(v, v % 97) for v in range(vertices)], "vid")
-    src_key = lambda r: (r[0],)
-    dst_key = lambda r: (r[1],)
-    deltas = PApply(udf_factory=_ChangeToDelta, arg_fn=lambda r: r,
-                    delta_aware=True, children=(PScan("changelog"),))
-    weighted = PJoin(left_key=src_key, right_key=src_key, children=(
-        PRehash.by(deltas, src_key), PScan("vertex")))
-    per_dst = PGroupBy(
-        key_fn=dst_key, mode="stream",
-        specs_factory=lambda: [AggregateSpec(Count()),
-                               AggregateSpec(Sum(), arg=lambda r: r[3]),
-                               AggregateSpec(Min(), arg=lambda r: r[3])],
-        children=(PRehash.by(weighted, dst_key),))
-    return cluster, PhysicalPlan(per_dst), {}
-
-
-WORKLOADS = {
-    "pagerank_delta": (_pagerank, (150, 600)),
-    "sssp_failure": (_sssp_with_failure, (150, 600)),
-    "kmeans": (_kmeans, (400, 1600)),
-    "retraction_join_groupby": (_retraction_join_groupby, (150, 600)),
-}
 MODES = {
     "default": lambda: {},
     "obs": lambda: {"obs": ObsContext()},
@@ -201,10 +118,9 @@ MAX_UNREACHABLE_PER_QUERY = 64
 
 
 def _unreachable_after_query(build, size, mode):
-    cluster, plan, fields = build(size)
-    options = ExecOptions(**fields, **MODES[mode]())
+    workload = build(size)
     gc.collect()
-    result = QueryExecutor(cluster, options).execute(plan)
+    result = run(workload, **MODES[mode]())
     unreachable = gc.collect()  # result and cluster are still referenced
     assert result.rows
     return unreachable

@@ -92,7 +92,7 @@ class TestRecorder:
 
     def test_load_bundle_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "not-a-bundle.json"
-        path.write_text('{"benchmark": "wallclock"}\n')
+        path.write_text('{"format": "rex-perf/1"}\n')
         with pytest.raises(ValueError):
             load_bundle(str(path))
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.wallclock import _pagerank_setup
 from repro.cluster import Cluster
 from repro.common import insert, update
 from repro.obs import MetricsRegistry, ObsContext
@@ -12,10 +11,10 @@ from repro.operators import (
     GroupBy,
     RehashSender,
 )
-from repro.runtime.executor import ExecOptions
 from repro.udf import AggregateSpec, Sum
 
 from helpers import Capture
+from workloads import pagerank_delta, run
 
 
 class TestPrimitives:
@@ -68,7 +67,7 @@ class TestPrimitives:
 class TestNamingScheme:
     def test_query_populates_expected_namespaces(self):
         obs = ObsContext()
-        _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True, obs=obs))
+        run(pagerank_delta(80), obs=obs)
         names = obs.registry.names()
         prefixes = {"op.", "net.exchange.", "stratum.", "fixpoint.",
                     "memo."}
@@ -171,7 +170,7 @@ class TestGroupByMemoAccounting:
 class TestMemoRegistryExposure:
     def test_memo_counters_published(self):
         obs = ObsContext()
-        _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True, obs=obs))
+        run(pagerank_delta(80), obs=obs)
         reg = obs.registry
         rehash = [n for n in reg.names("memo.rehash.")
                   if n.endswith(".hits")]

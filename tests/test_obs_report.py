@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.bench.wallclock import _pagerank_setup
 from repro.obs import ObsContext, attribution_coverage, explain_analyze
-from repro.runtime.executor import ExecOptions
+
+from workloads import pagerank_delta, run
 
 
 @pytest.fixture(scope="module")
 def traced_run():
     obs = ObsContext()
-    metrics = _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True,
-                                                         obs=obs))
+    metrics = run(pagerank_delta(80), obs=obs).metrics
     return obs, metrics
 
 

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.bench.wallclock import _pagerank_setup
 from repro.obs import (
     JsonlSink,
     ObsContext,
@@ -16,7 +15,8 @@ from repro.obs import (
     delta_flow_fingerprint,
     validate_jsonl,
 )
-from repro.runtime.executor import ExecOptions
+
+from workloads import pagerank_delta, run
 
 
 class TestSinks:
@@ -127,8 +127,7 @@ class TestFingerprintDeterminism:
 
     def _run(self, batch):
         obs = ObsContext()
-        metrics = _pagerank_setup(80, 4.0, 3, 5)(
-            ExecOptions(batch=batch, obs=obs))
+        metrics = run(pagerank_delta(80), batch=batch, obs=obs).metrics
         return obs, metrics
 
     def test_batch_vs_per_tuple_fingerprints_match(self):
@@ -149,7 +148,7 @@ class TestFingerprintDeterminism:
                 == delta_flow_fingerprint(obs_2.tracer.events()))
 
     def test_instrumentation_does_not_change_simulated_metrics(self):
-        m_plain = _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True))
+        m_plain = run(pagerank_delta(80)).metrics
         _, m_obs = self._run(batch=True)
         assert m_plain.fingerprint() == m_obs.fingerprint()
 
@@ -157,7 +156,7 @@ class TestFingerprintDeterminism:
 class TestEventStream:
     def test_pagerank_trace_has_all_categories(self):
         obs = ObsContext()
-        _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True, obs=obs))
+        run(pagerank_delta(80), obs=obs)
         events = obs.tracer.events()
         cats = {e.cat for e in events}
         assert {"operator", "exchange", "stratum"} <= cats
@@ -168,7 +167,7 @@ class TestEventStream:
 
     def test_trace_pushes_false_suppresses_operator_events(self):
         obs = ObsContext(trace_pushes=False)
-        _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True, obs=obs))
+        run(pagerank_delta(80), obs=obs)
         events = obs.tracer.events()
         assert not any(e.name in ("push", "push_batch") for e in events)
         # stratum lifecycle and sends survive
@@ -179,6 +178,6 @@ class TestEventStream:
 
     def test_jsonl_roundtrip_validates(self):
         obs = ObsContext()
-        _pagerank_setup(80, 4.0, 3, 5)(ExecOptions(batch=True, obs=obs))
+        run(pagerank_delta(80), obs=obs)
         lines = [json.dumps(e.to_dict()) for e in obs.tracer.events()]
         assert validate_jsonl(lines) == len(lines)

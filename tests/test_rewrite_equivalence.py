@@ -1,10 +1,9 @@
 """Property tests: the lineage-directed rewrite pass is semantics-preserving.
 
-``ExecOptions(rewrite=True)``'s contract mirrors fusion's: on the
-benchmark workloads — where no rewrite is licensed (their exchanges
-carry δ updates and their plans have no filters) — canonical result
-rows AND the full ``QueryMetrics.fingerprint`` are bit-identical with
-the pass on and off, across the fuse × absint × sanitize matrix.  On a
+``ExecOptions(rewrite=True)``'s contract mirrors fusion's.  On the
+workloads of ``tests/workloads.py`` no rewrite is licensed (pinned
+here), so rows AND the full ``QueryMetrics.fingerprint`` are identical
+with the pass on and off — a row of ``tests/test_equivalence.py``.  On a
 deliberately wide workload where both rewrites *do* fire (filter
 pushdown below the exchange, projection narrowing through it), the
 result rows are identical while bytes on the wire strictly drop.
@@ -14,12 +13,8 @@ non-insert-only streams must make the pass decline.
 
 import pytest
 
-from repro.algorithms.kmeans import kmeans_plan
-from repro.algorithms.pagerank import pagerank_plan
-from repro.algorithms.sssp import make_start_table, sssp_plan
 from repro.cluster import Cluster
 from repro.common.deltas import DeltaOp
-from repro.datasets import dbpedia_like, geo_points, sample_centroids
 from repro.optimizer.rewrite import rewrite_plan, rewrite_report
 from repro.runtime import (
     ExecOptions,
@@ -38,38 +33,7 @@ from repro.runtime.plan import (
     PJoin,
 )
 
-
-def _pagerank():
-    cluster = Cluster(4)
-    edges = dbpedia_like(120, avg_out_degree=4.0, seed=11)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    return cluster, pagerank_plan(mode="delta", tol=0.01), dict(
-        max_strata=60, feedback_mode="delta")
-
-
-def _sssp():
-    cluster = Cluster(4)
-    edges = dbpedia_like(120, avg_out_degree=4.0, seed=11)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    make_start_table(cluster, edges[0][0])
-    return cluster, sssp_plan(), dict(max_strata=200)
-
-
-def _kmeans():
-    cluster = Cluster(4)
-    points = geo_points(150, n_clusters=4, seed=11)
-    centroids = sample_centroids(points, 4, seed=12)
-    cluster.create_table("points", ["pid:Integer", "x:Double", "y:Double"],
-                         points, "pid")
-    cluster.create_table("centroids0",
-                         ["cid:Integer", "x:Double", "y:Double"],
-                         centroids, "cid")
-    return cluster, kmeans_plan(), dict(max_strata=120)
-
-
-WORKLOADS = [("pagerank", _pagerank), ("sssp", _sssp), ("kmeans", _kmeans)]
+from workloads import WORKLOADS, build
 
 
 def _observe(builder, rewrite, fuse=True, absint=True, sanitize="off"):
@@ -81,29 +45,13 @@ def _observe(builder, rewrite, fuse=True, absint=True, sanitize="off"):
     return sorted(result.rows), result.metrics.fingerprint(), executor
 
 
-@pytest.mark.parametrize("name,builder", WORKLOADS)
-def test_benchmark_workload_rewrite_matrix(name, builder):
-    """Rewrite on/off is observationally invisible on the benchmark
-    workloads at every point of the fuse × absint × sanitize matrix."""
-    for fuse in (True, False):
-        for absint in (True, False):
-            for sanitize in ("off", "full"):
-                rows_on, fp_on, _ = _observe(
-                    builder, True, fuse, absint, sanitize)
-                rows_off, fp_off, _ = _observe(
-                    builder, False, fuse, absint, sanitize)
-                cfg = f"fuse={fuse}, absint={absint}, sanitize={sanitize}"
-                assert rows_on == rows_off, f"{name}: rows diverge ({cfg})"
-                assert fp_on == fp_off, (
-                    f"{name}: fingerprint diverges ({cfg})")
-
-
-@pytest.mark.parametrize("name,builder", WORKLOADS)
-def test_benchmark_plans_license_no_rewrites(name, builder):
-    """The benchmark plans offer nothing legal to rewrite (their
-    exchanges carry δ updates), so the pass must return the tree
-    unchanged — fingerprint identity above is earned, not vacuous."""
-    cluster, plan, _ = builder()
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_plans_license_no_rewrites(workload):
+    """The workload plans offer nothing legal to rewrite (their exchanges
+    carry δ updates or retractions), so the pass must return the tree
+    unchanged — the ``no_rewrite`` row of ``tests/test_equivalence.py``
+    compares fingerprints because of this, not by luck."""
+    cluster, plan, _ = build(workload)
     arity = {n: len(cluster.catalog.get(n).schema.fields)
              for n in cluster.catalog.names()}
     new_root, decisions = rewrite_plan(plan.root, table_arity=arity)

@@ -1,108 +1,25 @@
-"""Property tests: telemetry and the flight recorder are charge-neutral.
+"""The telemetry sampler observes the run it rides along with.
 
-The live-telemetry contract mirrors the fusion one: the sampler only reads
-values the engine already computed and writes to its own ``telemetry.*``
-instruments, and the flight recorder appends breadcrumbs outside every
-hook point — so canonical result rows and the full
-``QueryMetrics.fingerprint`` must be bit-identical across the whole
-observation matrix:
-
-* flight recorder off / on (the default),
-* no obs context at all,
-* obs attached with telemetry sampling off,
-* obs attached with telemetry sampling on (the default).
-
-These tests drive the benchmark workloads through that matrix and then
-check the sampler actually observed the run it rode along with.
+That telemetry and the flight recorder are charge-neutral — rows and
+``QueryMetrics.fingerprint`` identical with no obs, obs without sampling,
+obs with sampling, flight on and off — is the ``obs``, ``obs_telemetry``
+and ``no_flight`` rows of ``tests/test_equivalence.py``.  Here: the
+sampler took one sample per stratum, saw the Δ-set sizes the flight
+recorder saw, and stays silent when switched off.
 """
 
 import pytest
 
-from repro.algorithms.kmeans import kmeans_plan
-from repro.algorithms.pagerank import pagerank_plan
-from repro.algorithms.sssp import make_start_table, sssp_plan
-from repro.cluster import Cluster
-from repro.datasets import dbpedia_like, geo_points, sample_centroids
 from repro.obs import ObsContext, Tracer
-from repro.runtime import ExecOptions, QueryExecutor
+
+from workloads import WORKLOADS, build, run
 
 
-def _pagerank():
-    cluster = Cluster(4)
-    edges = dbpedia_like(150, avg_out_degree=4.0, seed=11)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    return cluster, pagerank_plan(mode="delta", tol=0.01), dict(
-        max_strata=60)
-
-
-def _sssp():
-    cluster = Cluster(4)
-    edges = dbpedia_like(150, avg_out_degree=4.0, seed=11)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    make_start_table(cluster, edges[0][0])
-    return cluster, sssp_plan(), dict(max_strata=200)
-
-
-def _kmeans():
-    cluster = Cluster(4)
-    points = geo_points(200, n_clusters=4, seed=11)
-    centroids = sample_centroids(points, 4, seed=12)
-    cluster.create_table("points", ["pid:Integer", "x:Double", "y:Double"],
-                         points, "pid")
-    cluster.create_table("centroids0",
-                         ["cid:Integer", "x:Double", "y:Double"],
-                         centroids, "cid")
-    return cluster, kmeans_plan(), dict(max_strata=120)
-
-
-WORKLOADS = [("pagerank", _pagerank), ("sssp", _sssp), ("kmeans", _kmeans)]
-
-#: (config name, flight on, obs factory) — the observation matrix.
-CONFIGS = [
-    ("plain", False, None),
-    ("flight", True, None),
-    ("obs-no-telemetry", True,
-     lambda: ObsContext(tracer=Tracer(enabled=False), telemetry=False)),
-    ("obs-telemetry", True,
-     lambda: ObsContext(tracer=Tracer(enabled=False), telemetry=True)),
-]
-
-
-def _observe(builder, flight, obs):
-    """One fresh run; returns the charge-neutrality observables."""
-    cluster, plan, extra = builder()
-    options = ExecOptions(flight=flight, obs=obs, **extra)
-    result = QueryExecutor(cluster, options).execute(plan)
-    return sorted(result.rows), result.metrics.fingerprint(), result
-
-
-@pytest.mark.parametrize("name,builder", WORKLOADS)
-def test_observation_matrix_is_charge_neutral(name, builder):
-    baseline = None
-    for config, flight, obs_factory in CONFIGS:
-        obs = obs_factory() if obs_factory else None
-        try:
-            rows, fp, result = _observe(builder, flight, obs)
-        finally:
-            if obs is not None:
-                obs.close()
-        if baseline is None:
-            baseline = (rows, fp)
-        else:
-            assert rows == baseline[0], (
-                f"{name}: rows diverge under config {config!r}")
-            assert fp == baseline[1], (
-                f"{name}: fingerprint diverges under config {config!r} — "
-                "observation charged the simulation")
-
-
-@pytest.mark.parametrize("name,builder", WORKLOADS)
-def test_sampler_observed_the_run(name, builder):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_sampler_observed_the_run(workload):
     obs = ObsContext(tracer=Tracer(enabled=False))
     try:
-        _, _, result = _observe(builder, True, obs)
+        result = run(build(workload), obs=obs)
         metrics = result.metrics
         assert obs.telemetry.samples == metrics.num_iterations
         deltas = obs.registry.series("telemetry.stratum.delta_count")
@@ -121,7 +38,7 @@ def test_sampler_observed_the_run(name, builder):
 def test_telemetry_off_means_no_telemetry_metrics():
     obs = ObsContext(tracer=Tracer(enabled=False), telemetry=False)
     try:
-        _observe(_kmeans, True, obs)
+        run(build("kmeans"), obs=obs)
         assert obs.registry.names("telemetry.") == []
     finally:
         obs.close()
