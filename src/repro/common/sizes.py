@@ -40,28 +40,13 @@ def value_bytes(value: Any) -> int:
     return 16
 
 
-_ROW_BYTES_CACHE: dict = {}
-_ROW_BYTES_CACHE_MAX = 65536
-
-
 def row_bytes(row) -> int:
     """Estimated serialized size of one row (tuple of values).
 
-    Memoized per row value: the same rows are sized repeatedly as they
-    move through rehash buffers, join state, and checkpoints.  Only rows
-    of plain scalars (non-bool int, float, str, None) are cached —
-    ``(True,)`` and ``(1,)`` are equal as dict keys but size differently
-    (1 vs 8 bytes), and the same trap nests inside containers; flat
-    scalar rows are the hot case anyway.
+    Exact classes are tested before anything else: ``True == 1`` but a
+    bool sizes 1 byte and an int 8, and flat scalar rows are the hot case.
     """
-    try:
-        return _ROW_BYTES_CACHE[row]
-    except KeyError:
-        pass
-    except TypeError:
-        return TUPLE_OVERHEAD_BYTES + sum(value_bytes(v) for v in row)
     size = TUPLE_OVERHEAD_BYTES
-    cacheable = True
     for v in row:
         cls = v.__class__
         if cls is int or cls is float:
@@ -71,10 +56,5 @@ def row_bytes(row) -> int:
         elif v is None:
             size += 1
         else:
-            cacheable = False
             size += value_bytes(v)
-    if cacheable:
-        if len(_ROW_BYTES_CACHE) >= _ROW_BYTES_CACHE_MAX:
-            _ROW_BYTES_CACHE.clear()
-        _ROW_BYTES_CACHE[row] = size
     return size

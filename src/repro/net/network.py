@@ -41,7 +41,7 @@ class Message:
     """Optional transport annotation.  An ``int`` is a precomputed wire
     size for the whole message (``size_bytes()`` of it, computed once by
     a sender that already walked the deltas — e.g. the executor's
-    memoized checkpoint replication); :meth:`SimulatedNetwork.send` then
+    checkpoint replication); :meth:`SimulatedNetwork.send` then
     accounts that size without recounting the payload."""
 
     def size_bytes(self) -> int:
@@ -94,7 +94,7 @@ class SimulatedNetwork:
         self.total_bytes = 0
         self.bytes_by_node: Dict[int, int] = {}
         self._dead: set = set()
-        #: Armed by the executor on fused, unperturbed runs: enables the
+        #: Armed by the executor on unperturbed runs: enables the
         #: observer-free drain loop and bulk punctuation fanout.  Every
         #: fast path preserves message order, delivery semantics, and
         #: charge multisets exactly; paths that an observer must see fall

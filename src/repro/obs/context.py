@@ -504,7 +504,7 @@ class ObsContext:
     # Registry publishing
     # ------------------------------------------------------------------
     def publish(self) -> MetricsRegistry:
-        """Sync per-operator stats, memo caches, and channel counters into
+        """Sync per-operator stats and channel counters into
         the registry.  Assignment-based, so calling it repeatedly (or after
         a restart re-execution) is idempotent."""
         reg = self.registry
@@ -518,12 +518,6 @@ class ObsContext:
             for sym, count in stats.kinds.items():
                 label = KIND_LABELS.get(sym, sym)
                 reg.counter(f"{base}.deltas_in.{label}").value = count
-            if hasattr(op, "memo_hits"):
-                kind = ("rehash" if hasattr(op, "exchange") else "groupby")
-                memo = f"memo.{kind}.n{stats.node}.{stats.op_id}"
-                reg.counter(f"{memo}.hits").value = op.memo_hits
-                reg.counter(f"{memo}.misses").value = op.memo_misses
-                reg.counter(f"{memo}.evictions").value = op.memo_evictions
             fused_batches = getattr(op, "fused_batches", None)
             if fused_batches is not None:
                 reg.counter(f"{base}.fused_batches").value = fused_batches

@@ -6,7 +6,6 @@ naming scheme (see docs/observability.md):
 ``<component>.<instance>.<metric>``
 
 * ``op.n<node>.<Operator#k>.tuples_in`` — per-operator dataflow counters;
-* ``memo.rehash.<op>.hits`` / ``.misses`` / ``.evictions`` — PR 1 memo caches;
 * ``net.exchange.<exchange>.bytes`` — per-channel traffic;
 * ``fixpoint.n<node>.delta_out`` — Δ-set sizes over strata (a series);
 * ``stratum.seconds`` — per-stratum simulated wall time (a series).

@@ -184,20 +184,6 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
             lines.append(f"  {label}: {len(groups)} instance(s), "
                          f"{batches} fused batch(es)")
 
-    memo_names = obs.registry.names("memo.")
-    if memo_names:
-        lines.append("")
-        lines.append("memo caches (hits/misses/evictions)")
-        bases = sorted({n.rsplit(".", 1)[0] for n in memo_names})
-        for base in bases:
-            hits = obs.registry.counter(f"{base}.hits").value
-            misses = obs.registry.counter(f"{base}.misses").value
-            evictions = obs.registry.counter(f"{base}.evictions").value
-            total = hits + misses
-            rate = hits / total * 100.0 if total else 0.0
-            lines.append(f"  {base}: {hits}/{misses}/{evictions} "
-                         f"({rate:.1f}% hit rate)")
-
     lines.extend(_telemetry_section(obs))
 
     sanitizer_names = obs.registry.names("sanitizer.")
@@ -273,7 +259,6 @@ _SPARK_SERIES = (
     ("telemetry.stratum.seconds", "sim_s"),
     ("telemetry.stratum.bytes_sent", "bytes"),
     ("telemetry.net.inflight_peak", "inflight"),
-    ("telemetry.memo.hit_rate", "memo hit"),
 )
 
 _SPARK_WIDTH = 48

@@ -14,7 +14,6 @@ series in the metrics registry:
   the skew view the paper's iterative cost estimation consumes;
 * ``telemetry.net.*`` — cumulative exchange traffic plus the fabric's
   peak in-flight message depth per stratum (queue pressure);
-* ``telemetry.memo.hit_rate`` — aggregate memo-cache hit rate over time;
 * ``telemetry.clock.*`` — the same cardinalities resampled on a fixed
   *simulated-time* grid (every ``interval`` simulated seconds), so runs
   with different stratum counts line up on one time axis.
@@ -77,8 +76,8 @@ class TelemetrySampler:
         """One sample at a stratum boundary.
 
         ``obs`` is the owning :class:`~repro.obs.context.ObsContext`; the
-        sampler reads its exchange tallies, memo-capable operators, and
-        in-flight message peak — all values the context already tracks.
+        sampler reads its exchange tallies and in-flight message peak —
+        both values the context already tracks.
         """
         self.samples += 1
         self.sim_seconds += seconds
@@ -108,17 +107,6 @@ class TelemetrySampler:
         ser("telemetry.net.deltas_total").append(stratum, deltas)
         ser("telemetry.net.inflight_peak").append(
             stratum, obs.take_inflight_peak())
-
-        # Memo effectiveness so far (cumulative hit rate at this boundary).
-        hits = misses = 0
-        for op, _stats in obs._ops:
-            op_hits = getattr(op, "memo_hits", None)
-            if op_hits is not None:
-                hits += op_hits
-                misses += op.memo_misses
-        if hits or misses:
-            ser("telemetry.memo.hit_rate").append(
-                stratum, hits / (hits + misses))
 
         # Simulated-clock grid: emit one sample per interval boundary the
         # stratum's seconds advanced the clock across.

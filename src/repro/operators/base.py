@@ -46,21 +46,13 @@ class ExecContext:
 
     def __init__(self, worker, cluster=None, snapshot=None,
                  hooks: Optional[RuntimeHooks] = None, registry=None,
-                 batch: bool = False, obs=None, sanitizer=None,
-                 fuse: bool = False):
+                 batch: bool = False, obs=None, sanitizer=None):
         self.worker = worker
         self.cluster = cluster
         self.snapshot = snapshot
         self.hooks = hooks or RuntimeHooks()
         self.registry = registry
         self.batch = batch
-        #: Fused-execution fabric fast paths (set by the executor on
-        #: unperturbed ``ExecOptions(fuse=True)`` runs): operators may
-        #: take bulk-accounting shortcuts that preserve message order and
-        #: charge multisets exactly (e.g. the rehash sender's
-        #: punctuation fanout).  ``False`` — the unit-test default —
-        #: keeps every legacy code path.
-        self.fuse = fuse
         #: Optional :class:`repro.obs.ObsContext`.  When set, every
         #: operator opened against this context is instrumented (tracing,
         #: per-operator metrics, cost attribution); when ``None`` — the

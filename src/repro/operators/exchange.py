@@ -30,12 +30,6 @@ class RehashSender(Operator):
     images live in different partitions.
     """
 
-    #: Routing-memo capacity: the row->destination cache is wiped when it
-    #: reaches this many entries (bulk eviction keeps the hot loop to one
-    #: dict probe).  Class attribute so tests can pin eviction behavior
-    #: with a small cap.
-    memo_cap: int = 131072
-
     def __init__(self, exchange: str,
                  key_fn: Optional[Callable[[tuple], tuple]] = None,
                  batch_size: int = 256, broadcast: bool = False,
@@ -53,24 +47,6 @@ class RehashSender(Operator):
         # it precomputed via int Message.meta, so the network never
         # re-walks a payload this sender already walked.
         self._buf_bytes: Dict[int, int] = {}
-        # row -> (destination, wire base bytes) memo, invalidated when
-        # the snapshot's live set changes (node failure re-routes ranges
-        # mid-query).  The base is ``1 + row_bytes(row)`` — the delta's
-        # wire contribution before old/payload extras — cached next to
-        # the destination because both are pure functions of the row.  A
-        # second key -> destination level backs it: streams of
-        # mostly-distinct rows over few keys (SSSP's distance offers)
-        # miss the row level but skip the ring hash via the key level.
-        self._dst_cache: Dict[tuple, tuple] = {}
-        self._key_dst_cache: Dict[tuple, int] = {}
-        self._dst_version = -1
-        # Memo accounting, surfaced by repro.obs as memo.rehash.* counters.
-        # Only exceptional branches touch these per-delta (misses, cap
-        # evictions); hits are reconstructed once per batch, so the
-        # counters cost nothing measurable when observability is off.
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_evictions = 0
 
     def open(self, ctx):
         super().open(ctx)
@@ -160,57 +136,20 @@ class RehashSender(Operator):
         replace = DeltaOp.REPLACE
         size_row = row_bytes
         size_value = value_bytes
-        if self._dst_version != snapshot.version:
-            if self._dst_cache:
-                # Snapshot change (failure re-routing) invalidates every
-                # memoized destination: count it as a bulk eviction.
-                self.memo_evictions += len(self._dst_cache)
-            self._dst_cache.clear()
-            self._key_dst_cache.clear()
-            self._dst_version = snapshot.version
-        # The memo is keyed by the *row*, not the extracted key: equal rows
-        # extract equal keys (key functions are pure), so a hit skips the
-        # key_fn call, the ring lookup, and the row's wire-size terms.
-        dst_for_row = self._dst_cache
-        dst_for_key = self._key_dst_cache
-        memo_cap = self.memo_cap
-        misses = splits = 0
         for delta in deltas:
             row = delta.row
-            extra = 0
+            key = key_fn(row)
+            nbytes = 1 + size_row(row)
             if delta.op is replace:
                 old = delta.old
-                if key_fn(old) != key_fn(row):
+                if key_fn(old) != key:
                     # Split replacement: two partitions; route each half
                     # exactly as the per-tuple path would.
-                    splits += 1
                     self._route(Delta(DeltaOp.DELETE, old))
                     self._route(Delta(DeltaOp.INSERT, row))
                     continue
-                extra = size_row(old)
-            # get() instead of [] + KeyError: mostly-distinct row streams
-            # (SSSP offers) miss the row level on nearly every delta, and
-            # a raised exception costs far more than a None test.
-            try:
-                memo = dst_for_row.get(row)
-            except TypeError:
-                misses += 1  # unhashable row: uncacheable lookup
-                memo = (primary(normalize(key_fn(row))), 1 + size_row(row))
-            else:
-                if memo is None:
-                    misses += 1
-                    key = key_fn(row)
-                    dst = dst_for_key.get(key)
-                    if dst is None:
-                        dst = primary(normalize(key))
-                        if len(dst_for_key) >= memo_cap:
-                            dst_for_key.clear()
-                        dst_for_key[key] = dst
-                    if len(dst_for_row) >= memo_cap:
-                        self.memo_evictions += len(dst_for_row)
-                        dst_for_row.clear()
-                    memo = dst_for_row[row] = (dst, 1 + size_row(row))
-            dst, nbytes = memo
+                nbytes += size_row(old)
+            dst = primary(normalize(key))
             payload = delta.payload
             if payload is not None:
                 nbytes += (8 if payload.__class__ is float
@@ -220,11 +159,9 @@ class RehashSender(Operator):
             except KeyError:
                 buf = buffers[dst] = []
             buf.append(delta)
-            buf_bytes[dst] = buf_bytes.get(dst, 0) + nbytes + extra
+            buf_bytes[dst] = buf_bytes.get(dst, 0) + nbytes
             if len(buf) >= batch_size:
                 flush(dst)
-        self.memo_misses += misses
-        self.memo_hits += len(deltas) - splits - misses
 
     def _flush(self, dst: int) -> None:
         batch = self._buffers.pop(dst, None)
@@ -243,18 +180,10 @@ class RehashSender(Operator):
             self._flush(dst)
         ctx = self.ctx
         live = ctx.snapshot.live_nodes()
-        if ctx.fuse:
-            # Bulk broadcast: identical message stream and charge
-            # multisets to the loop below (the network falls back to
-            # per-message sends itself whenever an observer is attached).
-            ctx.cluster.network.send_punct_fanout(
-                ctx.node_id, live, self.exchange, punct)
-            return
-        for dst in live:
-            ctx.cluster.network.send(Message(
-                src=ctx.node_id, dst=dst,
-                exchange=self.exchange, punct=punct,
-            ))
+        # Bulk broadcast: the network falls back to per-message sends
+        # itself whenever an observer is attached or fast_path is off.
+        ctx.cluster.network.send_punct_fanout(
+            ctx.node_id, live, self.exchange, punct)
 
 
 class ExchangeReceiver(Operator):

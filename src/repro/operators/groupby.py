@@ -40,11 +40,6 @@ class _Group:
 class GroupBy(Operator):
     """Hash aggregation keyed by a compiled key extractor."""
 
-    #: Key-memo capacity: the row->key cache is wiped when it reaches this
-    #: many entries.  Class attribute so tests can pin eviction behavior
-    #: with a small cap.
-    key_memo_cap: int = 65536
-
     #: Proven input kind set from the delta-polarity abstract
     #: interpretation (:mod:`repro.analysis.absint`), set by the executor
     #: on sanitized runs when the input polarity is statically exact.
@@ -67,13 +62,6 @@ class GroupBy(Operator):
         self.reset_emissions_each_stratum = reset_emissions_each_stratum
         self.groups: Dict[tuple, _Group] = {}
         self._dirty: Dict[tuple, None] = {}  # insertion-ordered set
-        self._key_memo: Dict[tuple, tuple] = {}  # row -> extracted key
-        # Memo accounting, surfaced by repro.obs as memo.groupby.* counters.
-        # Per-delta work lives only in the rare branches (miss, eviction);
-        # hits are reconstructed once per batch.
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_evictions = 0
 
     def open(self, ctx):
         super().open(ctx)
@@ -187,42 +175,15 @@ class GroupBy(Operator):
         else:
             single = False
             s_sum_fast = s_argmin_fast = False
-        # row -> key memo: group keys repeat heavily (every δ aimed at a
-        # group re-extracts the same key), and key functions are pure.
-        key_memo = self._key_memo
-        key_memo_cap = self.key_memo_cap
-        misses = bypassed = 0
         for delta in deltas:
             op = delta.op
             row = delta.row
-            if op is replace:
-                # Replacements carry two row images, so they always
-                # extract keys directly and bypass the memo.
-                bypassed += 1
-                old_key = key_fn(delta.old)
-                key = key_fn(row)
-                if old_key != key:
-                    # The replacement straddles two groups: decompose.
-                    self.process(Delta(delete, delta.old), port)
-                    self.process(Delta(insert, row), port)
-                    continue
-            else:
-                # get() instead of [] + KeyError: streams of mostly-distinct
-                # rows (SSSP's offers) miss on nearly every delta, and a
-                # raised exception costs far more than a None test (key
-                # functions return tuples, never None).
-                try:
-                    key = key_memo.get(row)
-                except TypeError:
-                    misses += 1  # unhashable row: uncacheable lookup
-                    key = key_fn(row)
-                else:
-                    if key is None:
-                        misses += 1
-                        if len(key_memo) >= key_memo_cap:
-                            self.memo_evictions += len(key_memo)
-                            key_memo.clear()
-                        key = key_memo[row] = key_fn(row)
+            key = key_fn(row)
+            if op is replace and key_fn(delta.old) != key:
+                # The replacement straddles two groups: decompose.
+                self.process(Delta(delete, delta.old), port)
+                self.process(Delta(insert, row), port)
+                continue
             if worker.state_bytes > memory_budget:
                 charge_state_access()
             try:
@@ -297,8 +258,6 @@ class GroupBy(Operator):
                 charge_cpu(per_delta, charge_counts[i])
         if udf_charges:
             charge_cpu(udf_cost, udf_charges)
-        self.memo_misses += misses
-        self.memo_hits += len(deltas) - bypassed - misses
 
     # -- emission ----------------------------------------------------------
     def _flush_key(self, key: tuple, group: _Group,

@@ -126,15 +126,11 @@ class ExecOptions:
     under a seed.  Used by the determinism checker to hunt schedule races;
     ``None`` leaves the schedule alone."""
     fuse: bool = True
-    """Fused kernels + engine fast paths: collapse maximal stateless
-    operator chains into :class:`~repro.operators.fused.FusedKernel`
-    pipelines (:mod:`repro.optimizer.fusion`) and enable the
-    metric-preserving fabric fast paths — bulk punctuation-fanout
-    accounting, the observer-free drain loop, and checkpoint
-    route/wire-size memoization.  Simulated metrics are bit-identical on
-    or off (enforced by ``tests/test_equivalence.py``); only wall clock
-    changes.  Set False for the unfused baseline, mirroring how ``batch``
-    landed."""
+    """Plan fusion: collapse maximal stateless operator chains into
+    :class:`~repro.operators.fused.FusedKernel` pipelines
+    (:mod:`repro.optimizer.fusion`).  Simulated metrics are bit-identical
+    on or off (enforced by ``tests/test_equivalence.py``); only wall
+    clock changes.  Set False for the unfused baseline."""
     flight: bool = True
     """Keep a :class:`repro.obs.flight.FlightRecorder` for this run (the
     default).  The recorder appends one breadcrumb per stratum boundary
@@ -252,10 +248,6 @@ class QueryExecutor:
         #: records from the rewrite pass (empty when ``rewrite=False`` /
         #: no candidates).
         self.rewrite_decisions: List = []
-        # Checkpoint-replication route memo (fuse fast path): fixpoint key
-        # -> tuple of replica targets, invalidated on ring-snapshot change.
-        self._replica_memo: Dict = {}
-        self._replica_memo_version: Optional[int] = None
         # Every fixpoint key ever checkpointed: used to detect, on
         # recovery, ranges whose replicas have all been lost.
         self._checkpointed_keys: set = set()
@@ -338,8 +330,7 @@ class QueryExecutor:
         # multisets exactly, but they bypass the hook points a
         # perturbation rewires — so they arm only on unperturbed runs.
         # (Paths that need observer==None additionally check that live.)
-        fuse_fabric = self.options.fuse and self.options.perturb is None
-        self.cluster.network.fast_path = fuse_fabric
+        self.cluster.network.fast_path = self.options.perturb is None
         for node_id in live:
             worker = self.cluster.worker(node_id)
             if obs is not None:
@@ -347,7 +338,7 @@ class QueryExecutor:
             ctx = ExecContext(worker, cluster=self.cluster,
                               snapshot=self.snapshot, hooks=self._hooks,
                               batch=self.options.batch, obs=obs,
-                              sanitizer=self.sanitizer, fuse=fuse_fabric)
+                              sanitizer=self.sanitizer)
             wp = _WorkerPlan(node_id)
             self.worker_plans[node_id] = wp
             self._build(exec_root, None, ctx, wp, len(live))
@@ -588,8 +579,8 @@ class QueryExecutor:
         # the terminal stratum below elide work — and only work that is a
         # no-op on simulated metrics by construction (an empty Δ-set under
         # delta feedback has nothing to move or replicate).
-        quiet = (opts.fuse and obs is None and sanitizer is None
-                 and perturb is None and not failures_by_stratum)
+        quiet = (obs is None and sanitizer is None and perturb is None
+                 and not failures_by_stratum)
         delta_feedback = opts.feedback_mode == "delta"
         plans = self._live_plans()
         stratum = 0
@@ -713,10 +704,8 @@ class QueryExecutor:
         """Replicate each worker's Δᵢ set to its replica machines.
 
         Returns the number of messages shipped (so the caller can skip
-        draining an untouched fabric).  With ``fuse`` on, replica routes
-        are memoized per fixpoint key (invalidated when the ring snapshot
-        changes) and each delta's wire size is computed once and carried
-        on the message as a precomputed size segment —
+        draining an untouched fabric).  Each delta's wire size is computed
+        once and carried on the message as a precomputed size —
         :meth:`~repro.net.network.Message.size_bytes` would recount the
         identical bytes delta by delta.
         """
@@ -733,62 +722,35 @@ class QueryExecutor:
         network = self.cluster.network
         send = network.send
         sent = 0
-        memo = None
-        if self.options.fuse:
-            memo = self._replica_memo
-            if self._replica_memo_version != self.snapshot.version:
-                memo.clear()
-                self._replica_memo_version = self.snapshot.version
         for worker_id, deltas in pending.items():
             batches: Dict[int, List[Delta]] = {}
-            if memo is not None:
-                nbytes_by_dst: Dict[int, int] = {}
-                for delta in deltas:
-                    key = key_fn(delta.row)
-                    add_checkpointed(key)
-                    if sanitizer is not None:
-                        sanitizer.record_checkpoint(key, delta)
-                    replicas = memo.get(key)
-                    if replicas is None:
-                        replicas = memo[key] = tuple(
-                            original_replicas(normalize_key(key), rf)[1:])
-                    nbytes = 1 + row_bytes(delta.row)
-                    if delta.old is not None:
-                        nbytes += row_bytes(delta.old)
-                    if delta.payload is not None:
-                        nbytes += value_bytes(delta.payload)
-                    for replica in replicas:
-                        if replica != worker_id:
-                            batch = batches.get(replica)
-                            if batch is None:
-                                batches[replica] = [delta]
-                                nbytes_by_dst[replica] = nbytes
-                            else:
-                                batch.append(delta)
-                                nbytes_by_dst[replica] += nbytes
-                for dst, batch in batches.items():
-                    send(Message(
-                        src=worker_id, dst=dst,
-                        exchange=self._ckpt_exchange, deltas=batch,
-                        meta=nbytes_by_dst[dst] + PUNCT_BYTES,
-                    ))
-                    sent += 1
-            else:
-                for delta in deltas:
-                    key = key_fn(delta.row)
-                    add_checkpointed(key)
-                    if sanitizer is not None:
-                        sanitizer.record_checkpoint(key, delta)
-                    for replica in original_replicas(
-                            normalize_key(key), rf)[1:]:
-                        if replica != worker_id:
-                            batches.setdefault(replica, []).append(delta)
-                for dst, batch in batches.items():
-                    send(Message(
-                        src=worker_id, dst=dst,
-                        exchange=self._ckpt_exchange, deltas=batch,
-                    ))
-                    sent += 1
+            nbytes_by_dst: Dict[int, int] = {}
+            for delta in deltas:
+                key = key_fn(delta.row)
+                add_checkpointed(key)
+                if sanitizer is not None:
+                    sanitizer.record_checkpoint(key, delta)
+                nbytes = 1 + row_bytes(delta.row)
+                if delta.old is not None:
+                    nbytes += row_bytes(delta.old)
+                if delta.payload is not None:
+                    nbytes += value_bytes(delta.payload)
+                for replica in original_replicas(normalize_key(key), rf)[1:]:
+                    if replica != worker_id:
+                        batch = batches.get(replica)
+                        if batch is None:
+                            batches[replica] = [delta]
+                            nbytes_by_dst[replica] = nbytes
+                        else:
+                            batch.append(delta)
+                            nbytes_by_dst[replica] += nbytes
+            for dst, batch in batches.items():
+                send(Message(
+                    src=worker_id, dst=dst,
+                    exchange=self._ckpt_exchange, deltas=batch,
+                    meta=nbytes_by_dst[dst] + PUNCT_BYTES,
+                ))
+                sent += 1
             if obs is not None and deltas:
                 obs.checkpoint_write(worker_id, len(deltas), len(batches))
         return sent
@@ -875,6 +837,73 @@ class QueryExecutor:
         result.metrics.recovery_seconds += wasted
         return result
 
+    def _pre_failure_owner(self, victim: int):
+        """Function from ring key to the node that served it before
+        ``victim`` crashed.
+
+        A key's *pre-failure* owner is the first of its original replicas
+        that was still alive before this crash — which may be a takeover
+        node from an earlier failure, so repeated failures re-migrate
+        inherited ranges correctly ("forward progress even in the case of
+        repeated failures", Section 4.3).
+        """
+        snapshot = self.snapshot
+        n_nodes = len(snapshot.nodes)
+        previously_failed = (set(snapshot.nodes) - set(snapshot.live_nodes())
+                             - {victim})
+
+        def pre_failure_owner(ring_key) -> int:
+            for owner in snapshot.original_replicas(ring_key, n_nodes):
+                if owner not in previously_failed:
+                    return owner
+            raise RecoveryError("all replicas of a key range are lost")
+
+        return pre_failure_owner
+
+    def _restore_checkpointed_state(self, victim: int, replay: bool) -> int:
+        """Mutable-state hand-off from checkpoint replicas: put the
+        checkpointed rows of the victim's ranges into their takeover
+        nodes' fixpoint state; returns how many.  With ``replay`` each row
+        is also deposited on the feedback source, so the next stratum
+        pushes it through the recursive pipeline.
+        """
+        snapshot = self.snapshot
+        sanitizer = self.sanitizer
+        pre_failure_owner = self._pre_failure_owner(victim)
+        restored_keys: set = set()
+        for wp in self._live_plans():
+            if wp.fixpoint is None:
+                continue
+            for key, row in list(wp.checkpoint_entries.items()):
+                ring_key = normalize_key(key)
+                if pre_failure_owner(ring_key) != victim:
+                    continue
+                if snapshot.replicas(ring_key, 1)[0] != wp.worker_id:
+                    continue
+                if sanitizer is not None:
+                    sanitizer.verify_restored(key, row)
+                wp.fixpoint.state[key] = row
+                if replay and wp.feedback is not None:
+                    wp.feedback.deposit([Delta(DeltaOp.INSERT, row)])
+                restored_keys.add(key)
+        # Coverage check: a checkpointed key whose pre-failure owner was
+        # the victim must have been restored somewhere — otherwise every
+        # replica of its range is gone and the mutable state is lost.
+        for key in self._checkpointed_keys:
+            if (key not in restored_keys
+                    and pre_failure_owner(normalize_key(key)) == victim):
+                raise RecoveryError(
+                    f"mutable state for key {key!r} is unrecoverable: all "
+                    f"{self.options.checkpoint_replication} checkpoint "
+                    "replicas have failed (increase "
+                    "checkpoint_replication or use restart recovery)")
+        if (not restored_keys and self._fixpoint_key_fn is not None
+                and not self.options.checkpointing):
+            # The victim held state but nothing could be restored.
+            raise RecoveryError(
+                "incremental recovery requires checkpointing=True")
+        return len(restored_keys)
+
     def _recover_incrementally(self, victim: int) -> None:
         """Resume from the last completed stratum using replicated Δ-sets.
 
@@ -888,21 +917,8 @@ class QueryExecutor:
         the paper's recovery experiment uses); use restart recovery for
         non-idempotent aggregates such as PageRank sums.
         """
-        # A key's *pre-failure* owner is the first of its original
-        # replicas that was still alive before this crash — which may be a
-        # takeover node from an earlier failure, so repeated failures
-        # re-migrate inherited ranges correctly ("forward progress even in
-        # the case of repeated failures", Section 4.3).
         dead = set(self.snapshot.nodes) - set(self.snapshot.live_nodes())
-        previously_failed = dead - {victim}
-
-        def pre_failure_owner(ring_key) -> int:
-            owners = self.snapshot.original_replicas(
-                ring_key, len(self.snapshot.nodes))
-            for owner in owners:
-                if owner not in previously_failed:
-                    return owner
-            raise RecoveryError("all replicas of a key range are lost")
+        pre_failure_owner = self._pre_failure_owner(victim)
 
         # (a) immutable data hand-off from storage replicas: every row the
         # victim was serving (its own ranges plus any it inherited).
@@ -940,44 +956,7 @@ class QueryExecutor:
         self.cluster.network.drain()
 
         # (b) mutable-state hand-off from checkpoint replicas.
-        sanitizer = self.sanitizer
-        restored_keys: set = set()
-        restored = 0
-        for wp in self._live_plans():
-            if wp.fixpoint is None:
-                continue
-            for key, row in list(wp.checkpoint_entries.items()):
-                ring_key = normalize_key(key)
-                if pre_failure_owner(ring_key) != victim:
-                    continue
-                if self.snapshot.replicas(ring_key, 1)[0] != wp.worker_id:
-                    continue
-                if sanitizer is not None:
-                    sanitizer.verify_restored(key, row)
-                wp.fixpoint.state[key] = row
-                if wp.feedback is not None:
-                    wp.feedback.deposit([Delta(DeltaOp.INSERT, row)])
-                restored_keys.add(key)
-                restored += 1
-        # Coverage check: a checkpointed key whose pre-failure owner was
-        # the victim must have been restored somewhere — otherwise every
-        # replica of its range is gone and the mutable state is lost.
-        for key in self._checkpointed_keys:
-            ring_key = normalize_key(key)
-            if (pre_failure_owner(ring_key) == victim
-                    and key not in restored_keys):
-                raise RecoveryError(
-                    f"mutable state for key {key!r} is unrecoverable: all "
-                    f"{self.options.checkpoint_replication} checkpoint "
-                    "replicas have failed (increase "
-                    "checkpoint_replication or use restart recovery)")
-        if restored == 0 and self._fixpoint_key_fn is not None:
-            # The victim held state but nothing could be restored: either
-            # checkpointing was off or replication was insufficient.
-            if not self.options.checkpointing:
-                raise RecoveryError(
-                    "incremental recovery requires checkpointing=True"
-                )
+        restored = self._restore_checkpointed_state(victim, replay=True)
         if self.options.obs is not None:
             self.options.obs.checkpoint_restore(victim, restored,
                                                 reread_total)
@@ -998,18 +977,6 @@ class QueryExecutor:
         recomputation over the checkpointed vector — exactly one Jacobi /
         Lloyd step, as if the query had been started from that state.
         """
-        snapshot = self.snapshot
-        dead = sorted(set(snapshot.nodes) - set(snapshot.live_nodes()))
-        previously_failed = set(dead) - {victim}
-
-        def pre_failure_owner(ring_key) -> int:
-            owners = snapshot.original_replicas(
-                ring_key, len(snapshot.nodes))
-            for owner in owners:
-                if owner not in previously_failed:
-                    return owner
-            raise RecoveryError("all replicas of a key range are lost")
-
         sanitizer = self.sanitizer
         # (a) reset downstream mutable state on every survivor.
         for wp in self._live_plans():
@@ -1048,36 +1015,7 @@ class QueryExecutor:
         self.cluster.network.drain()
 
         # (c) restore the checkpointed mutable rows for the victim's ranges.
-        restored_keys: set = set()
-        restored = 0
-        for wp in self._live_plans():
-            if wp.fixpoint is None:
-                continue
-            for key, row in list(wp.checkpoint_entries.items()):
-                ring_key = normalize_key(key)
-                if pre_failure_owner(ring_key) != victim:
-                    continue
-                if snapshot.replicas(ring_key, 1)[0] != wp.worker_id:
-                    continue
-                if sanitizer is not None:
-                    sanitizer.verify_restored(key, row)
-                wp.fixpoint.state[key] = row
-                restored_keys.add(key)
-                restored += 1
-        for key in self._checkpointed_keys:
-            ring_key = normalize_key(key)
-            if (pre_failure_owner(ring_key) == victim
-                    and key not in restored_keys):
-                raise RecoveryError(
-                    f"mutable state for key {key!r} is unrecoverable: all "
-                    f"{self.options.checkpoint_replication} checkpoint "
-                    "replicas have failed (increase "
-                    "checkpoint_replication or use restart recovery)")
-        if restored == 0 and self._fixpoint_key_fn is not None:
-            if not self.options.checkpointing:
-                raise RecoveryError(
-                    "incremental recovery requires checkpointing=True"
-                )
+        restored = self._restore_checkpointed_state(victim, replay=False)
 
         # (d) re-feed the full mutable set: with downstream state reset,
         # the Δ-sets pending from the failed stratum are superseded.

@@ -144,7 +144,7 @@ class RingSnapshot:
     """An immutable view of ring state taken at query-request time."""
 
     __slots__ = ("_points", "_owners", "nodes", "_live", "_primary_cache",
-                 "_original_cache", "version")
+                 "_original_cache")
 
     def __init__(self, points: Tuple[int, ...], owners: Tuple[int, ...],
                  nodes: Tuple[int, ...]):
@@ -160,14 +160,10 @@ class RingSnapshot:
         # (key, n) -> original replica list; ownership ignores failures,
         # so this cache never needs invalidation.
         self._original_cache: Dict[Any, List[int]] = {}
-        # Bumped on every liveness change so routing caches held outside
-        # the snapshot (e.g. RehashSender) know to invalidate.
-        self.version = 0
 
     def mark_failed(self, node: int) -> None:
         self._live[node] = False
         self._primary_cache.clear()
-        self.version += 1
 
     def live_nodes(self) -> List[int]:
         return [n for n in self.nodes if self._live[n]]

@@ -28,9 +28,10 @@ class Partition:
         self.rows: List[Row] = []
         self.bytes = 0
 
-    def append(self, row: Row) -> None:
+    def append(self, row: Row, nbytes: int) -> None:
+        """Add ``row``, whose ``row_bytes`` the loader already computed."""
         self.rows.append(row)
-        self.bytes += row_bytes(row)
+        self.bytes += nbytes
 
     def __len__(self):
         return len(self.rows)
@@ -71,17 +72,24 @@ class PartitionedTable:
         for node in nodes:
             self.primaries[node] = Partition()
             self.replicas[node] = Partition()
+        key_index = self._key_index
+        replication = self.replication
+        primaries = self.primaries
+        replicas = self.replicas
+        owners_of = ring.replicas
         rr = 0
         for raw in rows:
             row = tuple(raw)
-            if self._key_index is not None:
-                owners = ring.replicas(row[self._key_index], self.replication)
+            if key_index is not None:
+                owners = owners_of(row[key_index], replication)
             else:
                 owners = [nodes[rr % len(nodes)]]
                 rr += 1
-            self.primaries[owners[0]].append(row)
+            # Sized once; every copy of the row is charged the same bytes.
+            nbytes = row_bytes(row)
+            primaries[owners[0]].append(row, nbytes)
             for replica_node in owners[1:]:
-                self.replicas[replica_node].append(row)
+                replicas[replica_node].append(row, nbytes)
         self._loaded = True
 
     def partition(self, node: int) -> Partition:

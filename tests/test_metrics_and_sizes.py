@@ -103,6 +103,7 @@ class TestSizes:
 
     def test_row_bytes_framing(self):
         assert row_bytes((1,)) == 4 + 8
+        assert row_bytes((True,)) == 4 + 1  # in this order: True == 1
         assert row_bytes(()) == 4
 
     @given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False),

@@ -63,14 +63,6 @@ class TestTimeline:
         report = explain_analyze(obs)
         assert "per-stratum timeline" not in report
 
-    def test_memo_section_reports_hit_rates(self, traced_run):
-        obs, metrics = traced_run
-        report = explain_analyze(obs, metrics)
-        assert "memo caches" in report
-        assert "memo.rehash." in report
-        assert "memo.groupby." in report
-        assert "% hit rate" in report
-
 
 class TestOptions:
     def test_per_node_splits_instances(self, traced_run):

@@ -16,17 +16,10 @@ class FakeObs:
 
     def __init__(self):
         self._exchange_stats = {"x0": [2, 100, 5], "x1": [1, 50, 3]}
-        self._ops = []
         self.peak = 0
 
     def take_inflight_peak(self):
         return self.peak
-
-
-class MemoOp:
-    def __init__(self, hits, misses):
-        self.memo_hits = hits
-        self.memo_misses = misses
 
 
 class TestSampler:
@@ -107,16 +100,6 @@ class TestSampler:
         assert series.dropped == 12
         assert series.points[0] == (12, 12)
         assert series.points[-1] == (19, 19)
-
-    def test_memo_hit_rate(self):
-        reg = MetricsRegistry()
-        s = TelemetrySampler(reg)
-        obs = FakeObs()
-        obs._ops = [(MemoOp(3, 1), None), (MemoOp(0, 4), None),
-                    (object(), None)]
-        s.sample_stratum(obs, 0, seconds=0.1, bytes_sent=0, delta_count=0,
-                         mutable_size=0, tuples_processed=0)
-        assert reg.series("telemetry.memo.hit_rate").points == [(0, 3 / 8)]
 
     def test_inflight_peak_series(self):
         reg = MetricsRegistry()

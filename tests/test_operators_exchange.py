@@ -10,7 +10,8 @@ from repro.operators import ExchangeReceiver, ExecContext, RehashSender
 from helpers import Capture
 
 
-def make_exchange(n_nodes=3, batch_size=2, broadcast=False, key_fn=None):
+def make_exchange(n_nodes=3, batch_size=2, broadcast=False, key_fn=None,
+                  batch=False):
     """One sender on node 0; receivers + captures on every node."""
     cluster = Cluster(n_nodes)
     snapshot = cluster.ring.snapshot()
@@ -25,7 +26,7 @@ def make_exchange(n_nodes=3, batch_size=2, broadcast=False, key_fn=None):
         sink.open(ctx)
         captures[node] = sink
     sender_ctx = ExecContext(cluster.worker(0), cluster=cluster,
-                             snapshot=snapshot)
+                             snapshot=snapshot, batch=batch)
     sender = RehashSender("x", key_fn=key_fn or (lambda r: (r[0],)),
                           batch_size=batch_size, broadcast=broadcast)
     sender.open(sender_ctx)
@@ -83,6 +84,55 @@ class TestRouting:
         cluster.network.drain()
         for sink in captures.values():
             assert sink.rows() == [(7, "c")]
+
+
+class TestBatchRoutesLikePerTuple:
+    """``push_batch`` and ``receive`` make the same three calls per row —
+    key function, ``snapshot.primary``, ``row_bytes`` — so they agree on
+    every destination, whatever the key's type or the snapshot's state."""
+
+    # True == 1 and False == 0 as dict keys, but not on the ring.
+    ROWS = [(1, "a"), (True, "a"), (0, "b"), (False, "b")]
+
+    def _route(self, batch, fail_owner_of=None):
+        """Rows buffered per destination after routing ``ROWS`` (a second
+        time, if a node is failed after the first pass was flushed)."""
+        cluster, snapshot, sender, _ = make_exchange(
+            n_nodes=8, batch_size=64, batch=batch)
+        deltas = [insert(row) for row in self.ROWS]
+
+        def feed():
+            if batch:
+                sender.push_batch(deltas)
+            else:
+                for delta in deltas:
+                    sender.receive(delta)
+
+        feed()
+        if fail_owner_of is not None:
+            sender.on_punctuation(Punctuation.end_of_stratum(0))
+            cluster.network.drain()
+            snapshot.mark_failed(snapshot.primary(fail_owner_of))
+            feed()
+        return snapshot, {dst: [d.row for d in buf]
+                          for dst, buf in sender._buffers.items()}
+
+    def test_equal_keys_of_different_type(self):
+        snapshot, batched = self._route(batch=True)
+        _, per_tuple = self._route(batch=False)
+        assert batched == per_tuple
+        assert snapshot.primary(True) != snapshot.primary(1)
+        for dst, rows in batched.items():
+            assert all(snapshot.primary(row[0]) == dst for row in rows)
+
+    def test_failed_owner_reroutes_to_takeover(self):
+        owner = Cluster(8).ring.snapshot().primary(1)
+        snapshot, batched = self._route(batch=True, fail_owner_of=1)
+        _, per_tuple = self._route(batch=False, fail_owner_of=1)
+        assert batched == per_tuple
+        takeover = snapshot.primary(1)
+        assert takeover != owner and owner not in batched
+        assert (1, "a") in batched[takeover]
 
 
 class TestPunctuationCounting:
