@@ -402,9 +402,13 @@ def _build_cluster(args) -> Optional[Cluster]:
                   file=sys.stderr)
             return None
         schema, rows = load_csv(path)
-        cluster.create_table(name, schema, rows,
-                             partition_key=keys.get(name),
-                             replication=getattr(args, "replication", 1))
+        try:
+            cluster.create_table(name, schema, rows,
+                                 partition_key=keys.get(name),
+                                 replication=getattr(args, "replication", 1))
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return None
     return cluster
 
 

@@ -121,9 +121,6 @@ class Operator:
         child.parent_port = port
         return port
 
-    def set_punct_quota(self, port: int, quota: int) -> None:
-        self._punct_quota[port] = quota
-
     def open(self, ctx: ExecContext) -> None:
         """Bind the operator to its worker context (called once per query).
 

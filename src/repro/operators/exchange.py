@@ -19,7 +19,6 @@ from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes, value_bytes
 from repro.net.network import Message, PUNCT_BYTES
 from repro.operators.base import Operator
-from repro.storage.hashing import normalize_key
 
 
 class RehashSender(Operator):
@@ -52,12 +51,6 @@ class RehashSender(Operator):
         super().open(ctx)
         self.per_tuple_cost = ctx.cost.cpu_tuple_cost + ctx.cost.hash_op_cost
 
-    def _destinations(self, row: tuple) -> List[int]:
-        if self.broadcast:
-            return self.ctx.snapshot.live_nodes()
-        key = normalize_key(self.key_fn(row))
-        return [self.ctx.snapshot.primary(key)]
-
     @staticmethod
     def _wire_bytes(delta: Delta) -> int:
         """This delta's exact contribution to ``Message.size_bytes`` —
@@ -82,7 +75,7 @@ class RehashSender(Operator):
             destinations = self.ctx.snapshot.live_nodes()
         else:
             destinations = (self.ctx.snapshot.primary(
-                normalize_key(self.key_fn(delta.row))),)
+                self.key_fn(delta.row)),)
         for dst in destinations:
             buf = buffers.get(dst)
             if buf is None:
@@ -131,7 +124,6 @@ class RehashSender(Operator):
                         flush(dst)
             return
         key_fn = self.key_fn
-        normalize = normalize_key
         primary = snapshot.primary
         replace = DeltaOp.REPLACE
         size_row = row_bytes
@@ -149,7 +141,7 @@ class RehashSender(Operator):
                     self._route(Delta(DeltaOp.INSERT, row))
                     continue
                 nbytes += size_row(old)
-            dst = primary(normalize(key))
+            dst = primary(key)
             payload = delta.payload
             if payload is not None:
                 nbytes += (8 if payload.__class__ is float

@@ -74,9 +74,9 @@ class TableScan(SourceOperator):
         key_index = self.table._key_index
         replica = self.table.replica_partition(self.ctx.node_id)
         emitted = 0
-        for row in replica:
-            key = row[key_index] if key_index is not None else None
-            if (snapshot.original_replicas(key, 1)[0] in dead
+        for row in replica:  # only keyed tables hold replica rows
+            key = row[key_index]
+            if (snapshot.preference(key)[0] in dead
                     and snapshot.primary(key) == self.ctx.node_id):
                 self.emit(Delta(DeltaOp.INSERT, row))
                 emitted += 1

@@ -23,7 +23,6 @@ from repro.common.errors import ExecutionError, RecoveryError
 from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes, value_bytes
 from repro.net.network import Message, PUNCT_BYTES
-from repro.storage.hashing import normalize_key
 from repro.operators import (
     ApplyFunction,
     Collect,
@@ -715,7 +714,7 @@ class QueryExecutor:
         if rf < 2:
             return 0
         key_fn = self._fixpoint_key_fn
-        original_replicas = self.snapshot.original_replicas
+        preference = self.snapshot.preference
         add_checkpointed = self._checkpointed_keys.add
         obs = self.options.obs
         sanitizer = self.sanitizer
@@ -735,7 +734,7 @@ class QueryExecutor:
                     nbytes += row_bytes(delta.old)
                 if delta.payload is not None:
                     nbytes += value_bytes(delta.payload)
-                for replica in original_replicas(normalize_key(key), rf)[1:]:
+                for replica in preference(key)[1:rf]:
                     if replica != worker_id:
                         batch = batches.get(replica)
                         if batch is None:
@@ -848,12 +847,11 @@ class QueryExecutor:
         repeated failures", Section 4.3).
         """
         snapshot = self.snapshot
-        n_nodes = len(snapshot.nodes)
         previously_failed = (set(snapshot.nodes) - set(snapshot.live_nodes())
                              - {victim})
 
         def pre_failure_owner(ring_key) -> int:
-            for owner in snapshot.original_replicas(ring_key, n_nodes):
+            for owner in snapshot.preference(ring_key):
                 if owner not in previously_failed:
                     return owner
             raise RecoveryError("all replicas of a key range are lost")
@@ -875,10 +873,9 @@ class QueryExecutor:
             if wp.fixpoint is None:
                 continue
             for key, row in list(wp.checkpoint_entries.items()):
-                ring_key = normalize_key(key)
-                if pre_failure_owner(ring_key) != victim:
+                if pre_failure_owner(key) != victim:
                     continue
-                if snapshot.replicas(ring_key, 1)[0] != wp.worker_id:
+                if snapshot.primary(key) != wp.worker_id:
                     continue
                 if sanitizer is not None:
                     sanitizer.verify_restored(key, row)
@@ -891,7 +888,7 @@ class QueryExecutor:
         # replica of its range is gone and the mutable state is lost.
         for key in self._checkpointed_keys:
             if (key not in restored_keys
-                    and pre_failure_owner(normalize_key(key)) == victim):
+                    and pre_failure_owner(key) == victim):
                 raise RecoveryError(
                     f"mutable state for key {key!r} is unrecoverable: all "
                     f"{self.options.checkpoint_replication} checkpoint "
@@ -925,23 +922,25 @@ class QueryExecutor:
         reread_total = 0
         for table_name in self._plan.tables():
             table = self.cluster.catalog.get(table_name)
+            if table.replication < 2:
+                # Nobody inherits an unreplicated range, so only the
+                # victim's own partition can be lost — keyed or not.
+                if len(table.partition(victim)):
+                    raise RecoveryError(
+                        f"table {table.name} has no replicas; data on "
+                        f"node {victim} is unrecoverable")
+                continue
             key_index = table._key_index
             lost_rows = []
             # Sorted: set order is unordered and these rows feed emission
             # order downstream (the sanitizer's REX106 lint catches this).
             for dead_node in sorted(dead):
                 lost_rows.extend(table.primaries.get(dead_node) or ())
-            moved = 0
             for row in lost_rows:
-                ring_key = (row[key_index] if key_index is not None
-                            else None)
+                ring_key = row[key_index]
                 if pre_failure_owner(ring_key) != victim:
                     continue
-                if table.replication < 2:
-                    raise RecoveryError(
-                        f"table {table.name} has no replicas; data on "
-                        f"node {victim} is unrecoverable")
-                node_id = self.snapshot.replicas(ring_key, 1)[0]
+                node_id = self.snapshot.primary(ring_key)
                 wp = self.worker_plans.get(node_id)
                 if wp is None:
                     continue
@@ -951,8 +950,7 @@ class QueryExecutor:
                     if (isinstance(scan, TableScan)
                             and scan.table.name == table_name):
                         scan.emit(Delta(DeltaOp.INSERT, row))
-                moved += 1
-            reread_total += moved
+                reread_total += 1
         self.cluster.network.drain()
 
         # (b) mutable-state hand-off from checkpoint replicas.

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ReproError
 
-_RING_SPACE = 1 << 64
 _blake2b = hashlib.blake2b
 
 
@@ -51,83 +50,50 @@ def stable_hash(value: Any) -> int:
     return int.from_bytes(_blake2b(data, digest_size=8).digest(), "little")
 
 
-def normalize_key(key: Any) -> Any:
-    """Collapse 1-tuples to their scalar so key-function output ``(v,)``
-    partitions identically to a table loaded with partition key ``v``."""
-    if isinstance(key, tuple) and len(key) == 1:
-        return key[0]
-    return key
-
-
 class HashRing:
-    """Consistent-hash ring with virtual nodes and replica placement.
+    """Immutable consistent-hash ring with virtual nodes.
 
-    Every node is mapped to ``virtual_nodes`` points on a 64-bit ring; a key
-    is owned by the first node clockwise of its hash.  Replicas are the next
-    ``n - 1`` *distinct* nodes clockwise, so losing a node transfers each of
-    its ranges to an existing replica (incremental recovery relies on this).
+    Every node is mapped to ``virtual_nodes`` points on a 64-bit ring.  A
+    key's *preference list* is every node in the order first met walking
+    clockwise from the key's hash: the primary is its first entry and the
+    replicas the next ``n - 1``, so losing a node transfers each of its
+    ranges to an existing replica (incremental recovery relies on this).
+    Placement is asked through a :meth:`snapshot`.
     """
 
     def __init__(self, nodes: Sequence[int], virtual_nodes: int = 64):
+        nodes = tuple(nodes)
         if not nodes:
             raise ReproError("HashRing requires at least one node")
+        if len(set(nodes)) != len(nodes):
+            raise ReproError(f"duplicate node on ring: {nodes}")
         self.virtual_nodes = virtual_nodes
-        self._nodes: List[int] = []
-        self._points: List[int] = []
-        self._owners: List[int] = []
-        for node in nodes:
-            self._insert(node)
+        self.nodes: Tuple[int, ...] = tuple(sorted(nodes))
+        # Stable sort on the point alone: equal points keep (node, v) order.
+        pairs = sorted(((stable_hash(("vnode", node, v)), node)
+                        for node in nodes for v in range(virtual_nodes)),
+                       key=lambda pair: pair[0])
+        self._points = [point for point, _ in pairs]
+        self._owners = [owner for _, owner in pairs]
+        # slot -> preference list of every key hashing into it, filled on
+        # first use.  Liveness is applied by the reader, so an entry is
+        # never invalidated.
+        self._slots: List[Optional[Tuple[int, ...]]] = [None] * len(pairs)
 
-    def _insert(self, node: int) -> None:
-        if node in self._nodes:
-            raise ReproError(f"node {node} already on ring")
-        self._nodes.append(node)
-        for v in range(self.virtual_nodes):
-            point = stable_hash(("vnode", node, v))
-            idx = bisect.bisect(self._points, point)
-            self._points.insert(idx, point)
-            self._owners.insert(idx, node)
-
-    @property
-    def nodes(self) -> List[int]:
-        return sorted(self._nodes)
-
-    def add_node(self, node: int) -> None:
-        """Add a node (used when a replacement machine joins after failure)."""
-        self._insert(node)
-
-    def remove_node(self, node: int) -> None:
-        """Remove a failed node; its ranges fall to clockwise successors."""
-        if node not in self._nodes:
-            raise ReproError(f"node {node} not on ring")
-        self._nodes.remove(node)
-        keep = [(p, o) for p, o in zip(self._points, self._owners) if o != node]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
-    def primary(self, key: Any) -> int:
-        """The node owning ``key``."""
-        return self.replicas(key, 1)[0]
-
-    def replicas(self, key: Any, n: int) -> List[int]:
-        """The first ``n`` distinct nodes clockwise of ``key``'s hash.
-
-        The first entry is the primary.  ``n`` is clipped to the cluster
-        size, so a replication factor larger than the cluster still works.
-        """
-        n = min(n, len(self._nodes))
-        point = stable_hash(key) % _RING_SPACE
-        start = bisect.bisect(self._points, point)
-        result: List[int] = []
-        seen = set()
-        for i in range(len(self._points)):
-            owner = self._owners[(start + i) % len(self._points)]
-            if owner not in seen:
-                seen.add(owner)
-                result.append(owner)
-                if len(result) == n:
-                    break
-        return result
+    def _clockwise(self, point: int) -> Tuple[int, ...]:
+        """Every node, in the order first met clockwise of ``point``."""
+        owners = self._owners
+        slot = bisect.bisect(self._points, point) % len(owners)
+        order = self._slots[slot]
+        if order is None:
+            distinct: List[int] = []
+            for owner in owners[slot:] + owners[:slot]:
+                if owner not in distinct:
+                    distinct.append(owner)
+                    if len(distinct) == len(self.nodes):
+                        break
+            order = self._slots[slot] = tuple(distinct)
+        return order
 
     def snapshot(self) -> "RingSnapshot":
         """Freeze the current partitioning for the lifetime of one query.
@@ -136,101 +102,73 @@ class HashRing:
         guaranteeing that even as the network changes, data will be
         delivered to the same place." (Section 4.1)
         """
-        return RingSnapshot(tuple(self._points), tuple(self._owners),
-                            tuple(sorted(self._nodes)))
+        return RingSnapshot(self)
 
 
 class RingSnapshot:
-    """An immutable view of ring state taken at query-request time."""
+    """The partitioning as seen at query-request time, plus the nodes that
+    failed since.  Every placement question is a view of
+    :meth:`preference`."""
 
-    __slots__ = ("_points", "_owners", "nodes", "_live", "_primary_cache",
-                 "_original_cache")
+    __slots__ = ("nodes", "_clockwise", "_failed", "_memo")
 
-    def __init__(self, points: Tuple[int, ...], owners: Tuple[int, ...],
-                 nodes: Tuple[int, ...]):
-        self._points = points
-        self._owners = owners
-        self.nodes = nodes
-        # Nodes marked dead during recovery; routing skips them but the
-        # snapshot remembers original ownership for checkpoint hand-off.
-        self._live: Dict[int, bool] = {n: True for n in nodes}
-        # key -> primary node, for scalar keys routed over and over by
-        # rehash senders.  Invalidated when the live set changes.
-        self._primary_cache: Dict[Any, int] = {}
-        # (key, n) -> original replica list; ownership ignores failures,
-        # so this cache never needs invalidation.
-        self._original_cache: Dict[Any, List[int]] = {}
+    def __init__(self, ring: HashRing):
+        self.nodes = ring.nodes
+        self._clockwise = ring._clockwise
+        # Nodes marked dead during recovery; the views skip them but the
+        # preference list remembers original ownership for checkpoint
+        # hand-off.
+        self._failed: Set[int] = set()
+        # scalar key -> its slot's preference list, for keys routed over
+        # and over by loaders and rehash senders.  Lives as long as the
+        # snapshot (one query or one table load), not the ring: a
+        # long-lived cluster would otherwise keep every key it ever routed.
+        self._memo: Dict[Any, Tuple[int, ...]] = {}
 
     def mark_failed(self, node: int) -> None:
-        self._live[node] = False
-        self._primary_cache.clear()
+        self._failed.add(node)
 
     def live_nodes(self) -> List[int]:
-        return [n for n in self.nodes if self._live[n]]
+        return [n for n in self.nodes if n not in self._failed]
 
-    def primary(self, key: Any) -> int:
-        # Cache only plain int/float/str keys: bools and tuples nesting
+    def preference(self, key: Any) -> Tuple[int, ...]:
+        """All nodes in clockwise order from ``key``'s hash, dead or alive.
+
+        A 1-tuple places like its scalar, so key-function output ``(v,)``
+        partitions identically to a table loaded with partition key ``v``.
+        """
+        if isinstance(key, tuple) and len(key) == 1:
+            key = key[0]
+        # Memoize only plain int/float/str keys: bools and tuples nesting
         # them are ==/hash-equal to ints yet hash differently on the ring
         # (stable_hash tags types), so they would collide in the memo.
         # An int and its equal float share a ring point, so that collision
         # is harmless.
         cls = key.__class__
         if cls is int or cls is str or cls is float:
-            cache = self._primary_cache
-            node = cache.get(key)
-            if node is None:
-                node = self.replicas(key, 1)[0]
-                cache[key] = node
-            return node
-        return self.replicas(key, 1)[0]
+            order = self._memo.get(key)
+            if order is None:
+                order = self._memo[key] = self._clockwise(stable_hash(key))
+            return order
+        return self._clockwise(stable_hash(key))
+
+    def primary(self, key: Any) -> int:
+        """The live node serving ``key``."""
+        failed = self._failed
+        for node in self.preference(key):
+            if node not in failed:
+                return node
+        raise ReproError("no live nodes remain in partition snapshot")
 
     def replicas(self, key: Any, n: int) -> List[int]:
-        """Distinct live nodes clockwise of ``key`` (post-failure routing)."""
-        points = self._points
-        owners = self._owners
-        live = self._live
-        n = min(n, sum(1 for node in self.nodes if live[node]))
-        if n == 0:
+        """The first ``n`` live nodes clockwise of ``key`` (post-failure
+        routing); ``n`` is clipped to the number of live nodes."""
+        failed = self._failed
+        live = [node for node in self.preference(key) if node not in failed]
+        if not live:
             raise ReproError("no live nodes remain in partition snapshot")
-        point = stable_hash(key) % _RING_SPACE
-        npoints = len(points)
-        start = bisect.bisect(points, point)
-        result: List[int] = []
-        seen = set()
-        for i in range(npoints):
-            owner = owners[(start + i) % npoints]
-            if owner in seen or not live[owner]:
-                continue
-            seen.add(owner)
-            result.append(owner)
-            if len(result) == n:
-                break
-        return result
+        return live[:n]
 
     def original_replicas(self, key: Any, n: int) -> List[int]:
         """Replica set ignoring failures — who *held* the checkpoints."""
-        cls = key.__class__
-        cacheable = cls is int or cls is str or cls is float
-        if cacheable:
-            cached = self._original_cache.get((key, n))
-            if cached is not None:
-                return cached
-        result = self._original_replicas(key, n)
-        if cacheable:
-            self._original_cache[(key, n)] = result
-        return result
-
-    def _original_replicas(self, key: Any, n: int) -> List[int]:
-        n = min(n, len(self.nodes))
-        point = stable_hash(key) % _RING_SPACE
-        start = bisect.bisect(self._points, point)
-        result: List[int] = []
-        seen = set()
-        for i in range(len(self._points)):
-            owner = self._owners[(start + i) % len(self._points)]
-            if owner not in seen:
-                seen.add(owner)
-                result.append(owner)
-                if len(result) == n:
-                    break
-        return result
+        return list(self.preference(key)[:n])

@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.common.deltas import Row
-from repro.common.errors import RecoveryError, ReproError, SchemaError
+from repro.common.errors import ReproError, SchemaError
 from repro.common.schema import Schema
 from repro.common.sizes import row_bytes
-from repro.storage.hashing import HashRing, RingSnapshot
+from repro.storage.hashing import HashRing
 
 
 class Partition:
@@ -49,6 +49,13 @@ class PartitionedTable:
             raise SchemaError(
                 f"partition key {partition_key!r} not in schema of {name}"
             )
+        if partition_key is None and replication > 1:
+            # Replicas sit on the nodes after the primary in the key's
+            # preference list; a round-robin row has no key, hence none.
+            raise SchemaError(
+                f"table {name} asks for replication={replication} but has "
+                "no partition key: replicas are placed by key"
+            )
         self.name = name
         self.schema = schema
         self.partition_key = partition_key
@@ -76,19 +83,21 @@ class PartitionedTable:
         replication = self.replication
         primaries = self.primaries
         replicas = self.replicas
-        owners_of = ring.replicas
+        # One snapshot per load: its key memo resolves each distinct key
+        # once and is dropped with it.
+        preference = ring.snapshot().preference
         rr = 0
         for raw in rows:
             row = tuple(raw)
-            if key_index is not None:
-                owners = owners_of(row[key_index], replication)
-            else:
-                owners = [nodes[rr % len(nodes)]]
-                rr += 1
             # Sized once; every copy of the row is charged the same bytes.
             nbytes = row_bytes(row)
+            if key_index is None:
+                primaries[nodes[rr % len(nodes)]].append(row, nbytes)
+                rr += 1
+                continue
+            owners = preference(row[key_index])
             primaries[owners[0]].append(row, nbytes)
-            for replica_node in owners[1:]:
+            for replica_node in owners[1:replication]:
                 replicas[replica_node].append(row, nbytes)
         self._loaded = True
 
@@ -98,27 +107,6 @@ class PartitionedTable:
 
     def replica_partition(self, node: int) -> Partition:
         return self.replicas.get(node) or Partition()
-
-    def rows_for_recovery(self, failed_node: int, snapshot: RingSnapshot) -> Dict[int, List[Row]]:
-        """Re-route the failed node's primary rows to live takeover nodes.
-
-        Returns a map of takeover node -> rows it must now serve.  Raises
-        :class:`ReproError` if the table is unreplicated (data lost).
-        """
-        lost = self.primaries.get(failed_node)
-        if lost is None or len(lost) == 0:
-            return {}
-        if self.replication < 2:
-            raise RecoveryError(
-                f"table {self.name} has no replicas; data on node "
-                f"{failed_node} is unrecoverable"
-            )
-        out: Dict[int, List[Row]] = {}
-        for row in lost:
-            key = row[self._key_index] if self._key_index is not None else None
-            takeover = snapshot.replicas(key, 1)[0]
-            out.setdefault(takeover, []).append(row)
-        return out
 
     def all_rows(self) -> List[Row]:
         """Every row in the table (primary copies only), in node order."""

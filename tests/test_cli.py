@@ -82,6 +82,17 @@ class TestCliExecution:
     def test_bad_table_spec(self, capsys):
         assert main(["--table", "oops", "SELECT 1 FROM t"]) == 2
 
+    def test_replication_without_key_refused(self, edges_csv, capsys):
+        """An unkeyed table cannot place replicas; loading one used to
+        report replication=2, store none and lose rows after a failure."""
+        rc = main(["--table", f"graph={edges_csv}", "--replication", "2",
+                   "SELECT count(*) FROM graph"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: table graph asks for replication=2" in captured.err
+        assert "no partition key" in captured.err
+
     def test_query_error_reported(self, edges_csv, capsys):
         rc = main(["--table", f"graph={edges_csv}",
                    "SELECT nope FROM graph"])

@@ -145,6 +145,30 @@ class TestOptions:
         assert result.metrics.result_rows == 7
 
 
+class TestUnkeyedTableFailure:
+    @pytest.mark.parametrize("victim", range(4))
+    def test_incremental_recovery_fails_loudly_whichever_node_dies(
+            self, victim):
+        """Round-robin rows have no key, so ownership cannot be asked of
+        the ring: recovery used to look up the owner of ``None``, and
+        unless that happened to be the victim its rows silently vanished
+        (wrong distances, no error)."""
+        from repro.algorithms import make_start_table, run_sssp
+        from repro.common.errors import RecoveryError
+        from repro.datasets import dbpedia_like
+        from repro.runtime import FailureSpec
+
+        cluster = Cluster(4)
+        cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
+                             dbpedia_like(120, avg_out_degree=4, seed=17))
+        make_start_table(cluster, 0)
+        options = ExecOptions(
+            failure=FailureSpec(after_stratum=2, node=victim),
+            recovery="incremental")
+        with pytest.raises(RecoveryError, match="graph has no replicas"):
+            run_sssp(cluster, options=options)
+
+
 class TestDeletePropagationToSink:
     def test_groupby_delete_reaches_result(self):
         """A group emptied in a later stratum must vanish from the final

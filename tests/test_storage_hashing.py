@@ -1,5 +1,9 @@
 """Unit + property tests for stable hashing and the consistent-hash ring."""
 
+import bisect
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,53 +40,84 @@ class TestStableHash:
         assert 0 <= stable_hash(key) < (1 << 64)
 
 
+@functools.lru_cache(maxsize=None)
+def ring_points(nodes, virtual_nodes=64):
+    return sorted((stable_hash(("vnode", node, v)), node)
+                  for node in nodes for v in range(virtual_nodes))
+
+
+def reference_walk(nodes, key, virtual_nodes=64):
+    """Brute-force oracle sharing no code with ``storage/hashing.py``:
+    every node in the order first met clockwise of ``key``'s hash.  The
+    one rule it restates is the spec's: a 1-tuple places like its
+    scalar."""
+    if isinstance(key, tuple) and len(key) == 1:
+        key = key[0]
+    points = ring_points(tuple(nodes), virtual_nodes)
+    start = bisect.bisect([point for point, _ in points], stable_hash(key))
+    order = []
+    for i in range(len(points)):
+        node = points[(start + i) % len(points)][1]
+        if node not in order:
+            order.append(node)
+    return order
+
+
+NODES = tuple(range(5))
+RING = HashRing(NODES)
+scalars = st.one_of(
+    st.integers(-50, 50), st.integers(-50, 50).map(float),
+    st.floats(allow_nan=False), st.booleans(), st.text(max_size=6),
+    st.none())
+placement_keys = st.one_of(
+    scalars, st.tuples(scalars), st.tuples(scalars, scalars),
+    st.tuples(st.tuples(scalars)))
+# Every subset of failed nodes that leaves one alive.
+dead_subsets = st.sets(st.sampled_from(NODES), max_size=len(NODES) - 1)
+
+
 class TestHashRing:
     def test_requires_nodes(self):
         with pytest.raises(ReproError):
             HashRing([])
 
     def test_primary_is_first_replica(self):
-        ring = HashRing(range(4))
+        snap = HashRing(range(4)).snapshot()
         for k in range(50):
-            assert ring.primary(k) == ring.replicas(k, 3)[0]
+            assert snap.primary(k) == snap.replicas(k, 3)[0]
 
     def test_replicas_distinct(self):
-        ring = HashRing(range(5))
+        snap = HashRing(range(5)).snapshot()
         for k in range(50):
-            reps = ring.replicas(k, 3)
+            reps = snap.replicas(k, 3)
             assert len(reps) == len(set(reps)) == 3
 
     def test_replication_clipped_to_cluster_size(self):
-        ring = HashRing(range(2))
-        assert len(ring.replicas("k", 5)) == 2
+        snap = HashRing(range(2)).snapshot()
+        assert len(snap.replicas("k", 5)) == 2
 
     def test_duplicate_node_rejected(self):
-        ring = HashRing([0, 1])
         with pytest.raises(ReproError):
-            ring.add_node(0)
-
-    def test_remove_unknown_node_rejected(self):
-        with pytest.raises(ReproError):
-            HashRing([0]).remove_node(7)
+            HashRing([0, 1, 0])
 
     def test_balance(self):
         """No node should own a wildly disproportionate share of keys."""
-        ring = HashRing(range(8), virtual_nodes=128)
+        snap = HashRing(range(8), virtual_nodes=128).snapshot()
         counts = {n: 0 for n in range(8)}
         total = 4000
         for k in range(total):
-            counts[ring.primary(k)] += 1
+            counts[snap.primary(k)] += 1
         for n, c in counts.items():
             assert 0.4 * total / 8 < c < 2.2 * total / 8, (n, counts)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_monotonicity_on_node_removal(self, key):
-        """Removing a node only moves keys that node owned (consistency)."""
-        ring = HashRing(range(6))
-        before = ring.primary(key)
-        ring.remove_node(3)
-        after = ring.primary(key)
+        """Losing a node only moves keys that node owned (consistency)."""
+        snap = HashRing(range(6)).snapshot()
+        before = snap.primary(key)
+        snap.mark_failed(3)
+        after = snap.primary(key)
         if before != 3:
             assert after == before
 
@@ -90,21 +125,37 @@ class TestHashRing:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_failed_primary_falls_to_old_replica(self, key):
         """The takeover node for a key was already in its replica set."""
-        ring = HashRing(range(6))
-        replicas_before = ring.replicas(key, 3)
-        primary = replicas_before[0]
-        ring.remove_node(primary)
-        assert ring.primary(key) == replicas_before[1]
+        snap = HashRing(range(6)).snapshot()
+        replicas_before = snap.replicas(key, 3)
+        snap.mark_failed(replicas_before[0])
+        assert snap.primary(key) == replicas_before[1]
+
+    @given(placement_keys, dead_subsets)
+    def test_mark_failed_places_like_ring_without_the_nodes(self, key, dead):
+        """Points depend only on ``(node, v)``, so a snapshot with nodes
+        marked failed and a ring never given them are the same placement
+        (what ``remove_node`` used to promise, now tying the two)."""
+        snap = RING.snapshot()
+        for node in dead:
+            snap.mark_failed(node)
+        survivors = [n for n in NODES if n not in dead]
+        without = HashRing(survivors).snapshot()
+        assert snap.live_nodes() == survivors == list(without.nodes)
+        assert snap.primary(key) == without.primary(key)
+        assert (snap.replicas(key, len(NODES))
+                == list(without.preference(key)))
 
 
 class TestRingSnapshot:
-    def test_snapshot_isolated_from_ring_changes(self):
-        ring = HashRing(range(4))
-        snap = ring.snapshot()
-        owners_before = {k: snap.primary(k) for k in range(100)}
-        ring.remove_node(2)
-        ring.add_node(9)
-        assert {k: snap.primary(k) for k in range(100)} == owners_before
+    def test_snapshots_do_not_share_failures(self):
+        """The slot table is the ring's and shared; liveness is not."""
+        first = RING.snapshot()
+        owners_before = {k: first.primary(k) for k in range(100)}
+        second = RING.snapshot()
+        second.mark_failed(2)
+        assert {k: first.primary(k) for k in range(100)} == owners_before
+        assert first.live_nodes() == list(NODES)
+        assert RING.snapshot().live_nodes() == list(NODES)
 
     def test_mark_failed_reroutes(self):
         snap = HashRing(range(4)).snapshot()
@@ -122,7 +173,56 @@ class TestRingSnapshot:
         assert snap.original_replicas("some-key", 3) == orig
 
     def test_all_failed_raises(self):
-        snap = HashRing([0]).snapshot()
-        snap.mark_failed(0)
-        with pytest.raises(ReproError):
-            snap.primary("k")
+        snap = RING.snapshot()
+        for node in NODES:
+            snap.mark_failed(node)
+        for key in ("k", 1, (1,), (1, "a"), None):
+            with pytest.raises(ReproError):
+                snap.primary(key)
+            with pytest.raises(ReproError):
+                snap.replicas(key, 2)
+            # Who *held* the key is still answerable.
+            assert list(snap.preference(key)) == reference_walk(NODES, key)
+            assert snap.original_replicas(key, 2) == reference_walk(
+                NODES, key)[:2]
+
+    @given(st.lists(placement_keys, min_size=1, max_size=8), dead_subsets)
+    def test_every_view_agrees_with_the_oracle(self, keys, dead):
+        """One snapshot answers a run of keys (so equal-but-differently-
+        typed keys meet in its memo), before and after the failures."""
+        snap = RING.snapshot()
+        for failed in (set(), dead):
+            for node in failed:
+                snap.mark_failed(node)
+            for key in keys:
+                order = reference_walk(NODES, key)
+                live = [n for n in order if n not in failed]
+                assert snap.preference(key) == tuple(order)
+                assert snap.primary(key) == live[0]
+                for n in range(len(NODES) + 3):
+                    assert snap.replicas(key, n) == live[:n]
+                    assert snap.original_replicas(key, n) == order[:n]
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(
+        [1, True, 1.0, (1,), (True,), ((1,),)], 2))
+    def test_equal_keys_of_different_type_keep_their_own_place(
+            self, first, second):
+        """``True == 1 == 1.0`` as dict keys; on the ring only ``1`` and
+        ``1.0`` share a point.  Whichever is asked first must not answer
+        for the other (the PR 21 trap, behind the one type rule)."""
+        snap = HashRing(range(8)).snapshot()
+        for key in (first, second, first):
+            assert list(snap.preference(key)) == reference_walk(
+                range(8), key)
+        assert snap.primary(True) != snap.primary(1) == snap.primary(1.0)
+
+    @given(scalars, dead_subsets)
+    def test_one_tuple_places_like_its_scalar(self, value, dead):
+        snap = RING.snapshot()
+        for node in dead:
+            snap.mark_failed(node)
+        assert snap.preference((value,)) == snap.preference(value)
+        assert snap.primary((value,)) == snap.primary(value)
+        assert snap.replicas((value,), 3) == snap.replicas(value, 3)
+        assert (snap.original_replicas((value,), 3)
+                == snap.original_replicas(value, 3))

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.common import Schema
 from repro.common.errors import ReproError, SchemaError
+from repro.datasets import dbpedia_like
 from repro.storage import Catalog, HashRing, PartitionedTable
+
+from tests.test_storage_hashing import reference_walk
 
 
 def make_table(replication=1, key="id"):
@@ -29,9 +33,10 @@ class TestPartitionedTable:
         ring = HashRing(range(4))
         table = make_table()
         table.load([(i, 0.0) for i in range(50)], ring)
+        snap = ring.snapshot()
         for node in ring.nodes:
             for row in table.partition(node):
-                assert ring.primary(row[0]) == node
+                assert snap.primary(row[0]) == node
 
     def test_double_load_rejected(self):
         ring = HashRing(range(2))
@@ -57,27 +62,40 @@ class TestPartitionedTable:
         sizes = sorted(len(table.partition(n)) for n in ring.nodes)
         assert sizes == [3, 3, 3]
 
-    def test_recovery_reroutes_to_live_replicas(self):
-        ring = HashRing(range(4))
-        table = make_table(replication=2)
-        table.load([(i, 0.0) for i in range(80)], ring)
-        snap = ring.snapshot()
-        victim = max(ring.nodes, key=lambda n: len(table.partition(n)))
-        lost_rows = set(table.partition(victim).rows)
-        snap.mark_failed(victim)
-        moved = table.rows_for_recovery(victim, snap)
-        assert victim not in moved
-        assert set(r for rows in moved.values() for r in rows) == lost_rows
+    def test_load_places_like_the_oracle_in_row_order(self):
+        """Row order inside a partition feeds emission order and therefore
+        simulated time, so the pin is on lists, not sets."""
+        nodes = range(8)
+        edges = dbpedia_like(300, 6, seed=11)
+        table = PartitionedTable(
+            "graph", Schema.of("srcId:Integer", "destId:Integer"), "srcId",
+            replication=3)
+        table.load(edges, HashRing(nodes))
+        primaries = {n: [] for n in nodes}
+        replicas = {n: [] for n in nodes}
+        for row in edges:
+            first, *rest = reference_walk(nodes, row[0])[:3]
+            primaries[first].append(row)
+            for node in rest:
+                replicas[node].append(row)
+        assert len({row[0] for row in edges}) < len(edges)  # keys repeat
+        for n in nodes:
+            assert table.partition(n).rows == primaries[n]
+            assert table.replica_partition(n).rows == replicas[n]
 
-    def test_recovery_without_replicas_raises(self):
-        ring = HashRing(range(3))
-        table = make_table(replication=1)
-        table.load([(i, 0.0) for i in range(30)], ring)
-        snap = ring.snapshot()
-        victim = max(ring.nodes, key=lambda n: len(table.partition(n)))
-        snap.mark_failed(victim)
-        with pytest.raises(ReproError):
-            table.rows_for_recovery(victim, snap)
+    def test_replication_needs_a_partition_key(self):
+        """Replicas are placed by key; a round-robin row has none.  The
+        combination used to load, report replication=2 and hold no
+        replica rows, so a failed node's rows silently vanished."""
+        with pytest.raises(SchemaError, match="no partition key"):
+            PartitionedTable("u", Schema.of("a:Integer", "b:Integer"), None,
+                             replication=2)
+        cluster = Cluster(4)
+        with pytest.raises(SchemaError):
+            cluster.create_table("u", ["a:Integer", "b:Integer"],
+                                 [(i, i % 5) for i in range(20)],
+                                 replication=2)
+        assert not cluster.catalog.has("u")
 
     def test_total_bytes_positive(self):
         ring = HashRing(range(2))
