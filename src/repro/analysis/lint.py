@@ -96,7 +96,7 @@ _RECORD_DEFINERS = ("repro/common/deltas.py", "repro/common/punctuation.py")
 #: downstream (REX106): iteration order at these call sites becomes
 #: observable message/delta order.
 _ROUTING_CALLEES = {
-    "emit", "emit_batch", "emit_all", "send", "deposit",
+    "emit", "emit_batch", "emit_deltas", "send", "deposit",
     "route", "_route", "flush", "_flush",
 }
 

@@ -148,8 +148,8 @@ class Operator:
         Semantically equivalent to ``len(deltas)`` :meth:`receive` calls in
         order (identical outputs, state, and charge multisets).  This default
         charges the whole batch in one tally update and loops ``process``;
-        hot operators override it with vectorized implementations that also
-        coalesce their downstream emissions via :meth:`emit_batch`.
+        every shipped operator overrides it with a batch loop that also
+        coalesces its downstream emissions via :meth:`emit_batch`.
         """
         if not deltas:
             return
@@ -163,10 +163,6 @@ class Operator:
             raise ExecutionError(f"{self.name} has no parent to emit to")
         self.parent.receive(delta, self.parent_port)
 
-    def emit_all(self, deltas) -> None:
-        for d in deltas:
-            self.emit(d)
-
     def emit_batch(self, deltas: List[Delta]) -> None:
         """Hand a whole output batch to the parent's batch entry point."""
         if not deltas:
@@ -174,6 +170,15 @@ class Operator:
         if self.parent is None:
             raise ExecutionError(f"{self.name} has no parent to emit to")
         self.parent.push_batch(deltas, self.parent_port)
+
+    def emit_deltas(self, deltas: List[Delta]) -> None:
+        """Hand ``deltas`` on in order: one :meth:`emit_batch` under
+        ``ctx.batch``, otherwise one :meth:`emit` each."""
+        if self.ctx is not None and self.ctx.batch:
+            self.emit_batch(deltas)
+        else:
+            for delta in deltas:
+                self.emit(delta)
 
     # -- punctuation path ---------------------------------------------------
     def on_punctuation(self, punct: Punctuation, port: int = 0) -> None:

@@ -126,6 +126,7 @@ class RehashSender(Operator):
         key_fn = self.key_fn
         primary = snapshot.primary
         replace = DeltaOp.REPLACE
+        delete, insert = DeltaOp.DELETE, DeltaOp.INSERT
         size_row = row_bytes
         size_value = value_bytes
         for delta in deltas:
@@ -134,13 +135,22 @@ class RehashSender(Operator):
             nbytes = 1 + size_row(row)
             if delta.op is replace:
                 old = delta.old
-                if key_fn(old) != key:
-                    # Split replacement: two partitions; route each half
-                    # exactly as the per-tuple path would.
-                    self._route(Delta(DeltaOp.DELETE, old))
-                    self._route(Delta(DeltaOp.INSERT, row))
-                    continue
-                nbytes += size_row(old)
+                old_key = key_fn(old)
+                if old_key != key:
+                    # Split replacement: the deletion to the old image's
+                    # owner here, the insertion below — as ``process`` does.
+                    dst = primary(old_key)
+                    try:
+                        buf = buffers[dst]
+                    except KeyError:
+                        buf = buffers[dst] = []
+                    buf.append(Delta(delete, old))
+                    buf_bytes[dst] = buf_bytes.get(dst, 0) + 1 + size_row(old)
+                    if len(buf) >= batch_size:
+                        flush(dst)
+                    delta = Delta(insert, row)
+                else:
+                    nbytes += size_row(old)
             dst = primary(key)
             payload = delta.payload
             if payload is not None:
@@ -211,17 +221,8 @@ class ExchangeReceiver(Operator):
         deltas = msg.deltas or ()
         if not deltas:
             return
-        if self.ctx.batch:
-            self.ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
-            self.emit_batch(deltas if isinstance(deltas, list)
-                            else list(deltas))
-            return
-        charge_tuple = self.ctx.charge_tuple
-        per_tuple_cost = self.per_tuple_cost
-        emit = self.emit
-        for delta in deltas:
-            charge_tuple(per_tuple_cost)
-            emit(delta)
+        self.ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
+        self.emit_deltas(deltas if isinstance(deltas, list) else list(deltas))
 
     def process(self, delta: Delta, port: int) -> None:
         raise ExecutionError("ExchangeReceiver is fed by the network fabric")

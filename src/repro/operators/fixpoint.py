@@ -214,15 +214,9 @@ class Fixpoint(Operator):
 
     def _flush_final(self) -> None:
         """Emit the final while-relation to the output (the query result)."""
-        if self.semantics == "set":
-            rows = sorted(self.row_set)
-        else:
-            rows = list(self.state.values())
-        if self.ctx is not None and self.ctx.batch:
-            self.emit_batch([Delta(DeltaOp.INSERT, row) for row in rows])
-            return
-        for row in rows:
-            self.emit(Delta(DeltaOp.INSERT, row))
+        rows = (sorted(self.row_set) if self.semantics == "set"
+                else self.state.values())
+        self.emit_deltas([Delta(DeltaOp.INSERT, row) for row in rows])
 
     def take_pending(self, mode: str = "delta") -> List[Delta]:
         """Hand the Δᵢ set (or, for no-delta execution, the full mutable
@@ -267,10 +261,6 @@ class FeedbackSource(SourceOperator):
 
     def run_stratum(self, stratum: int) -> None:
         batch, self.queue = self.queue, []
-        if self.ctx.batch:
-            self.emit_batch(batch)
-        else:
-            for delta in batch:
-                self.emit(delta)
+        self.emit_deltas(batch)
         self.parent.on_punctuation(Punctuation.end_of_stratum(stratum),
                                    self.parent_port)

@@ -120,21 +120,23 @@ class GroupBy(Operator):
             self._dirty[key] = None
 
     def push_batch(self, deltas, port: int = 0) -> None:
-        """Vectorized stratum-mode path: key extraction, state lookup, and
-        per-spec dispatch amortized per batch; one dirty-set pass."""
-        if self.mode != "stream" and self.specs:
-            self._push_batch_stratum(deltas, port)
-        else:
-            super().push_batch(deltas, port)
-
-    def _push_batch_stratum(self, deltas, port: int) -> None:
+        """The production loop for both modes: one tuple charge, the fold,
+        then the stream-mode outputs handed on as one batch."""
         if not deltas:
             return
+        self.ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
+        out: List[Delta] = []
+        self._fold(deltas, out)
+        self.emit_batch(out)
+
+    def _fold(self, deltas, out: List[Delta]) -> None:
+        """Fold ``deltas`` in order, amortizing lookups and per-spec
+        dispatch; stream mode flushes each delta's group into ``out``."""
         ctx = self.ctx
-        ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
         key_fn = self.key_fn
         groups = self.groups
         dirty = self._dirty
+        stream = self.mode == "stream"
         specs = self.specs
         worker = ctx.worker
         charge_state_access = worker.charge_state_access
@@ -155,7 +157,7 @@ class GroupBy(Operator):
         insert, delete = DeltaOp.INSERT, DeltaOp.DELETE
         replace, value_update = DeltaOp.REPLACE, DeltaOp.UPDATE
         # CPU charges are constants per spec, so count them in the loop
-        # and charge once per batch — the worker's tally accounting makes
+        # and charge once per call — the worker's tally accounting makes
         # n charges of v and one charge of (v, n) the same multiset.
         charge_counts = [0] * len(spec_plan)
         udf_charges = 0
@@ -180,9 +182,10 @@ class GroupBy(Operator):
             row = delta.row
             key = key_fn(row)
             if op is replace and key_fn(delta.old) != key:
-                # The replacement straddles two groups: decompose.
-                self.process(Delta(delete, delta.old), port)
-                self.process(Delta(insert, row), port)
+                # The replacement straddles two groups: decompose, keeping
+                # both halves' outputs at this delta's place in ``out``.
+                self._fold((Delta(delete, delta.old), Delta(insert, row)),
+                           out)
                 continue
             if worker.state_bytes > memory_budget:
                 charge_state_access()
@@ -195,7 +198,8 @@ class GroupBy(Operator):
                 worker.add_state_bytes(row_bytes(key) + 32)
             if op is insert:
                 group.live += 1
-                if s_argmin_fast:
+                folded = s_argmin_fast
+                if folded:
                     ident, value = s_arg(row)
                     # ArgMin.agg_state's INSERT branch with _key and the
                     # multiset add inlined (no charge: INSERT carries no
@@ -209,50 +213,53 @@ class GroupBy(Operator):
                         best = state0._best
                         if best is None or k < best:
                             state0._best = k
-                    dirty[key] = None
-                    continue
-            elif op is delete:
-                group.live -= 1
             elif op is value_update:
                 if group.live < 1:
                     group.live = 1
-                if s_sum_fast:
-                    payload = delta.payload
-                    # Same fold, charge, and float-operation order as
-                    # Sum.agg_state's UPDATE branch; non-plain-numeric
-                    # payloads (incl. bool) fall through to it.
-                    if (payload.__class__ is float
-                            or payload.__class__ is int):
-                        state0 = group.states[0]
-                        if state0["count"] < 1:
-                            state0["count"] = 1
-                        state0["sum"] += payload
-                        udf_charges += 1
-                        dirty[key] = None
-                        continue
-            is_update = op is value_update
-            states = group.states
-            if single:
-                if s_per_delta is not None:
-                    charge_counts[0] += 1
-                elif is_update:
+                payload = delta.payload
+                # Same fold, charge, and float-operation order as
+                # Sum.agg_state's UPDATE branch; non-plain-numeric
+                # payloads (incl. bool) take the generic call.
+                folded = s_sum_fast and (payload.__class__ is float
+                                         or payload.__class__ is int)
+                if folded:
+                    state0 = group.states[0]
+                    if state0["count"] < 1:
+                        state0["count"] = 1
+                    state0["sum"] += payload
                     udf_charges += 1
-                states[0] = s_agg_state(
-                    states[0], delta,
-                    None if is_update else s_arg(row),
-                    s_arg(delta.old) if op is replace else None)
             else:
-                i = 0
-                for arg, agg_state, per_delta in spec_plan:
-                    value = None if is_update else arg(delta.row)
-                    old_value = arg(delta.old) if op is replace else None
-                    if per_delta is not None:
-                        charge_counts[i] += 1
+                folded = False
+                if op is delete:
+                    group.live -= 1
+            if not folded:
+                is_update = op is value_update
+                states = group.states
+                if single:
+                    if s_per_delta is not None:
+                        charge_counts[0] += 1
                     elif is_update:
                         udf_charges += 1
-                    states[i] = agg_state(states[i], delta, value, old_value)
-                    i += 1
-            dirty[key] = None
+                    states[0] = s_agg_state(
+                        states[0], delta,
+                        None if is_update else s_arg(row),
+                        s_arg(delta.old) if op is replace else None)
+                else:
+                    i = 0
+                    for arg, agg_state, per_delta in spec_plan:
+                        value = None if is_update else arg(row)
+                        old_value = arg(delta.old) if op is replace else None
+                        if per_delta is not None:
+                            charge_counts[i] += 1
+                        elif is_update:
+                            udf_charges += 1
+                        states[i] = agg_state(states[i], delta, value,
+                                              old_value)
+                        i += 1
+            if stream:
+                self._flush_key(key, group, out)
+            else:
+                dirty[key] = None
         for i, (_, _, per_delta) in enumerate(spec_plan):
             if charge_counts[i]:
                 charge_cpu(per_delta, charge_counts[i])
@@ -287,14 +294,12 @@ class GroupBy(Operator):
         group.last = row
 
     def on_stratum_end(self, punct: Punctuation) -> None:
-        out: Optional[List[Delta]] = (
-            [] if self.ctx is not None and self.ctx.batch else None)
-        for key in list(self._dirty):
+        out: List[Delta] = []
+        for key in self._dirty:
             group = self.groups.get(key)
             if group is not None:
                 self._flush_key(key, group, out)
-        if out:
-            self.emit_batch(out)
+        self.emit_deltas(out)
         self._dirty.clear()
         if self.clear_states_each_stratum:
             # Re-aggregation mode (REX no-delta / Hadoop-style): aggregate

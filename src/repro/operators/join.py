@@ -90,7 +90,7 @@ class HashJoin(Operator):
             return
         out: List[Delta] = []
         self._apply_rules(delta, port, out)
-        self.emit_all(out)
+        self.emit_deltas(out)
 
     def push_batch(self, deltas, port: int = 0) -> None:
         """Vectorized probe loop: batch charging, locals bound, and one
@@ -234,7 +234,7 @@ class HashJoin(Operator):
         else:
             self.ctx.charge_cpu(self.ctx.cost.udf_cost_per_tuple(batched=True))
         out = self.handler.update(left_bucket, right_bucket, delta, side)
-        self.emit_all(as_deltas(key, out))
+        self.emit_deltas(as_deltas(key, out))
 
     # -- introspection -----------------------------------------------------
     def state_size(self) -> int:

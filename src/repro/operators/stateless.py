@@ -40,12 +40,8 @@ class TableScan(SourceOperator):
         if len(partition):
             self.ctx.worker.charge_disk_seek()
             self.ctx.worker.charge_disk_bytes(partition.bytes)
-        if self.ctx.batch:
-            insert = DeltaOp.INSERT
-            self.emit_batch([Delta(insert, row) for row in partition])
-        else:
-            for row in partition:
-                self.emit(Delta(DeltaOp.INSERT, row))
+        insert = DeltaOp.INSERT
+        self.emit_deltas([Delta(insert, row) for row in partition])
         self._emit_takeover_rows()
 
     def reemit_for_recovery(self) -> None:
@@ -73,14 +69,14 @@ class TableScan(SourceOperator):
                 )
         key_index = self.table._key_index
         replica = self.table.replica_partition(self.ctx.node_id)
-        emitted = 0
+        taken = []
         for row in replica:  # only keyed tables hold replica rows
             key = row[key_index]
             if (snapshot.preference(key)[0] in dead
                     and snapshot.primary(key) == self.ctx.node_id):
-                self.emit(Delta(DeltaOp.INSERT, row))
-                emitted += 1
-        if emitted:
+                taken.append(Delta(DeltaOp.INSERT, row))
+        self.emit_deltas(taken)
+        if taken:
             self.ctx.worker.charge_disk_seek()
 
     def forward_punctuation_from_source(self, stratum: int) -> None:
@@ -97,11 +93,7 @@ class LocalSource(SourceOperator):
 
     def run_stratum(self, stratum: int) -> None:
         rows = self.rows_by_stratum.get(stratum, ())
-        if self.ctx.batch:
-            self.emit_batch([Delta(DeltaOp.INSERT, tuple(row)) for row in rows])
-        else:
-            for row in rows:
-                self.emit(Delta(DeltaOp.INSERT, tuple(row)))
+        self.emit_deltas([Delta(DeltaOp.INSERT, tuple(row)) for row in rows])
         self.parent.on_punctuation(Punctuation.end_of_stratum(stratum),
                                    self.parent_port)
 

@@ -919,6 +919,7 @@ class QueryExecutor:
 
         # (a) immutable data hand-off from storage replicas: every row the
         # victim was serving (its own ranges plus any it inherited).
+        emissions = []  # (scan, delta), in per-row emission order
         reread_total = 0
         for table_name in self._plan.tables():
             table = self.cluster.catalog.get(table_name)
@@ -949,8 +950,12 @@ class QueryExecutor:
                 for scan in wp.sources:
                     if (isinstance(scan, TableScan)
                             and scan.table.name == table_name):
-                        scan.emit(Delta(DeltaOp.INSERT, row))
+                        emissions.append((scan, Delta(DeltaOp.INSERT, row)))
                 reread_total += 1
+        # Maximal runs of consecutive emissions by one scan keep the send
+        # order, and so the message boundaries, of per-row emission.
+        for scan, run in itertools.groupby(emissions, key=lambda e: e[0]):
+            scan.emit_deltas([delta for _, delta in run])
         self.cluster.network.drain()
 
         # (b) mutable-state hand-off from checkpoint replicas.

@@ -25,7 +25,7 @@ from repro.operators import (
     HashJoin,
     Project,
 )
-from repro.udf import AggregateSpec, Count, Sum
+from repro.udf import AggregateSpec, ArgMin, Count, Sum
 from repro.udf.aggregates import JoinDeltaHandler
 
 from helpers import Capture
@@ -155,28 +155,37 @@ def test_apply_function_batch_equivalence(seed):
                                 for chunk in split_strata(rng, stream, 2)])
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_groupby_batch_equivalence(seed):
+def modes_and_seeds(n):
+    """``(mode, seed)`` cases for a group-by test; stratum-mode cases keep
+    the bare seed as their id."""
+    return [pytest.param(mode, seed,
+                         id=str(seed) if mode == "stratum" else f"{mode}-{seed}")
+            for mode in ("stratum", "stream") for seed in range(n)]
+
+
+def groupby_state(op):
+    return {k: (g.live, g.last, [dict(s) if isinstance(s, dict) else s
+                                 for s in g.states])
+            for k, g in op.groups.items()}
+
+
+@pytest.mark.parametrize("mode,seed", modes_and_seeds(5))
+def test_groupby_batch_equivalence(mode, seed):
     rng = random.Random(300 + seed)
     stream = gen_stream(rng, 150, allow_update=True)
 
-    def state(op):
-        return {k: (g.live, g.last, [dict(s) if isinstance(s, dict) else s
-                                     for s in g.states])
-                for k, g in op.groups.items()}
-
     def make_op():
-        gb = GroupBy(key_fn=lambda r: (r[0],),
+        gb = GroupBy(key_fn=lambda r: (r[0],), mode=mode,
                      specs=[AggregateSpec(Sum(), arg=lambda r: r[1],
                                           output="s")])
-        return gb, state, [0]
+        return gb, groupby_state, [0]
 
     assert_equivalent(make_op, [[(0, chunk)]
                                 for chunk in split_strata(rng, stream, 4)])
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_groupby_multi_spec_batch_equivalence(seed):
+@pytest.mark.parametrize("mode,seed", modes_and_seeds(3))
+def test_groupby_multi_spec_batch_equivalence(mode, seed):
     rng = random.Random(400 + seed)
     stream = gen_stream(rng, 100, allow_update=False)
 
@@ -184,10 +193,65 @@ def test_groupby_multi_spec_batch_equivalence(seed):
         return {k: (g.live, g.last) for k, g in op.groups.items()}
 
     def make_op():
-        gb = GroupBy(key_fn=lambda r: (r[0],),
+        gb = GroupBy(key_fn=lambda r: (r[0],), mode=mode,
                      specs=[AggregateSpec(Sum(), arg=lambda r: r[1],
                                           output="s"),
                             AggregateSpec(Count(), output="c")])
+        return gb, state, [0]
+
+    assert_equivalent(make_op, [[(0, chunk)]
+                                for chunk in split_strata(rng, stream, 3)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_groupby_stream_sum_update_fast_path(seed):
+    """Single exact ``Sum`` over δ-UPDATEs (the inlined fold), with bool
+    payloads taking the generic call, flushed per delta."""
+    rng = random.Random(450 + seed)
+    stream = [update((rng.randrange(4),),
+                     payload=rng.choice([1, 2.5, -1.25, True]))
+              for _ in range(80)]
+
+    def make_op():
+        gb = GroupBy(key_fn=lambda r: (r[0],), mode="stream",
+                     specs=[AggregateSpec(Sum(), arg=lambda r: r[1])])
+        return gb, groupby_state, [0]
+
+    assert_equivalent(make_op, [[(0, chunk)]
+                                for chunk in split_strata(rng, stream, 3)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_groupby_stream_argmin_insert_fast_path(seed):
+    """Single exact ``ArgMin`` over INSERTs (the inlined multiset add),
+    interleaved with deletes that take the generic call."""
+    rng = random.Random(470 + seed)
+    stream = gen_stream(rng, 100, key_space=3, allow_replace=False)
+
+    def state(op):
+        return {k: (g.live, g.last) for k, g in op.groups.items()}
+
+    def make_op():
+        gb = GroupBy(key_fn=lambda r: (r[0] % 2,), mode="stream",
+                     specs=[AggregateSpec(ArgMin(),
+                                          arg=lambda r: (r[0], r[1]))])
+        return gb, state, [0]
+
+    assert_equivalent(make_op, [[(0, chunk)]
+                                for chunk in split_strata(rng, stream, 3)])
+
+
+@pytest.mark.parametrize("mode", ["stratum", "stream"])
+def test_groupby_zero_specs_batch_equivalence(mode):
+    """No aggregates: a group is its key, live while it has members."""
+    rng = random.Random(490)
+    stream = gen_stream(rng, 100, key_space=4)
+
+    def state(op):
+        return {k: (g.live, g.last) for k, g in op.groups.items()}
+
+    def make_op():
+        gb = GroupBy(key_fn=lambda r: (r[0],), specs=[], mode=mode)
         return gb, state, [0]
 
     assert_equivalent(make_op, [[(0, chunk)]

@@ -13,6 +13,8 @@ from repro.common.errors import RecoveryError
 from repro.datasets import dbpedia_like
 from repro.runtime import ExecOptions, FailureSpec
 
+from workloads import build, run
+
 
 def sssp_cluster(edges, n=5, replication=3):
     cluster = Cluster(n)
@@ -98,6 +100,16 @@ class TestRestartRecovery:
             _, m = run_sssp(cluster, options=opts)
             incremental = m.total_seconds()
             assert incremental < restart
+
+    def test_restart_is_identical_across_execution_modes(self):
+        """The takeover rows a restarted scan re-reads leave as one batch
+        under ``batch=True``: same rows and fingerprint as per-tuple."""
+        def observe(batch):
+            result = run(build("sssp_failure"), batch=batch,
+                         recovery="restart")
+            return sorted(result.rows), result.metrics.fingerprint()
+
+        assert observe(batch=True) == observe(batch=False)
 
 
 class TestReplicationInteraction:

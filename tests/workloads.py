@@ -68,7 +68,9 @@ class _ChangeToDelta:
 
 def retraction_join_groupby(size):
     """Every edge inserted, every third one deleted again, through a plain
-    join and a stream-mode group-by (``-`` and ``->`` traffic)."""
+    join and a stream-mode group-by (``-`` and ``->`` traffic), whose
+    per-destination rows are then counted by in-degree: a rehash on a key
+    the replacements change, into a stratum-mode group-by."""
     edges = dbpedia_like(size, avg_out_degree=6, seed=5)
     log = [("+", s, d) for s, d in edges]
     log += [("-", s, d) for s, d in edges[::3]]
@@ -81,17 +83,26 @@ def retraction_join_groupby(size):
                          [(v, v % 97) for v in range(vertices)], "vid")
     src_key = lambda r: (r[0],)
     dst_key = lambda r: (r[1],)
+    degree_key = lambda r: (r[1],)
     deltas = PApply(udf_factory=_ChangeToDelta, arg_fn=lambda r: r,
                     delta_aware=True, children=(PScan("changelog"),))
     weighted = PJoin(left_key=src_key, right_key=src_key, children=(
         PRehash.by(deltas, src_key), PScan("vertex")))
+    # (dst, indegree, wsum, wmin)
     per_dst = PGroupBy(
         key_fn=dst_key, mode="stream",
         specs_factory=lambda: [AggregateSpec(Count()),
                                AggregateSpec(Sum(), arg=lambda r: r[3]),
                                AggregateSpec(Min(), arg=lambda r: r[3])],
         children=(PRehash.by(weighted, dst_key),))
-    return cluster, PhysicalPlan(per_dst), {}
+    # (indegree, vertices, wsum, wmin)
+    histogram = PGroupBy(
+        key_fn=degree_key,
+        specs_factory=lambda: [AggregateSpec(Count()),
+                               AggregateSpec(Sum(), arg=lambda r: r[2]),
+                               AggregateSpec(Min(), arg=lambda r: r[3])],
+        children=(PRehash.by(per_dst, degree_key),))
+    return cluster, PhysicalPlan(histogram), {}
 
 
 #: name -> (builder, (small size, large size))
