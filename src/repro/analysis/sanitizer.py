@@ -19,10 +19,14 @@ Activation is ``ExecOptions(sanitize=...)``:
   exchange conservation) always run.  Budgeted for <10% wall overhead.
 * ``"full"``   — every key, every delta.
 
-The sanitizer mirrors :class:`repro.obs.ObsContext`'s instrumentation
-idiom: instance-attribute method wrapping installed at ``Operator.open``,
-purely passive — it never charges simulated resources, so any ``sanitize``
-level keeps ``QueryMetrics.fingerprint`` identical.
+Like :class:`repro.obs.ObsContext`, the sanitizer is a subscriber of the
+engine's probe (:class:`repro.operators.Probe`): each check is a handler
+for a boundary production already crosses — deltas or punctuation handed
+to an operator, an operator's stratum end — written once over
+``(op, deltas, port)``.  It therefore checks what enters each operator,
+the same way in batch and per-tuple runs, and never the operator's own
+recursion.  It is purely passive — it never charges simulated resources,
+so any ``sanitize`` level keeps ``QueryMetrics.fingerprint`` identical.
 
 Findings are :class:`repro.analysis.diagnostics.Diagnostic` objects
 (REX200-REX204) collected into the report attached to ``QueryResult``.
@@ -39,7 +43,7 @@ match what was proven.  A contradiction is a hard :data:`REX307` error
 ("runtime delta violated a static proof"), strictly worse than any
 REX200-series warning, because it means either an operator emitted an
 undeclared delta kind or a UDF's ``emits_polarity`` declaration lies.
-Observed per-port kind sets are kept for every instrumented stateful
+Observed per-port kind sets are kept for every stateful
 operator (proof or not) and exposed via :meth:`Sanitizer.observed_polarities`
 so tests can check static verdicts against full runtime observation.
 """
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.diagnostics import DiagnosticReport, make
 from repro.common.deltas import Delta, DeltaOp
@@ -112,14 +116,20 @@ class _ShadowGroup:
 
 
 class _OpShadow:
-    """Sanitizer-side state for one instrumented stateful operator."""
+    """Sanitizer-side state for one operator, created when the probe
+    first reports it; the flags say which checks it gets."""
 
-    __slots__ = ("node_id", "batches", "groups", "dirty", "punct_last",
-                 "punct_final", "row_memo", "batch_counter", "observed")
+    __slots__ = ("node_id", "loc", "polarity", "groupby", "fixpoint", "join",
+                 "sender", "batches", "groups", "dirty", "punct_last",
+                 "punct_final", "row_memo", "batch_counter", "observed",
+                 "pre")
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, loc: str):
         self.node_id = node_id
-        self.batches: List[list] = []       # recorded (list-of-Delta) refs
+        self.loc = loc                      # "<op name>@n<node>"
+        self.polarity = self.groupby = self.fixpoint = False
+        self.join = self.sender = False
+        self.batches: List[Sequence[Delta]] = []  # group-by input batches
         self.groups: Dict[tuple, _ShadowGroup] = {}
         self.dirty: Dict[tuple, None] = {}  # keys replayed this stratum
         self.punct_last: Dict[int, int] = {}    # port -> last stratum seen
@@ -130,41 +140,16 @@ class _OpShadow:
         self.row_memo: Dict[tuple, tuple] = {}
         self.batch_counter = 0              # sample-level batch striding
         self.observed: Dict[int, set] = {}  # port -> delta kinds seen
-
-
-class _NetworkTee:
-    """Composes the sanitizer's passive network taps with an existing
-    observer (the obs layer), preserving its behaviour exactly."""
-
-    __slots__ = ("sanitizer", "inner")
-
-    def __init__(self, sanitizer: "Sanitizer", inner):
-        self.sanitizer = sanitizer
-        self.inner = inner
-
-    def on_send(self, msg, nbytes: int) -> None:
-        self.sanitizer._on_send(msg)
-        if self.inner is not None:
-            self.inner.on_send(msg, nbytes)
-
-    def on_deliver(self, msg) -> None:
-        self.sanitizer._on_deliver(msg)
-        if self.inner is not None:
-            self.inner.on_deliver(msg)
-
-    def on_drop(self, msg) -> None:
-        self.sanitizer._on_drop(msg)
-        inner_drop = getattr(self.inner, "on_drop", None)
-        if inner_drop is not None:
-            inner_drop(msg)
+        #: (pre-state, pending length) of the fixpoint push in flight.
+        self.pre: Optional[tuple] = None
 
 
 class Sanitizer:
     """Runtime invariant checker for one query execution.
 
     Created by the executor when ``ExecOptions.sanitize`` is ``"sample"``
-    or ``"full"``; instruments operators as they open, tees the simulated
-    network, and receives barrier/checkpoint callbacks from the driver.
+    or ``"full"`` and subscribed to the run's probe ahead of any obs
+    context; it also receives barrier/checkpoint callbacks from the executor.
     """
 
     def __init__(self, level: str = "full", seed: int = 0):
@@ -182,7 +167,6 @@ class Sanitizer:
         self._code_counts: Dict[str, int] = {}
         self._shadows: Dict[int, _OpShadow] = {}      # id(op) -> shadow
         self._ops: Dict[int, object] = {}             # id(op) -> op
-        self._senders: List[object] = []
         # Exchange conservation (REX203): cumulative delta counts.
         self._sent: Counter = Counter()
         self._delivered: Counter = Counter()
@@ -224,36 +208,32 @@ class Sanitizer:
         return node_id == 0 or (node_id ^ self._seed_mix) % 4 == 0
 
     # ------------------------------------------------------------------
-    # Network tee (REX203)
+    # Network taps (REX203), fanned out by the probe
     # ------------------------------------------------------------------
-    def install_network(self, network) -> None:
-        if isinstance(network.observer, _NetworkTee):
-            return
-        network.observer = _NetworkTee(self, network.observer)
-
-    def _on_send(self, msg) -> None:
+    def on_send(self, msg, nbytes: int) -> None:
         if msg.deltas:
             self._sent[msg.exchange] += len(msg.deltas)
 
-    def _on_deliver(self, msg) -> None:
+    def on_deliver(self, msg) -> None:
         if msg.deltas:
             self._delivered[msg.exchange] += len(msg.deltas)
 
-    def _on_drop(self, msg) -> None:
+    def on_drop(self, msg) -> None:
         if msg.deltas:
             self._dropped[msg.exchange] += len(msg.deltas)
 
     # ------------------------------------------------------------------
-    # Operator instrumentation (installed from Operator.open)
+    # Probe boundaries: every check runs on what enters an operator
     # ------------------------------------------------------------------
-    def instrument_operator(self, op, ctx) -> None:
-        if getattr(op, "_rexsan", None) is self:
-            return
-        op._rexsan = self
-        shadow = _OpShadow(ctx.node_id)
+    def _shadow(self, op) -> _OpShadow:
+        """``op``'s shadow; on first sight, decide which checks it gets."""
+        shadow = self._shadows.get(id(op))
+        if shadow is not None:
+            return shadow
+        node_id = op.ctx.node_id
+        shadow = _OpShadow(node_id, f"{op.name}@n{node_id}")
         self._shadows[id(op)] = shadow
         self._ops[id(op)] = op
-        self._wrap_punctuation(op, shadow)
 
         # Late imports keep repro.analysis importable without dragging the
         # operator layer in for purely static users.
@@ -262,25 +242,113 @@ class Sanitizer:
         from repro.operators.groupby import GroupBy
         from repro.operators.join import HashJoin
 
+        # An operator carrying an exact static proof is downgraded to the
+        # polarity assertion (see the module docstring).
         if isinstance(op, GroupBy):
-            covered = self._wrap_polarity(op, shadow, ctx.batch)
-            if not covered and self._node_sampled(ctx.node_id):
-                self._wrap_groupby(op, shadow, ctx.batch)
+            shadow.polarity = True
+            shadow.groupby = (op.proof_polarity is None
+                              and self._node_sampled(node_id))
         elif isinstance(op, Fixpoint):
-            covered = (self._wrap_polarity(op, shadow, ctx.batch)
-                       and getattr(op, "proof_monotone", False))
-            if not covered:
-                self._wrap_fixpoint(op, shadow, ctx.batch)
+            shadow.polarity = True
+            covered = op.proof_polarity is not None and op.proof_monotone
+            # set/bag semantics absorb duplicates by construction.
+            shadow.fixpoint = (not covered and op.key_fn is not None
+                               and (op.semantics == "keyed"
+                                    or op.while_handler is not None))
         elif isinstance(op, HashJoin):
-            self._wrap_polarity(op, shadow, ctx.batch)
-            ports = getattr(op, "proof_insert_only_ports", None) or ()
+            shadow.polarity = True
+            ports = op.proof_insert_only_ports
             covered = all(p in ports for p in (0, 1)
                           if not op._uses_handler(p))
-            if not covered:
-                self._wrap_join(op, shadow, ctx.batch)
+            # Handler-managed buckets have user-defined semantics; their
+            # outputs are checked downstream (group-by / fixpoint shadows).
+            shadow.join = not covered and op.handler is None
         elif isinstance(op, RehashSender):
-            self._senders.append(op)
-            self._wrap_sender(op, shadow)
+            shadow.sender = True
+        return shadow
+
+    def before_push(self, op, deltas, port, child) -> None:
+        shadow = self._shadow(op)
+        if shadow.polarity:
+            self._check_polarity(op, shadow, deltas, port)
+        if shadow.groupby:
+            shadow.batches.append(deltas)
+        elif shadow.join:
+            t0 = perf_counter()
+            self._join_precheck(op, shadow, deltas, port)
+            self.overhead_seconds += perf_counter() - t0
+        elif shadow.fixpoint and not self._skip_batch(shadow):
+            t0 = perf_counter()
+            shadow.pre = (self._fixpoint_prestate(op, shadow, deltas),
+                          len(op.pending))
+            self.overhead_seconds += perf_counter() - t0
+
+    def after_push(self, op, deltas, port, child) -> None:
+        shadow = self._shadows[id(op)]
+        if shadow.pre is not None:
+            (pre, n0), shadow.pre = shadow.pre, None
+            t0 = perf_counter()
+            self._check_admitted(op, shadow, op.pending[n0:], pre)
+            self.overhead_seconds += perf_counter() - t0
+
+    def before_punctuation(self, op, punct, port) -> None:
+        """REX202: stratum markers are non-decreasing per port and stop
+        after end-of-query."""
+        shadow = self._shadow(op)
+        self.checks += 1
+        if shadow.punct_final.get(port):
+            self._emit(
+                "REX202",
+                f"punctuation {punct!r} arrived on port {port} after "
+                "end-of-query",
+                location=shadow.loc,
+                hint="a source kept emitting after the final stratum")
+        prev = shadow.punct_last.get(port, -1)
+        if punct.stratum < prev:
+            self._emit(
+                "REX202",
+                f"stratum marker regressed on port {port}: "
+                f"{punct.stratum} after {prev}",
+                location=shadow.loc,
+                hint="stratum punctuation must be non-decreasing")
+        else:
+            shadow.punct_last[port] = punct.stratum
+        if punct.is_final:
+            shadow.punct_final[port] = True
+
+    def after_punctuation(self, op, punct, port) -> None:
+        """REX203: a sender's buffers are empty once punctuation passed."""
+        shadow = self._shadows[id(op)]
+        if not shadow.sender:
+            return
+        t0 = perf_counter()
+        self.checks += 1
+        residue = sum(len(b) for b in op._buffers.values())
+        if residue:
+            self._emit(
+                "REX203",
+                f"{residue} delta(s) left in exchange "
+                f"{op.exchange!r} send buffers at a stratum barrier",
+                location=shadow.loc,
+                hint="a sender must flush every destination buffer "
+                     "when punctuation passes")
+        self.overhead_seconds += perf_counter() - t0
+
+    def before_stratum_end(self, op, punct) -> None:
+        shadow = self._shadow(op)
+        if shadow.groupby:
+            t0 = perf_counter()
+            self._groupby_replay(op, shadow)
+            self.overhead_seconds += perf_counter() - t0
+
+    def after_stratum_end(self, op, punct) -> None:
+        shadow = self._shadows[id(op)]
+        if shadow.groupby:
+            t0 = perf_counter()
+            self._groupby_verify(op, shadow)
+            if op.clear_states_each_stratum or op.reset_emissions_each_stratum:
+                shadow.groups.clear()
+            self.overhead_seconds += perf_counter() - t0
 
     def reset_operator(self, op) -> None:
         """The executor rebuilt this operator's state (checkpoint-resume
@@ -288,80 +356,50 @@ class Sanitizer:
         against pre-failure history."""
         shadow = self._shadows.get(id(op))
         if shadow is not None:
-            # Clear in place: the push_batch wrapper holds a bound
-            # ``append`` to this exact list.
-            shadow.batches.clear()
+            shadow.batches = []
             shadow.groups = {}
             shadow.dirty = {}
 
     # -- static-proof assertions (REX307) -------------------------------
-    def _wrap_polarity(self, op, shadow: _OpShadow, batch: bool) -> bool:
-        """Observe each arriving delta kind per input port and assert it
+    def _check_polarity(self, op, shadow: _OpShadow, deltas, port) -> None:
+        """Observe the arriving delta kinds per input port and assert them
         against the static polarity proof.
 
-        Installed on every instrumented stateful operator (proof or not)
-        so :meth:`observed_polarities` always reflects what actually
-        flowed.  The per-batch cost is one kind-set scan plus a set
-        difference — once a port's kinds have all been seen, the probe
-        short-circuits.  A delta kind outside the proven set is a hard
-        REX307 error.
-
-        Returns True when the operator carries an exact polarity proof
-        (``proof_polarity``), i.e. the caller may downgrade the heavy
-        invariant machinery to this assertion mode.
+        Runs for every stateful operator (proof or not) so
+        :meth:`observed_polarities` always reflects what actually flowed.
+        The per-batch cost is one kind-set scan plus a set difference —
+        once a port's kinds have all been seen, the probe short-circuits.
+        A delta kind outside the proven set is a hard REX307 error.
         """
-        allowed = getattr(op, "proof_polarity", None)
-        insert_ports = getattr(op, "proof_insert_only_ports", None) or ()
-        observed = shadow.observed
-        loc = f"{op.name}@n{shadow.node_id}"
-        insert_only = frozenset((DeltaOp.INSERT,))
-
-        def check(deltas, port):
-            kinds = {d.op for d in deltas}
-            seen = observed.get(port)
-            if seen is None:
-                seen = observed[port] = set()
-            fresh = kinds - seen
-            if not fresh:
-                return
-            seen |= fresh
-            self.checks += 1
-            limit = insert_only if port in insert_ports else allowed
-            if limit is None:
-                return
-            bad = fresh - limit
-            if bad:
-                syms = ",".join(sorted(k.value for k in bad))
-                proven = ",".join(sorted(k.value for k in limit))
-                self._emit(
-                    "REX307",
-                    f"runtime delta kind(s) {{{syms}}} on port {port} "
-                    f"contradict the static polarity proof {{{proven}}}",
-                    location=loc,
-                    hint="either an operator emitted an undeclared delta "
-                         "kind or a UDF's emits_polarity declaration is "
-                         "wrong; rerun with ExecOptions(absint=False) and "
-                         "sanitize='full' so full shadow replay, not the "
-                         "downgraded assertion mode, localizes the source")
-
-        if batch:
-            orig_push = op.push_batch
-
-            def push_batch(deltas, port: int = 0):
-                if deltas:
-                    check(deltas, port)
-                return orig_push(deltas, port)
-
-            op.push_batch = push_batch
+        kinds = {d.op for d in deltas}
+        seen = shadow.observed.get(port)
+        if seen is None:
+            seen = shadow.observed[port] = set()
+        fresh = kinds - seen
+        if not fresh:
+            return
+        seen |= fresh
+        self.checks += 1
+        if port in (getattr(op, "proof_insert_only_ports", None) or ()):
+            limit = frozenset((DeltaOp.INSERT,))
         else:
-            orig_process = op.process
-
-            def process(d, port: int):
-                check((d,), port)
-                return orig_process(d, port)
-
-            op.process = process
-        return allowed is not None
+            limit = op.proof_polarity
+        if limit is None:
+            return
+        bad = fresh - limit
+        if bad:
+            syms = ",".join(sorted(k.value for k in bad))
+            proven = ",".join(sorted(k.value for k in limit))
+            self._emit(
+                "REX307",
+                f"runtime delta kind(s) {{{syms}}} on port {port} "
+                f"contradict the static polarity proof {{{proven}}}",
+                location=shadow.loc,
+                hint="either an operator emitted an undeclared delta "
+                     "kind or a UDF's emits_polarity declaration is "
+                     "wrong; rerun with ExecOptions(absint=False) and "
+                     "sanitize='full' so full shadow replay, not the "
+                     "downgraded assertion mode, localizes the source")
 
     def observed_polarities(self) -> Dict[str, Dict[int, frozenset]]:
         """Runtime-observed delta kinds per stateful operator and input
@@ -378,87 +416,17 @@ class Sanitizer:
                 entry[port] = entry.get(port, frozenset()) | frozenset(kinds)
         return out
 
-    # -- punctuation monotonicity (REX202) ------------------------------
-    def _wrap_punctuation(self, op, shadow: _OpShadow) -> None:
-        orig = op.on_punctuation
-        last = shadow.punct_last
-        final = shadow.punct_final
-
-        def on_punctuation(punct, port: int = 0):
-            self.checks += 1
-            if final.get(port):
-                self._emit(
-                    "REX202",
-                    f"punctuation {punct!r} arrived on port {port} after "
-                    "end-of-query",
-                    location=f"{op.name}@n{shadow.node_id}",
-                    hint="a source kept emitting after the final stratum")
-            prev = last.get(port, -1)
-            if punct.stratum < prev:
-                self._emit(
-                    "REX202",
-                    f"stratum marker regressed on port {port}: "
-                    f"{punct.stratum} after {prev}",
-                    location=f"{op.name}@n{shadow.node_id}",
-                    hint="stratum punctuation must be non-decreasing")
-            else:
-                last[port] = punct.stratum
-            if punct.is_final:
-                final[port] = True
-            return orig(punct, port)
-
-        op.on_punctuation = on_punctuation
-
     # -- group-by re-aggregation (REX201) and legality (REX200) ---------
-    def _wrap_groupby(self, op, shadow: _OpShadow, batch: bool) -> None:
-        record = shadow.batches.append
-        if batch:
-            orig_push = op.push_batch
-
-            def push_batch(deltas, port: int = 0):
-                if deltas:
-                    record(deltas)
-                return orig_push(deltas, port)
-
-            op.push_batch = push_batch
-        else:
-            orig_process = op.process
-
-            def process(delta, port: int):
-                record((delta,))
-                return orig_process(delta, port)
-
-            op.process = process
-
-        orig_end = op.on_stratum_end
-
-        def on_stratum_end(punct):
-            t0 = perf_counter()
-            self._groupby_replay(op, shadow)
-            self.overhead_seconds += perf_counter() - t0
-            result = orig_end(punct)
-            t0 = perf_counter()
-            self._groupby_verify(op, shadow)
-            if op.clear_states_each_stratum or op.reset_emissions_each_stratum:
-                shadow.groups.clear()
-            self.overhead_seconds += perf_counter() - t0
-            return result
-
-        op.on_stratum_end = on_stratum_end
-
     def _groupby_replay(self, op, shadow: _OpShadow) -> None:
         """Fold the recorded delta stream into per-key shadows, mirroring
         GroupBy.process's key handling (REPLACE straddles decompose)."""
-        # Copy-and-clear in place: the push_batch wrapper holds a bound
-        # ``append`` to this exact list, so rebinding would orphan it.
-        batches = shadow.batches[:]
-        shadow.batches.clear()
+        batches, shadow.batches = shadow.batches, []
         if not batches:
             return
         key_fn = op.key_fn
         groups = shadow.groups
         sampled = self._sampled
-        loc = f"{op.name}@n{shadow.node_id}"
+        loc = shadow.loc
         insert, delete = DeltaOp.INSERT, DeltaOp.DELETE
         replace, update = DeltaOp.REPLACE, DeltaOp.UPDATE
         row_memo = shadow.row_memo
@@ -570,7 +538,7 @@ class Sanitizer:
     def _groupby_verify(self, op, shadow: _OpShadow) -> None:
         """After the stratum flush, each sampled group's emitted aggregate
         must equal the shadow's independent re-aggregation."""
-        loc = f"{op.name}@n{shadow.node_id}"
+        loc = shadow.loc
         for key, group in op.groups.items():
             if group.live < 0 and self._sampled(key):
                 self.checks += 1
@@ -628,227 +596,129 @@ class Sanitizer:
                          "DELETE/REPLACE retraction rules)")
 
     # -- fixpoint annotation legality (REX200) --------------------------
-    def _wrap_fixpoint(self, op, shadow: _OpShadow, batch: bool) -> None:
-        if op.semantics not in ("keyed",) and op.while_handler is None:
-            return  # set/bag semantics absorb duplicates by construction
+    def _skip_batch(self, shadow: _OpShadow) -> bool:
+        """The legality check is batch-local (pre-state snapshot and the
+        admitted deltas of one push), so at sample level striding over
+        whole batches is as sound as striding over keys — and far
+        cheaper, since it skips the per-delta key pass entirely."""
+        if self._full:
+            return False
+        shadow.batch_counter += 1
+        return shadow.batch_counter % SAMPLE_MOD != 0
+
+    def _fixpoint_prestate(self, op, shadow: _OpShadow, deltas) -> dict:
+        """Pre-state snapshot for sampled keys occurring exactly once in
+        the batch (multi-occurrence keys would need interleaved snapshots;
+        skip them)."""
         key_fn = op.key_fn
-        if key_fn is None:
-            return
-
-        loc = f"{op.name}@n{shadow.node_id}"
-        sampled = self._sampled
         state = op.state
-        insert, delete = DeltaOp.INSERT, DeltaOp.DELETE
-        replace = DeltaOp.REPLACE
+        counts: Counter = Counter()
+        keys = []
+        for d in deltas:
+            try:
+                k = key_fn(d.row)
+            except Exception:
+                keys.append(None)
+                counts[None] += 1
+                continue
+            keys.append(k)
+            counts[k] += 1
+        pre = {}
+        for d, k in zip(deltas, keys):
+            if k is None or counts[k] != 1 or not self._sampled(k):
+                continue
+            pre[k] = state.get(k)
+            self.checks += 1
+            if d.op is DeltaOp.DELETE and pre[k] is None:
+                self._emit(
+                    "REX200",
+                    f"DELETE for key {k!r} hit no existing fixpoint "
+                    f"row: {d.row!r}",
+                    location=shadow.loc,
+                    hint="upstream retracted a row that was never "
+                         "derived (Definition 1)")
+        return pre
 
-        def prepare(deltas):
-            """Pre-state snapshot for sampled keys occurring exactly once
-            in the batch (multi-occurrence keys would need interleaved
-            snapshots; skip them)."""
-            counts: Counter = Counter()
-            keys = []
-            for d in deltas:
-                try:
-                    k = key_fn(d.row)
-                except Exception:
-                    keys.append(None)
-                    counts[None] += 1
-                    continue
-                keys.append(k)
-                counts[k] += 1
-            pre = {}
-            for d, k in zip(deltas, keys):
-                if k is None or counts[k] != 1 or not sampled(k):
-                    continue
-                pre[k] = state.get(k)
-                self.checks += 1
-                if d.op is delete and pre[k] is None:
+    def _check_admitted(self, op, shadow: _OpShadow, admitted, pre) -> None:
+        key_fn = op.key_fn
+        loc = shadow.loc
+        for d in admitted:
+            try:
+                k = key_fn(d.row)
+            except Exception:
+                continue
+            p = pre.get(k, _MISSING)
+            if p is _MISSING:
+                continue
+            self.checks += 1
+            if d.op is DeltaOp.INSERT:
+                if p == d.row and p is not None and not op.admit_unchanged:
                     self._emit(
                         "REX200",
-                        f"DELETE for key {k!r} hit no existing fixpoint "
-                        f"row: {d.row!r}",
+                        f"duplicate derivation admitted for key {k!r}: "
+                        f"{d.row!r} equals existing state",
                         location=loc,
-                        hint="upstream retracted a row that was never "
-                             "derived (Definition 1)")
-            return pre
-
-        def check_admitted(admitted, pre):
-            for d in admitted:
-                try:
-                    k = key_fn(d.row)
-                except Exception:
-                    continue
-                p = pre.get(k, _MISSING)
-                if p is _MISSING:
-                    continue
-                self.checks += 1
-                if d.op is insert:
-                    if p == d.row and p is not None and not op.admit_unchanged:
-                        self._emit(
-                            "REX200",
-                            f"duplicate derivation admitted for key {k!r}: "
-                            f"{d.row!r} equals existing state",
-                            location=loc,
-                            hint="duplicate inserts must be eliminated, "
-                                 "not re-admitted (Definition 1)")
-                elif d.op is replace:
-                    if p is None:
-                        self._emit(
-                            "REX200",
-                            f"REPLACE admitted for key {k!r} with no "
-                            f"pre-existing row",
-                            location=loc,
-                            hint="a replacement needs an existing image "
-                                 "to retract")
-                    elif d.old != p:
-                        self._emit(
-                            "REX200",
-                            f"REPLACE for key {k!r} retracts {d.old!r} but "
-                            f"the pre-state row was {p!r}",
-                            location=loc,
-                            hint="stale old image: the handler disagrees "
-                                 "with the operator's stored state")
-                elif d.op is delete and p is None:
+                        hint="duplicate inserts must be eliminated, "
+                             "not re-admitted (Definition 1)")
+            elif d.op is DeltaOp.REPLACE:
+                if p is None:
                     self._emit(
                         "REX200",
-                        f"DELETE admitted for key {k!r} with no "
+                        f"REPLACE admitted for key {k!r} with no "
                         f"pre-existing row",
                         location=loc,
-                        hint="upstream retracted a row that was never "
-                             "derived (Definition 1)")
-
-        # The legality check is batch-local (pre-state snapshot and the
-        # admitted deltas of one push), so at sample level striding over
-        # whole batches is as sound as striding over keys — and far
-        # cheaper, since it skips the per-delta key pass entirely.
-        full = self._full
-
-        def skip_this_batch() -> bool:
-            if full:
-                return False
-            shadow.batch_counter += 1
-            return shadow.batch_counter % SAMPLE_MOD != 0
-
-        if batch:
-            orig_push = op.push_batch
-
-            def push_batch(deltas, port: int = 0):
-                if not deltas or skip_this_batch():
-                    return orig_push(deltas, port)
-                t0 = perf_counter()
-                pre = prepare(deltas)
-                self.overhead_seconds += perf_counter() - t0
-                n0 = len(op.pending)
-                result = orig_push(deltas, port)
-                t0 = perf_counter()
-                check_admitted(op.pending[n0:], pre)
-                self.overhead_seconds += perf_counter() - t0
-                return result
-
-            op.push_batch = push_batch
-        else:
-            orig_process = op.process
-
-            def process(d, port: int):
-                if skip_this_batch():
-                    return orig_process(d, port)
-                t0 = perf_counter()
-                pre = prepare((d,))
-                self.overhead_seconds += perf_counter() - t0
-                n0 = len(op.pending)
-                result = orig_process(d, port)
-                t0 = perf_counter()
-                check_admitted(op.pending[n0:], pre)
-                self.overhead_seconds += perf_counter() - t0
-                return result
-
-            op.process = process
+                        hint="a replacement needs an existing image "
+                             "to retract")
+                elif d.old != p:
+                    self._emit(
+                        "REX200",
+                        f"REPLACE for key {k!r} retracts {d.old!r} but "
+                        f"the pre-state row was {p!r}",
+                        location=loc,
+                        hint="stale old image: the handler disagrees "
+                             "with the operator's stored state")
+            elif d.op is DeltaOp.DELETE and p is None:
+                self._emit(
+                    "REX200",
+                    f"DELETE admitted for key {k!r} with no "
+                    f"pre-existing row",
+                    location=loc,
+                    hint="upstream retracted a row that was never "
+                         "derived (Definition 1)")
 
     # -- join bucket legality (REX200) ----------------------------------
-    def _wrap_join(self, op, shadow: _OpShadow, batch: bool) -> None:
-        if op.handler is not None:
-            # Handler-managed buckets have user-defined semantics; their
-            # outputs are checked downstream (group-by / fixpoint shadows).
-            return
-        loc = f"{op.name}@n{shadow.node_id}"
-        sampled = self._sampled
-
-        def precheck(deltas, port):
-            keys = op.keys[port]
-            # Copies of each row the batch's own earlier deltas added to
-            # (+) or took out of (-) the side: the join applies a batch in
-            # order, so a ``-`` may target what a ``+`` before it inserted.
-            net: Dict[tuple, int] = {}
-            for d in deltas:
-                kind = d.op
-                if kind is DeltaOp.INSERT:
+    def _join_precheck(self, op, shadow: _OpShadow, deltas, port) -> None:
+        keys = op.keys[port]
+        # Copies of each row the batch's own earlier deltas added to
+        # (+) or took out of (-) the side: the join applies a batch in
+        # order, so a ``-`` may target what a ``+`` before it inserted.
+        net: Dict[tuple, int] = {}
+        for d in deltas:
+            kind = d.op
+            if kind is DeltaOp.INSERT:
+                net[d.row] = net.get(d.row, 0) + 1
+                continue
+            target = d.old if kind is DeltaOp.REPLACE else d.row
+            try:
+                k = keys(target)
+            except Exception:
+                continue
+            if self._sampled(k):
+                self.checks += 1
+                bucket = op.buckets.get(k)
+                side = bucket[port] if bucket is not None else ()
+                if side.count(target) + net.get(target, 0) <= 0:
+                    self._emit(
+                        "REX200",
+                        f"{kind.name} on join input {port} targets a "
+                        f"row absent from bucket {k!r}: {target!r}",
+                        location=shadow.loc,
+                        hint="UPDATE/DELETE must hit existing state "
+                             "rows (Definition 1)")
+            if kind is not DeltaOp.UPDATE:
+                net[target] = net.get(target, 0) - 1
+                if kind is DeltaOp.REPLACE:
                     net[d.row] = net.get(d.row, 0) + 1
-                    continue
-                target = d.old if kind is DeltaOp.REPLACE else d.row
-                try:
-                    k = keys(target)
-                except Exception:
-                    continue
-                if sampled(k):
-                    self.checks += 1
-                    bucket = op.buckets.get(k)
-                    side = bucket[port] if bucket is not None else ()
-                    if side.count(target) + net.get(target, 0) <= 0:
-                        self._emit(
-                            "REX200",
-                            f"{kind.name} on join input {port} targets a "
-                            f"row absent from bucket {k!r}: {target!r}",
-                            location=loc,
-                            hint="UPDATE/DELETE must hit existing state "
-                                 "rows (Definition 1)")
-                if kind is not DeltaOp.UPDATE:
-                    net[target] = net.get(target, 0) - 1
-                    if kind is DeltaOp.REPLACE:
-                        net[d.row] = net.get(d.row, 0) + 1
-
-        if batch:
-            orig_push = op.push_batch
-
-            def push_batch(deltas, port: int = 0):
-                if deltas:
-                    t0 = perf_counter()
-                    precheck(deltas, port)
-                    self.overhead_seconds += perf_counter() - t0
-                return orig_push(deltas, port)
-
-            op.push_batch = push_batch
-        else:
-            orig_process = op.process
-
-            def process(d, port: int):
-                t0 = perf_counter()
-                precheck((d,), port)
-                self.overhead_seconds += perf_counter() - t0
-                return orig_process(d, port)
-
-            op.process = process
-
-    # -- sender barrier residue (REX203) --------------------------------
-    def _wrap_sender(self, op, shadow: _OpShadow) -> None:
-        orig = op.on_punctuation
-
-        def on_punctuation(punct, port: int = 0):
-            result = orig(punct, port)
-            t0 = perf_counter()
-            self.checks += 1
-            residue = sum(len(b) for b in op._buffers.values())
-            if residue:
-                self._emit(
-                    "REX203",
-                    f"{residue} delta(s) left in exchange "
-                    f"{op.exchange!r} send buffers at a stratum barrier",
-                    location=f"{op.name}@n{shadow.node_id}",
-                    hint="a sender must flush every destination buffer "
-                         "when punctuation passes")
-            self.overhead_seconds += perf_counter() - t0
-            return result
-
-        op.on_punctuation = on_punctuation
 
     # ------------------------------------------------------------------
     # Driver callbacks

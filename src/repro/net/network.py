@@ -100,8 +100,9 @@ class SimulatedNetwork:
         #: charge multisets exactly; paths that an observer must see fall
         #: back to the hooked implementations automatically.
         self.fast_path = False
-        #: Optional observability hook (repro.obs / the sanitizer): an
-        #: object with ``on_send(msg, wire_bytes)`` / ``on_deliver(msg)``
+        #: Optional observability hook (the executor sets the run's
+        #: :class:`repro.operators.Probe`, or ``None``): an object with
+        #: ``on_send(msg, wire_bytes)`` / ``on_deliver(msg)``
         #: and, optionally, ``on_drop(msg)`` for mail discarded at dead
         #: destinations.  Purely passive — it never affects delivery or
         #: byte accounting.

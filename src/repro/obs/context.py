@@ -1,25 +1,26 @@
-"""The observability context: hook installation and cost attribution.
+"""The observability context: a probe subscriber and cost attribution.
 
 An :class:`ObsContext` is the one object a caller attaches to a query run
-(via ``ExecOptions(obs=...)``).  When present, the executor instruments
+(via ``ExecOptions(obs=...)``).  It observes
 
-* every **operator** instance — its ``receive``/``push_batch``/
-  ``on_punctuation`` (plus ``run_stratum`` for sources and
-  ``handle_message`` for exchange receivers) entry points are wrapped with
-  a frame that counts tuples and delta kinds, measures wall-clock
-  self-time, and attributes every simulated charge landed while the frame
-  is on top of the stack;
+* every **operator boundary**, as a subscriber of the engine's probe
+  (:class:`repro.operators.Probe`): a push into an operator, punctuation
+  handed to it, a source's stratum and a message entering an exchange
+  receiver each open a frame that counts tuples and delta kinds, measures
+  wall-clock self-time, and attributes every simulated charge landed
+  while the frame is on top of the stack;
 * every **worker** — its ``charge_*`` methods additionally report the
-  seconds they charged to the current operator frame;
+  seconds they charged to the current frame;
 * the **network** — send/delivery of every message is counted per
-  exchange and emitted as trace events.
+  exchange and emitted as trace events (the probe is the network's
+  observer).
 
-All hooks are *instance-attribute* wrappers: a run without an ObsContext
-executes the original unwrapped methods, so the disabled path costs
-nothing (the zero-overhead-when-disabled requirement).  The hooks only
-observe — they never charge, reorder, or suppress work — so simulated
-metrics are bit-identical with observability on or off, and between batch
-and per-tuple modes.
+Nothing is wrapped or re-bound on an operator, and no plan changes: a run
+without an ObsContext pays one ``is None`` test per boundary, and a run
+with one executes the same operator loops.  The hooks only observe — they
+never charge, reorder, or suppress work — so simulated metrics are
+bit-identical with observability on or off, and between batch and
+per-tuple modes.
 
 Because pushes nest (an operator's ``emit`` runs the parent's push inside
 the child's frame), attribution uses a frame stack: a charge belongs to
@@ -41,7 +42,7 @@ from repro.obs.trace import RingBufferSink, Tracer, TraceSink
 #: DeltaOp symbol -> registry-safe label.
 KIND_LABELS = {"+": "insert", "-": "delete", "->": "replace", "δ": "update"}
 
-# Enum members bound as module locals: the hot counting loops classify
+# Enum members bound as module locals: the counting loop classifies
 # deltas with identity compares instead of `.op.value` property accesses.
 _INS = DeltaOp.INSERT
 _DEL = DeltaOp.DELETE
@@ -76,6 +77,37 @@ class OperatorStats:
                 f"in={self.tuples_in} sim={self.sim_seconds:.6f}s)")
 
 
+def _count_in(stats: OperatorStats, deltas) -> Dict[str, int]:
+    """Count one input call; returns its annotation counts (one
+    identity-compare pass, no enum ``.value`` or dict ops per delta)."""
+    n_ins = n_del = n_rep = n_upd = 0
+    for d in deltas:
+        kind = d.op
+        if kind is _INS:
+            n_ins += 1
+        elif kind is _UPD:
+            n_upd += 1
+        elif kind is _REP:
+            n_rep += 1
+        else:
+            n_del += 1
+    batch_kinds = {}
+    if n_ins:
+        batch_kinds["+"] = n_ins
+    if n_del:
+        batch_kinds["-"] = n_del
+    if n_rep:
+        batch_kinds["->"] = n_rep
+    if n_upd:
+        batch_kinds["δ"] = n_upd
+    stats.calls += 1
+    stats.tuples_in += len(deltas)
+    kinds = stats.kinds
+    for sym, n in batch_kinds.items():
+        kinds[sym] = kinds.get(sym, 0) + n
+    return batch_kinds
+
+
 class ObsContext:
     """Tracer + registry + attribution state for one (or more) query runs.
 
@@ -100,8 +132,10 @@ class ObsContext:
         self.stratum: Optional[int] = None
         self.unattributed_seconds = 0.0
         self._clock = time.perf_counter
-        self._stack: List[list] = []          # [stats, child_wall_seconds]
+        # [stats, child_wall_seconds, t0, input kinds]
+        self._stack: List[list] = []
         self._ops: List[Tuple[object, OperatorStats]] = []
+        self._stats: Dict[int, OperatorStats] = {}  # id(op) -> its row
         self._op_counters: Dict[int, int] = {}
         self._workers_instrumented: set = set()
         self._exchange_stats: Dict[str, list] = {}  # [msgs, bytes, deltas]
@@ -114,16 +148,17 @@ class ObsContext:
     # ------------------------------------------------------------------
     # Attribution frames
     # ------------------------------------------------------------------
-    def _enter(self, stats: OperatorStats) -> list:
-        frame = [stats, 0.0]
-        self._stack.append(frame)
-        return frame
+    def _enter(self, stats: OperatorStats, kinds=None) -> None:
+        self._stack.append([stats, 0.0, self._clock(), kinds])
 
-    def _leave(self, frame: list, elapsed: float) -> None:
-        self._stack.pop()
+    def _leave(self) -> Tuple[list, float]:
+        """Pop the top frame; returns it with its inclusive wall time."""
+        frame = self._stack.pop()
+        elapsed = self._clock() - frame[2]
         frame[0].wall_seconds += elapsed - frame[1]
         if self._stack:
             self._stack[-1][1] += elapsed
+        return frame, elapsed
 
     def record_seconds(self, seconds: float) -> None:
         """Attribute simulated seconds to the operator currently on top."""
@@ -149,18 +184,17 @@ class ObsContext:
             self._system_stats[name] = stats
             self._ops.append((None, stats))
         stats.calls += 1
-        frame = self._enter(stats)
-        t0 = self._clock()
+        self._enter(stats)
         try:
             yield
         finally:
-            self._leave(frame, self._clock() - t0)
+            self._leave()
 
     def operator_stats(self) -> List[OperatorStats]:
         return [s for _, s in self._ops]
 
     def fusion_groups(self) -> List[Dict]:
-        """Fused kernels seen by this context: one entry per instrumented
+        """Fused kernels seen by this context: one entry per observed
         :class:`~repro.operators.fused.FusedKernel` instance, with its
         constituent operator names (data-flow order) and the number of
         batches that entered the kernel."""
@@ -179,206 +213,62 @@ class ObsContext:
         return groups
 
     # ------------------------------------------------------------------
-    # Operator instrumentation
+    # Operator boundaries (subscribed through repro.operators.Probe)
     # ------------------------------------------------------------------
-    def instrument_operator(self, op, node: int) -> None:
-        if getattr(op, "_obs_stats", None) is not None:
-            return
-        index = self._op_counters.get(node, 0)
-        self._op_counters[node] = index + 1
-        stats = OperatorStats(f"{op.name}#{index}", op.name, node)
-        op._obs_stats = stats
-        self._ops.append((op, stats))
-        self._wrap_receive(op, stats)
-        self._wrap_push_batch(op, stats)
-        self._wrap_frame_only(op, stats, "on_punctuation")
-        if hasattr(op, "run_stratum"):
-            self._wrap_run_stratum(op, stats)
-        if hasattr(op, "handle_message"):
-            self._wrap_handle_message(op, stats)
-        self._wrap_emits(op, stats)
+    def register_operators(self, ops) -> None:
+        """Give each operator its stats row in build order, so an
+        ``op_id`` names the same plan position on every node."""
+        for op in ops:
+            node = op.ctx.node_id
+            index = self._op_counters.get(node, 0)
+            self._op_counters[node] = index + 1
+            stats = OperatorStats(f"{op.name}#{index}", op.name, node)
+            self._stats[id(op)] = stats
+            self._ops.append((op, stats))
 
-    def _wrap_receive(self, op, stats: OperatorStats) -> None:
-        orig = op.receive
+    def before_push(self, op, deltas, port, child) -> None:
+        stats = self._stats[id(op)]
+        self._stats[id(child)].tuples_out += len(deltas)
+        self._enter(stats, _count_in(stats, deltas))
+
+    def after_push(self, op, deltas, port, child) -> None:
+        (stats, _, _, kinds), elapsed = self._leave()
         tracer = self.tracer
-        clock = self._clock
+        if tracer.enabled and self.trace_pushes:
+            tracer.complete(
+                "push_batch" if op.ctx.batch else "push", "operator",
+                stats.node, ts=tracer.now(), dur=elapsed,
+                stratum=self.stratum, op=stats.op_id, port=port,
+                n=len(deltas), kinds=kinds)
 
-        def receive(delta, port=0):
-            stats.calls += 1
-            stats.tuples_in += 1
-            op = delta.op
-            if op is _INS:
-                sym = "+"
-            elif op is _UPD:
-                sym = "δ"
-            elif op is _REP:
-                sym = "->"
-            else:
-                sym = "-"
-            kinds = stats.kinds
-            kinds[sym] = kinds.get(sym, 0) + 1
-            frame = self._enter(stats)
-            t0 = clock()
-            try:
-                orig(delta, port)
-            finally:
-                elapsed = clock() - t0
-                self._leave(frame, elapsed)
-                if tracer.enabled and self.trace_pushes:
-                    tracer.complete(
-                        "push", "operator", stats.node, ts=tracer.now(),
-                        dur=elapsed, stratum=self.stratum, op=stats.op_id,
-                        port=port, n=1, kinds={sym: 1})
+    def before_punctuation(self, op, punct, port) -> None:
+        # Frame only: attributes punctuation-driven flushes and sends.
+        self._enter(self._stats[id(op)])
 
-        op.receive = receive
+    def after_punctuation(self, op, punct, port) -> None:
+        self._leave()
 
-    def _wrap_push_batch(self, op, stats: OperatorStats) -> None:
-        orig = op.push_batch
+    def before_run_stratum(self, source, stratum) -> None:
+        stats = self._stats[id(source)]
+        stats.calls += 1
+        self._enter(stats)
+
+    def after_run_stratum(self, source, stratum) -> None:
+        (stats, _, _, _), elapsed = self._leave()
         tracer = self.tracer
-        clock = self._clock
+        if tracer.enabled:
+            tracer.complete("run_stratum", "source", stats.node,
+                            ts=tracer.now(), dur=elapsed, stratum=stratum,
+                            op=stats.op_id)
 
-        # One record per batch: annotation counts in a single identity-
-        # compare pass (no enum `.value` or dict ops per delta).
-        def push_batch(deltas, port=0):
-            n = len(deltas)
-            if n == 0:
-                return orig(deltas, port)
-            stats.calls += 1
-            stats.tuples_in += n
-            n_ins = n_del = n_rep = n_upd = 0
-            for d in deltas:
-                kind = d.op
-                if kind is _INS:
-                    n_ins += 1
-                elif kind is _UPD:
-                    n_upd += 1
-                elif kind is _REP:
-                    n_rep += 1
-                else:
-                    n_del += 1
-            kinds = stats.kinds
-            if n_ins:
-                kinds["+"] = kinds.get("+", 0) + n_ins
-            if n_del:
-                kinds["-"] = kinds.get("-", 0) + n_del
-            if n_rep:
-                kinds["->"] = kinds.get("->", 0) + n_rep
-            if n_upd:
-                kinds["δ"] = kinds.get("δ", 0) + n_upd
-            frame = self._enter(stats)
-            t0 = clock()
-            try:
-                orig(deltas, port)
-            finally:
-                elapsed = clock() - t0
-                self._leave(frame, elapsed)
-                if tracer.enabled and self.trace_pushes:
-                    batch_kinds = {}
-                    if n_ins:
-                        batch_kinds["+"] = n_ins
-                    if n_del:
-                        batch_kinds["-"] = n_del
-                    if n_rep:
-                        batch_kinds["->"] = n_rep
-                    if n_upd:
-                        batch_kinds["δ"] = n_upd
-                    tracer.complete(
-                        "push_batch", "operator", stats.node,
-                        ts=tracer.now(), dur=elapsed, stratum=self.stratum,
-                        op=stats.op_id, port=port, n=n, kinds=batch_kinds)
+    def before_message(self, receiver, msg) -> None:
+        stats = self._stats[id(receiver)]
+        if msg.deltas:
+            _count_in(stats, msg.deltas)
+        self._enter(stats)
 
-        op.push_batch = push_batch
-
-    def _wrap_frame_only(self, op, stats: OperatorStats, name: str) -> None:
-        """Attribute charges made inside ``name`` (e.g. punctuation-driven
-        flushes) without counting tuples or emitting per-call events."""
-        orig = getattr(op, name)
-        clock = self._clock
-
-        def wrapped(*args, **kwargs):
-            frame = self._enter(stats)
-            t0 = clock()
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                self._leave(frame, clock() - t0)
-
-        setattr(op, name, wrapped)
-
-    def _wrap_run_stratum(self, op, stats: OperatorStats) -> None:
-        orig = op.run_stratum
-        tracer = self.tracer
-        clock = self._clock
-
-        def run_stratum(stratum):
-            stats.calls += 1
-            frame = self._enter(stats)
-            t0 = clock()
-            try:
-                orig(stratum)
-            finally:
-                elapsed = clock() - t0
-                self._leave(frame, elapsed)
-                if tracer.enabled:
-                    tracer.complete("run_stratum", "source", stats.node,
-                                    ts=tracer.now(), dur=elapsed,
-                                    stratum=stratum, op=stats.op_id)
-
-        op.run_stratum = run_stratum
-
-    def _wrap_handle_message(self, op, stats: OperatorStats) -> None:
-        orig = op.handle_message
-        clock = self._clock
-
-        def handle_message(msg):
-            deltas = msg.deltas
-            if deltas:
-                n = len(deltas)
-                stats.calls += 1
-                stats.tuples_in += n
-                n_ins = n_del = n_rep = n_upd = 0
-                for d in deltas:
-                    kind = d.op
-                    if kind is _INS:
-                        n_ins += 1
-                    elif kind is _UPD:
-                        n_upd += 1
-                    elif kind is _REP:
-                        n_rep += 1
-                    else:
-                        n_del += 1
-                kinds = stats.kinds
-                if n_ins:
-                    kinds["+"] = kinds.get("+", 0) + n_ins
-                if n_del:
-                    kinds["-"] = kinds.get("-", 0) + n_del
-                if n_rep:
-                    kinds["->"] = kinds.get("->", 0) + n_rep
-                if n_upd:
-                    kinds["δ"] = kinds.get("δ", 0) + n_upd
-            frame = self._enter(stats)
-            t0 = clock()
-            try:
-                orig(msg)
-            finally:
-                self._leave(frame, clock() - t0)
-
-        op.handle_message = handle_message
-
-    def _wrap_emits(self, op, stats: OperatorStats) -> None:
-        orig_emit = op.emit
-        orig_emit_batch = op.emit_batch
-
-        def emit(delta):
-            stats.tuples_out += 1
-            orig_emit(delta)
-
-        def emit_batch(deltas):
-            stats.tuples_out += len(deltas)
-            orig_emit_batch(deltas)
-
-        op.emit = emit
-        op.emit_batch = emit_batch
+    def after_message(self, receiver, msg) -> None:
+        self._leave()
 
     # ------------------------------------------------------------------
     # Worker instrumentation
@@ -406,11 +296,8 @@ class ObsContext:
             setattr(worker, name, wrapped)
 
     # ------------------------------------------------------------------
-    # Network instrumentation (installed as SimulatedNetwork.observer)
+    # Network (fanned out by the probe, the network's observer)
     # ------------------------------------------------------------------
-    def instrument_network(self, network) -> None:
-        network.observer = self
-
     def on_send(self, msg, nbytes: int) -> None:
         entry = self._exchange_stats.get(msg.exchange)
         if entry is None:

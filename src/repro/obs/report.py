@@ -171,8 +171,8 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
     fusion = obs.fusion_groups()
     if fusion:
         lines.append("")
-        lines.append("fusion groups (constituents keep their own cost rows "
-                     "above)")
+        lines.append("fusion groups (each kernel's cost row above covers "
+                     "its constituents)")
         # One line per distinct kernel shape: instances across workers are
         # the same plan position, so aggregate like the cost table does.
         by_label: Dict[str, List[Dict]] = {}

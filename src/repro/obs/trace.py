@@ -127,10 +127,10 @@ class JsonlSink(TraceSink):
 class Tracer:
     """Front-end the instrumentation layer writes through.
 
-    ``enabled=False`` turns every emit into a no-op; the engine goes one
-    step further and never installs instrumentation hooks at all unless an
-    observability context is attached (see :mod:`repro.obs.context`), so a
-    run without one pays zero tracing overhead.
+    ``enabled=False`` turns every emit into a no-op while the observability
+    context keeps counting and attributing.  A run without an observability
+    context has no probe (see :mod:`repro.obs.context`) and never reaches
+    the tracer at all.
     """
 
     def __init__(self, sinks: Iterable[TraceSink] = (), enabled: bool = True,

@@ -1,6 +1,7 @@
 """Physical operators of the REX engine (Sections 3 and 4 of the paper)."""
 
-from repro.operators.base import ExecContext, Operator, RuntimeHooks, SourceOperator
+from repro.operators.base import (ExecContext, Operator, Probe, RuntimeHooks,
+                                  SourceOperator)
 from repro.operators.exchange import ExchangeReceiver, RehashSender
 from repro.operators.expressions import (
     BinaryOp,
@@ -30,6 +31,7 @@ __all__ = [
     "Operator",
     "SourceOperator",
     "ExecContext",
+    "Probe",
     "RuntimeHooks",
     "TableScan",
     "LocalSource",

@@ -8,15 +8,107 @@ flows the same way: "unary operators like selection or aggregation simply
 forward it directly to their parent operators, while n-ary operators such as
 a join or rehash wait until all inputs have received appropriate punctuation
 before proceeding."
+
+Those edges, plus a source's stratum and a network message entering an
+exchange receiver, are the only boundaries the engine has; a
+:class:`Probe` on the :class:`ExecContext` is how anything observes them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.deltas import Delta
 from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
+
+
+class Probe:
+    """The engine's one instrumentation seam.
+
+    When an :class:`ExecContext` carries a probe, each of the five
+    boundaries routes its crossing through it: a child handing deltas to
+    its parent (:meth:`push`), punctuation handed to a parent
+    (:meth:`punctuation`), an operator's stratum end (:meth:`stratum_end`),
+    a source's stratum (:meth:`run_stratum`, driven by the executor) and a
+    network message entering an exchange receiver (:meth:`message`).
+
+    A subscriber defines any of ``before_<boundary>`` and
+    ``after_<boundary>``, called with the receiving operator first.  The
+    order is fixed: ``before`` hooks run in subscriber order and ``after``
+    hooks in reverse, so the first subscriber wraps the others.  The probe
+    is also the network's observer, fanning ``on_send``/``on_deliver``/
+    ``on_drop`` out in subscriber order.  It never reorders, repeats or
+    skips the crossing itself, so what runs is the unobserved program.
+    """
+
+    BOUNDARIES = ("push", "punctuation", "stratum_end", "run_stratum",
+                  "message")
+
+    def __init__(self, subscribers):
+        subs = tuple(subscribers)
+
+        def hooks(name, order):
+            return tuple(getattr(s, name) for s in order if hasattr(s, name))
+
+        self._before = {b: hooks("before_" + b, subs) for b in self.BOUNDARIES}
+        self._after = {b: hooks("after_" + b, subs[::-1])
+                       for b in self.BOUNDARIES}
+        self._network = {name: hooks(name, subs)
+                         for name in ("on_send", "on_deliver", "on_drop")}
+
+    def _cross(self, boundary: str, op, call, *args) -> None:
+        """Run ``call(*args)`` between the hooks, which get
+        ``(op, *args)``."""
+        for hook in self._before[boundary]:
+            hook(op, *args)
+        try:
+            call(*args)
+        finally:
+            for hook in self._after[boundary]:
+                hook(op, *args)
+
+    def push(self, child: "Operator", deltas, batch: bool) -> None:
+        """``child`` hands ``deltas`` to its parent: ``push_batch`` under
+        ``batch``, else ``receive`` of the single delta.  Hooks get
+        ``(parent, deltas, port, child)``."""
+        op, port = child.parent, child.parent_port
+        for hook in self._before["push"]:
+            hook(op, deltas, port, child)
+        try:
+            if batch:
+                op.push_batch(deltas, port)
+            else:
+                op.receive(deltas[0], port)
+        finally:
+            for hook in self._after["push"]:
+                hook(op, deltas, port, child)
+
+    def punctuation(self, child: "Operator", punct: Punctuation) -> None:
+        op = child.parent
+        self._cross("punctuation", op, op.on_punctuation, punct,
+                    child.parent_port)
+
+    def stratum_end(self, op: "Operator", punct: Punctuation) -> None:
+        self._cross("stratum_end", op, op.on_stratum_end, punct)
+
+    def run_stratum(self, source: "SourceOperator", stratum: int) -> None:
+        self._cross("run_stratum", source, source.run_stratum, stratum)
+
+    def message(self, receiver: "Operator", msg) -> None:
+        self._cross("message", receiver, receiver.handle_message, msg)
+
+    def on_send(self, msg, nbytes: int) -> None:
+        for hook in self._network["on_send"]:
+            hook(msg, nbytes)
+
+    def on_deliver(self, msg) -> None:
+        for hook in self._network["on_deliver"]:
+            hook(msg)
+
+    def on_drop(self, msg) -> None:
+        for hook in self._network["on_drop"]:
+            hook(msg)
 
 
 class RuntimeHooks:
@@ -42,27 +134,23 @@ class ExecContext:
     instead of one virtual :meth:`Operator.receive` call per tuple.  The
     simulated cost accounting is identical in both modes (same charge
     multisets; see :mod:`repro.cluster.cluster`), only wall clock differs.
+
+    ``probe`` is the optional :class:`Probe` every boundary crossing on
+    this worker is routed through (the executor attaches one when
+    observability or the sanitizer is on).  ``None``, the default, costs
+    one ``is None`` test per crossing and nothing inside operator loops.
     """
 
     def __init__(self, worker, cluster=None, snapshot=None,
                  hooks: Optional[RuntimeHooks] = None, registry=None,
-                 batch: bool = False, obs=None, sanitizer=None):
+                 batch: bool = False, probe: Optional[Probe] = None):
         self.worker = worker
         self.cluster = cluster
         self.snapshot = snapshot
         self.hooks = hooks or RuntimeHooks()
         self.registry = registry
         self.batch = batch
-        #: Optional :class:`repro.obs.ObsContext`.  When set, every
-        #: operator opened against this context is instrumented (tracing,
-        #: per-operator metrics, cost attribution); when ``None`` — the
-        #: default — no hook is installed anywhere on the hot path.
-        self.obs = obs
-        #: Optional :class:`repro.analysis.sanitizer.Sanitizer`.  When set,
-        #: stateful operators opened against this context get runtime
-        #: delta-invariant checks (REX200-series); ``None`` installs
-        #: nothing.
-        self.sanitizer = sanitizer
+        self.probe = probe
 
     @property
     def node_id(self) -> int:
@@ -122,19 +210,8 @@ class Operator:
         return port
 
     def open(self, ctx: ExecContext) -> None:
-        """Bind the operator to its worker context (called once per query).
-
-        With an observability context attached, this is also where the
-        operator's entry points get their instrumentation wrappers —
-        subclass ``open`` overrides call ``super().open(ctx)`` first, so
-        anything they register afterwards (e.g. a network handler) already
-        sees the wrapped bound methods.
-        """
+        """Bind the operator to its worker context (called once per query)."""
         self.ctx = ctx
-        if ctx.obs is not None:
-            ctx.obs.instrument_operator(self, ctx.node_id)
-        if ctx.sanitizer is not None:
-            ctx.sanitizer.instrument_operator(self, ctx)
 
     # -- data path -------------------------------------------------------
     def receive(self, delta: Delta, port: int = 0) -> None:
@@ -161,7 +238,11 @@ class Operator:
     def emit(self, delta: Delta) -> None:
         if self.parent is None:
             raise ExecutionError(f"{self.name} has no parent to emit to")
-        self.parent.receive(delta, self.parent_port)
+        probe = self.ctx.probe
+        if probe is None:
+            self.parent.receive(delta, self.parent_port)
+        else:
+            probe.push(self, (delta,), False)
 
     def emit_batch(self, deltas: List[Delta]) -> None:
         """Hand a whole output batch to the parent's batch entry point."""
@@ -169,7 +250,11 @@ class Operator:
             return
         if self.parent is None:
             raise ExecutionError(f"{self.name} has no parent to emit to")
-        self.parent.push_batch(deltas, self.parent_port)
+        probe = self.ctx.probe
+        if probe is None:
+            self.parent.push_batch(deltas, self.parent_port)
+        else:
+            probe.push(self, deltas, True)
 
     def emit_deltas(self, deltas: List[Delta]) -> None:
         """Hand ``deltas`` on in order: one :meth:`emit_batch` under
@@ -199,7 +284,11 @@ class Operator:
         if self._stratum_complete():
             for p in self._punct_seen:
                 self._punct_seen[p] = 0
-            self.on_stratum_end(punct)
+            probe = self.ctx.probe
+            if probe is None:
+                self.on_stratum_end(punct)
+            else:
+                probe.stratum_end(self, punct)
             self.forward_punctuation(punct)
 
     def _stratum_complete(self) -> bool:
@@ -210,8 +299,14 @@ class Operator:
         """Hook for stateful operators (flush group-by output, etc.)."""
 
     def forward_punctuation(self, punct: Punctuation) -> None:
-        if self.parent is not None:
+        """Hand ``punct`` to the parent (the one punctuation edge)."""
+        if self.parent is None:
+            return
+        probe = self.ctx.probe
+        if probe is None:
             self.parent.on_punctuation(punct, self.parent_port)
+        else:
+            probe.punctuation(self, punct)
 
     def __repr__(self):
         return f"<{self.name}>"

@@ -11,6 +11,7 @@ workers (used for small relations such as K-means centroids).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.common.deltas import Delta, DeltaOp
@@ -204,8 +205,10 @@ class ExchangeReceiver(Operator):
 
     def open(self, ctx):
         super().open(ctx)
-        ctx.cluster.network.register(ctx.node_id, self.exchange,
-                                     self.handle_message)
+        probe = ctx.probe
+        handler = (self.handle_message if probe is None
+                   else partial(probe.message, self))
+        ctx.cluster.network.register(ctx.node_id, self.exchange, handler)
 
     def set_expected_senders(self, n: int) -> None:
         """Adjusted by recovery when the sender population changes."""

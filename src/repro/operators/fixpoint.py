@@ -209,8 +209,7 @@ class Fixpoint(Operator):
         """The stratum ends here; only end-of-query flows to the output."""
         if punct.is_final:
             self._flush_final()
-            if self.parent is not None:
-                self.parent.on_punctuation(punct, self.parent_port)
+            super().forward_punctuation(punct)
 
     def _flush_final(self) -> None:
         """Emit the final while-relation to the output (the query result)."""
@@ -232,13 +231,6 @@ class Fixpoint(Operator):
         else:
             raise ExecutionError(f"unknown feedback mode {mode!r}")
         self.admitted_this_stratum = 0
-        ctx = self.ctx
-        if ctx is not None and ctx.obs is not None:
-            # Per-worker Δ-set / mutable-set size series (Figures 2-3 at
-            # node granularity); recorded here because take_pending is the
-            # stratum boundary as seen by this fixpoint.
-            ctx.obs.record_fixpoint(ctx.node_id, ctx.obs.stratum,
-                                    len(out), self.mutable_size())
         return out
 
     def mutable_size(self) -> int:
@@ -262,5 +254,4 @@ class FeedbackSource(SourceOperator):
     def run_stratum(self, stratum: int) -> None:
         batch, self.queue = self.queue, []
         self.emit_deltas(batch)
-        self.parent.on_punctuation(Punctuation.end_of_stratum(stratum),
-                                   self.parent_port)
+        self.forward_punctuation(Punctuation.end_of_stratum(stratum))

@@ -10,16 +10,17 @@ final batch once.  That removes the per-operator ``emit_batch`` →
 and charge multisets identical, so ``QueryMetrics.fingerprint`` does not
 depend on fusion.
 
-With observability attached the kernel instead delegates to the
-constituents wired as a real chain, so each keeps its own ``op.*``
-attribution frames and EXPLAIN ANALYZE row; the kernel's row then shows
-only the dispatch glue.  The per-tuple path (``batch=False``) always
-runs through the wired chain — it is the compatibility path, not the
-hot one.
+To every observer the kernel is one operator, in both modes: its probe
+boundaries are its own input and output, and the constituents run on a
+probe-free copy of the context, so observed and unobserved runs execute
+the same fused loop.  The per-tuple path (``batch=False``) runs through
+the constituents wired as a chain — it is the compatibility path, not
+the hot one.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence
 
 from repro.common.deltas import Delta
@@ -27,17 +28,13 @@ from repro.operators.base import Operator
 
 
 class _Outlet:
-    """Terminal stub for the wired constituent chain: routes the last
-    constituent's output through the kernel's own emit entry points (so
-    instrumentation sees the kernel's tuples_out) and on to its parent."""
+    """Terminal stub for the wired constituent chain: hands the last
+    constituent's per-tuple output to the kernel's own emit."""
 
     __slots__ = ("kernel",)
 
     def __init__(self, kernel: "FusedKernel"):
         self.kernel = kernel
-
-    def push_batch(self, deltas, port: int = 0) -> None:
-        self.kernel.emit_batch(deltas)
 
     def receive(self, delta, port: int = 0) -> None:
         self.kernel.emit(delta)
@@ -61,23 +58,20 @@ class FusedKernel(Operator):
         #: Batches executed through the fused fast path (surfaced by
         #: repro.obs as the ``op.*.fused_batches`` counter).
         self.fused_batches = 0
-        self._use_chain = False
 
     def open(self, ctx) -> None:
         super().open(ctx)
         # Wire the constituents as a real chain ending at an outlet that
-        # re-enters this kernel's emit path.  The chain carries the
-        # per-tuple mode and, under obs, the batch mode too — each
-        # constituent's open() is what installs its instrumentation.
+        # re-enters this kernel's emit path (the per-tuple mode).
         chain = self.constituents
         for upstream, downstream in zip(chain, chain[1:]):
             downstream.add_input(upstream)
-        outlet = _Outlet(self)
-        chain[-1].parent = outlet
+        chain[-1].parent = _Outlet(self)
         chain[-1].parent_port = 0
+        inner = copy.copy(ctx)
+        inner.probe = None
         for constituent in chain:
-            constituent.open(ctx)
-        self._use_chain = ctx.obs is not None
+            constituent.open(inner)
 
     def receive(self, delta: Delta, port: int = 0) -> None:
         # Per-tuple mode: run the wired chain; every constituent charges
@@ -88,11 +82,6 @@ class FusedKernel(Operator):
         if not deltas:
             return
         self.fused_batches += 1
-        if self._use_chain:
-            # Obs mode: real chain dispatch, so each constituent's
-            # instrumentation frame attributes its own charges.
-            self.constituents[0].push_batch(deltas, 0)
-            return
         for constituent in self.constituents:
             deltas = constituent.transform_batch(deltas)
             if not deltas:

@@ -33,7 +33,7 @@ class TableScan(SourceOperator):
     def run_stratum(self, stratum: int) -> None:
         if stratum == 0:
             self._emit_partition()
-        self.forward_punctuation_from_source(stratum)
+        self.forward_punctuation(Punctuation.end_of_stratum(stratum))
 
     def _emit_partition(self) -> None:
         partition = self.table.partition(self.ctx.node_id)
@@ -79,10 +79,6 @@ class TableScan(SourceOperator):
         if taken:
             self.ctx.worker.charge_disk_seek()
 
-    def forward_punctuation_from_source(self, stratum: int) -> None:
-        self.parent.on_punctuation(Punctuation.end_of_stratum(stratum),
-                                   self.parent_port)
-
 
 class LocalSource(SourceOperator):
     """A source fed programmatically (tests, Hadoop-wrap input adapters)."""
@@ -94,8 +90,7 @@ class LocalSource(SourceOperator):
     def run_stratum(self, stratum: int) -> None:
         rows = self.rows_by_stratum.get(stratum, ())
         self.emit_deltas([Delta(DeltaOp.INSERT, tuple(row)) for row in rows])
-        self.parent.on_punctuation(Punctuation.end_of_stratum(stratum),
-                                   self.parent_port)
+        self.forward_punctuation(Punctuation.end_of_stratum(stratum))
 
 
 class Filter(Operator):

@@ -34,6 +34,7 @@ from repro.operators import (
     FusedKernel,
     GroupBy,
     HashJoin,
+    Probe,
     Project,
     RehashSender,
     ResultSink,
@@ -106,11 +107,13 @@ class ExecOptions:
     metrics (seconds, bytes, delta counts, strata) are identical in both
     modes; only wall-clock changes.  Set False for the per-tuple path."""
     obs: Optional[object] = None
-    """A :class:`repro.obs.ObsContext` to instrument this run with
+    """A :class:`repro.obs.ObsContext` to observe this run with
     (structured tracing, per-operator metrics, EXPLAIN ANALYZE
-    attribution).  ``None`` — the default — installs no hooks at all:
-    simulated metrics are bit-identical either way, but the disabled path
-    also pays zero wall-clock overhead."""
+    attribution).  It subscribes to the run's probe, the engine's one
+    instrumentation seam, so an observed run executes the same operator
+    loops (fused kernels included) as an unobserved one.  ``None`` — the
+    default — costs one ``is None`` test per batch boundary; simulated
+    metrics are bit-identical either way."""
     sanitize: str = "off"
     """Runtime delta-invariant checking (:mod:`repro.analysis.sanitizer`,
     REX200-series): ``'off'`` installs nothing, ``'sample'`` verifies a
@@ -239,6 +242,9 @@ class QueryExecutor:
         self._fixpoint_key_fn = None
         self._plan: Optional[PhysicalPlan] = None
         self.sanitizer = None
+        #: The run's :class:`~repro.operators.Probe`, or ``None`` when
+        #: nothing observes it.
+        self.probe = None
         self.flight = None
         #: Per-chain :class:`repro.optimizer.fusion.FusionDecision` records
         #: from the fusion pass (empty when ``fuse=False`` / no chains).
@@ -304,17 +310,16 @@ class QueryExecutor:
                                expected_workers=len(live))
         self.metrics.num_nodes = len(live)
         obs = self.options.obs
-        if obs is not None:
-            obs.instrument_network(self.cluster.network)
         if self.options.sanitize != "off" and self.sanitizer is None:
             # Imported lazily: repro.analysis depends on runtime.plan.
             from repro.analysis.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self.options.sanitize,
                                        seed=self.options.sanitize_seed)
-        if self.sanitizer is not None:
-            # Installed after obs so the sanitizer's tee wraps (and keeps
-            # forwarding to) the observability hook.
-            self.sanitizer.install_network(self.cluster.network)
+        # One probe carries every observer: the sanitizer first, so its
+        # checks stay outside obs's timing frames.
+        subscribers = [s for s in (self.sanitizer, obs) if s is not None]
+        self.probe = Probe(subscribers) if subscribers else None
+        self.cluster.network.observer = self.probe
         # Abstract interpretation over the tree the executor builds from.
         # Only the sanitizer reads its per-node proofs (pushed onto the
         # operator instances in _make_operator), so unsanitized runs skip
@@ -336,11 +341,12 @@ class QueryExecutor:
                 obs.instrument_worker(worker)
             ctx = ExecContext(worker, cluster=self.cluster,
                               snapshot=self.snapshot, hooks=self._hooks,
-                              batch=self.options.batch, obs=obs,
-                              sanitizer=self.sanitizer)
+                              batch=self.options.batch, probe=self.probe)
             wp = _WorkerPlan(node_id)
             self.worker_plans[node_id] = wp
             self._build(exec_root, None, ctx, wp, len(live))
+            if obs is not None:
+                obs.register_operators(wp.operators)
             if self.options.checkpointing:
                 self._register_checkpoint_handler(node_id, wp)
 
@@ -559,6 +565,7 @@ class QueryExecutor:
         opts = self.options
         obs = opts.obs
         sanitizer = self.sanitizer
+        probe = self.probe
         perturb = opts.perturb
         flight = self.flight
         network = self.cluster.network
@@ -593,7 +600,10 @@ class QueryExecutor:
                        else perturb.worker_order(plans, stratum))
             for wp in ordered:
                 for source in wp.sources:
-                    source.run_stratum(stratum)
+                    if probe is None:
+                        source.run_stratum(stratum)
+                    else:
+                        probe.run_stratum(source, stratum)
             network.drain()
 
             admitted = 0
@@ -614,9 +624,16 @@ class QueryExecutor:
                 # would move nothing.
                 if not (quiet and delta_feedback and admitted == 0):
                     for wp in plans:
-                        if wp.fixpoint:
-                            pending[wp.worker_id] = wp.fixpoint.take_pending(
+                        fp = wp.fixpoint
+                        if fp:
+                            out = pending[wp.worker_id] = fp.take_pending(
                                 opts.feedback_mode)
+                            if obs is not None:
+                                # Per-worker Δ-set / mutable-set size series
+                                # (Figures 2-3 at node granularity).
+                                obs.record_fixpoint(wp.worker_id, stratum,
+                                                    len(out),
+                                                    fp.mutable_size())
                 if opts.checkpointing:
                     if obs is not None:
                         # Checkpoint traffic is control-plane cost: charge
@@ -671,7 +688,7 @@ class QueryExecutor:
         final = Punctuation.end_of_query(self.metrics.num_iterations)
         for wp in self._live_plans():
             for source in wp.sources:
-                source.parent.on_punctuation(final, source.parent_port)
+                source.forward_punctuation(final)
         self.cluster.network.drain()
         if self.metrics.iterations:
             self.metrics.iterations[-1].seconds += (

@@ -1,9 +1,25 @@
-"""Shared test scaffolding: a standalone exec context and a capture sink."""
+"""Shared test scaffolding: a standalone exec context, a scripted source
+and a capture sink."""
 
 from repro.cluster import CostModel, Worker
 from repro.common.deltas import Delta
 from repro.common.punctuation import Punctuation
-from repro.operators import ExecContext, Operator
+from repro.operators import ExecContext, Operator, SourceOperator
+
+
+class Feed(SourceOperator):
+    """Source handing scripted deltas and punctuation to its parent
+    through the same boundaries production uses, so a context's probe
+    sees them."""
+
+    def __init__(self):
+        super().__init__("Feed")
+
+    def push(self, *deltas: Delta) -> None:
+        self.emit_deltas(list(deltas))
+
+    def punctuate(self, stratum: int) -> None:
+        self.forward_punctuation(Punctuation.end_of_stratum(stratum))
 
 
 class Capture(Operator):

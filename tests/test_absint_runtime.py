@@ -21,11 +21,10 @@ from unittest import mock
 
 import pytest
 
-from helpers import Capture
+from helpers import Capture, Feed
 from repro.cluster import CostModel, Worker
 from repro.common.deltas import Delta, DeltaOp, delete, insert
-from repro.common.punctuation import Punctuation
-from repro.operators import ExecContext, GroupBy
+from repro.operators import ExecContext, GroupBy, Probe
 from repro.udf import AggregateSpec, Min
 from workloads import WORKLOADS, build, run
 
@@ -98,37 +97,6 @@ def test_observed_kinds_subset_of_armed_proofs(name, sanitized_runs):
 # Property 3: a contradicting delta is a hard REX307
 # ---------------------------------------------------------------------------
 
-class _FakeProvenOp:
-    name = "FakeGroupBy"
-    proof_polarity = frozenset({DeltaOp.INSERT})
-
-    def push_batch(self, deltas, port=0):
-        return None
-
-
-def test_proof_violation_trips_rex307():
-    from repro.analysis.sanitizer import Sanitizer, _OpShadow
-
-    sanitizer = Sanitizer("full")
-    op = _FakeProvenOp()
-    shadow = _OpShadow(0)
-    sanitizer._shadows[id(op)] = shadow
-    sanitizer._ops[id(op)] = op
-    covered = sanitizer._wrap_polarity(op, shadow, batch=True)
-    assert covered, "an exact proof must license assertion mode"
-
-    op.push_batch([Delta(DeltaOp.INSERT, (1, 2))], 0)
-    assert "REX307" not in set(sanitizer.report.codes())
-
-    op.push_batch([Delta(DeltaOp.REPLACE, (1, 3), old=(1, 2))], 0)
-    codes = set(sanitizer.report.codes())
-    assert "REX307" in codes, sanitizer.report.format()
-    assert sanitizer.report.has_errors()
-    observed = sanitizer.observed_polarities()
-    assert observed["FakeGroupBy@n0"][0] == frozenset(
-        {DeltaOp.INSERT, DeltaOp.REPLACE})
-
-
 def _insert_only_groupby_min():
     """GroupBy(Min) carrying an exact insert-only input proof, attached
     the way the executor attaches it."""
@@ -147,21 +115,47 @@ def _insert_only_groupby_min():
     return gb
 
 
+def _wire(gb, batch, sanitizer=None):
+    """``Feed -> gb -> Capture`` on one worker, observed by ``sanitizer``
+    through a probe the way the executor attaches it."""
+    probe = Probe([sanitizer]) if sanitizer is not None else None
+    ctx = ExecContext(Worker(0, CostModel()), batch=batch, probe=probe)
+    feed, sink = Feed(), Capture()
+    gb.add_input(feed)
+    sink.add_input(gb)
+    for op in (feed, gb, sink):
+        op.open(ctx)
+    return feed, sink
+
+
 def _insert_then_delete(gb, batch, sanitizer=None):
     """One ``+`` stratum, then one ``-`` stratum contradicting the proof."""
-    ctx = ExecContext(Worker(0, CostModel()), batch=batch,
-                      sanitizer=sanitizer)
-    sink = Capture()
-    sink.add_input(gb)
-    gb.open(ctx)
-    sink.open(ctx)
+    feed, sink = _wire(gb, batch, sanitizer)
     for stratum, delta in enumerate([insert((1, 1)), delete((1, 1))]):
-        if batch:
-            gb.push_batch([delta], 0)
-        else:
-            gb.receive(delta, 0)
-        gb.on_punctuation(Punctuation.end_of_stratum(stratum), 0)
+        feed.push(delta)
+        feed.punctuate(stratum)
     return sink.deltas, dict(gb.groups)
+
+
+def test_proof_violation_trips_rex307():
+    from repro.analysis.sanitizer import Sanitizer
+
+    sanitizer = Sanitizer("full")
+    gb = _insert_only_groupby_min()
+    feed, _ = _wire(gb, batch=True, sanitizer=sanitizer)
+    feed.push(Delta(DeltaOp.INSERT, (1, 2)))
+    assert "REX307" not in set(sanitizer.report.codes())
+    shadow = sanitizer._shadows[id(gb)]
+    assert shadow.polarity and not shadow.groupby, \
+        "an exact proof must license assertion mode"
+
+    feed.push(Delta(DeltaOp.REPLACE, (1, 3), old=(1, 2)))
+    codes = set(sanitizer.report.codes())
+    assert "REX307" in codes, sanitizer.report.format()
+    assert sanitizer.report.has_errors()
+    observed = sanitizer.observed_polarities()
+    assert observed["GroupBy@n0"][0] == frozenset(
+        {DeltaOp.INSERT, DeltaOp.REPLACE})
 
 
 def test_contradicted_proof_computes_correctly_and_trips_rex307():

@@ -11,6 +11,7 @@ and multi-input nodes must terminate a chain, and a single-operator
 """
 
 from repro.cluster import Cluster
+from repro.operators import FusedKernel
 from repro.optimizer.fusion import fuse_plan, fusion_report
 from repro.runtime import (
     ExecOptions,
@@ -86,17 +87,18 @@ def test_custom_chain_fuses_and_matches_unfused():
 
 
 def test_custom_chain_under_obs_reports_fusion_groups():
-    """Obs mode delegates to the wired chain but the kernel still counts
-    batches and surfaces the group through ObsContext.fusion_groups()."""
+    """Under obs the kernel stays fused — it counts the same batches as an
+    unobserved run — and surfaces the group through
+    ObsContext.fusion_groups()."""
     from repro.obs import ObsContext, Tracer
 
-    def builder():
+    def chain():
         cluster, _ = _chain_cluster()
         return cluster, _chain_plan(), {}
 
     obs = ObsContext(tracer=Tracer(enabled=False))
     try:
-        rows_obs, fp_obs, _, _ = _observe(builder, fuse=True, batch=True,
+        rows_obs, fp_obs, _, _ = _observe(chain, fuse=True, batch=True,
                                           sanitize="off", obs=obs)
         groups = obs.fusion_groups()
     finally:
@@ -106,11 +108,15 @@ def test_custom_chain_under_obs_reports_fusion_groups():
     for g in groups:
         assert [c.split("(", 1)[0] for c in g["constituents"]] == \
             ["Filter", "Project", "Apply"]
-    assert sum(g["fused_batches"] for g in groups) > 0
-    rows_plain, fp_plain, _, _ = _observe(builder, fuse=True, batch=True,
-                                          sanitize="off")
+    fused_batches = sum(g["fused_batches"] for g in groups)
+    assert fused_batches > 0
+    rows_plain, fp_plain, _, executor = _observe(chain, fuse=True,
+                                                 batch=True, sanitize="off")
     assert rows_obs == rows_plain
     assert fp_obs == fp_plain
+    assert fused_batches == sum(
+        op.fused_batches for wp in executor.worker_plans.values()
+        for op in wp.operators if isinstance(op, FusedKernel))
 
 
 def test_chain_feeding_rehash_fuses_local_half():

@@ -10,10 +10,13 @@ with a node failure injected mid-run, and require
 
 Plus the zero-overhead-of-observation contract: the sanitizer must never
 perturb the simulation, so the metrics fingerprint is bit-identical across
-``off`` / ``sample`` / ``full``.
+``off`` / ``sample`` / ``full``; and, at operator level, that a legal
+straddling replacement raises no finding in either execution mode.
 """
 
 import pytest
+
+from helpers import Capture, Feed
 
 from repro.algorithms import (
     kmeans_reference,
@@ -24,9 +27,13 @@ from repro.algorithms import (
 from repro.algorithms.kmeans import kmeans_plan
 from repro.algorithms.pagerank import pagerank_plan
 from repro.algorithms.sssp import sssp_plan
-from repro.cluster import Cluster
+from repro.analysis.sanitizer import Sanitizer
+from repro.cluster import Cluster, CostModel, Worker
+from repro.common.deltas import insert, replace
 from repro.datasets import dbpedia_like, geo_points, sample_centroids
+from repro.operators import ExecContext, GroupBy, Probe
 from repro.runtime import ExecOptions, FailureSpec, QueryExecutor
+from repro.udf import AggregateSpec, Sum
 
 SEEDS = list(range(7))
 
@@ -127,3 +134,30 @@ class TestFingerprintInvariance:
         off = self._fingerprint("off")
         assert self._fingerprint("sample") == off
         assert self._fingerprint("full") == off
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_straddling_replacement_into_groupby_is_clean(batch):
+    """``->('b',1) old=('a',1)`` moves a row between two groups: one legal
+    delta entering the group-by.  The shadow must record it once — not
+    also the two halves ``GroupBy.process`` splits it into, which read as
+    a second retraction of ``('a',1)`` (REX200) and a wrong re-aggregate
+    (REX201)."""
+    sanitizer = Sanitizer("full")
+    gb = GroupBy(key_fn=lambda r: (r[0],),
+                 specs=[AggregateSpec(Sum(), arg=lambda r: r[1])])
+    ctx = ExecContext(Worker(0, CostModel()), batch=batch,
+                      probe=Probe([sanitizer]))
+    feed, sink = Feed(), Capture()
+    gb.add_input(feed)
+    sink.add_input(gb)
+    for op in (feed, gb, sink):
+        op.open(ctx)
+    feed.push(insert(("a", 1)), insert(("a", 2)))
+    feed.punctuate(0)
+    feed.push(replace(("a", 1), ("b", 1)))
+    feed.punctuate(1)
+    assert sanitizer.violations == 0, sanitizer.report.format()
+    assert sink.deltas == [insert(("a", 3)),
+                           replace(("a", 3), ("a", 2)),
+                           insert(("b", 1))]
