@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import QueryMetrics
-from repro.common.deltas import Delta, DeltaOp
+from repro.common.deltas import Delta, DeltaOp, run
 from repro.runtime import (
     ExecOptions,
     PFeedback,
@@ -91,9 +91,7 @@ class PRAgg(JoinDeltaHandler):
         if abs(diff) <= threshold or diff == 0.0 or not left_bucket:
             return []
         share = diff / len(left_bucket)
-        make, upd = Delta, DeltaOp.UPDATE
-        return [make(upd, t, payload=share)
-                for t in self._neighbour_rows(left_bucket)]
+        return run(DeltaOp.UPDATE, self._neighbour_rows(left_bucket), share)
 
 
 class PRAggFull(PRAgg):
@@ -111,9 +109,7 @@ class PRAggFull(PRAgg):
         if not left_bucket:
             return []
         share = pr / len(left_bucket)
-        make, upd = Delta, DeltaOp.UPDATE
-        return [make(upd, t, payload=share)
-                for t in self._neighbour_rows(left_bucket)]
+        return run(DeltaOp.UPDATE, self._neighbour_rows(left_bucket), share)
 
 
 class PRFixpointHandler(WhileDeltaHandler):

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import QueryMetrics
-from repro.common.deltas import Delta, DeltaOp, insert
+from repro.common.deltas import DeltaOp, insert, run
 from repro.runtime import (
     ExecOptions,
     PFeedback,
@@ -65,11 +65,10 @@ class SPAgg(JoinDeltaHandler):
             right_bucket[0] = (v, parent, dist)
         else:
             right_bucket.append((v, parent, dist))
-        # Hot loop: one offer per out-edge; build the Delta directly
-        # (the insert() helper would re-tuple an already-tuple row).
+        # One offer per out-edge, built as one run of insertions.
         offer = dist + 1
-        ins = DeltaOp.INSERT
-        return [Delta(ins, (edge[1], v, offer)) for edge in left_bucket]
+        return run(DeltaOp.INSERT,
+                   [(edge[1], v, offer) for edge in left_bucket])
 
 
 class MonotoneMinDist(WhileDeltaHandler):

@@ -75,7 +75,8 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "REX104": (Severity.ERROR,
                "hot-path record dataclass not frozen with slots=True"),
     "REX105": (Severity.ERROR,
-               "mutation of an immutable Delta/Punctuation record"),
+               "mutation of an immutable Delta/Punctuation record, or "
+               "one built around its constructor"),
     "REX106": (Severity.WARNING,
                "unordered set iteration feeding cross-worker routing or "
                "emitted delta order"),

@@ -22,7 +22,10 @@ states globally:
 * **REX105** — :class:`Delta` / :class:`Punctuation` are immutable value
   objects; attribute assignment on them (including via
   ``object.__setattr__``) is a contract violation even where the frozen
-  dataclass machinery would not catch it until runtime.
+  dataclass machinery would not catch it until runtime.  So is building
+  one around its constructor — ``object.__new__(Delta)``,
+  ``Delta.__new__`` or a slot descriptor's ``__set__`` — anywhere but the
+  module that defines it, which skips the legality check.
 * **REX106** — iterating a ``set`` while routing work (``emit*``,
   ``send``, ``deposit``, ``_route``, ``_flush``) couples cross-worker
   message order — and hence emitted delta order — to hash-seed
@@ -221,6 +224,18 @@ def _collect_set_names(tree: ast.AST) -> Set[str]:
     return names
 
 
+def _record_root(node: ast.expr) -> Optional[str]:
+    """The name an attribute/subscript/call chain starts from, if it
+    names a record guarded by REX105 (``Delta.__dict__["op"]`` ->
+    ``Delta``)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    if isinstance(node, ast.Name) and any(
+            fragment in node.id.lower() for fragment in _IMMUTABLE_ATTRS):
+        return node.id
+    return None
+
+
 def _routing_call_in(body: Sequence[ast.stmt]) -> Optional[str]:
     """First cross-worker routing/emission callee inside ``body``."""
     for stmt in body:
@@ -308,6 +323,16 @@ class _Linter(ast.NodeVisitor):
                 hint="use time.perf_counter() (monotonic) for intervals; "
                      "noqa only for genuine timestamps")
         self._check_setattr_mutation(node)
+        func = node.func
+        # object.__new__(Delta); Delta.__new__(...) is the attribute case.
+        if (isinstance(func, ast.Attribute) and func.attr == "__new__"
+                and node.args and _record_root(func.value) is None):
+            self._check_record_internals(_record_root(node.args[0]), node)
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in ("__new__", "__set__"):
+            self._check_record_internals(_record_root(node.value), node)
         self.generic_visit(node)
 
     # -- REX103 ----------------------------------------------------------
@@ -440,6 +465,21 @@ class _Linter(ast.NodeVisitor):
                     hint="declare @dataclass(frozen=True, slots=True)")
 
     # -- REX105 ----------------------------------------------------------
+    def _defines_records(self) -> bool:
+        return any(self.posix_name.endswith(d) for d in _RECORD_DEFINERS)
+
+    def _check_record_internals(self, record: Optional[str],
+                                node: ast.AST) -> None:
+        if record is None or self._defines_records():
+            return
+        self.emit(
+            "REX105",
+            f"{record} allocated or stored into around its constructor: "
+            f"the legality check is skipped",
+            node,
+            hint="build deltas with Delta(...) or repro.common.deltas."
+                 "run / map_rows")
+
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_attr_mutation(target, node)
@@ -454,8 +494,7 @@ class _Linter(ast.NodeVisitor):
                      base.attr if isinstance(base, ast.Attribute) else "")
         for fragment, attrs in _IMMUTABLE_ATTRS.items():
             if fragment in base_name.lower() and target.attr in attrs:
-                if any(self.posix_name.endswith(d)
-                       for d in _RECORD_DEFINERS):
+                if self._defines_records():
                     return
                 self.emit(
                     "REX105",
@@ -477,8 +516,7 @@ class _Linter(ast.NodeVisitor):
                 first.attr if isinstance(first, ast.Attribute) else "")
         for fragment in _IMMUTABLE_ATTRS:
             if fragment in name.lower():
-                if any(self.posix_name.endswith(d)
-                       for d in _RECORD_DEFINERS):
+                if self._defines_records():
                     return
                 self.emit(
                     "REX105",

@@ -14,13 +14,19 @@ Rows are plain Python tuples; schemas live alongside the dataflow (see
 :mod:`repro.common.schema`).  Deltas are immutable, hashable value objects so
 they can sit in fixpoint duplicate-elimination sets and in replicated
 checkpoint buffers.
+
+Producers that emit one annotation over many rows (a join handler spreading
+a change over its neighbours, a scan, a projection) build the whole run with
+:func:`run` or :func:`map_rows`: legality is checked once per run instead of
+once per row, and the objects are indistinguishable from ``Delta(...)``.
+This module is the only one that stores into a delta's slots.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 Row = Tuple[Any, ...]
 
@@ -39,7 +45,6 @@ class DeltaOp(enum.Enum):
 
 # Bound once at module level: Delta.__init__ runs hundreds of thousands of
 # times per query, so every name it touches should be a single global load.
-_dset = object.__setattr__
 _REPLACE = DeltaOp.REPLACE
 _UPDATE = DeltaOp.UPDATE
 
@@ -70,11 +75,12 @@ class Delta:
                  payload: Any = None):
         # Hand-written (init=False): deltas are constructed hundreds of
         # thousands of times per query, so field assignment and validation
-        # share one frame instead of __init__ + __post_init__.
-        _dset(self, "op", op)
-        _dset(self, "row", row)
-        _dset(self, "old", old)
-        _dset(self, "payload", payload)
+        # share one frame instead of __init__ + __post_init__, and each
+        # field is stored through its slot descriptor (no lookup by name).
+        _set_op(self, op)
+        _set_row(self, row)
+        _set_old(self, old)
+        _set_payload(self, payload)
         if old is not None:
             if op is not _REPLACE:
                 raise ValueError(f"{op.name} delta must not carry old=")
@@ -122,6 +128,58 @@ class Delta:
         if self.op is DeltaOp.UPDATE:
             return f"Δδ(({row})|payload={self.payload!r})"
         return f"Δ{self.op.value}({row})"
+
+
+# The four slot descriptors' setters.  They bypass the frozen dataclass's
+# __setattr__, so only this module's constructors may call them (REX105).
+_set_op = Delta.op.__set__
+_set_row = Delta.row.__set__
+_set_old = Delta.old.__set__
+_set_payload = Delta.payload.__set__
+_new = object.__new__
+
+
+def run(op: DeltaOp, rows: Iterable[Row], payload: Any = None
+        ) -> List[Delta]:
+    """``[Delta(op, row, payload=payload) for row in rows]``, with the
+    legality check made once for the run instead of once per row.
+
+    REPLACE is refused: each replacement carries its own old image.
+    """
+    if op is _REPLACE:
+        raise ValueError("REPLACE delta requires the replaced tuple (old=)")
+    if payload is not None and op is not _UPDATE:
+        raise ValueError(f"{op.name} delta must not carry payload=")
+    out: List[Delta] = []
+    append = out.append
+    for row in rows:
+        delta = _new(Delta)
+        _set_op(delta, op)
+        _set_row(delta, row)
+        _set_old(delta, None)
+        _set_payload(delta, payload)
+        append(delta)
+    return out
+
+
+def map_rows(deltas: Iterable[Delta], row_fn: Callable[[Row], Row]
+             ) -> List[Delta]:
+    """Each delta's annotation carried onto ``row_fn(row)`` (and onto
+    ``row_fn(old)`` for a replacement): ``d.with_row(...)`` over a batch.
+
+    The inputs are legal deltas, so their annotations need no re-check.
+    """
+    out: List[Delta] = []
+    append = out.append
+    for src in deltas:
+        delta = _new(Delta)
+        _set_op(delta, src.op)
+        _set_row(delta, row_fn(src.row))
+        old = src.old
+        _set_old(delta, None if old is None else row_fn(old))
+        _set_payload(delta, src.payload)
+        append(delta)
+    return out
 
 
 def insert(row: Row) -> Delta:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.common.deltas import Delta, DeltaOp
+from repro.common.deltas import Delta, DeltaOp, run
 from repro.common.errors import UDFError
 from repro.hadoop.jobs import Mapper, Reducer
 from repro.udf.aggregates import Aggregator, JoinDeltaHandler
@@ -149,5 +149,5 @@ class MapWrapJoinHandler(JoinDeltaHandler):
             right_bucket.append((key, payload))
         adjacency = [edge[1] for edge in left_bucket]
         tagged = [(self.left_tag, adjacency), (self.right_tag, payload)]
-        return [Delta(DeltaOp.INSERT, (k, v))
-                for k, v in self.logic.reduce(key, tagged)]
+        return run(DeltaOp.INSERT,
+                   [(k, v) for k, v in self.logic.reduce(key, tagged)])

@@ -95,7 +95,9 @@ class RehashSender(Operator):
             self._route(delta)
 
     def push_batch(self, deltas, port: int = 0) -> None:
-        """Route a whole batch in one partition pass.
+        """Route a whole batch in one partition pass; the snapshot
+        resolves every destination in one
+        :meth:`~repro.storage.hashing.RingSnapshot.primaries` call.
 
         Message boundaries are unchanged from per-tuple routing (a buffer
         still flushes the moment it reaches ``batch_size``), so the network
@@ -130,9 +132,9 @@ class RehashSender(Operator):
         delete, insert = DeltaOp.DELETE, DeltaOp.INSERT
         size_row = row_bytes
         size_value = value_bytes
-        for delta in deltas:
+        keys = [key_fn(delta.row) for delta in deltas]
+        for delta, key, dst in zip(deltas, keys, snapshot.primaries(keys)):
             row = delta.row
-            key = key_fn(row)
             nbytes = 1 + size_row(row)
             if delta.op is replace:
                 old = delta.old
@@ -140,19 +142,19 @@ class RehashSender(Operator):
                 if old_key != key:
                     # Split replacement: the deletion to the old image's
                     # owner here, the insertion below — as ``process`` does.
-                    dst = primary(old_key)
+                    old_dst = primary(old_key)
                     try:
-                        buf = buffers[dst]
+                        buf = buffers[old_dst]
                     except KeyError:
-                        buf = buffers[dst] = []
+                        buf = buffers[old_dst] = []
                     buf.append(Delta(delete, old))
-                    buf_bytes[dst] = buf_bytes.get(dst, 0) + 1 + size_row(old)
+                    buf_bytes[old_dst] = (buf_bytes.get(old_dst, 0)
+                                          + 1 + size_row(old))
                     if len(buf) >= batch_size:
-                        flush(dst)
+                        flush(old_dst)
                     delta = Delta(insert, row)
                 else:
                     nbytes += size_row(old)
-            dst = primary(key)
             payload = delta.payload
             if payload is not None:
                 nbytes += (8 if payload.__class__ is float

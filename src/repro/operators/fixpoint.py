@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.common.deltas import Delta, DeltaOp
+from repro.common.deltas import Delta, DeltaOp, run
 from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes
@@ -213,9 +213,13 @@ class Fixpoint(Operator):
 
     def _flush_final(self) -> None:
         """Emit the final while-relation to the output (the query result)."""
+        self.emit_deltas(self._relation())
+
+    def _relation(self) -> List[Delta]:
+        """The whole mutable set as one run of insertions."""
         rows = (sorted(self.row_set) if self.semantics == "set"
                 else self.state.values())
-        self.emit_deltas([Delta(DeltaOp.INSERT, row) for row in rows])
+        return run(DeltaOp.INSERT, rows)
 
     def take_pending(self, mode: str = "delta") -> List[Delta]:
         """Hand the Δᵢ set (or, for no-delta execution, the full mutable
@@ -224,10 +228,7 @@ class Fixpoint(Operator):
             out, self.pending = self.pending, []
         elif mode == "full":
             self.pending = []
-            if self.semantics == "set":
-                out = [Delta(DeltaOp.INSERT, r) for r in sorted(self.row_set)]
-            else:
-                out = [Delta(DeltaOp.INSERT, r) for r in self.state.values()]
+            out = self._relation()
         else:
             raise ExecutionError(f"unknown feedback mode {mode!r}")
         self.admitted_this_stratum = 0

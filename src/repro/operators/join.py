@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.deltas import Delta, DeltaOp
+from repro.common.deltas import Delta, DeltaOp, run
 from repro.common.errors import ExecutionError
 from repro.common.sizes import row_bytes
 from repro.operators.base import Operator
@@ -139,7 +139,7 @@ class HashJoin(Operator):
             add_state_bytes = worker.add_state_bytes
             insert_op = DeltaOp.INSERT
             opp = 1 - port
-            append_out = out.append
+            extend_out = out.extend
             for delta in deltas:
                 # Insert fast path (bulk loading a build side): same state
                 # mutation and charges as _insert, fewer frames.
@@ -155,8 +155,8 @@ class HashJoin(Operator):
                     bucket[port].append(row)
                     add_state_bytes(row_bytes(row))
                     if bucket[opp]:
-                        for pair in self._pairs(row, port, bucket[opp]):
-                            append_out(Delta(insert_op, pair))
+                        extend_out(run(insert_op,
+                                       self._pairs(row, port, bucket[opp])))
                 else:
                     apply_rules(delta, port, out)
         self.emit_batch(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.common.deltas import Delta, DeltaOp
+from repro.common.deltas import Delta, DeltaOp, map_rows, run
 from repro.common.errors import ExecutionError, RecoveryError
 from repro.common.punctuation import Punctuation
 from repro.operators.base import ExecContext, Operator, SourceOperator
@@ -40,8 +40,7 @@ class TableScan(SourceOperator):
         if len(partition):
             self.ctx.worker.charge_disk_seek()
             self.ctx.worker.charge_disk_bytes(partition.bytes)
-        insert = DeltaOp.INSERT
-        self.emit_deltas([Delta(insert, row) for row in partition])
+        self.emit_deltas(run(DeltaOp.INSERT, partition))
         self._emit_takeover_rows()
 
     def reemit_for_recovery(self) -> None:
@@ -74,8 +73,8 @@ class TableScan(SourceOperator):
             key = row[key_index]
             if (snapshot.preference(key)[0] in dead
                     and snapshot.primary(key) == self.ctx.node_id):
-                taken.append(Delta(DeltaOp.INSERT, row))
-        self.emit_deltas(taken)
+                taken.append(row)
+        self.emit_deltas(run(DeltaOp.INSERT, taken))
         if taken:
             self.ctx.worker.charge_disk_seek()
 
@@ -89,7 +88,7 @@ class LocalSource(SourceOperator):
 
     def run_stratum(self, stratum: int) -> None:
         rows = self.rows_by_stratum.get(stratum, ())
-        self.emit_deltas([Delta(DeltaOp.INSERT, tuple(row)) for row in rows])
+        self.emit_deltas(run(DeltaOp.INSERT, map(tuple, rows)))
         self.forward_punctuation(Punctuation.end_of_stratum(stratum))
 
 
@@ -181,18 +180,7 @@ class Project(Operator):
         """Charge and project one batch (shared by ``push_batch`` and
         fused-kernel execution)."""
         self.ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
-        row_fn = self.row_fn
-        out: List[Delta] = []
-        append = out.append
-        replace = DeltaOp.REPLACE
-        for delta in deltas:
-            if delta.op is replace:
-                append(Delta(replace, row_fn(delta.row),
-                             old=row_fn(delta.old)))
-            else:
-                append(Delta(delta.op, row_fn(delta.row),
-                             payload=delta.payload))
-        return out
+        return map_rows(deltas, self.row_fn)
 
     def push_batch(self, deltas, port: int = 0) -> None:
         if not deltas:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ReproError
 
@@ -159,6 +159,24 @@ class RingSnapshot:
             if node not in failed:
                 return node
         raise ReproError("no live nodes remain in partition snapshot")
+
+    def primaries(self, keys: Iterable[Any]) -> List[int]:
+        """``[self.primary(k) for k in keys]`` in one pass: the rehash
+        sender's per-batch view.  It reads :meth:`preference` (and so its
+        memo and type rule) and applies the failed set at read time."""
+        preference = self.preference
+        failed = self._failed
+        if not failed:
+            return [preference(key)[0] for key in keys]
+        out = []
+        for key in keys:
+            for node in preference(key):
+                if node not in failed:
+                    out.append(node)
+                    break
+            else:
+                raise ReproError("no live nodes remain in partition snapshot")
+        return out
 
     def replicas(self, key: Any, n: int) -> List[int]:
         """The first ``n`` live nodes clockwise of ``key`` (post-failure

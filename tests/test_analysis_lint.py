@@ -4,6 +4,8 @@ the lint-clean pin over the repo's own src tree (acceptance criterion)."""
 import os
 import textwrap
 
+import pytest
+
 from repro.analysis.lint import lint_paths, lint_source
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -161,6 +163,30 @@ class TestREX105RecordMutation:
         assert "REX105" not in codes("""
             def configure(message):
                 message.op = "noop"
+        """)
+
+    @pytest.mark.parametrize("statement", [
+        "d = object.__new__(Delta)",
+        "d = Delta.__new__(Delta)",
+        "new = Delta.__new__",
+        "Delta.op.__set__(d, DeltaOp.INSERT)",
+        "set_row = Delta.row.__set__",
+        'Delta.__dict__["payload"].__set__(d, 1.0)',
+    ])
+    def test_building_around_the_constructor_flagged(self, statement):
+        source = f"from repro.common.deltas import Delta\n{statement}\n"
+        assert "REX105" in codes(source)
+        # The defining module is where the run constructors live.
+        assert lint_source(source, "src/repro/common/deltas.py") == []
+
+    def test_other_allocations_ignored(self):
+        assert "REX105" not in codes("""
+            class Meta(type):
+                def __new__(mcs, name, bases, ns):
+                    return super().__new__(mcs, name, bases, ns)
+
+            obj = object.__new__(Meta)
+            descr = Meta.__dict__["x"].__set__
         """)
 
 

@@ -1,11 +1,13 @@
 """Unit tests for the delta (annotated tuple) model."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import Delta, DeltaOp, delete, insert, replace, update
-from repro.common.deltas import apply_deltas
+from repro.common.deltas import apply_deltas, map_rows, run
 
 rows = st.tuples(st.integers(), st.integers())
 
@@ -143,3 +145,82 @@ class TestRepr:
         from repro.common.punctuation import Punctuation
         assert repr(Punctuation.end_of_stratum(3)) == "Punct(eos@3)"
         assert repr(Punctuation.end_of_query(7)) == "Punct(eoq@7)"
+
+
+scalars = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
+                    st.none(), st.text(max_size=4))
+any_rows = st.lists(scalars, max_size=3).map(tuple)
+payloads = st.one_of(st.none(), st.floats(allow_nan=False), st.integers(),
+                     st.tuples(st.integers(), st.floats(allow_nan=False)))
+
+
+@st.composite
+def legal_deltas(draw):
+    op = draw(st.sampled_from(list(DeltaOp)))
+    row = draw(any_rows)
+    if op is DeltaOp.REPLACE:
+        return Delta(op, row, old=draw(any_rows))
+    if op is DeltaOp.UPDATE:
+        return Delta(op, row, payload=draw(payloads))
+    return Delta(op, row)
+
+
+def assert_same_deltas(got, expected):
+    """Indistinguishable from the constructor's objects: type, equality,
+    hash, repr and every field."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert type(g) is Delta
+        assert g == e and hash(g) == hash(e) and repr(g) == repr(e)
+        assert g.op is e.op
+        assert g.row == e.row and g.old == e.old and g.payload == e.payload
+
+
+def _flip(row):
+    return tuple(reversed(row)) + (len(row),)
+
+
+class TestRunConstructors:
+    """``run`` and ``map_rows`` build whole runs with one legality check;
+    their deltas must be the constructor's."""
+
+    @settings(max_examples=50)
+    @given(st.sampled_from(list(DeltaOp)), st.lists(any_rows, max_size=5),
+           payloads)
+    def test_run_is_the_constructor_per_row(self, op, rows, payload):
+        legal = (op is not DeltaOp.REPLACE
+                 and (payload is None or op is DeltaOp.UPDATE))
+        if not legal:
+            with pytest.raises(ValueError):
+                Delta(op, (), payload=payload)
+            with pytest.raises(ValueError):
+                run(op, rows, payload)
+            return
+        expected = [Delta(op, row, payload=payload) for row in rows]
+        assert_same_deltas(run(op, rows, payload), expected)
+        assert_same_deltas(run(op, iter(rows), payload), expected)
+
+    @settings(max_examples=50)
+    @given(st.lists(legal_deltas(), max_size=6))
+    def test_map_rows_is_with_row(self, deltas):
+        expected = [d.with_row(_flip(d.row), old=_flip(d.old))
+                    if d.op is DeltaOp.REPLACE else d.with_row(_flip(d.row))
+                    for d in deltas]
+        assert_same_deltas(map_rows(deltas, _flip), expected)
+
+    def test_replace_runs_are_refused(self):
+        with pytest.raises(ValueError, match="old="):
+            run(DeltaOp.REPLACE, [(1,)])
+
+    def test_payload_on_non_update_run_is_refused(self):
+        for op in (DeltaOp.INSERT, DeltaOp.DELETE):
+            with pytest.raises(ValueError, match="payload="):
+                run(op, [(1,)], payload=0.5)
+
+    @pytest.mark.parametrize("field", ["op", "row", "old", "payload"])
+    def test_run_built_deltas_are_frozen(self, field):
+        built = (run(DeltaOp.UPDATE, [(1,)], payload=0.5)
+                 + map_rows([replace((1,), (2,))], _flip))
+        for d in built:
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, field, None)

@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms import pagerank_reference, run_pagerank
 from repro.cluster import Cluster, CostModel
 from repro.datasets import dbpedia_like
+from workloads import build, run
 
 EDGES = dbpedia_like(300, avg_out_degree=6, seed=111)
 
@@ -54,3 +55,19 @@ class TestSpillAccounting:
         run_pagerank(cluster, tol=0.01)
         assert any(w.total_usage.disk > 0.01
                    for w in cluster.alive_workers())
+
+
+@pytest.mark.parametrize("workload", ["pagerank_delta", "sssp_failure",
+                                      "retraction_join_groupby"])
+def test_spill_charges_are_identical_in_both_modes(workload):
+    """Over the memory budget every state access and every state-byte
+    charge reads the running total, so the order and count of
+    ``add_state_bytes`` calls is part of the simulated result: one call
+    with n bytes is *not* n calls.  Batch and per-tuple execution must
+    still agree bit for bit."""
+    seen = []
+    for batch in (True, False):
+        cost = CostModel(worker_memory_bytes=4096)
+        result = run(build(workload, cost_model=cost), batch=batch)
+        seen.append((sorted(result.rows), result.metrics.fingerprint()))
+    assert seen[0] == seen[1]

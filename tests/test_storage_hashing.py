@@ -226,3 +226,35 @@ class TestRingSnapshot:
         assert snap.replicas((value,), 3) == snap.replicas(value, 3)
         assert (snap.original_replicas((value,), 3)
                 == snap.original_replicas(value, 3))
+
+
+# Keys equal as dict keys but not all equal on the ring.
+mixed_keys = st.one_of(
+    st.sampled_from([1, True, 1.0, (1,), (True,), ((1,),), None, "1", "a"]),
+    placement_keys)
+
+
+class TestPrimaries:
+    """``primaries`` is the rehash sender's batch view of ``primary``."""
+
+    @settings(max_examples=50)
+    @given(st.lists(mixed_keys, max_size=12),
+           st.sets(st.sampled_from(NODES), min_size=1,
+                   max_size=len(NODES) - 1))
+    def test_batch_view_equals_primary_per_key(self, keys, dead):
+        snap = RING.snapshot()
+        for failed in (set(), dead):
+            for node in failed:
+                snap.mark_failed(node)
+            expected = [next(n for n in reference_walk(NODES, key)
+                             if n not in failed) for key in keys]
+            assert snap.primaries(keys) == expected
+            assert [snap.primary(key) for key in keys] == expected
+
+    def test_no_live_nodes_raises(self):
+        snap = RING.snapshot()
+        assert snap.primaries([]) == []
+        for node in NODES:
+            snap.mark_failed(node)
+        with pytest.raises(ReproError):
+            snap.primaries([1])

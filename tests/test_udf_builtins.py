@@ -3,10 +3,13 @@
 The central invariant (property-tested below): folding any legal sequence of
 insert/delete/replace deltas through an aggregator's ``agg_state`` yields the
 same ``agg_result`` as recomputing the aggregate over the final multiset.
+The same law covers δ(E) adjustments for the aggregators that accept them,
+``ArgMin``/``ArgMax`` over ``(id, value)`` pairs, and AVG split into
+``AvgPartial`` combiners feeding ``AvgFinal``.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import delete, insert, replace, update
@@ -16,6 +19,7 @@ from repro.udf.builtins import (
     ArgMin,
     Avg,
     AvgFinal,
+    AvgPartial,
     CollectList,
     Count,
     Max,
@@ -189,20 +193,36 @@ class TestCollect:
 # ---------------------------------------------------------------------------
 
 values = st.integers(min_value=-100, max_value=100)
+#: ``(id, value)`` inputs of ArgMin/ArgMax; few ids, so ties happen.
+id_values = st.tuples(st.integers(min_value=0, max_value=4), values)
 
 
 @st.composite
-def delta_script(draw):
-    """A legal history: inserts, deletes of live values, replaces."""
+def delta_script(draw, values=values, updates=False):
+    """A legal history: inserts, deletes of live values, replaces and —
+    with ``updates`` — integer δ(E) adjustments.
+
+    Returns ``(ops, live, adjustment)``: the live multiset and the summed
+    δ payloads.  Once a group has been adjusted it is never emptied by a
+    delete again (a replace is drawn instead): the running aggregates'
+    row count then decides nullness in a way recomputation cannot see.
+    """
     live = []
     ops = []
+    adjustment = 0
+    adjusted = False
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
-        choice = draw(st.integers(min_value=0, max_value=2))
-        if choice == 0 or not live:
+        choice = draw(st.integers(min_value=0, max_value=3 if updates else 2))
+        if choice == 3:
+            payload = draw(values)
+            ops.append((update((0,), payload=payload), None, None))
+            adjustment += payload
+            adjusted = True
+        elif choice == 0 or not live:
             v = draw(values)
             ops.append((insert((v,)), v, None))
             live.append(v)
-        elif choice == 1:
+        elif choice == 1 and not (adjusted and len(live) == 1):
             v = live.pop(draw(st.integers(min_value=0, max_value=len(live) - 1)))
             ops.append((delete((v,)), v, None))
         else:
@@ -211,7 +231,14 @@ def delta_script(draw):
             new = draw(values)
             live[idx] = new
             ops.append((replace((old,), (new,)), new, old))
-    return ops, live
+    return ops, live, adjustment if adjusted else None
+
+
+def assert_result(got, expected):
+    if expected is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("agg_cls,reference", [
@@ -220,14 +247,86 @@ def delta_script(draw):
     (Min, lambda vs: min(vs) if vs else None),
     (Max, lambda vs: max(vs) if vs else None),
     (Avg, lambda vs: sum(vs) / len(vs) if vs else None),
+    (AvgPartial, lambda vs: (float(sum(vs)), len(vs)) if vs else None),
     (CollectList, lambda vs: tuple(sorted(vs)) if vs else None),
 ])
 @given(script=delta_script())
 def test_delta_folding_equals_recomputation(agg_cls, reference, script):
-    ops, survivors = script
-    got = run(agg_cls(), ops)
-    expected = reference(survivors)
-    if isinstance(expected, float):
-        assert got == pytest.approx(expected)
-    else:
-        assert got == expected
+    ops, survivors, _ = script
+    assert_result(run(agg_cls(), ops), reference(survivors))
+
+
+@pytest.mark.parametrize("agg_cls,reference", [
+    # δ(E) adds E to the group's value; an adjusted group is non-empty.
+    (Sum, lambda vs, adj: (None if not vs and adj is None
+                           else sum(vs) + (adj or 0))),
+    (Count, lambda vs, adj: len(vs) + (adj or 0)),
+    # AVG adjusts the sum, never the count.
+    (Avg, lambda vs, adj: (sum(vs) + (adj or 0)) / len(vs) if vs else None),
+    (AvgPartial, lambda vs, adj: ((float(sum(vs) + (adj or 0)), len(vs))
+                                  if vs else None)),
+])
+@settings(max_examples=50)
+@given(script=delta_script(updates=True))
+def test_delta_update_folding_equals_recomputation(agg_cls, reference,
+                                                   script):
+    ops, survivors, adjustment = script
+    assert_result(run(agg_cls(), ops), reference(survivors, adjustment))
+
+
+@pytest.mark.parametrize("agg_cls", [Max, AvgFinal, ArgMin, ArgMax,
+                                     CollectList])
+def test_update_refused_where_it_has_no_meaning(agg_cls):
+    with pytest.raises(UDFError):
+        run(agg_cls(), [(update((0,), payload=1), None, None)])
+
+
+@pytest.mark.parametrize("agg_cls,pick", [
+    # Least value; ties go to the least id.
+    (ArgMin, lambda pairs: min(pairs, key=lambda p: (p[1], p[0]))),
+    # Greatest value; ties go to the least id.
+    (ArgMax, lambda pairs: max(pairs, key=lambda p: (p[1], -p[0]))),
+])
+@settings(max_examples=50)
+@given(script=delta_script(values=id_values))
+def test_argmin_folding_equals_recomputation(agg_cls, pick, script):
+    ops, survivors, _ = script
+    assert run(agg_cls(), ops) == (pick(survivors) if survivors else None)
+
+
+def _partial_change(before, after):
+    """The delta a pre-aggregate emits when its result moves."""
+    if before == after:
+        return None
+    if before is None:
+        return (insert((after,)), after, None)
+    if after is None:
+        return (delete((before,)), before, None)
+    return (replace((before,), (after,)), after, before)
+
+
+@settings(max_examples=50)
+@given(scripts=st.lists(delta_script(), min_size=1, max_size=3))
+def test_partial_then_final_equals_direct_avg(scripts):
+    """AVG split into combiners and a final step (Section 3.3): each
+    combiner's result changes reach ``AvgFinal`` as deltas, steps
+    interleaved across combiners, and the final result is AVG over the
+    union of what survives."""
+    partial, final = AvgPartial(), AvgFinal()
+    states = [partial.init_state() for _ in scripts]
+    results = [None] * len(scripts)
+    final_state = final.init_state()
+    for step in range(max(len(ops) for ops, _, _ in scripts)):
+        for i, (ops, _, _) in enumerate(scripts):
+            if step >= len(ops):
+                continue
+            delta, value, old = ops[step]
+            states[i] = partial.agg_state(states[i], delta, value, old)
+            now = partial.agg_result(states[i])
+            change = _partial_change(results[i], now)
+            results[i] = now
+            if change is not None:
+                final_state = final.agg_state(final_state, *change)
+    survivors = [v for _, live, _ in scripts for v in live]
+    assert_result(final.agg_result(final_state),
+                  sum(survivors) / len(survivors) if survivors else None)

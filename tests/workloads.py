@@ -1,8 +1,9 @@
 """The end-to-end test workloads, defined once.
 
-Each builder takes an input size and returns ``(cluster, plan, extra)``:
-a freshly loaded cluster, a physical plan, and the ``ExecOptions`` fields
-the workload itself needs (strata cap, injected failure).  Between them
+Each builder takes an input size (and, optionally, the cluster's
+``CostModel``) and returns ``(cluster, plan, extra)``: a freshly loaded
+cluster, a physical plan, and the ``ExecOptions`` fields the workload
+itself needs (strata cap, injected failure).  Between them
 they cover ``+`` and δ traffic through exchange / handler join / group-by
 / keyed fixpoint (PageRank), a node crash with incremental recovery
 (SSSP), a UDF-bound loop (k-means), and ``-`` / ``->`` traffic through a
@@ -21,8 +22,8 @@ from repro.udf import AggregateSpec, Count, Min, Sum
 GRAPH_SCHEMA = ["srcId:Integer", "destId:Integer"]
 
 
-def sssp_cluster(vertices=250):
-    cluster = Cluster(5)
+def sssp_cluster(vertices=250, cost_model=None):
+    cluster = Cluster(5, cost_model=cost_model)
     cluster.create_table("graph", GRAPH_SCHEMA,
                          dbpedia_like(vertices, avg_out_degree=4, seed=17),
                          "srcId", replication=3)
@@ -30,22 +31,22 @@ def sssp_cluster(vertices=250):
     return cluster
 
 
-def pagerank_delta(size):
-    cluster = Cluster(4)
+def pagerank_delta(size, cost_model=None):
+    cluster = Cluster(4, cost_model=cost_model)
     cluster.create_table("graph", GRAPH_SCHEMA,
                          dbpedia_like(size, avg_out_degree=6, seed=5),
                          "srcId", replication=2)
     return cluster, pagerank_plan(mode="delta"), {"max_strata": 60}
 
 
-def sssp_failure(size):
-    return (sssp_cluster(vertices=size), sssp_plan(),
+def sssp_failure(size, cost_model=None):
+    return (sssp_cluster(vertices=size, cost_model=cost_model), sssp_plan(),
             {"failure": FailureSpec(after_stratum=2)})
 
 
-def kmeans(size):
+def kmeans(size, cost_model=None):
     points = geo_points(size, 4, seed=5, spread=30.0)
-    cluster = Cluster(4)
+    cluster = Cluster(4, cost_model=cost_model)
     cluster.create_table("points", ["pid:Integer", "x:Double", "y:Double"],
                          points, None)
     cluster.create_table("centroids0",
@@ -66,7 +67,7 @@ class _ChangeToDelta:
         return [Delta(kind, (src, dst))]
 
 
-def retraction_join_groupby(size):
+def retraction_join_groupby(size, cost_model=None):
     """Every edge inserted, every third one deleted again, through a plain
     join and a stream-mode group-by (``-`` and ``->`` traffic), whose
     per-destination rows are then counted by in-degree: a rehash on a key
@@ -75,7 +76,7 @@ def retraction_join_groupby(size):
     log = [("+", s, d) for s, d in edges]
     log += [("-", s, d) for s, d in edges[::3]]
     vertices = 1 + max(max(edge) for edge in edges)
-    cluster = Cluster(4)
+    cluster = Cluster(4, cost_model=cost_model)
     cluster.create_table("changelog",
                          ["op:Varchar", "src:Integer", "dst:Integer"],
                          log, "src")
@@ -114,10 +115,10 @@ WORKLOADS = {
 }
 
 
-def build(name):
+def build(name, cost_model=None):
     """The named workload at its small size."""
     builder, (small, _) = WORKLOADS[name]
-    return builder(small)
+    return builder(small, cost_model=cost_model)
 
 
 def run(workload, **overrides):
