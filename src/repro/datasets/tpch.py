@@ -21,6 +21,10 @@ LINEITEM_SCHEMA = [
 ]
 
 
+#: ``np.round(k / 100.0, 2)`` for k in 0..10: discount and tax values.
+_PERCENT = [float(np.round(k / 100.0, 2)) for k in range(11)]
+
+
 def lineitem(n: int = 10_000, seed: int = 42) -> List[Tuple]:
     """``n`` lineitem-shaped rows; TPC-H gives each order 1..7 lines and
     draws tax from {0.00 .. 0.08}."""
@@ -38,9 +42,11 @@ def lineitem(n: int = 10_000, seed: int = 42) -> List[Tuple]:
                 orderkey,
                 linenumber,
                 int(rng.integers(1, 51)),
-                float(np.round(rng.uniform(900.0, 105_000.0), 2)),
-                float(np.round(rng.integers(0, 11) / 100.0, 2)),
-                float(np.round(rng.integers(0, 9) / 100.0, 2)),
+                # np.round(x, 2)'s own arithmetic: scale, round half to
+                # even, unscale.
+                round(rng.uniform(900.0, 105_000.0) * 100.0) / 100.0,
+                _PERCENT[rng.integers(0, 11)],
+                _PERCENT[rng.integers(0, 9)],
             ))
             produced += 1
     return rows

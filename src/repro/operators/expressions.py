@@ -5,12 +5,19 @@ expression against a :class:`~repro.common.schema.Schema` resolves column
 references to positional indices, after which :meth:`Expr.eval` is a pure
 function of the row.  User functions appear as :class:`FuncCall` nodes whose
 cost/selectivity metadata the optimizer reads for predicate ordering.
+
+:meth:`Expr.eval` is the reference semantics.  Plans never walk the tree
+per row: :func:`compile_exprs` turns bound trees into one generated Python
+function that does what ``eval`` does, in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import linecache
 import operator
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import PlanError, SchemaError
 from repro.common.schema import Schema, SQLType
@@ -252,5 +259,115 @@ def make_key_fn(schema: Schema, key_cols: Sequence[str]) -> Callable[[tuple], tu
 
 def make_row_fn(exprs: Sequence[Expr], schema: Schema) -> Callable[[tuple], tuple]:
     """Compile a projection: row -> tuple of evaluated expressions."""
-    bound = [e.bind(schema) for e in exprs]
-    return lambda row: tuple(e.eval(row) for e in bound)
+    return compile_exprs([e.bind(schema) for e in exprs])
+
+
+#: Python spelling of each :class:`BinaryOp` operator.
+_PY_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "%": "%", "=": "==",
+           "<>": "!=", "!=": "!=", "<": "<", "<=": "<=", ">": ">",
+           ">=": ">="}
+
+
+class _Codegen:
+    """Straight-line code for bound trees: one statement per node, in the
+    order :meth:`Expr.eval` evaluates them.
+
+    Column and tuple indices are written into the source as integers, so
+    :mod:`repro.analysis.effects` reads ``row[i]`` exactly.  Literals and
+    UDF objects are bound by name in the function's globals.  Any other
+    node (an unknown ``Expr`` subclass, or an unbound column reference) is
+    bound the same way and runs its own ``eval``; for the unbound column
+    that raises, as the tree walk does.
+    """
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self.names: Dict[str, Any] = {}
+
+    def _bind(self, prefix: str, obj) -> str:
+        name = f"{prefix}{len(self.names)}"
+        self.names[name] = obj
+        return name
+
+    def _assign(self, code: str) -> str:
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"    {name} = {code}")
+        return name
+
+    def value(self, expr: Expr) -> str:
+        """Emit ``expr``'s statements; return the name holding its value."""
+        kind = type(expr)
+        if kind is Literal:
+            return self._bind("_k", expr.value)
+        if kind is ColumnRef and expr.index is not None:
+            return self._assign(f"row[{expr.index:d}]")
+        if kind is BinaryOp:
+            a, b = self.value(expr.left), self.value(expr.right)
+            result = f"{a} {_PY_OPS[expr.op]} {b}"
+            if expr.op in ("/", "%"):
+                result = f"{result} if {b} != 0 else None"
+            return self._assign(
+                f"None if {a} is None or {b} is None else {result}")
+        if kind is BoolOp:
+            values = [self.value(e) for e in expr.operands]
+            if expr.op == "not":
+                v = values[0]
+                return self._assign(f"None if {v} is None else not {v}")
+            wins, loses = ("False", "True") if expr.op == "and" \
+                else ("True", "False")
+            decided = " or ".join(f"{v} is {wins}" for v in values)
+            unknown = " or ".join(f"{v} is None" for v in values)
+            return self._assign(f"{wins} if {decided or 'False'} else None "
+                                f"if {unknown or 'False'} else {loses}")
+        if kind is FuncCall:
+            args = [self.value(a) for a in expr.args]
+            return self._assign(
+                f"{self._bind('_f', expr.udf)}({', '.join(args)})")
+        if kind is TupleField:
+            base = self.value(expr.base)
+            return self._assign(
+                f"None if {base} is None else {base}[{expr.index:d}]")
+        return self._assign(f"{self._bind('_e', expr)}.eval(row)")
+
+
+def compile_exprs(exprs: Sequence[Expr],
+                  result: str = "tuple") -> Callable[[tuple], Any]:
+    """One generated function of the row computing bound ``exprs``.
+
+    ``result`` shapes the return: ``"tuple"`` (a projection or argument
+    list), ``"value"`` (the single expression's value) or ``"truth"``
+    (``bool`` of it, a filter predicate).  The source is registered in
+    :mod:`linecache` under a name hashed from its text, so tracebacks show
+    the generated line and :mod:`repro.analysis.effects` reads it like any
+    other function; the same plan shape compiles to the same entry.
+    """
+    gen = _Codegen()
+    values = [gen.value(e) for e in exprs]
+    if result == "tuple":
+        ret = f"({', '.join(values)}{',' if len(values) == 1 else ''})"
+    elif result in ("value", "truth") and len(values) == 1:
+        ret = values[0] if result == "value" else f"_truth({values[0]})"
+    else:
+        raise PlanError(f"cannot compile {len(values)} expression(s) "
+                        f"as {result!r}")
+    source = "\n".join(["def rql_expr(row):", *gen.lines,
+                        f"    return {ret}", ""])
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    filename = f"<rql-expr-{digest}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    # A predicate calls ``bool`` as ``_truth``, a name outside the effect
+    # analysis's pure whitelist.  Its reads are exact, but a provably pure
+    # RQL predicate would license filter pushdowns that no RQL plan has
+    # taken so far; that plan change is left to its own review.
+    namespace = dict(gen.names, __name__=__name__, _truth=bool)
+    exec(_code(source, filename), namespace)
+    return namespace["rql_expr"]
+
+
+@functools.lru_cache(maxsize=None)
+def _code(source: str, filename: str):
+    """One code object per distinct source.  Profilers count calls per code
+    object but report them under (file, line, name), and ``pstats`` keeps
+    only one of several code objects sharing that label."""
+    return compile(source, filename, "exec")

@@ -17,9 +17,10 @@ from repro.common.errors import PlanError
 from repro.common.schema import Schema
 from repro.operators.expressions import (
     ColumnRef,
-    Expr,
     FuncCall,
+    compile_exprs,
     make_key_fn,
+    make_row_fn,
 )
 from repro.optimizer.logical import (
     LAggCall,
@@ -91,7 +92,7 @@ def _lower(node: LNode) -> Tuple[PNode, Partitioning]:
     if isinstance(node, LFilter):
         child, part = _lower(node.children[0])
         bound = node.predicate.bind(node.children[0].schema)
-        predicate = lambda row, _p=bound: bool(_p.eval(row))
+        predicate = compile_exprs([bound], result="truth")
         udf_calls = _count_udf_calls(node.predicate)
         return (PFilter(predicate=predicate, udf_calls=udf_calls,
                         children=(child,)), part)
@@ -99,16 +100,13 @@ def _lower(node: LNode) -> Tuple[PNode, Partitioning]:
     if isinstance(node, LProject):
         child, part = _lower(node.children[0])
         in_schema = node.children[0].schema
-        bound = [expr.bind(in_schema) for expr, _ in node.items]
-        row_fn = lambda row, _b=tuple(bound): tuple(e.eval(row) for e in _b)
+        row_fn = make_row_fn([expr for expr, _ in node.items], in_schema)
         return (PProject(row_fn=row_fn, children=(child,)),
                 _project_partitioning(node, in_schema, part))
 
     if isinstance(node, LApply):
         child, part = _lower(node.children[0])
-        in_schema = node.children[0].schema
-        bound = [a.bind(in_schema) for a in node.args]
-        arg_fn = lambda row, _b=tuple(bound): tuple(e.eval(row) for e in _b)
+        arg_fn = make_row_fn(node.args, node.children[0].schema)
         udf = node.udf
         pnode = PApply(udf_factory=lambda _u=udf: _u, arg_fn=arg_fn,
                        mode=node.mode, children=(child,))
@@ -192,11 +190,9 @@ def _make_specs_factory(aggs: Sequence[LAggCall], in_schema: Schema):
         bound = [a.bind(in_schema) for a in agg.args]
         if not bound:
             arg_fn = lambda row: None
-        elif len(bound) == 1:
-            arg_fn = (lambda row, _e=bound[0]: _e.eval(row))
         else:
-            arg_fn = (lambda row, _es=tuple(bound):
-                      tuple(e.eval(row) for e in _es))
+            arg_fn = compile_exprs(
+                bound, result="value" if len(bound) == 1 else "tuple")
         compiled.append((agg, arg_fn))
 
     def factory():

@@ -40,6 +40,32 @@ def _numeric_fold(state, delta: Delta, value, old_value, fold_in, fold_out):
     return state
 
 
+# Fold steps for _numeric_fold: AVG folds values, AVG's final half folds
+# (sum, count) partials; NULL inputs are skipped.
+def _add_value(s, v):
+    if v is not None:
+        s["sum"] += v
+        s["count"] += 1
+
+
+def _remove_value(s, v):
+    if v is not None:
+        s["sum"] -= v
+        s["count"] -= 1
+
+
+def _add_partial(s, v):
+    if v is not None:
+        s["sum"] += v[0]
+        s["count"] += v[1]
+
+
+def _remove_partial(s, v):
+    if v is not None:
+        s["sum"] -= v[0]
+        s["count"] -= v[1]
+
+
 class Sum(Aggregator):
     """SUM with insert/delete/replace/update delta rules.
 
@@ -104,15 +130,17 @@ class Count(Aggregator):
         return {"n": 0}
 
     def agg_state(self, state, delta: Delta, value, old_value=None):
-        def counts(v):
-            return 1 if (self.count_star or v is not None) else 0
-
+        star = self.count_star
         if delta.op is DeltaOp.INSERT:
-            state["n"] += counts(value)
+            if star or value is not None:
+                state["n"] += 1
         elif delta.op is DeltaOp.DELETE:
-            state["n"] -= counts(value)
+            if star or value is not None:
+                state["n"] -= 1
         elif delta.op is DeltaOp.REPLACE:
-            state["n"] += counts(value) - counts(old_value)
+            # COUNT(*) counts both images, so a replacement cancels out.
+            if not star:
+                state["n"] += (value is not None) - (old_value is not None)
         elif delta.op is DeltaOp.UPDATE:
             if not isinstance(delta.payload, int):
                 raise UDFError("count interprets only integer UPDATE payloads")
@@ -254,17 +282,8 @@ class Avg(Aggregator):
         return {"sum": 0.0, "count": 0}
 
     def agg_state(self, state, delta: Delta, value, old_value=None):
-        def fold_in(s, v):
-            if v is not None:
-                s["sum"] += v
-                s["count"] += 1
-
-        def fold_out(s, v):
-            if v is not None:
-                s["sum"] -= v
-                s["count"] -= 1
-
-        return _numeric_fold(state, delta, value, old_value, fold_in, fold_out)
+        return _numeric_fold(state, delta, value, old_value,
+                             _add_value, _remove_value)
 
     def agg_result(self, state):
         if state["count"] <= 0:
@@ -305,19 +324,10 @@ class AvgFinal(Aggregator):
         return {"sum": 0.0, "count": 0}
 
     def agg_state(self, state, delta: Delta, value, old_value=None):
-        def fold_in(s, v):
-            if v is not None:
-                s["sum"] += v[0]
-                s["count"] += v[1]
-
-        def fold_out(s, v):
-            if v is not None:
-                s["sum"] -= v[0]
-                s["count"] -= v[1]
-
         if delta.op is DeltaOp.UPDATE:
             raise UDFError("avg_final cannot interpret UPDATE deltas")
-        return _numeric_fold(state, delta, value, old_value, fold_in, fold_out)
+        return _numeric_fold(state, delta, value, old_value,
+                             _add_partial, _remove_partial)
 
     def agg_result(self, state):
         if state["count"] <= 0:

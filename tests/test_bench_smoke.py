@@ -1,8 +1,17 @@
 """Fast smoke tests for the figure harness (full runs live in benchmarks/)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.bench import ALL_FIGURES
+from repro.bench import (
+    ALL_FIGURES,
+    fig04_simple_agg,
+    fig05_kmeans,
+    fig10_scalability,
+    fig12_recovery,
+)
 from repro.bench.common import (
     FigureResult,
     Series,
@@ -66,34 +75,64 @@ class TestFigureRegistry:
             assert callable(fn)
 
 
+#: Toy-size runs of four figures; their exact series and headlines are
+#: pinned in figure_pins.json.  Regenerate it (only for a reviewed change
+#: of the simulated numbers) with ``PYTHONPATH=src python
+#: tests/test_bench_smoke.py``.
+TINY_RUNS = {
+    "fig04": lambda: fig04_simple_agg.run(n_rows=1500, nodes=3),
+    "fig05": lambda: fig05_kmeans.run(sizes=(150, 400), nodes=3),
+    "fig10": lambda: fig10_scalability.run(n_vertices=500, degree=6.0,
+                                           node_counts=(1, 4)),
+    "fig12": lambda: fig12_recovery.run(n_vertices=400, degree=5.0,
+                                        failure_points=(2,)),
+}
+PINS_PATH = Path(__file__).with_name("figure_pins.json")
+
+
+def pinned_numbers(result: FigureResult) -> dict:
+    """Every simulated number of a figure, as figure_pins.json stores it."""
+    return {
+        "series": {s.label: {"values": s.values, "x": s.x}
+                   for s in result.series},
+        "headline": result.headline,
+    }
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS_PATH.read_text())
+
+
 class TestTinyFigureRuns:
-    """Miniature parameterizations keep these in unit-test time."""
+    """Miniature parameterizations keep these in unit-test time; each run
+    must reproduce its pinned numbers exactly."""
 
-    def test_fig04_tiny(self):
-        from repro.bench import fig04_simple_agg
-
-        result = fig04_simple_agg.run(n_rows=1500, nodes=3)
+    def test_fig04_tiny(self, pins):
+        result = TINY_RUNS["fig04"]()
+        assert pinned_numbers(result) == pins["fig04"]
         assert result.headline["rex_vs_hadoop_speedup"] > 1.0
         assert len(result.series) == 4
 
-    def test_fig05_tiny(self):
-        from repro.bench import fig05_kmeans
-
-        result = fig05_kmeans.run(sizes=(150, 400), nodes=3)
+    def test_fig05_tiny(self, pins):
+        result = TINY_RUNS["fig05"]()
+        assert pinned_numbers(result) == pins["fig05"]
         assert result.headline["speedup_largest"] > 1.0
 
-    def test_fig10_tiny(self):
-        from repro.bench import fig10_scalability
-
-        result = fig10_scalability.run(n_vertices=500, degree=6.0,
-                                       node_counts=(1, 4))
+    def test_fig10_tiny(self, pins):
+        result = TINY_RUNS["fig10"]()
+        assert pinned_numbers(result) == pins["fig10"]
         times = result.get("REX Δ").values
         assert times[1] < times[0]
 
-    def test_fig12_tiny(self):
-        from repro.bench import fig12_recovery
-
-        result = fig12_recovery.run(n_vertices=400, degree=5.0,
-                                    failure_points=(2,))
+    def test_fig12_tiny(self, pins):
+        result = TINY_RUNS["fig12"]()
+        assert pinned_numbers(result) == pins["fig12"]
         assert result.get("Incremental").values[0] < \
             result.get("Restart").values[0]
+
+
+if __name__ == "__main__":  # pragma: no cover
+    PINS_PATH.write_text(json.dumps(
+        {name: pinned_numbers(run()) for name, run in TINY_RUNS.items()},
+        indent=1, sort_keys=True, ensure_ascii=False) + "\n")

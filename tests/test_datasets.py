@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,40 @@ class TestLineitem:
         rows = lineitem(2000)
         kept = sum(1 for r in rows if r[1] > 1)
         assert 0.4 * len(rows) < kept < 0.9 * len(rows)
+
+
+#: sha256 of ``repr(rows)`` per (generator, seed).  Every figure and
+#: benchmark workload reads these generators, so a speed-up of one must
+#: leave its seeded output bit-identical.
+PINNED = {
+    ("lineitem", 1):
+        "09639beec04323e855a40ef675c8b75d10be0c07d047fd1d491430bbf0848054",
+    ("lineitem", 7):
+        "ffcf1d818f86e91eaa970ba26a174091d7f6b2d0737b53f8310beb34d8e282ac",
+    ("dbpedia_like", 1):
+        "241e455d0f57d6f2d264b1be1a46c61b6ad7c58cbb61f7eae4d012a04db71131",
+    ("dbpedia_like", 7):
+        "acf0908d57a8c6db5020eaad680141f4aae8ed8248c1058896a60774f8a0cb14",
+    ("twitter_like", 1):
+        "e4896d4ebb8cc347bd20268d6e9172110a8e38253ab17da2b3de608a933d4ce5",
+    ("twitter_like", 7):
+        "516157236e651c7dd1980ff4d49f4ed9cdef6de4a7b4a9bd66237d7666f47bcf",
+    ("geo_points", 1):
+        "b5ef1ba10900d93597add952bf73cf1389dd4b092d140464319ccd63a5ca88d7",
+    ("geo_points", 7):
+        "017f2d545cf8f034bc79820b975e407ba89389be927d1c3bf69b136ca5a3f221",
+}
+
+GENERATORS = {
+    "lineitem": lambda seed: lineitem(300, seed=seed),
+    "dbpedia_like": lambda seed: dbpedia_like(200, seed=seed),
+    "twitter_like": lambda seed: twitter_like(200, seed=seed),
+    "geo_points": lambda seed: geo_points(150, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED))
+def test_seeded_output_is_pinned(name, seed):
+    rows = GENERATORS[name](seed)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == PINNED[(name, seed)]
