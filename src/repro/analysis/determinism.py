@@ -10,10 +10,10 @@ not a reproducible one.
 
 The checker re-executes the same plan under K seeded perturbations of
 
-* message delivery order (:class:`Perturbation` wraps the simulated
-  network's ``pop`` and picks among the FIFO *heads* of each (src, dst)
-  link — every schedule it generates is one a real asynchronous network
-  could produce), and
+* message delivery order (:class:`Perturbation` becomes the simulated
+  network's queue, whose ``popleft`` picks among the FIFO *heads* of each
+  (src, dst) link — every schedule it generates is one a real
+  asynchronous network could produce), and
 * per-stratum worker iteration order (``worker_order``),
 
 then diffs each run against the unperturbed baseline:
@@ -33,7 +33,7 @@ exchange's delivery order flips the result — that names the plan edge
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -53,14 +53,14 @@ def exchange_base(exchange: str) -> str:
 class Perturbation:
     """A seeded, valid-schedule reordering of message delivery.
 
-    Installed on a :class:`~repro.net.network.SimulatedNetwork`, it replaces
-    ``pop`` with a choice among the current FIFO heads of each (src, dst)
-    link inside a bounded window — per-link FIFO is preserved (real
-    transports guarantee it), cross-link interleaving is randomized (real
-    transports do not).  With ``scope`` set to an exchange base, only that
-    exchange's messages are reordered; the first out-of-scope message acts
-    as a barrier (it may be delivered, but nothing behind it may overtake
-    it) — this is the minimization mode.
+    Installed on a :class:`~repro.net.network.SimulatedNetwork`, it swaps
+    in a queue whose ``popleft`` is a choice among the current FIFO heads
+    of each (src, dst) link inside a bounded window — per-link FIFO is
+    preserved (real transports guarantee it), cross-link interleaving is
+    randomized (real transports do not).  With ``scope`` set to an
+    exchange base, only that exchange's messages are reordered; the first
+    out-of-scope message acts as a barrier (it may be delivered, but
+    nothing behind it may overtake it) — this is the minimization mode.
     """
 
     def __init__(self, seed: int = 0, scope: Optional[str] = None):
@@ -75,27 +75,15 @@ class Perturbation:
 
     # -- network hook ---------------------------------------------------
     def install(self, network) -> None:
-        """Replace ``network.pop`` (idempotent per network instance)."""
-        if getattr(network, "_rex_perturb", None) is self:
-            return
-        network._rex_perturb = self
-        network.pop = lambda: self._pop(network)
+        """Deliver ``network``'s mail in this perturbation's order
+        (idempotent per network instance)."""
+        if getattr(network._queue, "perturbation", None) is not self:
+            network._queue = _PerturbedQueue(network._queue, self)
 
-    def _pop(self, network):
-        queue = network._queue
-        while queue:
-            idx = self._choose(queue)
-            msg = queue[idx]
-            del queue[idx]
-            if msg.dst in network._dead:
-                observer = network.observer
-                if observer is not None:
-                    on_drop = getattr(observer, "on_drop", None)
-                    if on_drop is not None:
-                        on_drop(msg)
-                continue
-            return msg
-        return None
+    def uninstall(self, network) -> None:
+        """Put plain FIFO delivery back if this perturbation is installed."""
+        if getattr(network._queue, "perturbation", None) is self:
+            network._queue = deque(network._queue)
 
     def _choose(self, queue) -> int:
         eligible: List[int] = []
@@ -128,6 +116,22 @@ class Perturbation:
         rng = random.Random(1000003 * (self.seed + 1) + 31 * stratum)
         rng.shuffle(plans)
         return plans
+
+
+class _PerturbedQueue(deque):
+    """A fabric queue whose ``popleft`` delivers the perturbation's seeded
+    choice: one :meth:`Perturbation._choose` per message taken, whether
+    the network then delivers it or drops it at a dead node."""
+
+    def __init__(self, messages, perturbation: Perturbation):
+        super().__init__(messages)
+        self.perturbation = perturbation
+
+    def popleft(self):
+        idx = self.perturbation._choose(self)
+        msg = self[idx]
+        del self[idx]
+        return msg
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +311,9 @@ def _dump_flight(result: DeterminismReport, recorder,
     """Write a ``determinism`` flight bundle for a REX205/206 finding.
 
     ``recorder`` is the first divergent run's own
-    :class:`~repro.obs.flight.FlightRecorder` when that run kept one
-    (``ExecOptions.flight``, the default) so the bundle carries its
-    stratum breadcrumbs; a fresh recorder otherwise.
+    :class:`~repro.obs.flight.FlightRecorder` (every executor run keeps
+    one) so the bundle carries its stratum breadcrumbs; a fresh recorder
+    when ``run_query`` returned a result without one.
     """
     import os
 

@@ -21,6 +21,7 @@ from repro.common.deltas import (
 )
 from repro.common.errors import (
     ExecutionError,
+    OptionsError,
     ParseError,
     PlanError,
     RecoveryError,
@@ -49,5 +50,6 @@ __all__ = [
     "PlanError",
     "TypeCheckError",
     "ExecutionError",
+    "OptionsError",
     "RecoveryError",
 ]

@@ -55,6 +55,10 @@ class PlanValidationError(PlanError):
         self.diagnostics = details
 
 
+class OptionsError(ReproError):
+    """An ``ExecOptions`` value is outside its accepted set or range."""
+
+
 class ExecutionError(ReproError):
     """A runtime failure inside the query engine (not a node failure)."""
 

@@ -10,7 +10,7 @@ REX, charging the costs that define Hadoop's profile:
   grouping, Section 6.3);
 * network shuffle of map output to reducers;
 * DFS write of job output with ``dfs_replication``-fold redundancy (the
-  checkpointing REX's pipelined execution avoids).
+  per-job checkpoint REX's pipelined execution avoids).
 
 HaLoop is emulated exactly the way the paper does (Section 6,
 "Platforms"): the techniques of Bu et al. are counted as **zero time** —

@@ -15,7 +15,7 @@ simulator executes, inside REX operator pipelines:
 Wrapped code pays the paper's wrap overheads: the UDC invocation cost
 *without* input batching plus the text-format conversion cost
 (``wrap_format_cost``).  What wrap *saves* relative to Hadoop — job
-startup, the sort-based shuffle, and DFS checkpointing — falls out
+startup, the sort-based shuffle, and DFS checkpoint writes — falls out
 naturally from running inside REX's pipelined engine, which is exactly the
 comparison Figures 4 and 6 make.
 """

@@ -72,8 +72,8 @@ class LinkStats:
 class SimulatedNetwork:
     """FIFO message fabric with per-node byte accounting.
 
-    Delivery is deferred: :meth:`send` enqueues; the cluster's event loop
-    drains queues via :meth:`pop`.  Local sends (src == dst) are queued the
+    Delivery is deferred: :meth:`send` enqueues; the executor delivers
+    with :meth:`drain`.  Local sends (src == dst) are queued the
     same way, preserving the paper's message-driven execution, but cost
     nothing on the wire.
     """
@@ -94,12 +94,6 @@ class SimulatedNetwork:
         self.total_bytes = 0
         self.bytes_by_node: Dict[int, int] = {}
         self._dead: set = set()
-        #: Armed by the executor on unperturbed runs: enables the
-        #: observer-free drain loop and bulk punctuation fanout.  Every
-        #: fast path preserves message order, delivery semantics, and
-        #: charge multisets exactly; paths that an observer must see fall
-        #: back to the hooked implementations automatically.
-        self.fast_path = False
         #: Optional observability hook (the executor sets the run's
         #: :class:`repro.operators.Probe`, or ``None``): an object with
         #: ``on_send(msg, wire_bytes)`` / ``on_deliver(msg)``
@@ -170,29 +164,29 @@ class SimulatedNetwork:
         charge multisets are identical to ``len(dsts)`` individual
         :meth:`send` calls; the bulk form only batches the bookkeeping
         (one ``total_bytes`` update, one sender net-out tally covering
-        all remote copies).  Falls back to per-message sends whenever an
-        observer is attached or the fast path is off, so hooks see every
-        message individually.
+        all remote copies).  An observer still sees ``on_send`` once per
+        message, in enqueue order.
         """
         if src in self._dead:
             return  # a dead node cannot transmit
-        if self.observer is not None or not self.fast_path:
-            for dst in dsts:
-                self.send(Message(src=src, dst=dst, exchange=exchange,
-                                  punct=punct))
-            return
         links = self.links
         append = self._queue.append
+        observer = self.observer
         remotes: List[int] = []
         for dst in dsts:
+            nbytes = 0
             if dst != src:
+                nbytes = PUNCT_BYTES
                 stats = links.get((src, dst))
                 if stats is None:
                     stats = links[(src, dst)] = LinkStats()
                 stats.messages += 1
                 stats.bytes += PUNCT_BYTES
                 remotes.append(dst)
-            append(Message(src=src, dst=dst, exchange=exchange, punct=punct))
+            msg = Message(src=src, dst=dst, exchange=exchange, punct=punct)
+            if observer is not None:
+                observer.on_send(msg, nbytes)
+            append(msg)
         if remotes:
             nbytes = len(remotes) * PUNCT_BYTES
             self.total_bytes += nbytes
@@ -206,60 +200,36 @@ class SimulatedNetwork:
     def pending(self) -> int:
         return len(self._queue)
 
-    def pop(self) -> Optional[Message]:
-        """Dequeue the next deliverable message (dropping mail for the dead)."""
-        while self._queue:
-            msg = self._queue.popleft()
-            if msg.dst in self._dead:
-                if self.observer is not None:
-                    on_drop = getattr(self.observer, "on_drop", None)
-                    if on_drop is not None:
-                        on_drop(msg)
-                continue
-            return msg
-        return None
-
-    def dispatch(self, msg: Message) -> None:
-        """Deliver a popped message to its registered handler."""
-        handler = self._handlers.get((msg.dst, msg.exchange))
-        if handler is None:
-            raise ExecutionError(
-                f"no handler for exchange {msg.exchange!r} on node {msg.dst}"
-            )
-        if self.observer is not None:
-            self.observer.on_deliver(msg)
-        handler(msg)
-
     def drain(self) -> int:
         """Deliver queued messages until quiescent; returns count delivered.
 
         Handlers may send further messages; those are delivered too.  This is
         the inner loop of stratified execution: a stratum is complete when
-        the fabric is quiet and all punctuation has settled.
+        the fabric is quiet and all punctuation has settled.  Mail for a
+        dead node leaves the queue undelivered (the observer's optional
+        ``on_drop`` sees it).  The queue's ``popleft`` picks the next
+        message, so a schedule perturbation installed as the queue
+        reorders delivery without a second loop.
         """
+        queue = self._queue
+        handlers = self._handlers
+        dead = self._dead
+        observer = self.observer
+        on_drop = getattr(observer, "on_drop", None)
         delivered = 0
-        if self.fast_path and self.observer is None and not self._dead:
-            # Observer-free drain: same FIFO order and handler dispatch
-            # as pop()+dispatch(), minus the per-message hook probes and
-            # dead-mail checks — neither can fire on this configuration
-            # (and a mid-run failure empties into the hooked loop below
-            # on the next call, because ``_dead`` becomes non-empty).
-            queue = self._queue
-            handlers = self._handlers
-            while queue:
-                msg = queue.popleft()
-                handler = handlers.get((msg.dst, msg.exchange))
-                if handler is None:
-                    raise ExecutionError(
-                        f"no handler for exchange {msg.exchange!r} on "
-                        f"node {msg.dst}"
-                    )
-                handler(msg)
-                delivered += 1
-            return delivered
-        while True:
-            msg = self.pop()
-            if msg is None:
-                return delivered
-            self.dispatch(msg)
+        while queue:
+            msg = queue.popleft()
+            if msg.dst in dead:
+                if on_drop is not None:
+                    on_drop(msg)
+                continue
+            handler = handlers.get((msg.dst, msg.exchange))
+            if handler is None:
+                raise ExecutionError(
+                    f"no handler for exchange {msg.exchange!r} on node {msg.dst}"
+                )
+            if observer is not None:
+                observer.on_deliver(msg)
+            handler(msg)
             delivered += 1
+        return delivered

@@ -51,7 +51,8 @@ _UPD = DeltaOp.UPDATE
 
 _WORKER_CHARGE_METHODS = (
     "charge_cpu", "charge_tuples", "charge_disk_bytes", "charge_disk_seek",
-    "charge_net_out", "charge_net_in", "charge_state_access",
+    "charge_net_out", "charge_net_in", "charge_net_out_fanout",
+    "charge_state_access",
 )
 
 

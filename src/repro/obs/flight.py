@@ -3,17 +3,17 @@
 A query that dies mid-fixpoint — an operator exception, a REX2xx
 sanitizer trip, a determinism race — used to leave nothing behind unless
 the run happened to have tracing attached.  The :class:`FlightRecorder`
-fixes that: the executor keeps one per run (``ExecOptions(flight=True)``,
-the default), feeding it a bounded ring of cheap breadcrumb *notes* (one
-per stratum boundary, plus failure/recovery/checkpoint events).  On a
+fixes that: the executor keeps one in every run, feeding it a bounded
+ring of cheap breadcrumb *notes* (one per stratum boundary, plus
+failure/recovery/checkpoint events).  On a
 trigger it assembles a **self-contained JSON bundle**: the note ring, the
 most recent trace events and the published metrics registry when an
 :class:`~repro.obs.ObsContext` is attached, the triggering error or
 diagnostics, and enough environment detail to read the bundle cold.
 
 The recorder is deliberately lighter than the obs layer: it installs no
-operator hooks and never touches a hot loop, so it stays on by default in
-every run (including benchmarks) at well under the 5% overhead bar.
+operator hooks and never touches a hot loop, so it is on in every run
+(including benchmarks) at well under the 5% overhead bar.
 
 Bundles are written to the first of: an explicit ``path``, the recorder's
 ``directory`` (``ExecOptions.flight_dir``), or the ``REX_FLIGHT_DIR``

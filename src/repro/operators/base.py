@@ -122,9 +122,6 @@ class RuntimeHooks:
     def count_tuples(self, n: int = 1) -> None:
         """Record ``n`` tuples processed by some operator."""
 
-    def count_admitted(self, n: int) -> None:
-        """Record ``n`` deltas admitted into the next stratum by a fixpoint."""
-
 
 class ExecContext:
     """Per-worker execution environment handed to every operator instance.
@@ -142,13 +139,12 @@ class ExecContext:
     """
 
     def __init__(self, worker, cluster=None, snapshot=None,
-                 hooks: Optional[RuntimeHooks] = None, registry=None,
+                 hooks: Optional[RuntimeHooks] = None,
                  batch: bool = False, probe: Optional[Probe] = None):
         self.worker = worker
         self.cluster = cluster
         self.snapshot = snapshot
         self.hooks = hooks or RuntimeHooks()
-        self.registry = registry
         self.batch = batch
         self.probe = probe
 

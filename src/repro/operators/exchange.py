@@ -185,8 +185,7 @@ class RehashSender(Operator):
             self._flush(dst)
         ctx = self.ctx
         live = ctx.snapshot.live_nodes()
-        # Bulk broadcast: the network falls back to per-message sends
-        # itself whenever an observer is attached or fast_path is off.
+        # Bulk broadcast: one bookkeeping pass for every receiver.
         ctx.cluster.network.send_punct_fanout(
             ctx.node_id, live, self.exchange, punct)
 

@@ -76,7 +76,6 @@ class Fixpoint(Operator):
     def _admit(self, delta: Delta) -> None:
         self.pending.append(delta)
         self.admitted_this_stratum += 1
-        self.ctx.hooks.count_admitted(1)
 
     def process(self, delta: Delta, port: int) -> None:
         if self.while_handler is not None:
@@ -155,10 +154,7 @@ class Fixpoint(Operator):
                 else:
                     state[key] = row
                     append(Delta(replace, row, old=current))
-        admitted = len(pending) - admitted_before
-        if admitted:
-            self.admitted_this_stratum += admitted
-            ctx.hooks.count_admitted(admitted)
+        self.admitted_this_stratum += len(pending) - admitted_before
 
     def _process_set(self, delta: Delta) -> None:
         if delta.op in (DeltaOp.INSERT, DeltaOp.UPDATE):

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import IterationMetrics, QueryMetrics
 from repro.common.deltas import Delta, DeltaOp
-from repro.common.errors import ExecutionError, RecoveryError
+from repro.common.errors import ExecutionError, OptionsError, RecoveryError
 from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes, value_bytes
 from repro.net.network import Message, PUNCT_BYTES
@@ -86,21 +86,17 @@ class ExecOptions:
     termination: Optional[Callable[[int, "QueryExecutor"], bool]] = None
     """Explicit termination condition, evaluated after each stratum; the
     implicit condition (no new tuples admitted) always applies too."""
-    checkpointing: bool = True
     checkpoint_replication: int = 3
+    """Copies of each stratum's Δᵢ set, the owner's included (Section
+    4.3).  At 2 or more every Δᵢ row ships to the next ``rf - 1`` nodes
+    on its key's ring preference list; below 2 nothing is replicated, and
+    losing a node of a recursive plan raises :class:`RecoveryError`
+    instead of recovering incrementally."""
     failure: Optional[object] = None
     """A :class:`FailureSpec`, or a list of them for repeated failures
     (Section 4.3: incremental recovery "guarantees forward progress even
     in the presence of repeated failures")."""
     recovery: str = "incremental"  # or 'restart'
-
-    def failure_specs(self) -> List[FailureSpec]:
-        if self.failure is None:
-            return []
-        if isinstance(self.failure, FailureSpec):
-            return [self.failure]
-        return list(self.failure)
-    collect_result: bool = True
     batch: bool = True
     """Batch-vectorized execution: operators move List[Delta] batches via
     ``push_batch`` instead of one virtual call per delta.  Simulated
@@ -133,16 +129,11 @@ class ExecOptions:
     (:mod:`repro.optimizer.fusion`).  Simulated metrics are bit-identical
     on or off (enforced by ``tests/test_equivalence.py``); only wall
     clock changes.  Set False for the unfused baseline."""
-    flight: bool = True
-    """Keep a :class:`repro.obs.flight.FlightRecorder` for this run (the
-    default).  The recorder appends one breadcrumb per stratum boundary
-    plus failure/recovery events — no per-tuple hooks — and assembles a
-    self-contained JSON post-mortem bundle when the run raises or a
-    sanitizer check trips.  It is not an instrumentation hook: the quiet
-    fast paths stay armed and simulated metrics are bit-identical with it
-    on or off."""
     flight_dir: Optional[str] = None
-    """Directory flight bundles are written to on a trigger.  ``None``
+    """Directory the run's :class:`repro.obs.flight.FlightRecorder` writes
+    post-mortem bundles to on a trigger.  Every run keeps a recorder: one
+    breadcrumb per stratum boundary plus failure/recovery events, no
+    per-tuple hooks, and no effect on simulated metrics.  ``None``
     falls back to the ``REX_FLIGHT_DIR`` environment variable; with
     neither set the bundle is kept in memory only
     (``QueryResult.flight.last_bundle`` / the exception's
@@ -172,6 +163,35 @@ class ExecOptions:
     :meth:`QueryMetrics.fingerprint` bit-identical as well.  Applied and
     declined candidates are recorded in ``rewrite_decisions``."""
 
+    def __post_init__(self):
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise OptionsError(
+                    f"ExecOptions.{name} must be one of {allowed}, got "
+                    f"{getattr(self, name)!r}")
+        if self.max_strata < 1:
+            raise OptionsError(
+                f"ExecOptions.max_strata must be >= 1, got {self.max_strata}")
+        if self.checkpoint_replication < 0:
+            raise OptionsError(
+                "ExecOptions.checkpoint_replication must be >= 0, got "
+                f"{self.checkpoint_replication}")
+
+    def failure_specs(self) -> List[FailureSpec]:
+        if self.failure is None:
+            return []
+        if isinstance(self.failure, FailureSpec):
+            return [self.failure]
+        return list(self.failure)
+
+
+#: The accepted values of each mode-string option.
+_CHOICES = {
+    "feedback_mode": ("delta", "full"),
+    "recovery": ("incremental", "restart"),
+    "sanitize": ("off", "sample", "full"),
+}
+
 
 @dataclass
 class QueryResult:
@@ -189,9 +209,9 @@ class QueryResult:
     the full :class:`~repro.analysis.diagnostics.DiagnosticReport` the
     run would otherwise have refused on."""
     flight: Optional[object] = None
-    """The run's :class:`repro.obs.flight.FlightRecorder` (when
-    ``ExecOptions.flight``, the default): the stratum breadcrumb ring,
-    plus ``last_bundle``/``last_path`` if a post-mortem dump triggered."""
+    """The run's :class:`repro.obs.flight.FlightRecorder`: the stratum
+    breadcrumb ring, plus ``last_bundle``/``last_path`` if a post-mortem
+    dump triggered."""
 
 
 class _MetricsHooks(RuntimeHooks):
@@ -201,9 +221,6 @@ class _MetricsHooks(RuntimeHooks):
     def count_tuples(self, n: int = 1) -> None:
         if self.current is not None:
             self.current.tuples_processed += n
-
-    def count_admitted(self, n: int) -> None:
-        pass  # admitted counts are read from the fixpoints directly
 
 
 class _WorkerPlan:
@@ -330,11 +347,6 @@ class QueryExecutor:
             self._absint_props, _ = infer(exec_root)
         if self.options.perturb is not None:
             self.options.perturb.install(self.cluster.network)
-        # The fabric fast paths preserve message order and charge
-        # multisets exactly, but they bypass the hook points a
-        # perturbation rewires — so they arm only on unperturbed runs.
-        # (Paths that need observer==None additionally check that live.)
-        self.cluster.network.fast_path = self.options.perturb is None
         for node_id in live:
             worker = self.cluster.worker(node_id)
             if obs is not None:
@@ -347,7 +359,7 @@ class QueryExecutor:
             self._build(exec_root, None, ctx, wp, len(live))
             if obs is not None:
                 obs.register_operators(wp.operators)
-            if self.options.checkpointing:
+            if self.options.checkpoint_replication >= 2:
                 self._register_checkpoint_handler(node_id, wp)
 
     def _build(self, node: PNode, parent, ctx: ExecContext,
@@ -502,9 +514,12 @@ class QueryExecutor:
         finally:
             # This attempt's handlers close over its operators and this
             # executor; the cluster must not keep them past the query.
-            self.cluster.network.unregister_exchanges(
+            network = self.cluster.network
+            network.unregister_exchanges(
                 [*self._exchange_names.values(), self._collect_exchange,
                  self._ckpt_exchange])
+            if self.options.perturb is not None:
+                self.options.perturb.uninstall(network)
             # Last, with nothing allocated after it: re-enabling makes the
             # next container allocation run the overdue young collection,
             # and that pass walks whatever the query built that is still
@@ -515,37 +530,31 @@ class QueryExecutor:
 
     def _execute(self, plan: PhysicalPlan) -> QueryResult:
         """The query itself, inside :meth:`execute`'s scope."""
-        flight = None
-        if self.options.flight:
-            # Imported lazily like the other analysis hooks: the runtime
-            # package must not import repro.obs at module load.
-            from repro.obs.flight import FlightRecorder, gc_state
-            flight = self.flight = FlightRecorder(
-                directory=self.options.flight_dir)
-            flight.note("query_start", recursive=plan.is_recursive,
-                        attempt=self._attempt, **gc_state())
+        # Imported lazily like the other analysis hooks: the runtime
+        # package must not import repro.obs at module load.
+        from repro.obs.flight import FlightRecorder, gc_state
+        flight = self.flight = FlightRecorder(
+            directory=self.options.flight_dir)
+        flight.note("query_start", recursive=plan.is_recursive,
+                    attempt=self._attempt, **gc_state())
         self.metrics.startup_seconds = self.cluster.cost.rex_query_startup
         try:
             self._instantiate(plan)
-            if flight is not None:
-                flight.attach(obs=self.options.obs,
-                              sanitizer=self.sanitizer)
+            flight.attach(obs=self.options.obs, sanitizer=self.sanitizer)
             restart = self._run_strata(plan)
             if restart is not None:
                 return restart
             self._final_flush()
-            rows = self.sink.rows() if self.options.collect_result else []
+            rows = self.sink.rows()
         except Exception as exc:
-            if flight is not None:
-                flight.attach(obs=self.options.obs,
-                              sanitizer=self.sanitizer)
-                flight.record_exception(exc)
-                flight.dump("exception", error=exc)
-                try:
-                    exc.rex_flight_bundle = flight.last_bundle
-                    exc.rex_flight_path = flight.last_path
-                except AttributeError:  # slotted exception classes
-                    pass
+            flight.attach(obs=self.options.obs, sanitizer=self.sanitizer)
+            flight.record_exception(exc)
+            flight.dump("exception", error=exc)
+            try:
+                exc.rex_flight_bundle = flight.last_bundle
+                exc.rex_flight_path = flight.last_path
+            except AttributeError:  # slotted exception classes
+                pass
             raise
         self.metrics.result_rows = len(rows)
         obs = self.options.obs
@@ -553,8 +562,7 @@ class QueryExecutor:
             self.sanitizer.publish(obs.registry)
         if obs is not None:
             obs.publish()
-        if (flight is not None and self.sanitizer is not None
-                and self.sanitizer.violations):
+        if self.sanitizer is not None and self.sanitizer.violations:
             flight.note("sanitizer_trip",
                         violations=self.sanitizer.violations)
             flight.dump("sanitizer", diagnostics=self.sanitizer.report)
@@ -634,15 +642,14 @@ class QueryExecutor:
                                 obs.record_fixpoint(wp.worker_id, stratum,
                                                     len(out),
                                                     fp.mutable_size())
-                if opts.checkpointing:
-                    if obs is not None:
-                        # Checkpoint traffic is control-plane cost: charge
-                        # it to a named system activity, not an operator.
-                        with obs.system_frame("(checkpoint)"):
-                            self._replicate_checkpoints(pending)
-                            network.drain()
-                    elif self._replicate_checkpoints(pending):
+                if obs is not None:
+                    # Checkpoint traffic is control-plane cost: charge it
+                    # to a named system activity, not an operator.
+                    with obs.system_frame("(checkpoint)"):
+                        self._replicate_checkpoints(pending)
                         network.drain()
+                elif self._replicate_checkpoints(pending):
+                    network.drain()
             if sanitizer is not None:
                 # The fabric is quiescent: verify exchange conservation.
                 sanitizer.end_stratum(stratum)
@@ -656,10 +663,9 @@ class QueryExecutor:
                                 it.delta_count, it.mutable_size,
                                 it.tuples_processed,
                                 node_seconds=node_seconds)
-            if flight is not None:
-                flight.on_stratum(stratum, it.seconds, it.bytes_sent,
-                                  it.delta_count, it.mutable_size,
-                                  it.tuples_processed)
+            flight.on_stratum(stratum, it.seconds, it.bytes_sent,
+                              it.delta_count, it.mutable_size,
+                              it.tuples_processed)
 
             due = failures_by_stratum.get(stratum)
             if due:
@@ -693,7 +699,7 @@ class QueryExecutor:
         if self.metrics.iterations:
             self.metrics.iterations[-1].seconds += (
                 self.cluster.end_stratum_wall_time())
-        if self.options.collect_result and not self.sink.done:
+        if not self.sink.done:
             raise ExecutionError("result sink did not receive all final "
                                  "punctuation")
 
@@ -705,10 +711,11 @@ class QueryExecutor:
     # Incremental checkpoints (Section 4.3)
     # ------------------------------------------------------------------
     def _register_checkpoint_handler(self, node_id: int, wp: _WorkerPlan) -> None:
+        key_fn = self._fixpoint_key_fn
+
         def handle(msg: Message) -> None:
-            for delta in msg.deltas or ():
-                key = (self._fixpoint_key_fn(delta.row)
-                       if self._fixpoint_key_fn else delta.row)
+            for delta in msg.deltas:
+                key = key_fn(delta.row)
                 if delta.op is DeltaOp.DELETE:
                     wp.checkpoint_entries.pop(key, None)
                 else:
@@ -720,7 +727,8 @@ class QueryExecutor:
         """Replicate each worker's Δᵢ set to its replica machines.
 
         Returns the number of messages shipped (so the caller can skip
-        draining an untouched fabric).  Each delta's wire size is computed
+        draining an untouched fabric): none below two copies, where there
+        is nothing to replicate to.  Each delta's wire size is computed
         once and carried on the message as a precomputed size —
         :meth:`~repro.net.network.Message.size_bytes` would recount the
         identical bytes delta by delta.
@@ -792,10 +800,9 @@ class QueryExecutor:
                 receiver.set_expected_senders(n_live)
         self.sink.set_expected_workers(n_live)
         self.metrics.recovery_seconds += self.cluster.cost.failure_detection
-        if self.flight is not None:
-            self.flight.note("node_failure", node=victim,
-                             after_stratum=spec.after_stratum,
-                             recovery=self.options.recovery)
+        self.flight.note("node_failure", node=victim,
+                         after_stratum=spec.after_stratum,
+                         recovery=self.options.recovery)
 
         if self.options.recovery == "restart":
             return self._restart(plan)
@@ -811,8 +818,7 @@ class QueryExecutor:
                 recover()
         else:
             recover()
-        if self.flight is not None:
-            self.flight.note("recovered", node=victim)
+        self.flight.note("recovered", node=victim)
         return None
 
     def _plan_replays_exactly(self, plan: PhysicalPlan) -> bool:
@@ -882,6 +888,13 @@ class QueryExecutor:
         is also deposited on the feedback source, so the next stratum
         pushes it through the recursive pipeline.
         """
+        rf = self.options.checkpoint_replication
+        if rf < 2 and self._plan.fixpoint is not None:
+            # Nothing was replicated, so the victim's mutable state is gone.
+            raise RecoveryError(
+                f"checkpoint_replication={rf} keeps no Δ-set replicas: "
+                f"node {victim}'s mutable state is unrecoverable (use "
+                "checkpoint_replication >= 2 or restart recovery)")
         snapshot = self.snapshot
         sanitizer = self.sanitizer
         pre_failure_owner = self._pre_failure_owner(victim)
@@ -911,11 +924,6 @@ class QueryExecutor:
                     f"{self.options.checkpoint_replication} checkpoint "
                     "replicas have failed (increase "
                     "checkpoint_replication or use restart recovery)")
-        if (not restored_keys and self._fixpoint_key_fn is not None
-                and not self.options.checkpointing):
-            # The victim held state but nothing could be restored.
-            raise RecoveryError(
-                "incremental recovery requires checkpointing=True")
         return len(restored_keys)
 
     def _recover_incrementally(self, victim: int) -> None:

@@ -6,6 +6,9 @@ The corpus's first-arrival-wins UDA is the positive control: the checker
 must flag it and minimize the race to the exchange feeding the group-by.
 """
 
+import hashlib
+from collections import deque
+
 from repro.algorithms.kmeans import kmeans_plan
 from repro.algorithms.pagerank import pagerank_plan
 from repro.algorithms.sssp import make_start_table, sssp_plan
@@ -17,10 +20,13 @@ from repro.analysis.determinism import (
     exchange_base,
 )
 from repro.cluster import Cluster
+from repro.common import insert
 from repro.datasets import dbpedia_like, geo_points, sample_centroids
+from repro.net import Message, SimulatedNetwork
 from repro.runtime import ExecOptions, QueryExecutor
 
 from sanitizer_corpus import _first_value_plan
+from workloads import build, run
 
 EDGES = dbpedia_like(120, avg_out_degree=4.0, seed=9)
 
@@ -117,28 +123,49 @@ class TestPerturbationPrimitives:
 
     def test_perturbation_preserves_per_link_fifo(self):
         """Messages on the same (src, dst) link are never reordered."""
-
-        class Msg:
-            def __init__(self, src, dst, tag):
-                self.src, self.dst, self.exchange = src, dst, "x0"
-                self.tag = tag
-
-        class Net:
-            def __init__(self, queue):
-                self._queue = queue
-                self._dead = set()
-                self.observer = None
-
-        msgs = ([Msg(0, 1, i) for i in range(5)]
-                + [Msg(2, 1, i) for i in range(5)])
+        net = SimulatedNetwork()
+        delivered = []
+        net.register(1, "x0", delivered.append)
+        for tag in range(5):
+            for src in (0, 2):
+                net.send(Message(src=src, dst=1, exchange="x0",
+                                 deltas=[insert((tag,))]))
         perturb = Perturbation(seed=3)
-        net = Net(list(msgs))
         perturb.install(net)
+        assert net.drain() == 10
+        assert perturb.choices > 0
         seen = {}
-        while True:
-            msg = net.pop()
-            if msg is None:
-                break
+        for msg in delivered:
+            tag = msg.deltas[0].row[0]
             last = seen.get((msg.src, msg.dst), -1)
-            assert msg.tag > last, "per-link FIFO violated"
-            seen[(msg.src, msg.dst)] = msg.tag
+            assert tag > last, "per-link FIFO violated"
+            seen[(msg.src, msg.dst)] = tag
+        perturb.uninstall(net)
+        assert type(net._queue) is deque
+
+    def test_seeded_delivery_order_is_pinned(self, monkeypatch):
+        """One seed, one schedule: the delivery order of a perturbed SSSP
+        run through a node crash (dead-node drops, checkpoint restore)
+        hashes to the value recorded when the perturbation still re-bound
+        the network's ``pop``.  A changed hash means a changed rng stream
+        or a changed fabric order."""
+        log = []
+        register = SimulatedNetwork.register
+
+        def recording(net, node, exchange, handler):
+            def deliver(msg):
+                log.append((msg.src, msg.dst, exchange_base(msg.exchange),
+                            repr(msg.punct) if msg.deltas is None else
+                            [(d.op.value, d.row) for d in msg.deltas]))
+                handler(msg)
+            register(net, node, exchange, deliver)
+
+        monkeypatch.setattr(SimulatedNetwork, "register", recording)
+        perturb = Perturbation(seed=5)
+        workload = build("sssp_failure")
+        run(workload, perturb=perturb)
+        # The run leaves plain FIFO delivery behind for the next query.
+        assert type(workload[0].network._queue) is deque
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+        assert (digest, len(log), perturb.choices) == (
+            "2a798931b20f2d86", 696, 691)

@@ -33,12 +33,11 @@ CONFIGS = {
     "per_tuple": {"batch": False},
     "unfused": {"fuse": False},
     "no_rewrite": {"rewrite": False},
-    "no_flight": {"flight": False},
     "no_absint": {"absint": False},
     "sanitize_sample": {"sanitize": "sample"},
     "sanitize_full": {"sanitize": "full"},
     "sanitize_full_no_absint": {"sanitize": "full", "absint": False},
-    "obs": {"obs": _obs(telemetry=False), "flight": False},
+    "obs": {"obs": _obs(telemetry=False)},
     "obs_telemetry": {"obs": _obs(telemetry=True)},
     "per_tuple_unfused_sanitized": {"batch": False, "fuse": False,
                                     "sanitize": "full"},
@@ -52,8 +51,6 @@ CONFIGS = {
 BY_DESIGN = {
     "feedback_mode",    # delta vs full re-feed: different work, by definition
     "recovery",         # restart vs incremental: different recovery cost
-    "checkpointing",    # replication traffic is simulated cost
-    "collect_result",   # off returns no rows
 }
 
 

@@ -108,6 +108,54 @@ class TestDeliveryAndAccounting:
         net.register(1, "x", delivered.append)  # the name is free again
 
 
+class _Recorder:
+    """A network observer that keeps what it is told."""
+
+    def __init__(self):
+        self.sent, self.delivered, self.dropped = [], [], []
+
+    def on_send(self, m, nbytes):
+        self.sent.append((m.src, m.dst, nbytes))
+
+    def on_deliver(self, m):
+        self.delivered.append(m)
+
+    def on_drop(self, m):
+        self.dropped.append(m)
+
+
+class TestPunctFanout:
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_matches_individual_sends(self, observed):
+        """The bulk broadcast queues, counts and charges what one
+        ``send`` per destination would, and an observer sees each
+        message once."""
+        punct = Punctuation.end_of_stratum(0)
+        nets = []
+        for bulk in (False, True):
+            charges = []
+            net = SimulatedNetwork(
+                on_bytes=lambda s, d, n, c=charges: c.append((s, d, n)))
+            if observed:
+                net.observer = _Recorder()
+            if bulk:
+                net.send_punct_fanout(1, [0, 1, 2], "x", punct)
+            else:
+                for dst in (0, 1, 2):
+                    net.send(msg(src=1, dst=dst, punct=punct))
+            nets.append((net, sorted(charges)))
+        (single, single_charges), (bulk, bulk_charges) = nets
+        assert ([(m.src, m.dst) for m in bulk._queue]
+                == [(m.src, m.dst) for m in single._queue])
+        assert bulk_charges == single_charges
+        assert bulk.total_bytes == single.total_bytes == 32
+        assert bulk.bytes_by_node == single.bytes_by_node
+        assert bulk.links == single.links
+        if observed:
+            assert bulk.observer.sent == single.observer.sent == [
+                (1, 0, 16), (1, 1, 0), (1, 2, 16)]
+
+
 class TestDeadNodes:
     def test_dead_node_cannot_send(self):
         net = SimulatedNetwork()
@@ -122,7 +170,11 @@ class TestDeadNodes:
         net.register(1, "x", lambda m: None)
         net.send(msg())
         net.unregister_node(1)
-        assert net.pop() is None
+        net.observer = _Recorder()
+        assert net.drain() == 0
+        assert net.pending() == 0
+        assert [(m.src, m.dst) for m in net.observer.dropped] == [(0, 1)]
+        assert net.observer.delivered == []
 
     def test_revive(self):
         net = SimulatedNetwork()

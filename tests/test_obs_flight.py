@@ -134,15 +134,6 @@ class TestExecutorTriggers:
         assert excinfo.value.rex_flight_path is None
         assert excinfo.value.rex_flight_bundle["error"]["type"] == "ValueError"
 
-    def test_flight_off_leaves_exception_bare(self, monkeypatch):
-        monkeypatch.delenv(ENV_DIR, raising=False)
-        cluster = Cluster(2)
-        plan = self._failing_plan(cluster)
-        executor = QueryExecutor(cluster, ExecOptions(flight=False))
-        with pytest.raises(ValueError) as excinfo:
-            executor.execute(plan)
-        assert not hasattr(excinfo.value, "rex_flight_bundle")
-
     def test_successful_run_records_strata(self):
         cluster = Cluster(2)
         cluster.create_table("t", ["id:Integer"], [(1,), (2,)], "id")

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.obs import ObsContext, attribution_coverage, explain_analyze
+from repro.cluster import CostModel, Worker
+from repro.obs import ObsContext, Tracer, attribution_coverage, explain_analyze
+from repro.obs.context import _WORKER_CHARGE_METHODS
 
 from workloads import pagerank_delta, run
 
@@ -46,6 +48,21 @@ class TestCostTable:
         assert total > 0
         assert sum(s.sim_seconds for s in obs.operator_stats()) \
             == pytest.approx(attributed)
+
+
+class TestChargeAttribution:
+    def test_every_worker_charge_is_attributed(self):
+        """Every ``Worker.charge_*`` reports to the frame stack, so no
+        charged second escapes attribution — the bulk punctuation
+        fanout's ``charge_net_out_fanout`` included."""
+        assert set(_WORKER_CHARGE_METHODS) == {
+            name for name in dir(Worker) if name.startswith("charge_")}
+        worker = Worker(0, CostModel())
+        obs = ObsContext(tracer=Tracer(enabled=False), telemetry=False)
+        obs.instrument_worker(worker)
+        seconds = worker.charge_net_out_fanout(16, 3)
+        assert seconds > 0
+        assert obs.unattributed_seconds == seconds
 
 
 class TestTimeline:

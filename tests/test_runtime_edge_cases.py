@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.common import insert
+from repro.common import OptionsError, insert
 from repro.operators import make_key_fn
 from repro.runtime import (
     ExecOptions,
@@ -96,15 +96,19 @@ class TestUnionPlans:
 
 
 class TestOptions:
-    def test_collect_result_false_skips_rows(self):
-        cluster = Cluster(2)
-        cluster.create_table("t", ["id:Integer"], [(i,) for i in range(10)],
-                             "id")
-        opts = ExecOptions(collect_result=False)
-        result = QueryExecutor(cluster, opts).execute(
-            PhysicalPlan(PScan("t")))
-        assert result.rows == []
-        assert result.metrics.total_seconds() > 0
+    @pytest.mark.parametrize("field, value", [
+        ("recovery", "bogus"),
+        ("feedback_mode", "partial"),
+        ("sanitize", "some"),
+        ("max_strata", 0),
+        ("checkpoint_replication", -1),
+    ])
+    def test_bad_value_rejected_at_construction(self, field, value):
+        """A bad value fails when the options are built, typed, before an
+        executor or cluster sees it (``recovery="bogus"`` used to run
+        incremental recovery)."""
+        with pytest.raises(OptionsError, match=f"ExecOptions.{field}"):
+            ExecOptions(**{field: value})
 
     def test_checkpointing_disabled_sends_less(self):
         cluster1 = Cluster(3)
@@ -133,7 +137,8 @@ class TestOptions:
                               [(i, i + 1) for i in range(20)], "s")
         cluster2.create_table("start", ["v:Integer"], [(0,)], "v")
         without = QueryExecutor(
-            cluster2, ExecOptions(checkpointing=False)).execute(reach_plan())
+            cluster2,
+            ExecOptions(checkpoint_replication=1)).execute(reach_plan())
         assert sorted(with_ckpt.rows) == sorted(without.rows)
         assert without.metrics.total_bytes() < with_ckpt.metrics.total_bytes()
 

@@ -7,11 +7,12 @@ monotone algorithm class the paper's recovery experiment uses).
 
 import pytest
 
-from repro.algorithms import make_start_table, run_sssp, sssp_reference
+from repro.algorithms import (make_start_table, pagerank_plan, run_sssp,
+                              sssp_reference)
 from repro.cluster import Cluster
 from repro.common.errors import RecoveryError
 from repro.datasets import dbpedia_like
-from repro.runtime import ExecOptions, FailureSpec
+from repro.runtime import ExecOptions, FailureSpec, QueryExecutor
 
 from workloads import build, run
 
@@ -58,9 +59,36 @@ class TestIncrementalRecovery:
     def test_requires_checkpointing(self):
         cluster = sssp_cluster(EDGES)
         opts = ExecOptions(failure=FailureSpec(after_stratum=2),
-                           recovery="incremental", checkpointing=False)
+                           recovery="incremental", checkpoint_replication=1)
         with pytest.raises(RecoveryError):
             run_sssp(cluster, options=opts)
+
+
+def _sssp_incremental(options):
+    """Min-refinement: recovered by ``_recover_incrementally``."""
+    return run_sssp(sssp_cluster(EDGES), options=options)
+
+
+def _pagerank_resume(options):
+    """Sums: recovered by ``_resume_from_checkpoint``."""
+    cluster = sssp_cluster(EDGES, n=4, replication=2)
+    return QueryExecutor(cluster, options).execute(
+        pagerank_plan(mode="delta"))
+
+
+@pytest.mark.parametrize("rf", [0, 1])
+@pytest.mark.parametrize("recover", [_sssp_incremental, _pagerank_resume],
+                         ids=["sssp_incremental", "pagerank_resume"])
+def test_no_delta_set_replicas_fails_loudly(recover, rf):
+    """Below two copies no Δ set is replicated, so a lost node's mutable
+    state is gone.  Both recovery routines must refuse, not finish with a
+    wrong answer (here SSSP used to return 103 of 248 distances wrong,
+    and PageRank resumed from a mutable set missing the victim's rows)."""
+    options = ExecOptions(failure=FailureSpec(after_stratum=2),
+                          recovery="incremental", checkpoint_replication=rf,
+                          max_strata=60)
+    with pytest.raises(RecoveryError, match=f"checkpoint_replication={rf}"):
+        recover(options)
 
 
 class TestRestartRecovery:
@@ -122,11 +150,12 @@ class TestReplicationInteraction:
 
     def test_checkpoint_traffic_counted(self):
         """Δ-set replication shows up as network bytes (Figure 11 includes
-        it); disabling checkpointing reduces traffic."""
+        it); one copy (no replicas) reduces traffic."""
         with_ckpt = sssp_cluster(EDGES)
         _, m1 = run_sssp(with_ckpt)
         without = sssp_cluster(EDGES)
-        _, m2 = run_sssp(without, options=ExecOptions(checkpointing=False))
+        _, m2 = run_sssp(without,
+                         options=ExecOptions(checkpoint_replication=1))
         assert m1.total_bytes() > m2.total_bytes()
         # Results identical either way.
 
