@@ -15,40 +15,47 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.algorithms import make_start_table, run_pagerank, run_sssp
+from repro.algorithms import run_pagerank, run_sssp
 from repro.bench.common import (
+    PAPER_DBPEDIA_EDGES,
+    Claim,
     FigureResult,
     Series,
+    claims,
     fresh_cluster,
+    graph_cluster,
     scaled_cost_model,
+    steps,
 )
 from repro.cluster.costs import CostModel
 from repro.datasets import dbpedia_like, lineitem
 from repro.datasets.tpch import LINEITEM_SCHEMA
-from repro.optimizer import Optimizer
 from repro.rql import RQLSession
 from repro.runtime import ExecOptions
-from repro.udf import CachingUDF, udf
+from repro.udf import udf
 
 
-def graph_cluster(edges, nodes=6, cm=None, replication=2):
-    cluster = fresh_cluster(nodes, cm)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId", replication=replication)
-    return cluster
+NODES = 6  # cluster size of the graph ablations
 
 
+@claims(
+    Claim("tuples processed change per tighter threshold", "a tighter Δ "
+          "threshold never propagates less work", ">=", 0,
+          measure=steps("tuples processed")),
+    Claim("work_ratio_exact_vs_1pct", "the threshold truncates most of "
+          "the Δ stream", ">", 2.0),
+)
 def threshold_sweep(n_vertices: int = 1500, degree: float = 8.0,
                     thresholds=(0.05, 0.01, 0.001, 0.0),
                     seed: int = 81) -> FigureResult:
     """Ablation 1: the Δ threshold trades accuracy for propagated work."""
     edges = dbpedia_like(n_vertices, avg_out_degree=degree, seed=seed)
-    cm = scaled_cost_model(48_000_000 / len(edges))
+    cm = scaled_cost_model(PAPER_DBPEDIA_EDGES / len(edges))
     tuples: List[float] = []
     iters: List[float] = []
     for tol in thresholds:
-        _, m = run_pagerank(graph_cluster(edges, cm=cm), mode="delta",
-                            tol=tol, max_strata=120)
+        _, m = run_pagerank(graph_cluster(edges, NODES, cm, replication=2),
+                            mode="delta", tol=tol, max_strata=120)
         tuples.append(float(m.total_tuples()))
         iters.append(float(m.num_iterations))
     xs = [t if t > 0 else 1e-6 for t in thresholds]
@@ -63,16 +70,18 @@ def threshold_sweep(n_vertices: int = 1500, degree: float = 8.0,
     )
 
 
+@claims(Claim("batching_speedup", "Section 4.2: input batching amortizes "
+             "UDC invocation overhead", ">", 1.2))
 def batching_ablation(n_vertices: int = 1500, seed: int = 82
                       ) -> FigureResult:
     """Ablation 2: UDC input batching amortizes invocation overhead."""
     edges = dbpedia_like(n_vertices, avg_out_degree=8, seed=seed)
     times: Dict[int, float] = {}
     for batch in (1, 64):
-        cm = scaled_cost_model(48_000_000 / len(edges),
+        cm = scaled_cost_model(PAPER_DBPEDIA_EDGES / len(edges),
                                CostModel(udf_batch_size=batch))
-        _, m = run_pagerank(graph_cluster(edges, cm=cm), mode="delta",
-                            tol=0.01)
+        _, m = run_pagerank(graph_cluster(edges, NODES, cm, replication=2),
+                            mode="delta", tol=0.01)
         times[batch] = m.total_seconds()
     return FigureResult(
         figure="Ablation 2",
@@ -84,6 +93,8 @@ def batching_ablation(n_vertices: int = 1500, seed: int = 82
     )
 
 
+@claims(Claim("call_reduction", "Section 5.1: caching a deterministic "
+             "function's results saves repeated invocations", ">", 50.0))
 def caching_ablation(n_rows: int = 5000) -> FigureResult:
     """Ablation 3: deterministic-UDF result caching (Section 5.1)."""
     rows = lineitem(n_rows)
@@ -122,6 +133,12 @@ def caching_ablation(n_rows: int = 5000) -> FigureResult:
     )
 
 
+@claims(
+    Claim("bytes_saved_ratio", "Section 5.2: pre-aggregation cuts the "
+          "bytes shipped", ">", 2.0),
+    Claim("time_speedup", "Section 5.2: pre-aggregation cuts the runtime",
+          ">", 1.0),
+)
 def preagg_ablation(n_rows: int = 20_000) -> FigureResult:
     """Ablation 4: pre-aggregation pushdown on vs off (Section 5.2)."""
     rows = lineitem(n_rows)
@@ -153,15 +170,18 @@ def preagg_ablation(n_rows: int = 20_000) -> FigureResult:
     )
 
 
+@claims(Claim("bytes sent change per added replica", "Section 4.3: each "
+             "checkpoint replica costs network traffic", ">", 0,
+             measure=steps("bytes sent")))
 def replication_sweep(n_vertices: int = 1200,
                       factors=(2, 3, 5), seed: int = 83) -> FigureResult:
     """Ablation 5: checkpoint replication factor (Section 4.3)."""
     edges = dbpedia_like(n_vertices, avg_out_degree=6, seed=seed)
-    cm = scaled_cost_model(48_000_000 / len(edges))
+    cm = scaled_cost_model(PAPER_DBPEDIA_EDGES / len(edges))
     bytes_sent: List[float] = []
     for rf in factors:
-        cluster = graph_cluster(edges, cm=cm, replication=3)
-        make_start_table(cluster, 0)
+        cluster = graph_cluster(edges, NODES, cm, replication=3,
+                                source=0)
         opts = ExecOptions(checkpoint_replication=rf)
         _, m = run_sssp(cluster, options=opts)
         bytes_sent.append(float(m.total_bytes()))
@@ -175,6 +195,8 @@ def replication_sweep(n_vertices: int = 1200,
     )
 
 
+@claims(Claim("sort_penalty", "Section 6.3: hash-based grouping avoids "
+             "the expensive sort of Hadoop's shuffle", ">", 1.3))
 def sort_vs_hash_ablation(n_vertices: int = 1500, seed: int = 84
                           ) -> FigureResult:
     """Ablation 6: what if REX's exchanges sorted like Hadoop's shuffle?
@@ -185,18 +207,18 @@ def sort_vs_hash_ablation(n_vertices: int = 1500, seed: int = 84
     comparison-based ``log2(n)`` equivalent at benchmark scale.
     """
     edges = dbpedia_like(n_vertices, avg_out_degree=8, seed=seed)
-    scale = 48_000_000 / len(edges)
+    scale = PAPER_DBPEDIA_EDGES / len(edges)
     import math
 
     hash_cm = scaled_cost_model(scale)
-    sort_per_tuple = hash_cm.compare_cost * math.log2(48_000_000)
+    sort_per_tuple = hash_cm.compare_cost * math.log2(PAPER_DBPEDIA_EDGES)
     sort_cm = scaled_cost_model(scale, CostModel(
         hash_op_cost=CostModel().hash_op_cost + sort_per_tuple))
     times = {}
     for label, cm in (("hash grouping", hash_cm), ("sorted grouping",
                                                    sort_cm)):
-        _, m = run_pagerank(graph_cluster(edges, cm=cm), mode="delta",
-                            tol=0.01)
+        _, m = run_pagerank(graph_cluster(edges, NODES, cm, replication=2),
+                            mode="delta", tol=0.01)
         times[label] = m.total_seconds()
     return FigureResult(
         figure="Ablation 6",
@@ -209,18 +231,11 @@ def sort_vs_hash_ablation(n_vertices: int = 1500, seed: int = 84
     )
 
 
-def run_all() -> List[FigureResult]:
-    return [
-        threshold_sweep(),
-        batching_ablation(),
-        caching_ablation(),
-        preagg_ablation(),
-        replication_sweep(),
-        sort_vs_hash_ablation(),
-    ]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for result in run_all():
-        print(result.format_table())
-        print()
+ALL_ABLATIONS = (
+    threshold_sweep,
+    batching_ablation,
+    caching_ablation,
+    preagg_ablation,
+    replication_sweep,
+    sort_vs_hash_ablation,
+)

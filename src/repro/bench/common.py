@@ -2,16 +2,21 @@
 
 Every experiment returns a :class:`FigureResult` holding named series
 (one per plotted line / table row), its parameters, and the headline
-comparisons the paper reports — so benchmark tests can assert the *shape*
-(who wins, by roughly what factor) and ``repro.bench.report`` can render
-the paper-vs-measured record into EXPERIMENTS.md.
+comparisons the paper reports.  Each experiment also declares, with
+:func:`claims`, the paper's claims about it as :class:`Claim` records —
+who wins, by roughly what factor, where crossovers fall — and
+``repro.bench.report`` checks them on the run and renders the
+paper-vs-measured record into EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import pairwise
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.algorithms import make_start_table
 from repro.cluster.cluster import Cluster
 from repro.cluster.costs import CostModel
 
@@ -25,8 +30,12 @@ DBPEDIA_VERTICES = 3000
 DBPEDIA_DEGREE = 12.0
 TWITTER_VERTICES = 3000
 TWITTER_DEGREE = 18.0
-GEO_POINTS = 3000
 LINEITEM_ROWS = 20_000
+
+#: Edge counts of the paper's graphs: fixed costs are scaled by the paper's
+#: size over the reproduction's (``scaled_cost_model``).
+PAPER_DBPEDIA_EDGES = 48_000_000
+PAPER_TWITTER_EDGES = 1_400_000_000
 
 
 @dataclass
@@ -79,6 +88,102 @@ class FigureResult:
         return "\n".join(lines)
 
 
+#: A bound operand: a constant, or the name of a headline metric or series.
+Operand = Union[float, str]
+#: Computes a claim's value, or one value per element, from a result.
+Measure = Callable[[FigureResult], Union[float, List[float]]]
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim the paper makes about a figure, and the bound this
+    reproduction holds it to.
+
+    ``reads`` names the quantity the bound compares: a headline metric,
+    or a series label (every value of the series is compared), or — with
+    ``measure`` — a quantity computed from the result.  ``bound`` is an
+    operand, compared as ``value op bound``, or a ``(lo, hi)`` pair,
+    compared as ``lo op value op hi``; a series operand is compared
+    element by element, a single value against every element.  ``gap``
+    names why the paper's magnitude is not reproduced although the bound
+    holds.
+    """
+
+    reads: str
+    paper: str
+    op: str
+    bound: Union[Operand, Tuple[Operand, Operand]]
+    measure: Optional[Measure] = None
+    gap: Optional[str] = None
+
+    def values(self, result: FigureResult) -> List[float]:
+        if self.measure is None:
+            return _operand(result, self.reads)
+        value = self.measure(result)
+        return list(value) if isinstance(value, (list, tuple)) else [value]
+
+    def holds(self, result: FigureResult) -> bool:
+        compare = _COMPARE[self.op]
+        values = self.values(result)
+        if not values:
+            return False
+        if isinstance(self.bound, tuple):
+            lo, hi = (_operand(result, b) for b in self.bound)
+            return all(compare(a, v) and compare(v, b)
+                       for a, v, b in _aligned(lo, values, hi))
+        return all(compare(v, b) for v, b in
+                   _aligned(values, _operand(result, self.bound)))
+
+    def describe(self) -> str:
+        if isinstance(self.bound, tuple):
+            lo, hi = self.bound
+            return (f"{_show(lo)} {self.op} {self.reads} {self.op} "
+                    f"{_show(hi)}")
+        return f"{self.reads} {self.op} {_show(self.bound)}"
+
+
+def claims(*declared: Claim):
+    """Declare the paper's claims about an experiment next to it: the
+    decorated function gets them as its ``claims`` attribute."""
+    def declare(fn):
+        fn.claims = declared
+        return fn
+    return declare
+
+
+def _operand(result: FigureResult, operand: Operand) -> List[float]:
+    if not isinstance(operand, str):
+        return [operand]
+    if operand in result.headline:
+        return [result.headline[operand]]
+    return result.get(operand).values
+
+
+def _aligned(*columns: List[float]):
+    """Zip the columns, repeating a single value to the others' length."""
+    n = max(len(c) for c in columns)
+    return zip(*(c * n if len(c) == 1 else c for c in columns), strict=True)
+
+
+def _show(operand: Operand) -> str:
+    return operand if isinstance(operand, str) else f"{operand:g}"
+
+
+def steps(label: str) -> Measure:
+    """Measure: the differences between consecutive values of a series."""
+    return lambda r: [b - a for a, b in pairwise(r.get(label).values)]
+
+
+def late_over_peak(label: str, late: int, first: int = 0) -> Measure:
+    """Measure: a series' value at index ``late`` over its peak from
+    index ``first`` on."""
+    return lambda r: (r.get(label).values[late]
+                      / max(r.get(label).values[first:]))
+
+
 def scaled_cost_model(data_scale: float,
                       base: Optional[CostModel] = None) -> CostModel:
     """Scale fixed (per-job / per-stratum / per-query) overheads down by
@@ -109,6 +214,21 @@ def scaled_cost_model(data_scale: float,
 def fresh_cluster(nodes: int = DEFAULT_NODES,
                   cost_model: Optional[CostModel] = None) -> Cluster:
     return Cluster(nodes, cost_model=cost_model)
+
+
+def graph_cluster(edges, nodes: int = DEFAULT_NODES,
+                  cost_model: Optional[CostModel] = None,
+                  replication: int = 1,
+                  source: Optional[int] = None) -> Cluster:
+    """A fresh cluster holding ``edges`` as the ``graph`` table keyed by
+    ``srcId``, plus shortest path's ``start`` table when ``source`` is
+    given."""
+    cluster = fresh_cluster(nodes, cost_model)
+    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
+                         edges, "srcId", replication=replication)
+    if source is not None:
+        make_start_table(cluster, source)
+    return cluster
 
 
 def speedup(slow: float, fast: float) -> float:

@@ -11,37 +11,51 @@ centroids", which manifests as adjustment traffic, not point updates).
 from __future__ import annotations
 
 from repro.algorithms import (
-    make_start_table,
     run_adsorption,
     run_kmeans,
     run_pagerank,
     run_sssp,
 )
-from repro.bench.common import FigureResult, Series, fresh_cluster
+from repro.bench.common import (
+    Claim,
+    FigureResult,
+    Series,
+    claims,
+    fresh_cluster,
+    graph_cluster,
+)
 from repro.datasets import dbpedia_like, geo_points, sample_centroids
 
 
+@claims(
+    Claim("pagerank_immutable", "the immutable set is the input relation: "
+          "the same graph edges for PageRank and shortest path", "==",
+          "sssp_immutable"),
+    Claim("kmeans_immutable", "K-means' immutable set is its point set",
+          ">", 0),
+    Claim("pagerank_mutable", "the mutable set holds one row per vertex",
+          "<=", "pagerank_immutable"),
+    Claim("last Δi of each algorithm", "every algorithm's Δi set shrinks "
+          "to empty at convergence", "==", 0.0,
+          measure=lambda r: [s.last() for s in r.series]),
+    Claim("peak Δi of each algorithm", "every algorithm iterates over a "
+          "non-empty Δi set", ">", 0,
+          measure=lambda r: [max(s.values) for s in r.series]),
+)
 def run(nodes: int = 4, seed: int = 71) -> FigureResult:
     edges = dbpedia_like(800, avg_out_degree=6, seed=seed)
     series = []
     headline = {}
 
     # PageRank: immutable = edges; mutable = PR per vertex; Δi shrinks.
-    cluster = fresh_cluster(nodes)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    _, pr_m = run_pagerank(cluster, tol=0.01)
+    _, pr_m = run_pagerank(graph_cluster(edges, nodes), tol=0.01)
     series.append(Series("PageRank Δi", [float(d) for d in pr_m.delta_series()]))
     headline["pagerank_immutable"] = float(len(edges))
     headline["pagerank_mutable"] = float(pr_m.iterations[-1].mutable_size)
     headline["pagerank_delta_peak"] = float(max(pr_m.delta_series()))
 
     # Shortest path: Δi is the frontier.
-    cluster = fresh_cluster(nodes)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
-    make_start_table(cluster, 0)
-    _, sp_m = run_sssp(cluster)
+    _, sp_m = run_sssp(graph_cluster(edges, nodes, source=0))
     series.append(Series("Shortest-path Δi (frontier)",
                          [float(d) for d in sp_m.delta_series()]))
     headline["sssp_immutable"] = float(len(edges))
@@ -63,9 +77,7 @@ def run(nodes: int = 4, seed: int = 71) -> FigureResult:
 
     # Adsorption: Δi is label-vector positions changing >= tol.
     seeds = {(0, "A"): 1.0, (5, "B"): 1.0}
-    cluster = fresh_cluster(nodes)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId")
+    cluster = graph_cluster(edges, nodes)
     cluster.create_table("labels", ["v:Integer", "label:Varchar", "w:Double"],
                          [(v, l, w) for (v, l), w in seeds.items()], "v")
     _, ad_m = run_adsorption(cluster, seeds, tol=0.01)
@@ -79,11 +91,4 @@ def run(nodes: int = 4, seed: int = 71) -> FigureResult:
         title="Types of recursive data: measured immutable/mutable/Δi sets",
         series=series,
         headline=headline,
-        notes=["immutable sets stay constant (graph edges / point set); "
-               "mutable sets are one row per vertex/centroid; Δi sets "
-               "shrink toward zero for every algorithm"],
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().format_table())

@@ -1,10 +1,7 @@
 """Figures 6(a)/6(b): PageRank on the DBPedia-like graph, five strategies.
 
 Hadoop LB, HaLoop LB, REX wrap, REX no-Δ, REX Δ; cumulative and
-per-iteration runtimes.  Paper findings: REX Δ outperforms HaLoop by ~10x
-and REX no-Δ by ~4x; all strategies except Hadoop and REX Δ drop by ~2x
-after the first iteration then stay flat, while REX Δ keeps shrinking with
-the Δᵢ set; REX wrap is nearly twice as fast as HaLoop.
+per-iteration runtimes.
 """
 
 from __future__ import annotations
@@ -15,44 +12,56 @@ from repro.algorithms import run_pagerank
 from repro.bench.common import (
     DBPEDIA_DEGREE,
     DBPEDIA_VERTICES,
+    PAPER_DBPEDIA_EDGES,
+    Claim,
     FigureResult,
     Series,
+    claims,
     fresh_cluster,
+    graph_cluster,
+    late_over_peak,
     scaled_cost_model,
     speedup,
 )
-
-PAPER_DBPEDIA_EDGES = 48_000_000
 from repro.datasets import dbpedia_like
 from repro.hadoop import hadoop_pagerank, rex_wrap_pagerank
 
-GRAPH_SCHEMA = ["srcId:Integer", "destId:Integer"]
 
-
-def graph_cluster(edges, nodes, cost_model=None):
-    cluster = fresh_cluster(nodes, cost_model)
-    cluster.create_table("graph", GRAPH_SCHEMA, edges, "srcId",
-                         replication=2)
-    return cluster
-
-
+@claims(
+    Claim("delta_vs_haloop", "REX Δ outperforms HaLoop by ~10x", ">", 4.0),
+    Claim("delta_vs_nodelta", "REX Δ outperforms REX no-Δ by ~4x", "<",
+          (2.0, 20.0)),
+    Claim("wrap_vs_haloop", "REX wrap is nearly twice as fast as HaLoop",
+          ">", 1.3),
+    Claim("delta_vs_hadoop", "Hadoop is the slowest strategy, slower even "
+          "than HaLoop", ">", "delta_vs_haloop"),
+    Claim("REX Δ per-iteration, second-to-last / peak", "REX Δ's "
+          "per-iteration time keeps shrinking with the Δi set (Fig 6b)",
+          "<", 0.5, measure=late_over_peak("REX Δ (per-iter)", -2)),
+    Claim("REX no Δ per-iteration, second-to-last / peak after the first",
+          "the other strategies stay flat after the first iteration "
+          "(Fig 6b)", ">", 0.8,
+          measure=late_over_peak("REX no Δ (per-iter)", -2, 1)),
+)
 def run(n_vertices: int = DBPEDIA_VERTICES, degree: float = DBPEDIA_DEGREE,
         nodes: int = 8, tol: float = 0.01, seed: int = 7) -> FigureResult:
     edges = dbpedia_like(n_vertices, avg_out_degree=degree, seed=seed)
     cm = scaled_cost_model(PAPER_DBPEDIA_EDGES / len(edges))
 
+    def rex_cluster():
+        return graph_cluster(edges, nodes, cm, replication=2)
+
     # REX Δ runs to convergence and sets the iteration count for everyone.
-    delta_scores, delta_m = run_pagerank(graph_cluster(edges, nodes, cm),
-                                         mode="delta", tol=tol)
+    delta_scores, delta_m = run_pagerank(rex_cluster(), mode="delta",
+                                         tol=tol)
     iterations = delta_m.num_iterations
     # REX stratum 0 is the base case; the MapReduce drivers' iterations are
     # all full power steps, so they run one fewer.
     mr_iterations = max(1, iterations - 1)
 
     nodelta_scores, nodelta_m = run_pagerank(
-        graph_cluster(edges, nodes, cm), mode="nodelta", max_strata=iterations)
-    wrap_scores, wrap_m = rex_wrap_pagerank(graph_cluster(edges, nodes, cm),
-                                            iterations)
+        rex_cluster(), mode="nodelta", max_strata=iterations)
+    wrap_scores, wrap_m = rex_wrap_pagerank(rex_cluster(), iterations)
     hadoop_scores, hadoop_m = hadoop_pagerank(fresh_cluster(nodes, cm), edges,
                                               iterations=mr_iterations)
     _, haloop_m = hadoop_pagerank(fresh_cluster(nodes, cm), edges,
@@ -90,10 +99,5 @@ def run(n_vertices: int = DBPEDIA_VERTICES, degree: float = DBPEDIA_DEGREE,
             "iterations": float(iterations),
         },
         notes=[f"{n_vertices} vertices / {len(edges)} edges on {nodes} "
-               "nodes; paper: 3.3M vertices / 48M edges on 28 nodes",
-               "paper: REX Δ ~10x HaLoop, ~4x no-Δ; wrap ~2x HaLoop"],
+               "nodes; paper: 3.3M vertices / 48M edges on 28 nodes"],
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().format_table())

@@ -4,21 +4,23 @@ Hadoop LB and HaLoop LB use relation-level Δᵢ (frontier) updates, as the
 paper grants them.  "Although both graphs show execution of only six
 iterations, the diameter of the DBPedia graph is so large it requires 75
 iterations to compute full reachability.  For all methods except REX delta
-we perform only six iterations, enough to provide 99% reachability.  REX
-delta itself performs all ... iterations, with iterations 7 to 75 taking
-under 1s in combined time."  Paper findings: REX Δ ~2x REX no-Δ and ~10x
-HaLoop; REX wrap ~2x faster than HaLoop.
+we perform only six iterations, enough to provide 99% reachability."  REX
+Δ runs to full reachability.
 """
 
 from __future__ import annotations
 
-from repro.algorithms import make_start_table, run_sssp, sssp_reference
+from repro.algorithms import run_sssp, sssp_reference
 from repro.bench.common import (
     DBPEDIA_DEGREE,
     DBPEDIA_VERTICES,
+    PAPER_DBPEDIA_EDGES,
+    Claim,
     FigureResult,
     Series,
+    claims,
     fresh_cluster,
+    graph_cluster,
     scaled_cost_model,
     speedup,
 )
@@ -27,18 +29,22 @@ from repro.hadoop import hadoop_sssp
 from repro.hadoop.rex_wrap import rex_wrap_sssp
 from repro.runtime import ExecOptions
 
-PAPER_DBPEDIA_EDGES = 48_000_000
 LB_ITERATIONS = 6  # "enough to provide 99% reachability"
 
 
-def graph_cluster(edges, nodes, cm):
-    cluster = fresh_cluster(nodes, cm)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId", replication=2)
-    make_start_table(cluster, 0)
-    return cluster
-
-
+@claims(
+    Claim("delta_vs_nodelta", "REX Δ is ~2x faster than REX no-Δ", ">",
+          1.5),
+    Claim("delta_vs_haloop", "REX Δ is nearly an order of magnitude (~10x) "
+          "faster than HaLoop", ">", 5.0),
+    Claim("wrap_vs_haloop", "REX wrap is ~2x faster than HaLoop", ">", 1.3),
+    Claim("lb_coverage", "six iterations give 99% reachability", ">", 0.95),
+    Claim("eccentricity", "full reachability needs 75 iterations", ">", 20),
+    Claim("delta_tail_seconds / delta_total_seconds", "iterations 7 to 75 "
+          "take under 1s combined for REX Δ", "<", 0.5,
+          measure=lambda r: (r.headline["delta_tail_seconds"]
+                             / r.headline["delta_total_seconds"])),
+)
 def run(n_vertices: int = DBPEDIA_VERTICES, degree: float = DBPEDIA_DEGREE,
         nodes: int = 8, seed: int = 7) -> FigureResult:
     edges = dbpedia_like(n_vertices, avg_out_degree=degree, seed=seed)
@@ -46,20 +52,21 @@ def run(n_vertices: int = DBPEDIA_VERTICES, degree: float = DBPEDIA_DEGREE,
     reference = sssp_reference(edges, 0)
     eccentricity = max(reference.values())
 
+    def rex_cluster():
+        return graph_cluster(edges, nodes, cm, replication=2, source=0)
+
     # REX Δ computes full reachability (all iterations).
-    delta_dists, delta_m = run_sssp(graph_cluster(edges, nodes, cm))
+    delta_dists, delta_m = run_sssp(rex_cluster())
     assert {v: d for v, (_, d) in delta_dists.items()} == {
         v: float(d) for v, d in reference.items()}
 
     # REX no-Δ: re-feeds the whole distance relation, 6 iterations.
     nodelta_opts = ExecOptions(feedback_mode="full",
                                max_strata=LB_ITERATIONS + 1)
-    _, nodelta_m = run_sssp(graph_cluster(edges, nodes, cm),
-                            options=nodelta_opts)
+    _, nodelta_m = run_sssp(rex_cluster(), options=nodelta_opts)
 
     # REX wrap: the Hadoop SSSP classes inside REX, 6 iterations.
-    _, wrap_m = rex_wrap_sssp(graph_cluster(edges, nodes, cm),
-                              LB_ITERATIONS + 1)
+    _, wrap_m = rex_wrap_sssp(rex_cluster(), LB_ITERATIONS + 1)
 
     # Hadoop / HaLoop with frontier (relation-level Δ) updates.
     hadoop_dists, hadoop_m = hadoop_sssp(fresh_cluster(nodes, cm), edges, 0,
@@ -97,11 +104,5 @@ def run(n_vertices: int = DBPEDIA_VERTICES, degree: float = DBPEDIA_DEGREE,
         notes=[f"REX Δ runs all {delta_m.num_iterations} iterations (full "
                f"reachability, eccentricity {eccentricity}); lower-bound "
                f"methods run {LB_ITERATIONS} iterations covering "
-               f"{coverage:.0%}",
-               "paper: REX Δ ~2x no-Δ, ~10x HaLoop; tail iterations nearly "
-               "free for REX Δ"],
+               f"{coverage:.0%}"],
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().format_table())

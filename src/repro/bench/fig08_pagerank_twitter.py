@@ -1,9 +1,7 @@
 """Figures 8(a)/8(b): PageRank on the Twitter-like graph.
 
 The larger, denser dataset compared across the best alternatives: Hadoop
-LB, HaLoop LB, REX Δ.  Paper findings: REX delta outperforms HaLoop by ~3x
-and Hadoop by ~7x; per-iteration times for the LB methods stay flat while
-REX Δ's decay with the Δᵢ set.
+LB, HaLoop LB, REX Δ.
 """
 
 from __future__ import annotations
@@ -12,27 +10,39 @@ from repro.algorithms import run_pagerank
 from repro.bench.common import (
     TWITTER_DEGREE,
     TWITTER_VERTICES,
+    PAPER_TWITTER_EDGES,
+    Claim,
     FigureResult,
     Series,
+    claims,
     fresh_cluster,
+    graph_cluster,
+    late_over_peak,
     scaled_cost_model,
     speedup,
 )
 from repro.datasets import twitter_like
 from repro.hadoop import hadoop_pagerank
 
-PAPER_TWITTER_EDGES = 1_400_000_000
 
-
+@claims(
+    Claim("delta_vs_haloop", "REX Δ outperforms HaLoop by ~3x", ">", 2.0),
+    Claim("delta_vs_hadoop", "REX Δ outperforms Hadoop by ~7x, more than "
+          "HaLoop", ">", "delta_vs_haloop"),
+    Claim("REX Δ per-iteration, second-to-last / peak", "REX Δ's "
+          "per-iteration time decays with the Δi set (Fig 8b)", "<", 0.6,
+          measure=late_over_peak("REX Δ (per-iter)", -2)),
+    Claim("HaLoop LB per-iteration, last / peak after the first", "the "
+          "lower-bound methods' per-iteration times stay flat (Fig 8b)",
+          ">", 0.7, measure=late_over_peak("HaLoop LB (per-iter)", -1, 1)),
+)
 def run(n_vertices: int = TWITTER_VERTICES, degree: float = TWITTER_DEGREE,
         nodes: int = 8, tol: float = 0.01, seed: int = 13) -> FigureResult:
     edges = twitter_like(n_vertices, avg_out_degree=degree, seed=seed)
     cm = scaled_cost_model(PAPER_TWITTER_EDGES / len(edges))
 
-    cluster = fresh_cluster(nodes, cm)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId", replication=2)
-    delta_scores, delta_m = run_pagerank(cluster, mode="delta", tol=tol)
+    delta_scores, delta_m = run_pagerank(
+        graph_cluster(edges, nodes, cm, replication=2), mode="delta", tol=tol)
     iterations = delta_m.num_iterations
     mr_iterations = max(1, iterations - 1)
 
@@ -59,10 +69,5 @@ def run(n_vertices: int = TWITTER_VERTICES, degree: float = TWITTER_DEGREE,
             "iterations": float(iterations),
         },
         notes=[f"{n_vertices} vertices / {len(edges)} edges on {nodes} "
-               "nodes; paper: 41M vertices / 1.4B edges on 28 nodes",
-               "paper: REX Δ ~3x HaLoop, ~7x Hadoop"],
+               "nodes; paper: 41M vertices / 1.4B edges on 28 nodes"],
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().format_table())

@@ -1,44 +1,48 @@
 """Figures 9(a)/9(b): shortest path on the Twitter-like graph.
 
-Paper findings: REX Δ faster than HaLoop LB by ~30%; "Figure 9(b) reveals a
-large jump in the per-iteration runtime around iterations 7 and 8, preceded
-and followed by very fast iterations.  This is due [to] an explosion in the
-size of the reachability set which occurs 7 hops from the initial node.
-The large spike in the first iteration reflects the time required to load
-the immutable data."  The twitter_like generator engineers exactly that
-frontier structure (periphery chain into a dense core).
+Hadoop LB, HaLoop LB, REX Δ.  The twitter_like generator engineers the
+paper's frontier structure, a periphery chain into a dense core that the
+reachability set reaches 7 hops from the source.
 """
 
 from __future__ import annotations
 
-from repro.algorithms import make_start_table, run_sssp, sssp_reference
+from repro.algorithms import run_sssp, sssp_reference
 from repro.bench.common import (
     TWITTER_DEGREE,
     TWITTER_VERTICES,
+    PAPER_TWITTER_EDGES,
+    Claim,
     FigureResult,
     Series,
+    claims,
     fresh_cluster,
+    graph_cluster,
     scaled_cost_model,
     speedup,
 )
 from repro.datasets import twitter_like
 from repro.hadoop import hadoop_sssp
 
-PAPER_TWITTER_EDGES = 1_400_000_000
 LB_ITERATIONS = 15  # the paper plots 15 iterations for Twitter SSSP
 
 
+@claims(
+    Claim("delta_vs_haloop", "REX Δ is ~30% faster than HaLoop LB", ">",
+          1.2),
+    Claim("frontier_spike_ratio", "a large per-iteration spike at hops 7-8, "
+          "where the reachability set explodes (Fig 9b)", ">", 3.0),
+    Claim("load_spike_first_iteration", "a first-iteration spike from "
+          "loading the immutable data (Fig 9b)", ">", 3.0),
+)
 def run(n_vertices: int = TWITTER_VERTICES, degree: float = TWITTER_DEGREE,
         nodes: int = 8, seed: int = 13) -> FigureResult:
     edges = twitter_like(n_vertices, avg_out_degree=degree, seed=seed)
     cm = scaled_cost_model(PAPER_TWITTER_EDGES / len(edges))
     reference = sssp_reference(edges, 0)
 
-    cluster = fresh_cluster(nodes, cm)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId", replication=2)
-    make_start_table(cluster, 0)
-    delta_dists, delta_m = run_sssp(cluster)
+    delta_dists, delta_m = run_sssp(
+        graph_cluster(edges, nodes, cm, replication=2, source=0))
     assert {v: d for v, (_, d) in delta_dists.items()} == {
         v: float(d) for v, d in reference.items()}
 
@@ -70,12 +74,5 @@ def run(n_vertices: int = TWITTER_VERTICES, degree: float = TWITTER_DEGREE,
                 per_iter[0] / max(quiet, 1e-9) if per_iter else 0.0,
         },
         notes=[f"{n_vertices} vertices / {len(edges)} edges on {nodes} "
-               "nodes",
-               "paper: REX Δ ~30% faster than HaLoop LB; per-iteration "
-               "spike at hops 7-8 (reachability explosion); first "
-               "iteration spike = immutable data load"],
+               "nodes"],
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().format_table())

@@ -1,10 +1,7 @@
 """Figures 10(a)/10(b): scalability and speedup vs cluster size.
 
 PageRank (DBPedia-like) on 1, 3, 9, 28 nodes, plus DBMS X on one machine
-and its perfect-linear-speedup lower-bound line.  Paper findings: runtime
-decreases proportionally with machines (near-linear speedup); single-node
-REX Δ is ~30% faster than the commercial DBMS; real REX always beats even
-the idealized linear-speedup DBMS X.
+and its perfect-linear-speedup lower-bound line.
 """
 
 from __future__ import annotations
@@ -13,19 +10,35 @@ from typing import List
 
 from repro.algorithms import run_pagerank
 from repro.bench.common import (
+    PAPER_DBPEDIA_EDGES,
+    Claim,
     FigureResult,
     Series,
-    fresh_cluster,
+    claims,
+    graph_cluster,
     scaled_cost_model,
     speedup,
+    steps,
 )
 from repro.datasets import dbpedia_like
 from repro.dbms import DBMSXEngine
 
-PAPER_DBPEDIA_EDGES = 48_000_000
 NODE_COUNTS = (1, 3, 9, 28)
 
 
+@claims(
+    Claim("REX Δ runtime change per node-count step", "runtime decreases "
+          "~proportionally with the number of machines", "<", 0,
+          measure=steps("REX Δ")),
+    Claim("speedup_at_max_nodes", "near-linear speedup to 28 nodes (~19x "
+          "at 25)", ">", 8.0),
+    Claim("parallel_efficiency_at_max", "near-linear speedup: each machine "
+          "keeps contributing", ">", 0.3),
+    Claim("single_node_rex_vs_dbms", "single-node REX Δ is ~30% faster "
+          "than DBMS X", ">", 1.0),
+    Claim("rex_beats_idealized_dbms", "real REX always beats the idealized "
+          "linear-speedup DBMS X", "==", 1.0),
+)
 def run(n_vertices: int = 3000, degree: float = 12.0,
         node_counts=NODE_COUNTS, tol: float = 0.01,
         seed: int = 7) -> FigureResult:
@@ -34,10 +47,8 @@ def run(n_vertices: int = 3000, degree: float = 12.0,
 
     rex_times: List[float] = []
     for n in node_counts:
-        cluster = fresh_cluster(n, cm)
-        cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                             edges, "srcId")
-        _, m = run_pagerank(cluster, mode="delta", tol=tol)
+        _, m = run_pagerank(graph_cluster(edges, n, cm), mode="delta",
+                            tol=tol)
         rex_times.append(m.total_seconds())
     speedups = [rex_times[0] / t for t in rex_times]
 
@@ -65,11 +76,4 @@ def run(n_vertices: int = 3000, degree: float = 12.0,
             "rex_beats_idealized_dbms": 1.0 if all(
                 r < d for r, d in zip(rex_times, dbms_lb)) else 0.0,
         },
-        notes=["paper: near-linear speedup to 28 nodes; single-node REX Δ "
-               "~30% faster than DBMS X; real REX always beats the "
-               "idealized linear-speedup DBMS X"],
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().format_table())

@@ -1,7 +1,7 @@
 """Terminal rendering of figure results: ASCII line charts and bar charts.
 
-The benchmark harness prints the same rows and series the paper's plots
-show; this module adds a quick visual form for eyeballing shapes (the
+Runs one figure and prints its table (the rows and series the paper's
+plots show) followed by a quick visual form for eyeballing shapes (the
 per-iteration decay of REX Δ, the Figure 9 frontier spike, log-log
 scalability) without leaving the terminal::
 
@@ -108,6 +108,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     log_y = "--log" in argv
     result = ALL_FIGURES[argv[0]]()
+    print(result.format_table())
+    print()
     print(render(result, log_y=log_y))
     return 0
 

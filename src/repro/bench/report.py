@@ -1,82 +1,50 @@
-"""Regenerate EXPERIMENTS.md: run every figure and record paper-vs-measured.
+"""Regenerate EXPERIMENTS.md: run every figure and check the paper's claims.
 
 Usage::
 
     python -m repro.bench.report [output_path]
 
-Runs every figure experiment plus the ablations (takes a few minutes) and
-writes the paper-vs-measured record.  The static expectations below quote
-the paper's claims; the measured columns come from the run.
+Runs every figure experiment plus the ablations (takes a few minutes),
+checks each experiment's declared :class:`~repro.bench.common.Claim`
+records on its run, and writes the paper-vs-measured record.  Exits
+non-zero, after writing the record, if any reproduction bound fails.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, List
+from typing import Callable, Iterable, List, Mapping, Optional
 
 from repro.bench import ALL_FIGURES
-from repro.bench.ablations import run_all as run_ablations
+from repro.bench.ablations import ALL_ABLATIONS
 from repro.bench.common import FigureResult
 
-#: The paper's quantitative claims per figure, keyed by headline metric.
-PAPER_CLAIMS: Dict[str, Dict[str, str]] = {
-    "fig02": {
-        "iterations": "20-30 iterations typical for web/social graphs",
-        "monotone_decrease": "overall non-converged count steadily "
-                             "decreases (Fig 2b)",
-    },
-    "fig03": {},
-    "fig04": {
-        "rex_vs_hadoop_speedup": "> 3x (Fig 4)",
-        "udf_overhead_pct": "<= ~10% over built-in",
-        "wrap_vs_hadoop_speedup": "~1.1x (wrap slightly faster than "
-                                  "Hadoop)",
-    },
-    "fig05": {
-        "speedup_largest": "~100x (almost two orders of magnitude)",
-    },
-    "fig06": {
-        "delta_vs_haloop": "~10x",
-        "delta_vs_nodelta": "~4x",
-        "wrap_vs_haloop": "~2x",
-    },
-    "fig07": {
-        "delta_vs_haloop": "~10x (nearly an order of magnitude)",
-        "delta_vs_nodelta": "~2x",
-        "lb_coverage": "6 iterations give 99% reachability",
-        "eccentricity": "75 iterations for full reachability",
-    },
-    "fig08": {
-        "delta_vs_haloop": "~3x",
-        "delta_vs_hadoop": "~7x",
-    },
-    "fig09": {
-        "delta_vs_haloop": "~1.3x (30% faster)",
-        "frontier_spike_ratio": "large spike at hops 7-8",
-    },
-    "fig10": {
-        "single_node_rex_vs_dbms": "~1.3x (30% faster)",
-        "speedup_at_max_nodes": "near-linear to 28 nodes (~19x at 25)",
-        "rex_beats_idealized_dbms": "REX always beats idealized DBMS X",
-    },
-    "fig11": {
-        "pr_bytes_hadoop_over_delta": "~2x less data (0.97 vs 2.0 MB/s)",
-        "sp_bytes_hadoop_over_delta": "even more pronounced than PageRank",
-    },
-    "fig12": {
-        "overhead_ratio": "~2x (incremental halves recovery overhead)",
-    },
-}
+Experiment = Callable[[], FigureResult]
 
 
-def generate(path: str = "EXPERIMENTS.md") -> str:
+class UnmetClaims(AssertionError):
+    """A reproduction bound failed; the record was written regardless."""
+
+
+def generate(path: str = "EXPERIMENTS.md",
+             figures: Optional[Mapping[str, Experiment]] = None,
+             ablations: Optional[Iterable[Experiment]] = None) -> str:
+    """Run ``figures`` and ``ablations`` (default: all of them), write the
+    record to ``path`` and return it; raise :class:`UnmetClaims` after
+    writing if any claim's bound fails."""
+    figures = ALL_FIGURES if figures is None else figures
+    ablations = ALL_ABLATIONS if ablations is None else ablations
+    unmet: List[str] = []
     lines: List[str] = [
         "# EXPERIMENTS — paper vs. measured",
         "",
         "Generated by `python -m repro.bench.report`.  Every table and "
         "figure of the paper's Section 6 is regenerated by the harness in "
-        "`src/repro/bench/` (pytest entry points in `benchmarks/`).",
+        "`src/repro/bench/`, and each claim the paper makes is checked "
+        "against the bound this reproduction holds it to: `met`, or "
+        "`gap: <reason>` where the bound holds but the paper's magnitude "
+        "is not reproduced.  The command exits non-zero if a bound fails.",
         "",
         "Datasets are seeded synthetic stand-ins scaled down by factors of "
         "~10^3 (see DESIGN.md), and fixed per-job/per-stratum overheads are "
@@ -87,42 +55,57 @@ def generate(path: str = "EXPERIMENTS.md") -> str:
         "points fall).",
         "",
     ]
-    for key, run_fn in ALL_FIGURES.items():
-        started = time.perf_counter()
-        result: FigureResult = run_fn()
-        elapsed = time.perf_counter() - started
-        lines.append(f"## {result.figure}: {result.title}")
-        lines.append("")
-        claims = PAPER_CLAIMS.get(key, {})
-        lines.append("| metric | paper | measured |")
-        lines.append("|---|---|---|")
-        for metric, value in sorted(result.headline.items()):
-            claim = claims.get(metric, "—")
-            lines.append(f"| {metric} | {claim} | {value:.3f} |")
-        for note in result.notes:
-            lines.append(f"- {note}")
-        lines.append(f"- (experiment wall clock: {elapsed:.1f}s)")
-        lines.append("")
-        print(f"{result.figure} done in {elapsed:.1f}s", file=sys.stderr)
-
-    lines.append("## Ablations (design choices, not paper figures)")
-    lines.append("")
-    for result in run_ablations():
-        lines.append(f"### {result.figure}: {result.title}")
-        lines.append("")
-        for metric, value in sorted(result.headline.items()):
-            lines.append(f"- {metric} = {value:.3f}")
-        for note in result.notes:
-            lines.append(f"- {note}")
-        lines.append("")
+    for run_fn in figures.values():
+        lines += _section("##", run_fn, unmet)
+    lines += ["## Ablations (design choices, not paper figures)", ""]
+    for run_fn in ablations:
+        lines += _section("###", run_fn, unmet)
 
     text = "\n".join(lines) + "\n"
     with open(path, "w") as f:
         f.write(text)
+    if unmet:
+        raise UnmetClaims("reproduction bounds failed:\n  "
+                          + "\n  ".join(unmet))
     return text
+
+
+def _section(heading: str, run_fn: Experiment, unmet: List[str]
+             ) -> List[str]:
+    """Run one experiment and render its record; failed bounds join
+    ``unmet``."""
+    started = time.perf_counter()
+    result = run_fn()
+    elapsed = time.perf_counter() - started
+    print(f"{result.figure} done in {elapsed:.1f}s", file=sys.stderr)
+    lines = [f"{heading} {result.figure}: {result.title}", "",
+             "| metric | measured |", "|---|---|"]
+    lines += [f"| {metric} | {value:.3f} |"
+              for metric, value in sorted(result.headline.items())]
+    lines += ["", "| paper | reproduction bound | measured | status |",
+              "|---|---|---|---|"]
+    for claim in run_fn.claims:
+        if not claim.holds(result):
+            status = "UNMET"
+            unmet.append(f"{result.figure}: {claim.describe()}")
+        elif claim.gap:
+            status = f"gap: {claim.gap}"
+        else:
+            status = "met"
+        measured = ", ".join(f"{v:.4g}" for v in claim.values(result))
+        lines.append(f"| {claim.paper} | {claim.describe()} | {measured} "
+                     f"| {status} |")
+    lines.append("")
+    lines += [f"- {note}" for note in result.notes]
+    lines += [f"- (experiment wall clock: {elapsed:.1f}s)", ""]
+    return lines
 
 
 if __name__ == "__main__":  # pragma: no cover
     out = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    generate(out)
+    try:
+        generate(out)
+    except UnmetClaims as exc:
+        print(f"wrote {out}; {exc}", file=sys.stderr)
+        sys.exit(1)
     print(f"wrote {out}", file=sys.stderr)

@@ -51,8 +51,9 @@ class TableScan(SourceOperator):
         self._emit_partition()
 
     def _emit_takeover_rows(self) -> None:
-        """Serve ranges whose original primary is dead (post-failure
-        restart): this node emits the replica copies it now owns."""
+        """Serve ranges whose original primary is dead: this node emits the
+        replica copies it now owns.  Both a restart on the survivors and
+        resume recovery (through :meth:`reemit_for_recovery`) reach it."""
         snapshot = self.ctx.snapshot
         if snapshot is None:
             return

@@ -176,6 +176,11 @@ class ExecOptions:
             raise OptionsError(
                 "ExecOptions.checkpoint_replication must be >= 0, got "
                 f"{self.checkpoint_replication}")
+        for spec in self.failure_specs():
+            if spec.after_stratum < 0:
+                raise OptionsError(
+                    "ExecOptions.failure must fire after a stratum >= 0, "
+                    f"got after_stratum={spec.after_stratum}")
 
     def failure_specs(self) -> List[FailureSpec]:
         if self.failure is None:
@@ -507,6 +512,11 @@ class QueryExecutor:
         host that had disabled it keeps it disabled.  The switch is
         process-wide.
         """
+        for spec in self.options.failure_specs():
+            if spec.node is not None and spec.node not in self.cluster.workers:
+                raise OptionsError(
+                    f"ExecOptions.failure names node {spec.node}, which is "
+                    f"not in the cluster (nodes {self.cluster.node_ids()})")
         collector_was_on = gc.isenabled()
         gc.disable()
         try:
@@ -936,8 +946,9 @@ class QueryExecutor:
         recursive pipeline in the next stratum so downstream operator state
         catches up.  Correct for refinement algebras that are monotone and
         idempotent (min/max-style, e.g. shortest paths — the algorithm class
-        the paper's recovery experiment uses); use restart recovery for
-        non-idempotent aggregates such as PageRank sums.
+        the paper's recovery experiment uses).  :meth:`_handle_failure`
+        sends plans with non-idempotent aggregates, such as PageRank sums,
+        to :meth:`_resume_from_checkpoint` instead.
         """
         dead = set(self.snapshot.nodes) - set(self.snapshot.live_nodes())
         pre_failure_owner = self._pre_failure_owner(victim)

@@ -1,4 +1,8 @@
-"""Fast smoke tests for the figure harness (full runs live in benchmarks/)."""
+"""Fast smoke tests for the figure harness and its claim check.
+
+Full-size figure runs, with every claim checked, are
+``python -m repro.bench.report``.
+"""
 
 import json
 from pathlib import Path
@@ -12,13 +16,18 @@ from repro.bench import (
     fig10_scalability,
     fig12_recovery,
 )
+from repro.bench.ablations import ALL_ABLATIONS
 from repro.bench.common import (
+    Claim,
     FigureResult,
     Series,
+    claims,
     fresh_cluster,
     scaled_cost_model,
     speedup,
+    steps,
 )
+from repro.bench.report import UnmetClaims, generate
 from repro.cluster import CostModel
 
 
@@ -73,6 +82,53 @@ class TestFigureRegistry:
     def test_every_entry_callable(self):
         for fn in ALL_FIGURES.values():
             assert callable(fn)
+
+
+def synthetic(*declared: Claim):
+    """An experiment declaring ``declared`` whose run is canned."""
+    @claims(*declared)
+    def run():
+        return FigureResult(
+            "Figure X", "synthetic", headline={"ratio": 4.0, "floor": 1.5},
+            series=[Series("fast", [1.0, 2.0, 4.0]),
+                    Series("slow", [3.0, 5.0, 9.0])])
+    return run
+
+
+class TestClaims:
+    @pytest.mark.parametrize("gap, status", [
+        (None, "met"), ("sweep too small", "gap: sweep too small")])
+    def test_held_bound_prints_met_or_its_gap(self, tmp_path, gap, status):
+        text = generate(str(tmp_path / "E.md"), ablations=(), figures={
+            "x": synthetic(Claim("ratio", "~9x", ">", 3.0, gap=gap))})
+        assert f"| ~9x | ratio > 3 | 4 | {status} |" in text
+
+    @pytest.mark.parametrize("gap", [None, "a reason"])
+    def test_unmet_bound_fails_after_writing(self, tmp_path, gap):
+        path = tmp_path / "E.md"
+        with pytest.raises(UnmetClaims, match="Figure X: ratio > 5"):
+            generate(str(path), ablations=(), figures={"x": synthetic(
+                Claim("ratio", "~10x", ">", 5.0, gap=gap))})
+        assert "| ~10x | ratio > 5 | 4 | UNMET |" in path.read_text()
+
+    @pytest.mark.parametrize("claim, holds", [
+        (Claim("ratio", "", "<=", (4.0, 4.0)), True),
+        (Claim("ratio", "", "<", (2.0, 4.0)), False),
+        (Claim("ratio", "", ">", "floor"), True),
+        (Claim("fast", "", "<", "slow"), True),          # element by element
+        (Claim("slow", "", "<", (2.0, "slow")), False),
+        (Claim("fast", "", ">=", "floor"), False),      # 1.0 < 1.5
+        (Claim("fast step", "", ">", 0, measure=steps("fast")), True),
+        (Claim("nothing", "", ">", 0, measure=lambda r: []), False),
+    ])
+    def test_bound_forms(self, claim, holds):
+        assert claim.holds(synthetic()()) is holds
+
+    def test_every_experiment_declares_claims(self):
+        for experiment in [*ALL_FIGURES.values(), *ALL_ABLATIONS]:
+            assert experiment.claims, experiment
+            for claim in experiment.claims:
+                assert isinstance(claim, Claim) and claim.paper, claim
 
 
 #: Toy-size runs of four figures; their exact series and headlines are

@@ -198,7 +198,7 @@ class TestRexWrapPageRank:
         c2 = Cluster(3)
         _, hadoop_m = hadoop_pagerank(c2, EDGES, iterations=iterations)
         # At unit-test scale stratum overhead dominates seconds, so the
-        # delta-vs-wrap claim is asserted on work done; the benchmark-scale
-        # runs in benchmarks/ assert it on simulated seconds.
+        # delta-vs-wrap claim is asserted on work done; Figure 6's full-size
+        # run (repro.bench.fig06_pagerank_dbpedia) compares simulated seconds.
         assert delta_m.total_tuples() < wrap_m.total_tuples()
         assert wrap_m.total_seconds() < hadoop_m.total_seconds()

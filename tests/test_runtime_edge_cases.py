@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.algorithms import make_start_table, run_sssp, sssp_reference
 from repro.cluster import Cluster
 from repro.common import OptionsError, insert
 from repro.operators import make_key_fn
 from repro.runtime import (
     ExecOptions,
+    FailureSpec,
     PFeedback,
     PFilter,
     PFixpoint,
@@ -102,6 +104,7 @@ class TestOptions:
         ("sanitize", "some"),
         ("max_strata", 0),
         ("checkpoint_replication", -1),
+        ("failure", FailureSpec(after_stratum=-1)),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         """A bad value fails when the options are built, typed, before an
@@ -109,6 +112,23 @@ class TestOptions:
         incremental recovery)."""
         with pytest.raises(OptionsError, match=f"ExecOptions.{field}"):
             ExecOptions(**{field: value})
+
+    def test_failure_on_unknown_node_rejected_before_stratum_0(self):
+        """A crash of a node the cluster does not have fails typed before
+        any stratum runs (it used to die with ``KeyError: 99`` after two
+        strata), and the cluster answers the next query."""
+        edges = [(i, i + 1) for i in range(12)] + [(0, 6), (3, 9)]
+        cluster = Cluster(4)
+        cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
+                             edges, "srcId", replication=2)
+        make_start_table(cluster, 0)
+        with pytest.raises(OptionsError, match="node 99"):
+            run_sssp(cluster, options=ExecOptions(
+                failure=FailureSpec(after_stratum=2, node=99)))
+        dists, metrics = run_sssp(cluster)
+        assert {v: d for v, (_, d) in dists.items()} == {
+            v: float(d) for v, d in sssp_reference(edges, 0).items()}
+        assert metrics.num_iterations > 2
 
     def test_checkpointing_disabled_sends_less(self):
         cluster1 = Cluster(3)
