@@ -25,14 +25,15 @@ any are error-level); ``lint`` runs the simulator-invariant linter over
 source trees; ``check`` runs the determinism checker — the same built-in
 workload executed under K seeded schedule perturbations, diffed for
 result races (REX205/REX206, exit 1 on a race); ``telemetry`` runs a
-built-in workload with live telemetry attached and exports the metrics
-registry (OpenMetrics text or JSON); ``flight`` summarizes flight-recorder
-post-mortem bundles.  Plain query runs refuse plans with error-level
-diagnostics unless ``--force`` is given (the bypassed report is still
-printed to stderr and attached to the trace), ``--sanitize=sample|full``
-turns on the runtime delta sanitizer (REX200-REX204, exit 1 on
-violations), ``--telemetry FILE`` exports the run's metrics registry, and
-``--flight-dir DIR`` names where post-mortem bundles land.
+built-in workload with an :class:`~repro.obs.ObsContext` attached and
+exports the metrics registry (OpenMetrics text or JSON); ``flight``
+summarizes flight-recorder post-mortem bundles.  Plain query runs refuse
+plans with error-level diagnostics unless ``--force`` is given (the
+bypassed report is still printed to stderr and attached to the trace),
+``--sanitize=sample|full`` turns on the runtime delta sanitizer
+(REX200-REX204, exit 1 on violations), ``--telemetry FILE`` exports the
+run's metrics registry, and ``--flight-dir DIR`` names where post-mortem
+bundles land.
 """
 
 from __future__ import annotations
@@ -95,6 +96,26 @@ def load_csv(path: str) -> Tuple[List[str], List[tuple]]:
     return specs, raw_rows
 
 
+def _count_type(minimum: int):
+    """An argparse ``type`` accepting integers >= ``minimum``, so a bad
+    count is a usage error (exit 2), not a traceback deep in the run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+positive_int = _count_type(1)
+non_negative_int = _count_type(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
@@ -107,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--key", action="append", default=[],
                         metavar="NAME=COLUMN",
                         help="partition a table by a column (repeatable)")
-    parser.add_argument("--nodes", type=int, default=4,
+    parser.add_argument("--nodes", type=positive_int, default=4,
                         help="number of simulated worker nodes (default 4)")
     parser.add_argument("--replication", type=int, default=1,
                         help="storage replication factor (default 1)")
@@ -117,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the optimized plan instead of running")
     parser.add_argument("--metrics", action="store_true",
                         help="print simulated runtime metrics")
-    parser.add_argument("--limit", type=int, default=None,
+    parser.add_argument("--limit", type=non_negative_int, default=None,
                         help="print at most N result rows")
     parser.add_argument("--trace", metavar="FILE.jsonl", default=None,
                         help="write structured trace events as JSON lines")
@@ -159,7 +180,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument("--key", action="append", default=[],
                         metavar="NAME=COLUMN",
                         help="partition a table by a column (repeatable)")
-    parser.add_argument("--nodes", type=int, default=4,
+    parser.add_argument("--nodes", type=positive_int, default=4,
                         help="number of simulated worker nodes (default 4)")
     parser.add_argument("--no-optimize", action="store_true",
                         help="analyze the raw compiler output (exchanges "
@@ -190,13 +211,13 @@ def build_check_parser() -> argparse.ArgumentParser:
                         default="pagerank",
                         help="built-in workload (fig06 is PageRank on the "
                              "DBpedia-like generator, the Figure 6 plan)")
-    parser.add_argument("--perturbations", type=int, default=3,
+    parser.add_argument("--perturbations", type=positive_int, default=3,
                         help="number of perturbed runs (default 3)")
     parser.add_argument("--seed", type=int, default=0,
                         help="perturbation seed family (default 0)")
-    parser.add_argument("--nodes", type=int, default=4,
+    parser.add_argument("--nodes", type=positive_int, default=4,
                         help="simulated worker nodes (default 4)")
-    parser.add_argument("--scale", type=int, default=200,
+    parser.add_argument("--scale", type=positive_int, default=200,
                         help="vertices (graphs) or points (kmeans); "
                              "default 200")
     parser.add_argument("--data-seed", type=int, default=7,
@@ -249,9 +270,6 @@ def main_check(argv: List[str]) -> int:
     from repro.runtime.executor import QueryExecutor
 
     args = build_check_parser().parse_args(argv)
-    if args.perturbations < 1:
-        print("error: --perturbations must be >= 1", file=sys.stderr)
-        return 2
 
     # Each run builds a fresh cluster: perturbed schedules must not see
     # state left behind by the baseline.
@@ -282,47 +300,41 @@ def main_check(argv: List[str]) -> int:
 def build_telemetry_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli telemetry",
-        description="Run a built-in workload with live telemetry attached "
+        description="Run a built-in workload with observability attached "
                     "and export the metrics registry (OpenMetrics text "
                     "exposition or a JSON snapshot).")
     parser.add_argument("--workload", choices=BUILTIN_WORKLOADS,
                         default="pagerank",
                         help="built-in workload (default pagerank)")
-    parser.add_argument("--nodes", type=int, default=4,
+    parser.add_argument("--nodes", type=positive_int, default=4,
                         help="simulated worker nodes (default 4)")
-    parser.add_argument("--scale", type=int, default=200,
+    parser.add_argument("--scale", type=positive_int, default=200,
                         help="vertices (graphs) or points (kmeans); "
                              "default 200")
     parser.add_argument("--data-seed", type=int, default=7,
                         help="synthetic dataset seed (default 7)")
-    parser.add_argument("--interval", type=float, default=None,
-                        help="simulated seconds between clock-grid samples "
-                             "(default 0.25)")
     parser.add_argument("--prefix", default="",
                         help="export only metrics under this dotted prefix "
-                             "(e.g. 'telemetry.'; default: everything)")
+                             "(e.g. 'stratum.'; default: everything)")
     parser.add_argument("--format", choices=("openmetrics", "json"),
                         default="openmetrics", help="output format")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write to FILE instead of stdout")
     parser.add_argument("--analyze", action="store_true",
                         help="also print EXPLAIN ANALYZE (with the "
-                             "telemetry sparklines) to stderr")
+                             "per-stratum sparklines) to stderr")
     return parser
 
 
 def main_telemetry(argv: List[str]) -> int:
     from repro.obs.export import openmetrics, registry_json
-    from repro.obs.timeseries import DEFAULT_INTERVAL
     from repro.runtime.executor import QueryExecutor
 
     args = build_telemetry_parser().parse_args(argv)
     cluster = Cluster(args.nodes)
     plan, max_strata = _builtin_plan(args.workload, cluster, args.scale,
                                      args.data_seed)
-    interval = (args.interval if args.interval is not None
-                else DEFAULT_INTERVAL)
-    obs = ObsContext(telemetry_interval=interval)
+    obs = ObsContext()
     options = ExecOptions(max_strata=max_strata, obs=obs)
     try:
         result = QueryExecutor(cluster, options).execute(plan)

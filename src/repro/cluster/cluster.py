@@ -255,8 +255,9 @@ class Cluster:
         vector (execution is barrier-synchronised between strata).
 
         With ``per_node`` given (a dict), each live node's own combined
-        time is recorded into it — the skew view the telemetry sampler
-        publishes as ``telemetry.node.n<K>.stratum_seconds``."""
+        time is recorded into it — the skew view an attached
+        :class:`~repro.obs.ObsContext` publishes as
+        ``node.n<K>.stratum_seconds``."""
         best = 0.0
         for w in self.workers.values():
             if not w.alive:

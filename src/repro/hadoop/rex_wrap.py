@@ -10,6 +10,7 @@ query template:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -169,15 +170,21 @@ def wrap_sssp_plan(start_table: str = "start",
     ))
 
 
+def _wrap_options(options: Optional[ExecOptions],
+                  iterations: int) -> ExecOptions:
+    """A wrapped job re-feeds its whole state for ``iterations`` strata.
+
+    A copy of the caller's options, validated like any ``ExecOptions``."""
+    return dataclasses.replace(options or ExecOptions(),
+                               max_strata=iterations, feedback_mode="full")
+
+
 def rex_wrap_sssp(cluster: Cluster, iterations: int,
                   start_table: str = "start", graph_table: str = "graph",
                   options: Optional[ExecOptions] = None
                   ) -> Tuple[Dict[int, float], QueryMetrics]:
-    opts = options or ExecOptions()
-    opts.max_strata = iterations
-    opts.feedback_mode = "full"
-    result = QueryExecutor(cluster, opts).execute(
-        wrap_sssp_plan(start_table, graph_table))
+    result = QueryExecutor(cluster, _wrap_options(options, iterations)
+                           ).execute(wrap_sssp_plan(start_table, graph_table))
     return {row[0]: row[1] for row in result.rows}, result.metrics
 
 
@@ -185,9 +192,6 @@ def rex_wrap_pagerank(cluster: Cluster, iterations: int,
                       graph_table: str = "graph",
                       options: Optional[ExecOptions] = None
                       ) -> Tuple[Dict[int, float], QueryMetrics]:
-    opts = options or ExecOptions()
-    opts.max_strata = iterations
-    opts.feedback_mode = "full"
-    result = QueryExecutor(cluster, opts).execute(
-        wrap_pagerank_plan(graph_table))
+    result = QueryExecutor(cluster, _wrap_options(options, iterations)
+                           ).execute(wrap_pagerank_plan(graph_table))
     return {row[0]: row[1] for row in result.rows}, result.metrics

@@ -15,15 +15,8 @@ and the registry naming scheme.
 from repro.obs.context import KIND_LABELS, ObsContext, OperatorStats
 from repro.obs.export import openmetrics, registry_json, sparkline
 from repro.obs.flight import FlightRecorder, load_bundle
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-)
-from repro.obs.report import attribution_coverage, explain_analyze
-from repro.obs.timeseries import TelemetrySampler
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, Series
+from repro.obs.report import explain_analyze
 from repro.obs.trace import (
     JsonlSink,
     RingBufferSink,
@@ -42,7 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "Series",
     "Tracer",
     "TraceEvent",
@@ -53,8 +45,6 @@ __all__ = [
     "delta_flow_fingerprint",
     "validate_jsonl",
     "explain_analyze",
-    "attribution_coverage",
-    "TelemetrySampler",
     "FlightRecorder",
     "load_bundle",
     "openmetrics",

@@ -36,11 +36,14 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.deltas import DeltaOp
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeseries import DEFAULT_INTERVAL, TelemetrySampler
 from repro.obs.trace import RingBufferSink, Tracer, TraceSink
 
 #: DeltaOp symbol -> registry-safe label.
 KIND_LABELS = {"+": "insert", "-": "delete", "->": "replace", "δ": "update"}
+
+#: Ring capacity of each per-stratum series, so a context reused across
+#: many queries holds bounded memory.
+STRATUM_SERIES_CAPACITY = 256
 
 # Enum members bound as module locals: the counting loop classifies
 # deltas with identity compares instead of `.op.value` property accesses.
@@ -112,24 +115,14 @@ def _count_in(stats: OperatorStats, deltas) -> Dict[str, int]:
 class ObsContext:
     """Tracer + registry + attribution state for one (or more) query runs.
 
-    ``trace_pushes=False`` keeps stratum/exchange/checkpoint events but
-    suppresses the high-volume per-push operator events (the metrics
-    registry and EXPLAIN ANALYZE attribution still work in full).
+    ``tracer`` defaults to an enabled tracer with a ring-buffer sink; pass
+    ``Tracer(enabled=False)`` to keep only the registry and attribution.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 trace_pushes: bool = True, telemetry: bool = True,
-                 telemetry_interval: float = DEFAULT_INTERVAL):
+    def __init__(self, tracer: Optional[Tracer] = None):
         self.tracer = tracer if tracer is not None else Tracer(
             sinks=[RingBufferSink()])
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.trace_pushes = trace_pushes
-        #: Live time-series sampling (:mod:`repro.obs.timeseries`), on by
-        #: default; ``telemetry=False`` keeps PR 2's post-hoc-only shape.
-        self.telemetry: Optional[TelemetrySampler] = (
-            TelemetrySampler(self.registry, interval=telemetry_interval)
-            if telemetry else None)
+        self.registry = MetricsRegistry()
         self.stratum: Optional[int] = None
         self.unattributed_seconds = 0.0
         self._clock = time.perf_counter
@@ -142,7 +135,7 @@ class ObsContext:
         self._exchange_stats: Dict[str, list] = {}  # [msgs, bytes, deltas]
         self._system_stats: Dict[str, OperatorStats] = {}
         # In-flight message depth (sends minus deliveries/drops) and its
-        # per-stratum peak — the telemetry sampler's queue-pressure view.
+        # per-stratum peak — the ``stratum.inflight_peak`` queue pressure.
         self._inflight = 0
         self._inflight_peak = 0
 
@@ -235,7 +228,7 @@ class ObsContext:
     def after_push(self, op, deltas, port, child) -> None:
         (stats, _, _, kinds), elapsed = self._leave()
         tracer = self.tracer
-        if tracer.enabled and self.trace_pushes:
+        if tracer.enabled:
             tracer.complete(
                 "push_batch" if op.ctx.batch else "push", "operator",
                 stats.node, ts=tracer.now(), dur=elapsed,
@@ -319,7 +312,7 @@ class ObsContext:
 
     def on_deliver(self, msg) -> None:
         self._inflight -= 1
-        if self.tracer.enabled and self.trace_pushes:
+        if self.tracer.enabled:
             self.tracer.instant(
                 "recv", "exchange", msg.dst, stratum=self.stratum,
                 exchange=msg.exchange, src=msg.src,
@@ -330,13 +323,6 @@ class ObsContext:
         """Mail discarded at a dead destination still left the queue."""
         self._inflight -= 1
 
-    def take_inflight_peak(self) -> int:
-        """The peak in-flight message depth since the last call (the
-        telemetry sampler reads this once per stratum)."""
-        peak = self._inflight_peak
-        self._inflight_peak = self._inflight
-        return peak
-
     # ------------------------------------------------------------------
     # Stratum / checkpoint lifecycle (called by the executor)
     # ------------------------------------------------------------------
@@ -345,26 +331,35 @@ class ObsContext:
         self._stratum_t0 = self.tracer.now()
         self.tracer.instant("stratum.begin", "stratum", -1, stratum=stratum)
 
-    def end_stratum(self, stratum: int, seconds: float, bytes_sent: int,
-                    delta_count: int, mutable_size: int,
-                    tuples_processed: int,
-                    node_seconds: Optional[Dict[int, float]] = None) -> None:
+    def end_stratum(self, it, node_seconds: Dict[int, float]) -> None:
+        """Close stratum ``it`` (its
+        :class:`~repro.cluster.metrics.IterationMetrics`): one trace span,
+        one point on each ``stratum.*`` series — the record's five numbers
+        plus the fabric's peak in-flight message depth — and one point per
+        node on ``node.n<K>.stratum_seconds`` (``node_seconds``: each live
+        node's own simulated seconds, the skew view)."""
+        stratum = it.stratum
         t0 = getattr(self, "_stratum_t0", self.tracer.now())
         self.tracer.complete(
             "stratum.end", "stratum", -1, ts=t0,
             dur=self.tracer.now() - t0, stratum=stratum,
-            sim_seconds=seconds, bytes_sent=bytes_sent,
-            delta_count=delta_count, mutable_size=mutable_size,
-            tuples_processed=tuples_processed)
-        reg = self.registry
-        reg.series("stratum.seconds").append(stratum, seconds)
-        reg.series("stratum.bytes_sent").append(stratum, bytes_sent)
-        reg.series("stratum.delta_count").append(stratum, delta_count)
-        reg.series("stratum.mutable_size").append(stratum, mutable_size)
-        if self.telemetry is not None:
-            self.telemetry.sample_stratum(
-                self, stratum, seconds, bytes_sent, delta_count,
-                mutable_size, tuples_processed, node_seconds=node_seconds)
+            sim_seconds=it.seconds, bytes_sent=it.bytes_sent,
+            delta_count=it.delta_count, mutable_size=it.mutable_size,
+            tuples_processed=it.tuples_processed)
+        peak = self._inflight_peak
+        self._inflight_peak = self._inflight
+        points = [("stratum.seconds", it.seconds),
+                  ("stratum.bytes_sent", it.bytes_sent),
+                  ("stratum.delta_count", it.delta_count),
+                  ("stratum.mutable_size", it.mutable_size),
+                  ("stratum.tuples_processed", it.tuples_processed),
+                  ("stratum.inflight_peak", peak)]
+        points.extend((f"node.n{node}.stratum_seconds", node_seconds[node])
+                      for node in sorted(node_seconds))
+        series = self.registry.series
+        for name, value in points:
+            series(name, capacity=STRATUM_SERIES_CAPACITY).append(
+                stratum, value)
 
     def record_fixpoint(self, node: int, stratum: int, delta_out: int,
                         mutable_size: int) -> None:

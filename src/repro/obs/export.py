@@ -6,28 +6,25 @@ format (https://openmetrics.io) as:
 * :class:`~repro.obs.registry.Counter` → ``counter`` with the mandated
   ``_total`` sample suffix;
 * :class:`~repro.obs.registry.Gauge` → ``gauge``;
-* :class:`~repro.obs.registry.Histogram` → ``histogram`` with cumulative
-  ``_bucket{le="..."}`` samples over the log2 bounds, ``le="+Inf"``,
-  ``_sum`` and ``_count``;
 * :class:`~repro.obs.registry.Series` → ``gauge`` samples labelled with
-  their index (``{index="<stratum-or-tick>"}``), i.e. the whole ring is
-  exposed, not just the last point.
+  their index (``{index="<stratum>"}``), i.e. the whole ring is exposed,
+  not just the last point.
 
 Dotted registry names are sanitized to the exposition charset
 (``[a-zA-Z_][a-zA-Z0-9_]*``) by mapping every illegal rune to ``_``:
-``telemetry.stratum.delta_count`` → ``telemetry_stratum_delta_count``.
-The text ends with the mandatory ``# EOF`` terminator, so the output of
-``python -m repro.cli telemetry`` can be served to a scraper or fed to ``promtool check metrics`` unchanged.
+``stratum.delta_count`` → ``stratum_delta_count``.  The text ends with
+the mandatory ``# EOF`` terminator, so the output of
+``python -m repro.cli telemetry`` can be served to a scraper or fed to
+``promtool check metrics`` unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
-from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
-                                Series)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, Series
 
 _ILLEGAL = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -66,21 +63,11 @@ def openmetrics(registry: MetricsRegistry, prefix: str = "") -> str:
         elif isinstance(inst, Gauge):
             lines.append(f"# TYPE {m} gauge")
             lines.append(f"{m} {_fmt(inst.value)}")
-        elif isinstance(inst, Histogram):
-            lines.append(f"# TYPE {m} histogram")
-            cumulative = 0
-            for le, count in inst.bucket_bounds():
-                cumulative += count
-                lines.append(
-                    f'{m}_bucket{{le="{_fmt(le)}"}} {cumulative}')
-            lines.append(f'{m}_bucket{{le="+Inf"}} {inst.count}')
-            lines.append(f"{m}_sum {_fmt(inst.total)}")
-            lines.append(f"{m}_count {inst.count}")
         elif isinstance(inst, Series):
             lines.append(f"# TYPE {m} gauge")
             for index, value in inst.points:
                 lines.append(f'{m}{{index="{index}"}} {_fmt(value)}')
-        else:  # pragma: no cover - registry only stores the four kinds
+        else:  # pragma: no cover - registry only stores the three kinds
             continue
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
@@ -90,13 +77,6 @@ def registry_json(registry: MetricsRegistry, prefix: str = "") -> str:
     """The registry snapshot as pretty-printed JSON text."""
     return json.dumps(registry.snapshot(prefix), indent=2, sort_keys=True,
                       default=str)
-
-
-def telemetry_document(registry: MetricsRegistry) -> Dict[str, Any]:
-    """A JSON-safe document of just the live-telemetry series/instruments
-    (everything under ``telemetry.``), used by ``--telemetry FILE``."""
-    return {"format": "rex-telemetry/1",
-            "metrics": registry.snapshot("telemetry.")}
 
 
 def sparkline(values: Iterable[float], width: Optional[int] = None) -> str:

@@ -94,12 +94,12 @@ class FlightRecorder:
             record.update(fields)
         self.notes.append(record)
 
-    def on_stratum(self, stratum: int, seconds: float, bytes_sent: int,
-                   delta_count: int, mutable_size: int,
-                   tuples_processed: int) -> None:
-        self.note("stratum", stratum=stratum, seconds=seconds,
-                  bytes=bytes_sent, deltas=delta_count,
-                  mutable=mutable_size, tuples=tuples_processed)
+    def on_stratum(self, it) -> None:
+        """Breadcrumb for stratum ``it`` (its
+        :class:`~repro.cluster.metrics.IterationMetrics`)."""
+        self.note("stratum", stratum=it.stratum, seconds=it.seconds,
+                  bytes=it.bytes_sent, deltas=it.delta_count,
+                  mutable=it.mutable_size, tuples=it.tuples_processed)
 
     def record_exception(self, exc: BaseException) -> None:
         self.note("exception", type=type(exc).__name__, message=str(exc))

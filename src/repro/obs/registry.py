@@ -1,14 +1,22 @@
-"""Named metrics registry: counters, gauges, histograms, and series.
+"""Named metrics registry: counters, gauges and series.
 
 Every instrument is identified by a dotted lowercase path following the
 naming scheme (see docs/observability.md):
 
-``<component>.<instance>.<metric>``
+``<component>[.<instance>].<metric>``
 
 * ``op.n<node>.<Operator#k>.tuples_in`` — per-operator dataflow counters;
 * ``net.exchange.<exchange>.bytes`` — per-channel traffic;
-* ``fixpoint.n<node>.delta_out`` — Δ-set sizes over strata (a series);
-* ``stratum.seconds`` — per-stratum simulated wall time (a series).
+* ``fixpoint.n<node>.delta_out`` — per-worker Δ-set sizes (a series);
+* ``stratum.<metric>`` — one series per number of a stratum's
+  :class:`~repro.cluster.metrics.IterationMetrics` (``seconds``,
+  ``bytes_sent``, ``delta_count``, ``mutable_size``,
+  ``tuples_processed``) plus the fabric's ``inflight_peak``;
+* ``node.n<node>.stratum_seconds`` — each node's own simulated seconds
+  per stratum (a series: the skew view);
+* ``checkpoint.*`` / ``sanitizer.*`` — checkpoint and sanitizer counters.
+
+Series are indexed by stratum.
 
 The registry is get-or-create: asking for the same name twice returns the
 same instrument; asking for an existing name with a different instrument
@@ -17,7 +25,6 @@ type is an error (names are globally unique).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 
@@ -59,92 +66,6 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class Histogram:
-    """A streaming summary of observed values with fixed log2 buckets.
-
-    The cheap count/sum/min/max summary is unchanged; additionally every
-    positive value lands in the bucket whose upper bound is the smallest
-    power of two at or above it (``v in (2^(e-1), 2^e]``), and non-positive
-    values land in a dedicated underflow bucket.  The buckets make the
-    histogram quantile-capable: ``quantile(q)`` walks the cumulative
-    bucket counts and reports the matched bucket's upper bound, clamped
-    into ``[min, max]`` — the standard exposition-histogram estimate,
-    exact to within one power of two.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "buckets",
-                 "underflow")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.buckets: Dict[int, int] = {}  # exponent e -> count, le = 2**e
-        self.underflow = 0                 # values <= 0
-
-    def record(self, value) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value > 0:
-            mantissa, e = math.frexp(value)
-            if mantissa == 0.5:  # exact power of two: 2**(e-1) is its le
-                e -= 1
-            self.buckets[e] = self.buckets.get(e, 0) + 1
-        else:
-            self.underflow += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets."""
-        if not self.count:
-            return None
-        target = q * self.count
-        seen = self.underflow
-        if seen >= target and self.underflow:
-            return self.min
-        estimate = self.max
-        for e in sorted(self.buckets):
-            seen += self.buckets[e]
-            if seen >= target:
-                estimate = float(2.0 ** e)
-                break
-        if self.min is not None:
-            estimate = max(estimate, self.min)
-        if self.max is not None:
-            estimate = min(estimate, self.max)
-        return estimate
-
-    def bucket_bounds(self) -> List[Tuple[float, int]]:
-        """``(le, count)`` pairs in ascending bound order (underflow at
-        ``le=0.0``), cumulative-ready for OpenMetrics exposition."""
-        out: List[Tuple[float, int]] = []
-        if self.underflow:
-            out.append((0.0, self.underflow))
-        out.extend((float(2.0 ** e), self.buckets[e])
-                   for e in sorted(self.buckets))
-        return out
-
-    def snapshot(self):
-        return {"count": self.count, "total": self.total,
-                "min": self.min, "max": self.max, "mean": self.mean,
-                "p50": self.quantile(0.50), "p95": self.quantile(0.95),
-                "p99": self.quantile(0.99),
-                "buckets": self.bucket_bounds()}
-
-    def __repr__(self):
-        return (f"Histogram({self.name}: n={self.count} "
-                f"mean={self.mean:.4g})")
-
-
 class Series:
     """An ordered (index, value) time series — sizes over strata.
 
@@ -165,8 +86,7 @@ class Series:
         points = self.points
         cap = self.capacity
         if cap is not None and len(points) >= cap:
-            # O(capacity) shift; fine at stratum/sample cadence with the
-            # small ring capacities telemetry uses.
+            # O(capacity) shift; fine at stratum cadence with small rings.
             excess = len(points) - cap + 1
             del points[:excess]
             self.dropped += excess
@@ -206,9 +126,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
 
     def series(self, name: str, capacity: Optional[int] = None) -> Series:
         """Get or create a series; ``capacity`` bounds it as a ring.

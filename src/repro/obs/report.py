@@ -69,14 +69,6 @@ def _aggregate(stats: List[OperatorStats],
     return sorted(groups.values(), key=lambda a: -a.sim_seconds)
 
 
-def attribution_coverage(obs: ObsContext) -> float:
-    """Fraction of all charged simulated resource-seconds attributed to a
-    concrete operator (the acceptance bar is >= 0.95)."""
-    attributed, unattributed = obs.attribution()
-    total = attributed + unattributed
-    return attributed / total if total > 0 else 1.0
-
-
 def _fmt_seconds(s: float) -> str:
     return f"{s:.6f}" if s < 10 else f"{s:.3f}"
 
@@ -135,7 +127,7 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
     if top is not None and len(rows) > top:
         lines.append(f"... ({len(rows) - top} more operators)")
 
-    coverage = attribution_coverage(obs)
+    coverage = attributed / total_charged if total_charged > 0 else 1.0
     lines.append("")
     lines.append(f"operator attribution: {attributed:.6f}s of "
                  f"{total_charged:.6f}s charged ({coverage * 100.0:.1f}%)")
@@ -184,7 +176,7 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
             lines.append(f"  {label}: {len(groups)} instance(s), "
                          f"{batches} fused batch(es)")
 
-    lines.extend(_telemetry_section(obs))
+    lines.extend(_sparkline_section(obs))
 
     sanitizer_names = obs.registry.names("sanitizer.")
     if sanitizer_names:
@@ -255,17 +247,17 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
 
 #: (registry series name, timeline label) pairs shown as sparklines.
 _SPARK_SERIES = (
-    ("telemetry.stratum.delta_count", "Δ-set"),
-    ("telemetry.stratum.seconds", "sim_s"),
-    ("telemetry.stratum.bytes_sent", "bytes"),
-    ("telemetry.net.inflight_peak", "inflight"),
+    ("stratum.delta_count", "Δ-set"),
+    ("stratum.seconds", "sim_s"),
+    ("stratum.bytes_sent", "bytes"),
+    ("stratum.inflight_peak", "inflight"),
 )
 
 _SPARK_WIDTH = 48
 
 
-def _telemetry_section(obs: ObsContext) -> List[str]:
-    """Per-stratum sparkline timeline from the live-telemetry series."""
+def _sparkline_section(obs: ObsContext) -> List[str]:
+    """Per-stratum sparkline timeline from the ``stratum.*`` series."""
     from repro.obs.export import sparkline
 
     picked = []
@@ -275,7 +267,7 @@ def _telemetry_section(obs: ObsContext) -> List[str]:
             picked.append((label, series))
     if not picked:
         return []
-    lines = ["", "live telemetry (per-stratum sparklines, oldest → newest)"]
+    lines = ["", "per-stratum sparklines (oldest → newest)"]
     width = max(len(label) for label, _ in picked)
     for label, series in picked:
         values = series.values()
@@ -285,11 +277,4 @@ def _telemetry_section(obs: ObsContext) -> List[str]:
         if series.dropped:
             suffix += f" (+{series.dropped} dropped)"
         lines.append(f"  {label.ljust(width)}  {spark}{suffix}")
-    sampler = getattr(obs, "telemetry", None)
-    if sampler is not None:
-        lines.append(f"  sampler: {sampler.samples} sample(s), "
-                     f"{sampler.ticks} clock tick(s) @ "
-                     f"{sampler.interval}s simulated"
-                     + (f", {sampler.ticks_dropped} tick(s) dropped"
-                        if sampler.ticks_dropped else ""))
     return lines

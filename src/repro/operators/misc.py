@@ -129,6 +129,3 @@ class ResultSink:
         for row, n in self._counts.items():
             out.extend([row] * n)
         return out
-
-    def sorted_rows(self) -> List[tuple]:
-        return sorted(self.rows(), key=repr)

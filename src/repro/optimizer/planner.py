@@ -42,9 +42,7 @@ from repro.optimizer.logical import (
     LProject,
     LRehash,
 )
-from repro.optimizer.physical import lower
 from repro.optimizer.stats import StatisticsCatalog
-from repro.runtime.plan import PhysicalPlan
 
 _MAX_ALTERNATIVES_PER_NODE = 12
 _MAX_CANDIDATES = 128
@@ -100,10 +98,6 @@ class Optimizer:
         report.best_cost = best_cost
         report.chosen = best
         return best, report
-
-    def to_physical(self, root: LNode) -> PhysicalPlan:
-        """Optimize and lower in one step."""
-        return lower(self.optimize(root))
 
     # ------------------------------------------------------------------
     def _alternatives(self, node: LNode) -> List[LNode]:

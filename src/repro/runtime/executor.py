@@ -588,9 +588,6 @@ class QueryExecutor:
         flight = self.flight
         network = self.cluster.network
         recursive = plan.is_recursive
-        # Per-node stratum seconds feed the telemetry sampler's skew view;
-        # collected only when a sampler is actually attached.
-        want_node_seconds = obs is not None and obs.telemetry is not None
         # Hoisted out of the stratum loop: the live-plan list (recomputed
         # only after a failure changes membership), the failure schedule,
         # and the per-batch obs/checkpoint branch structure that used to
@@ -664,18 +661,14 @@ class QueryExecutor:
                 # The fabric is quiescent: verify exchange conservation.
                 sanitizer.end_stratum(stratum)
 
-            node_seconds = {} if want_node_seconds else None
+            # Per-node stratum seconds: obs's skew view.
+            node_seconds = {} if obs is not None else None
             it.seconds = (self.cluster.end_stratum_wall_time(node_seconds)
                           + self.cluster.cost.rex_stratum_overhead)
             it.bytes_sent = network.total_bytes - bytes_before
             if obs is not None:
-                obs.end_stratum(stratum, it.seconds, it.bytes_sent,
-                                it.delta_count, it.mutable_size,
-                                it.tuples_processed,
-                                node_seconds=node_seconds)
-            flight.on_stratum(stratum, it.seconds, it.bytes_sent,
-                              it.delta_count, it.mutable_size,
-                              it.tuples_processed)
+                obs.end_stratum(it, node_seconds)
+            flight.on_stratum(it)
 
             due = failures_by_stratum.get(stratum)
             if due:

@@ -99,6 +99,28 @@ class TestCliExecution:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--nodes", "0", "SELECT 1 FROM t"],
+        ["--limit", "-1", "SELECT 1 FROM t"],
+        ["--nodes", "two", "SELECT 1 FROM t"],
+        ["analyze", "--nodes", "0", "SELECT 1 FROM t"],
+        ["check", "--nodes", "0"],
+        ["check", "--scale", "0"],
+        ["check", "--perturbations", "0"],
+        ["telemetry", "--nodes", "0"],
+        ["telemetry", "--scale", "0"],
+    ], ids=" ".join)
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        """A count out of range is refused before anything runs: exit 2
+        with a usage message, never a traceback from deep in the run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestObservabilityFlags:
     QUERY = "SELECT srcId, count(*) FROM graph GROUP BY srcId"

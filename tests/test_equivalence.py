@@ -20,10 +20,16 @@ from workloads import WORKLOADS, build, run
 ORACLE = {"batch": False, "fuse": False, "rewrite": False}
 
 
-def _obs(telemetry):
-    """A fresh hooks-only context per run (``obs`` rows hold the factory)."""
-    return lambda: ObsContext(tracer=Tracer(enabled=False),
-                              telemetry=telemetry)
+def _obs():
+    """A fresh hooks-only context per run (the ``obs`` row holds the
+    factory): attribution and the ``stratum.*`` family, no events."""
+    return ObsContext(tracer=Tracer(enabled=False))
+
+
+def _obs_telemetry():
+    """A fresh fully recording context per run: the default tracer keeps
+    every event in its ring as well."""
+    return ObsContext()
 
 
 #: row name -> ``ExecOptions`` overrides.  One row per toggle, then the
@@ -37,8 +43,8 @@ CONFIGS = {
     "sanitize_sample": {"sanitize": "sample"},
     "sanitize_full": {"sanitize": "full"},
     "sanitize_full_no_absint": {"sanitize": "full", "absint": False},
-    "obs": {"obs": _obs(telemetry=False)},
-    "obs_telemetry": {"obs": _obs(telemetry=True)},
+    "obs": {"obs": _obs},
+    "obs_telemetry": {"obs": _obs_telemetry},
     "per_tuple_unfused_sanitized": {"batch": False, "fuse": False,
                                     "sanitize": "full"},
     "unfused_no_absint": {"fuse": False, "absint": False},

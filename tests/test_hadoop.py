@@ -2,13 +2,17 @@
 
 import pytest
 
+import dataclasses
+
 from repro.algorithms import (
     kmeans_reference,
+    make_start_table,
     pagerank_reference,
     run_pagerank,
     sssp_reference,
 )
 from repro.cluster import Cluster
+from repro.common.errors import OptionsError
 from repro.datasets import (
     dbpedia_like,
     geo_points,
@@ -24,8 +28,10 @@ from repro.hadoop import (
     hadoop_sssp,
     rex_wrap_pagerank,
     rex_wrap_simple_agg,
+    rex_wrap_sssp,
     simple_agg_job,
 )
+from repro.runtime import ExecOptions
 
 EDGES = dbpedia_like(250, avg_out_degree=5, seed=23)
 
@@ -202,3 +208,23 @@ class TestRexWrapPageRank:
         # run (repro.bench.fig06_pagerank_dbpedia) compares simulated seconds.
         assert delta_m.total_tuples() < wrap_m.total_tuples()
         assert wrap_m.total_seconds() < hadoop_m.total_seconds()
+
+
+@pytest.mark.parametrize("helper", [rex_wrap_pagerank, rex_wrap_sssp])
+def test_wrap_helpers_copy_and_validate_the_callers_options(helper):
+    """A wrap helper runs on a validated copy of the caller's options:
+    the caller's object is untouched and ``iterations=0`` is refused like
+    ``ExecOptions(max_strata=0)``."""
+    cluster = Cluster(3)
+    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
+                         EDGES, "srcId")
+    make_start_table(cluster, EDGES[0][0])
+    opts = ExecOptions()
+    before = dataclasses.asdict(opts)
+    _, metrics = helper(cluster, 3, options=opts)
+    assert metrics.num_iterations == 3
+    assert dataclasses.asdict(opts) == before
+    with pytest.raises(OptionsError):
+        helper(cluster, 0, options=opts)
+    with pytest.raises(OptionsError):
+        helper(cluster, 0)

@@ -3,18 +3,15 @@
 import json
 
 from repro.obs.export import (SPARK_CHARS, metric_name, openmetrics,
-                              registry_json, sparkline, telemetry_document)
+                              registry_json, sparkline)
 from repro.obs.registry import MetricsRegistry
 
 
 def _populated_registry():
     reg = MetricsRegistry()
-    reg.counter("telemetry.sampler.samples").inc(3)
-    reg.gauge("telemetry.sampler.sim_seconds").set(1.5)
-    h = reg.histogram("telemetry.stratum.seconds_hist")
-    for v in (0.3, 0.6, 1.5):
-        h.record(v)
-    s = reg.series("telemetry.stratum.delta_count")
+    reg.counter("checkpoint.rows_restored").inc(3)
+    reg.gauge("sanitizer.overhead_seconds").set(1.5)
+    s = reg.series("stratum.delta_count")
     s.append(0, 10)
     s.append(1, 4)
     return reg
@@ -22,8 +19,8 @@ def _populated_registry():
 
 class TestMetricName:
     def test_dots_become_underscores(self):
-        assert (metric_name("telemetry.stratum.delta_count")
-                == "telemetry_stratum_delta_count")
+        assert (metric_name("node.n0.stratum_seconds")
+                == "node_n0_stratum_seconds")
 
     def test_arbitrary_runes_are_mapped(self):
         assert (metric_name("net.exchange.x0.a7/bytes")
@@ -36,50 +33,31 @@ class TestMetricName:
 class TestOpenMetrics:
     def test_counter_rendering(self):
         text = openmetrics(_populated_registry())
-        assert "# TYPE telemetry_sampler_samples counter" in text
-        assert "telemetry_sampler_samples_total 3" in text
+        assert "# TYPE checkpoint_rows_restored counter" in text
+        assert "checkpoint_rows_restored_total 3" in text
 
     def test_gauge_rendering(self):
         text = openmetrics(_populated_registry())
-        assert "# TYPE telemetry_sampler_sim_seconds gauge" in text
-        assert "telemetry_sampler_sim_seconds 1.5" in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        text = openmetrics(_populated_registry())
-        # 0.3 -> le=0.5, 0.6 -> le=1, 1.5 -> le=2; cumulative 1, 2, 3.
-        assert 'telemetry_stratum_seconds_hist_bucket{le="0.5"} 1' in text
-        assert 'telemetry_stratum_seconds_hist_bucket{le="1"} 2' in text
-        assert 'telemetry_stratum_seconds_hist_bucket{le="2"} 3' in text
-        assert 'telemetry_stratum_seconds_hist_bucket{le="+Inf"} 3' in text
-        assert "telemetry_stratum_seconds_hist_count 3" in text
-        assert "telemetry_stratum_seconds_hist_sum 2.4" in text
+        assert "# TYPE sanitizer_overhead_seconds gauge" in text
+        assert "sanitizer_overhead_seconds 1.5" in text
 
     def test_series_exposes_every_ring_point(self):
         text = openmetrics(_populated_registry())
-        assert 'telemetry_stratum_delta_count{index="0"} 10' in text
-        assert 'telemetry_stratum_delta_count{index="1"} 4' in text
+        assert 'stratum_delta_count{index="0"} 10' in text
+        assert 'stratum_delta_count{index="1"} 4' in text
 
     def test_terminator_and_prefix_filter(self):
         reg = _populated_registry()
         reg.counter("op.n0.tuples_in").inc()
-        text = openmetrics(reg, prefix="telemetry.")
+        text = openmetrics(reg, prefix="stratum.")
         assert text.endswith("# EOF\n")
         assert "op_n0_tuples_in" not in text
         assert openmetrics(MetricsRegistry()) == "# EOF\n"
 
     def test_registry_json_round_trips(self):
         doc = json.loads(registry_json(_populated_registry()))
-        assert doc["telemetry.sampler.samples"] == 3
-        assert doc["telemetry.stratum.delta_count"] == [[0, 10], [1, 4]]
-        assert doc["telemetry.stratum.seconds_hist"]["count"] == 3
-
-    def test_telemetry_document_scopes_to_telemetry(self):
-        reg = _populated_registry()
-        reg.counter("op.n0.tuples_in").inc()
-        doc = telemetry_document(reg)
-        assert doc["format"] == "rex-telemetry/1"
-        assert "op.n0.tuples_in" not in doc["metrics"]
-        assert "telemetry.sampler.samples" in doc["metrics"]
+        assert doc["checkpoint.rows_restored"] == 3
+        assert doc["stratum.delta_count"] == [[0, 10], [1, 4]]
 
 
 class TestSparkline:
@@ -121,11 +99,13 @@ class TestCliTelemetry:
         assert rc == 0
         text = out.read_text()
         assert text.endswith("# EOF\n")
-        assert "telemetry_stratum_delta_count" in text
-        assert "telemetry_sampler_samples_total" in text
+        assert "stratum_delta_count" in text
+        assert "node_n1_stratum_seconds" in text
+        assert "telemetry_" not in text
 
     def test_json_output(self, tmp_path, capsys):
         rc, out, _ = self._run(tmp_path, capsys, "--format", "json")
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert "telemetry.stratum.seconds" in doc
+        assert "stratum.tuples_processed" in doc
+        assert not [n for n in doc if n.startswith("telemetry.")]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.determinism import check_determinism
 from repro.cluster import Cluster
+from repro.cluster.metrics import IterationMetrics
 from repro.obs.flight import (ENV_DIR, FORMAT, FlightRecorder, bundle_path,
                               load_bundle, summarize, write_bundle)
 from repro.obs.trace import JsonlSink, Tracer
@@ -31,13 +32,13 @@ class TestRecorder:
 
     def test_on_stratum_breadcrumb(self):
         rec = FlightRecorder()
-        rec.on_stratum(3, seconds=0.5, bytes_sent=128, delta_count=9,
-                       mutable_size=40, tuples_processed=77)
-        note = rec.notes[-1]
-        assert note["kind"] == "stratum"
-        assert note["stratum"] == 3
-        assert note["deltas"] == 9
-        assert note["bytes"] == 128
+        rec.on_stratum(IterationMetrics(
+            3, seconds=0.5, bytes_sent=128, tuples_processed=77,
+            delta_count=9, mutable_size=40))
+        # The note's fields are part of the rex-flight/1 bundle format.
+        assert rec.notes[-1] == {
+            "seq": 0, "kind": "stratum", "stratum": 3, "seconds": 0.5,
+            "bytes": 128, "deltas": 9, "mutable": 40, "tuples": 77}
 
     def test_bundle_is_self_contained(self):
         rec = FlightRecorder(clock=_fixed_clock)

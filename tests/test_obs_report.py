@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import CostModel, Worker
-from repro.obs import ObsContext, Tracer, attribution_coverage, explain_analyze
+from repro.obs import ObsContext, Tracer, explain_analyze
 from repro.obs.context import _WORKER_CHARGE_METHODS
 
 from workloads import pagerank_delta, run
@@ -33,7 +33,8 @@ class TestCostTable:
 
     def test_attribution_coverage_meets_acceptance_bar(self, traced_run):
         obs, _ = traced_run
-        coverage = attribution_coverage(obs)
+        attributed, unattributed = obs.attribution()
+        coverage = attributed / (attributed + unattributed)
         assert coverage >= 0.95
         # with system frames for checkpoint/recovery the coverage is total
         assert coverage == pytest.approx(1.0)
@@ -58,7 +59,7 @@ class TestChargeAttribution:
         assert set(_WORKER_CHARGE_METHODS) == {
             name for name in dir(Worker) if name.startswith("charge_")}
         worker = Worker(0, CostModel())
-        obs = ObsContext(tracer=Tracer(enabled=False), telemetry=False)
+        obs = ObsContext(tracer=Tracer(enabled=False))
         obs.instrument_worker(worker)
         seconds = worker.charge_net_out_fanout(16, 3)
         assert seconds > 0

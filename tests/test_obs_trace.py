@@ -165,17 +165,6 @@ class TestEventStream:
         assert [e.stratum for e in ends] == list(range(len(ends)))
         assert all(e.ph == "X" for e in ends)
 
-    def test_trace_pushes_false_suppresses_operator_events(self):
-        obs = ObsContext(trace_pushes=False)
-        run(pagerank_delta(80), obs=obs)
-        events = obs.tracer.events()
-        assert not any(e.name in ("push", "push_batch") for e in events)
-        # stratum lifecycle and sends survive
-        assert any(e.cat == "stratum" for e in events)
-        assert any(e.name == "send" for e in events)
-        # ...and attribution still works in full
-        assert sum(s.sim_seconds for s in obs.operator_stats()) > 0
-
     def test_jsonl_roundtrip_validates(self):
         obs = ObsContext()
         run(pagerank_delta(80), obs=obs)
