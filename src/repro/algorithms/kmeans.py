@@ -68,15 +68,6 @@ class KMAgg(JoinDeltaHandler):
         # sorted(self.centroids) without re-sorting per nearest-scan.
         self._cids: List[int] = []
 
-    @staticmethod
-    def _d2(x, y, cx, cy) -> float:
-        # dx*dx instead of dx**2: float.__pow__ goes through libm pow and
-        # is several times slower.  Every distance in this handler uses
-        # this exact expression so comparisons stay self-consistent.
-        dx = x - cx
-        dy = y - cy
-        return dx * dx + dy * dy
-
     def _nearest(self, x: float, y: float) -> Tuple[int, float]:
         best_cid, best_d2 = -1, float("inf")
         centroids = self.centroids
@@ -109,8 +100,10 @@ class KMAgg(JoinDeltaHandler):
             acc[1] += dy
             acc[2] += dn
 
-        # Hot loop: every local point per centroid move.  The distance is
-        # inlined with _d2's exact expression (identical float results).
+        # Hot loop: every local point per centroid move.  Every distance
+        # in this handler is the same inlined expression, so comparisons
+        # stay self-consistent; dx*dx, not dx**2, which goes through libm
+        # pow and is several times slower.
         assign_get = assign.get
         for pid, x, y in left_bucket:
             current = assign_get(pid)

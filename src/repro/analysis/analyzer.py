@@ -3,13 +3,6 @@
 ``analyze`` dispatches on the plan kind — logical trees get the full
 rule set (stratification, termination, pre-aggregation, partitioning,
 delta soundness, schemas); physical plans get the structural subset.
-
-``exchanges_placed`` tells the partitioning pass whether the tree it
-sees is final: trees that already went through the optimizer's exchange
-placement (or that a user hand-annotated) must satisfy co-location
-as-is, so violations are errors; raw compiler output will still have
-exchanges inserted by the lowering, so there the same findings are
-advisory (INFO).
 """
 
 from __future__ import annotations
@@ -17,22 +10,19 @@ from __future__ import annotations
 from typing import Union
 
 from repro.analysis.absint import check_polarity
-from repro.analysis.diagnostics import DiagnosticReport, Severity
+from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.lineage import check_lineage
 from repro.analysis.physical import PHYSICAL_PASSES
-from repro.analysis.rules import LOGICAL_PASSES, check_partitioning
+from repro.analysis.rules import LOGICAL_PASSES
 from repro.optimizer.logical import LNode
 from repro.runtime.plan import PhysicalPlan, PNode
 
 
-def analyze_logical(root: LNode, *,
-                    exchanges_placed: bool = True) -> DiagnosticReport:
+def analyze_logical(root: LNode) -> DiagnosticReport:
     """Run all logical rule passes; returns the combined report."""
     report = DiagnosticReport()
     for rule in LOGICAL_PASSES:
         rule(root, report.add)
-    missing = Severity.ERROR if exchanges_placed else Severity.INFO
-    check_partitioning(root, report.add, missing_severity=missing)
     check_polarity(root, report.add)
     check_lineage(root, report.add)
     return report
@@ -49,9 +39,8 @@ def analyze_physical(plan: Union[PhysicalPlan, PNode]) -> DiagnosticReport:
     return report
 
 
-def analyze(plan: Union[LNode, PhysicalPlan, PNode], *,
-            exchanges_placed: bool = True) -> DiagnosticReport:
+def analyze(plan: Union[LNode, PhysicalPlan, PNode]) -> DiagnosticReport:
     """Analyze a logical tree, physical plan, or bare physical tree."""
     if isinstance(plan, LNode):
-        return analyze_logical(plan, exchanges_placed=exchanges_placed)
+        return analyze_logical(plan)
     return analyze_physical(plan)

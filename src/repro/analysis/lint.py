@@ -42,8 +42,7 @@ states globally:
   never fires it.
 
 Suppression: append ``# noqa: REXnnn`` (or a bare ``# noqa``) to the
-offending line.  Run as ``python -m repro.analysis.lint [paths...]`` or
-``python -m repro.cli lint``.
+offending line.  Run as ``python -m repro.cli lint [paths...]``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from __future__ import annotations
 import ast
 import os
 import re
-import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import (
@@ -560,26 +558,3 @@ def lint_paths(paths: Sequence[str]) -> DiagnosticReport:
             source = fh.read()
         report.extend(lint_source(source, path))
     return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="Run the simulator-invariant linter.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories (default: src)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    args = parser.parse_args(argv)
-    report = lint_paths(args.paths or ["src"])
-    if args.format == "json":
-        print(report.to_json(indent=2))
-    else:
-        print(report.format())
-    return 1 if report else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -16,7 +16,7 @@ them (Section 3.3).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 from repro.analysis.diagnostics import Diagnostic, Severity, make
 from repro.operators.expressions import (
@@ -39,14 +39,12 @@ from repro.optimizer.logical import (
     LNode,
     LProject,
     LRehash,
-    LScan,
 )
+from repro.optimizer.exchanges import BROADCAST, propagate
 from repro.common.schema import Schema, SQLType
 
 #: Signature of a rule pass: (root, emit) -> None.
 RulePass = Callable[[LNode, Callable[[Diagnostic], None]], None]
-
-BROADCAST = "broadcast"
 
 
 # ---------------------------------------------------------------------------
@@ -304,168 +302,46 @@ def _is_side_preagg(gb: LGroupBy) -> bool:
 # REX005 / REX006 — partitioning soundness
 # ---------------------------------------------------------------------------
 
-Partitioning = Optional[Tuple[int, ...]]
+def check_partitioning(root: LNode, emit) -> None:
+    """Walk the exchange-placement model itself
+    (:func:`repro.optimizer.exchanges.propagate`): flag every stateful
+    input whose stream does not satisfy its requirement (a missing
+    exchange, which placement would have added) and every exchange whose
+    input already has the partitioning it produces (a redundant one)."""
+    paths = {id(n): p for n, p in _walk_with_path(root)}
+
+    def missing(consumer, child, part, wanted, what):
+        emit(make(
+            "REX005",
+            f"{what} requires input {_describe(wanted, child)} but the "
+            f"stream arrives {_describe(part, child)} and no rehash in "
+            f"between",
+            location=paths[id(consumer)],
+            hint="insert a Rehash exchange on the operator's key (the "
+                 "optimizer's exchange placement does this automatically)"))
+        return child
+
+    def redundant(rehash, part):
+        emit(make(
+            "REX006",
+            f"{rehash.label()} over a stream that is already "
+            f"{_describe(part, rehash)}",
+            location=paths[id(rehash)],
+            hint="drop the exchange; its input already has the "
+                 "partitioning it produces"))
+
+    propagate(root, missing, redundant)
 
 
-def check_partitioning(root: LNode, emit, *,
-                       missing_severity: Severity = Severity.ERROR) -> None:
-    """Track hash-partitioning positionally through the tree; flag every
-    stateful operator whose input does not arrive partitioned on its key
-    (missing rehash) and every rehash that re-shuffles an already
-    correctly partitioned stream (redundant exchange).
-
-    ``missing_severity`` is downgraded to INFO by callers analyzing
-    pre-exchange-placement trees, where the physical lowering will insert
-    the missing exchanges itself.
-    """
-    _partitioning_of(root, "", emit, missing_severity)
-
-
-def _require_part(part: Partitioning, wanted: Tuple[int, ...], node: LNode,
-                  path: str, what: str, emit,
-                  severity: Severity) -> Partitioning:
-    if part == wanted:
-        return wanted
-    cols = ", ".join(node.schema[p].name for p in wanted) if wanted \
-        else "<gather>"
+def _describe(part, node: LNode) -> str:
     if part is None:
-        have = "unknown"
-    elif part == BROADCAST:
-        have = "broadcast"
-    else:
-        have = ", ".join(str(p) for p in part) or "<gather>"
-    emit(make(
-        "REX005",
-        f"{what} requires input partitioned on ({cols}) but the stream "
-        f"arrives with partitioning [{have}] and no rehash in between",
-        location=path,
-        severity=severity,
-        hint="insert a Rehash exchange on the operator's key (the "
-             "optimizer's exchange placement does this automatically)"))
-    return wanted
-
-
-def _partitioning_of(node: LNode, path: str, emit,
-                     severity: Severity) -> Partitioning:
-    here = f"{path}/{node.label()}" if path else node.label()
-
-    if isinstance(node, LScan):
-        if node.partition_key is None:
-            return None
-        return (node.schema.index_of(node.partition_key),)
-
-    if isinstance(node, LFeedback):
-        return (node.schema.index_of(node.fixpoint_key),)
-
-    if isinstance(node, (LFilter,)):
-        return _partitioning_of(node.children[0], here, emit, severity)
-
-    if isinstance(node, LApply):
-        part = _partitioning_of(node.children[0], here, emit, severity)
-        return part if node.mode == "extend" else None
-
-    if isinstance(node, LProject):
-        part = _partitioning_of(node.children[0], here, emit, severity)
-        return _through_project(node, part)
-
-    if isinstance(node, LRehash):
-        child_part = _partitioning_of(node.children[0], here, emit, severity)
-        if node.broadcast:
-            if child_part == BROADCAST:
-                emit(make("REX006",
-                          "broadcast of an already-broadcast stream",
-                          location=here,
-                          hint="drop the inner broadcast exchange"))
-            return BROADCAST
-        if node.key is None:
-            if child_part == ():
-                emit(make("REX006",
-                          "gather of an already-gathered stream",
-                          location=here,
-                          hint="drop the redundant gather exchange"))
-            return ()
-        wanted = (node.schema.index_of(node.key),)
-        if child_part == wanted:
-            emit(make(
-                "REX006",
-                f"rehash on {node.key!r} over a stream already "
-                f"partitioned on that column",
-                location=here,
-                hint="drop the exchange; the input's partitioning "
-                     "already satisfies the consumer"))
-        return wanted
-
-    if isinstance(node, LJoin):
-        lpart = _partitioning_of(node.left, here, emit, severity)
-        rpart = _partitioning_of(node.right, here, emit, severity)
-        if node.condition is None:
-            if rpart is not BROADCAST:
-                emit(make(
-                    "REX005",
-                    "cross/handler join without a join condition needs "
-                    "its mutable side broadcast to every worker",
-                    location=here,
-                    severity=severity,
-                    hint="broadcast the smaller (mutable) input"))
-            return None
-        lcol, rcol = node.condition
-        lpos = (node.left.schema.index_of(lcol),)
-        rpos = (node.right.schema.index_of(rcol),)
-        _require_part(lpart, lpos, node.left, here,
-                      f"join input (left, key {lcol!r})", emit, severity)
-        _require_part(rpart, rpos, node.right, here,
-                      f"join input (right, key {rcol!r})", emit, severity)
-        return lpos if node.handler_factory is None else None
-
-    if isinstance(node, LGroupBy):
-        part = _partitioning_of(node.children[0], here, emit, severity)
-        if node.pre_aggregated:
-            # A combiner aggregates whatever its worker holds locally.
-            return part
-        child_schema = node.children[0].schema
-        if node.keys:
-            wanted = tuple(child_schema.index_of(k) for k in node.keys)
-            _require_part(part, wanted, node.children[0], here,
-                          f"group-by on {node.keys}", emit, severity)
-            return tuple(range(len(node.keys)))
-        _require_part(part, (), node.children[0], here,
-                      "global (keyless) aggregate", emit, severity)
-        return ()
-
-    if isinstance(node, LFixpoint):
-        key_pos = node.schema.index_of(node.key)
-        bpart = _partitioning_of(node.children[0], here, emit, severity)
-        rpart = _partitioning_of(node.children[1], here, emit, severity)
-        _require_part(bpart, (key_pos,), node.children[0], here,
-                      f"fixpoint base case (key {node.key!r})", emit,
-                      severity)
-        _require_part(rpart, (key_pos,), node.children[1], here,
-                      f"fixpoint recursive case (key {node.key!r})", emit,
-                      severity)
-        return (key_pos,)
-
-    for child in node.children:
-        _partitioning_of(child, here, emit, severity)
-    return None
-
-
-def _through_project(node: LProject, part: Partitioning) -> Partitioning:
-    if part in (None, BROADCAST) or part == ():
-        return part
-    in_schema = node.children[0].schema
-    out = []
-    for pos in part:
-        hit = None
-        for i, (expr, _) in enumerate(node.items):
-            if isinstance(expr, ColumnRef) \
-                    and in_schema.has(expr.name) \
-                    and in_schema.index_of(expr.name) == pos:
-                hit = i
-                break
-        if hit is None:
-            return None
-        out.append(hit)
-    return tuple(out)
+        return "arbitrarily partitioned"
+    if part == BROADCAST:
+        return "broadcast"
+    if part == ():
+        return "gathered"
+    cols = ", ".join(node.schema[p].name for p in part)
+    return f"partitioned on ({cols})"
 
 
 # ---------------------------------------------------------------------------
@@ -699,4 +575,5 @@ LOGICAL_PASSES: List[RulePass] = [
     check_preaggregation,
     check_delta_soundness,
     check_schemas,
+    check_partitioning,
 ]

@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition a table by a column (repeatable)")
     parser.add_argument("--nodes", type=positive_int, default=4,
                         help="number of simulated worker nodes (default 4)")
-    parser.add_argument("--replication", type=int, default=1,
+    parser.add_argument("--replication", type=positive_int, default=1,
                         help="storage replication factor (default 1)")
-    parser.add_argument("--max-strata", type=int, default=200,
+    parser.add_argument("--max-strata", type=positive_int, default=200,
                         help="recursion bound (default 200)")
     parser.add_argument("--explain", action="store_true",
                         help="print the optimized plan instead of running")
@@ -368,7 +368,7 @@ def build_flight_parser() -> argparse.ArgumentParser:
                         help="bundle file(s) to summarize")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
-    parser.add_argument("--events", type=int, default=8,
+    parser.add_argument("--events", type=non_negative_int, default=8,
                         help="breadcrumb notes shown per bundle in text "
                              "mode (default 8)")
     return parser
@@ -435,7 +435,6 @@ def main_analyze(argv: List[str]) -> int:
     from repro.analysis.absint import properties_report
     from repro.analysis.diagnostics import to_sarif
     from repro.analysis.lineage import lineage_report
-    from repro.optimizer.exchanges import add_exchanges
     from repro.optimizer.fusion import fusion_report
     from repro.optimizer.physical import lower
     from repro.optimizer.rewrite import rewrite_report
@@ -452,10 +451,7 @@ def main_analyze(argv: List[str]) -> int:
         # physical plan; surface their per-chain / per-node verdicts
         # alongside the diagnostics so the report shows what the executor
         # will actually collapse and what the sanitizer may assume.
-        node = session.logical_plan(query)
-        if not session.optimize:
-            node = add_exchanges(node)
-        physical_root = lower(node).root
+        physical_root = lower(session.logical_plan(query)).root
         fusion = fusion_report(physical_root)
         properties = properties_report(physical_root)
         table_arity = {name: len(cluster.catalog.get(name).schema.fields)

@@ -24,7 +24,6 @@ from repro.hadoop.rex_wrap import (
     rex_wrap_simple_agg,
     rex_wrap_sssp,
     wrap_pagerank_plan,
-    wrap_simple_agg_plan,
     wrap_sssp_plan,
 )
 from repro.hadoop.wrap import MapWrap, MapWrapJoinHandler, ReduceWrapAgg
@@ -54,6 +53,5 @@ __all__ = [
     "rex_wrap_pagerank",
     "rex_wrap_sssp",
     "wrap_sssp_plan",
-    "wrap_simple_agg_plan",
     "wrap_pagerank_plan",
 ]

@@ -16,20 +16,19 @@ from typing import Dict, Optional, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import QueryMetrics
 from repro.common.deltas import Delta, DeltaOp
+from repro.hadoop.driver import run_wrapped_jobs
 from repro.hadoop.jobs import (
-    LineitemFilterMapper,
     PRApplyReducer,
     PRJoinReducer,
     PRSumCombiner,
     SPJoinReducer,
     SPOfferMinReducer,
-    SumCountReducer,
+    simple_agg_job,
 )
 from repro.udf.aggregates import WhileDeltaHandler
-from repro.hadoop.wrap import MapWrap, MapWrapJoinHandler, ReduceWrapAgg
+from repro.hadoop.wrap import MapWrapJoinHandler, ReduceWrapAgg
 from repro.runtime import (
     ExecOptions,
-    PApply,
     PFeedback,
     PFixpoint,
     PGroupBy,
@@ -43,42 +42,17 @@ from repro.runtime import (
 from repro.udf.aggregates import AggregateSpec
 
 
-def wrap_simple_agg_plan(table: str = "lineitem") -> PhysicalPlan:
-    """Figure 4's query with the Hadoop mapper/combiner/reducer wrapped.
-
-    Scan -> MapWrap(filter mapper) -> local ReduceWrap(combiner) ->
-    rehash -> ReduceWrap(reducer).
-    """
-    key = lambda r: (r[0],)
-    mapped = PApply(
-        udf_factory=lambda: MapWrap(LineitemFilterMapper()),
-        arg_fn=lambda r: (r[0], (r[1], r[5])),
-        mode="replace",
-        children=(PScan(table),),
-    )
-    combined = PGroupBy(
-        key_fn=key,
-        specs_factory=lambda: [AggregateSpec(
-            ReduceWrapAgg(SumCountReducer), arg=lambda r: r[1],
-            output="partial")],
-        children=(mapped,),
-    )
-    final = PGroupBy(
-        key_fn=key,
-        specs_factory=lambda: [AggregateSpec(
-            ReduceWrapAgg(SumCountReducer), arg=lambda r: r[1],
-            output="sumcount")],
-        children=(PRehash.by(combined, key),),
-    )
-    return PhysicalPlan(final)
-
-
 def rex_wrap_simple_agg(cluster: Cluster, table: str = "lineitem"
                         ) -> Tuple[Tuple[float, int], QueryMetrics]:
-    result = QueryExecutor(cluster).execute(wrap_simple_agg_plan(table))
-    assert len(result.rows) == 1
-    _, (total, count) = result.rows[0]
-    return (total, count), result.metrics
+    """Figure 4's query as the generic driver template
+    (:func:`~repro.hadoop.driver.wrap_job`) over the Hadoop job's own
+    mapper, combiner and reducer."""
+    rows, metrics = run_wrapped_jobs(
+        cluster, [simple_agg_job()], table,
+        kv_extractor=lambda r: (r[0], (r[1], r[5])))
+    assert len(rows) == 1
+    _, (total, count) = rows[0]
+    return (total, count), metrics
 
 
 def wrap_pagerank_plan(graph_table: str = "graph") -> PhysicalPlan:

@@ -286,7 +286,7 @@ def format_summary(doc: Dict[str, Any], events: int = 8) -> str:
         lines.append(f"  Δ-set over recorded strata: {sparkline(series)} "
                      f"(last stratum {s['last_stratum']}, "
                      f"Δ={s['last_delta_count']})")
-    tail = doc.get("notes", [])[-events:]
+    tail = doc.get("notes", [])[-events:] if events else []
     if tail:
         lines.append(f"  last {len(tail)} note(s):")
         for n in tail:

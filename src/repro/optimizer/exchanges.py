@@ -1,17 +1,26 @@
-"""Logical exchange placement: make repartitioning explicit.
+"""The partitioning model: where rows live, decided once.
 
-The cost model must see rehash operators to price network traffic (and to
-make pre-aggregation pushdown a fair fight), so before costing or lowering
-a plan the optimizer inserts explicit :class:`~repro.optimizer.logical.
-LRehash` nodes wherever an operator's co-location requirement is not met —
-the same rules the physical lowering enforces, expressed over logical
-nodes.  Partitioning properties are tracked positionally so renames don't
+Every stream has a *partitioning* — the output column positions its rows
+are hash-partitioned on (``()`` when gathered onto one worker),
+:data:`BROADCAST` (replicated on every worker) or ``None`` (arbitrary).
+This module is the one place that decides
+
+* what each logical node outputs (:func:`propagate`),
+* what each stateful input requires — its key positions, ``()`` for a
+  keyless aggregate, or :data:`BROADCAST` for a cross join's mutable side,
+* when a partitioning satisfies a requirement (:func:`satisfies`).
+
+Exchange placement (:func:`add_exchanges`, "whenever needed, a rehash
+operator re-partitions data among worker nodes", Section 4.2), the
+physical lowering (which lowers ``add_exchanges``' output one ``LRehash``
+to one ``PRehash``) and the analyzer's REX005/REX006 checks all walk
+:func:`propagate`.  Positions, not names, are tracked, so renames don't
 confuse them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.operators.expressions import ColumnRef
 from repro.optimizer.logical import (
@@ -28,29 +37,68 @@ from repro.optimizer.logical import (
 )
 
 BROADCAST = "broadcast"
-Partitioning = Optional[Tuple[int, ...]]
+Partitioning = Union[None, str, Tuple[int, ...]]
+
+#: ``require(consumer, child, part, wanted, what) -> child``: called for
+#: every input of ``consumer`` whose partitioning ``part`` does not
+#: satisfy ``wanted``; returns the input to use in its place.
+Require = Callable[[LNode, LNode, Partitioning, Partitioning, str], LNode]
+#: ``redundant(rehash, part)``: called for every exchange whose input
+#: already has the partitioning ``part`` the exchange produces.
+Redundant = Callable[[LRehash, Partitioning], None]
+
+
+def satisfies(part: Partitioning, wanted: Partitioning) -> bool:
+    """Rows hashed on a non-empty column set P co-locate equal values of
+    every key set K ⊇ P.  A gather satisfies only a keyless requirement,
+    and a broadcast only a broadcast one."""
+    if wanted == () or wanted == BROADCAST:
+        return part == wanted
+    return (isinstance(part, tuple) and bool(part)
+            and set(part) <= set(wanted))
 
 
 def add_exchanges(node: LNode) -> LNode:
-    """Return an equivalent tree with explicit rehash nodes."""
-    out, _ = _place(node)
+    """Return an equivalent tree with an explicit exchange below every
+    input whose partitioning does not satisfy its consumer.  A composite
+    key is rehashed on its first column; a tree that already satisfies
+    every requirement comes back unchanged."""
+    out, _ = propagate(node, _place)
     return out
 
 
-def _require(node: LNode, part: Partitioning,
-             wanted: Tuple[int, ...]) -> Tuple[LNode, Partitioning]:
-    if part == wanted:
-        return node, part
-    if not wanted:
-        # Global aggregate: gather everything onto one worker.
-        return LRehash(node, key=None), ()
-    # Composite keys hash on their first component (sufficient for
-    # co-location of equal keys, at some skew risk).
-    key = node.schema[wanted[0]].name
-    return LRehash(node, key=key), wanted
+def _place(consumer: LNode, child: LNode, part: Partitioning,
+           wanted: Partitioning, what: str) -> LNode:
+    if wanted == BROADCAST:
+        return LRehash(child, key=None, broadcast=True)
+    if wanted == ():
+        return LRehash(child, key=None)  # gather
+    return LRehash(child, key=child.schema[wanted[0]].name)
 
 
-def _place(node: LNode) -> Tuple[LNode, Partitioning]:
+def _placed(wanted: Partitioning) -> Partitioning:
+    """The partitioning :func:`_place`'s exchange produces."""
+    if wanted == BROADCAST or wanted == ():
+        return wanted
+    return wanted[:1]
+
+
+def propagate(node: LNode, require: Require,
+              redundant: Optional[Redundant] = None
+              ) -> Tuple[LNode, Partitioning]:
+    """Walk ``node`` bottom-up; return the (possibly rebuilt) tree and its
+    output partitioning.  An unsatisfied input is reported to ``require``
+    and from then on treated as placement's exchange would leave it."""
+
+    def walk(child: LNode) -> Tuple[LNode, Partitioning]:
+        return propagate(child, require, redundant)
+
+    def need(child: LNode, part: Partitioning, wanted: Partitioning,
+             what: str) -> Tuple[LNode, Partitioning]:
+        if satisfies(part, wanted):
+            return child, part
+        return require(node, child, part, wanted, what), _placed(wanted)
+
     if isinstance(node, LScan):
         if node.partition_key is None:
             return node, None
@@ -60,81 +108,89 @@ def _place(node: LNode) -> Tuple[LNode, Partitioning]:
         return node, (node.schema.index_of(node.fixpoint_key),)
 
     if isinstance(node, LFilter):
-        child, part = _place(node.children[0])
-        return node.with_children([child]), part
+        child, part = walk(node.children[0])
+        return _rebuilt(node, child), part
 
     if isinstance(node, LApply):
-        child, part = _place(node.children[0])
+        child, part = walk(node.children[0])
         # 'extend' appends columns, keeping key positions intact.
-        return (node.with_children([child]),
+        return (_rebuilt(node, child),
                 part if node.mode == "extend" else None)
 
     if isinstance(node, LProject):
-        child, part = _place(node.children[0])
-        return node.with_children([child]), _through_project(node, part)
+        child, part = walk(node.children[0])
+        in_schema = node.children[0].schema
+        passed: Dict[int, int] = {}
+        for i, (expr, _) in enumerate(node.items):
+            if isinstance(expr, ColumnRef) and in_schema.has(expr.name):
+                passed.setdefault(in_schema.index_of(expr.name), i)
+        return _rebuilt(node, child), _remap(part, passed)
 
     if isinstance(node, LRehash):
-        child, _ = _place(node.children[0])
-        rehashed = node.with_children([child])
+        child, part = walk(node.children[0])
         if node.broadcast:
-            return rehashed, BROADCAST
-        if node.key is None:
-            return rehashed, ()  # gather
-        return rehashed, (node.schema.index_of(node.key),)
+            out: Partitioning = BROADCAST
+        elif node.key is None:
+            out = ()
+        else:
+            out = (node.schema.index_of(node.key),)
+        if redundant is not None and part == out:
+            redundant(node, out)
+        return _rebuilt(node, child), out
 
     if isinstance(node, LJoin):
-        left, lpart = _place(node.left)
-        right, rpart = _place(node.right)
+        left, lpart = walk(node.left)
+        right, rpart = walk(node.right)
         if node.condition is None:
-            if rpart is not BROADCAST:
-                right = LRehash(right, key=None, broadcast=True)
-            return node.with_children([left, right]), None
+            right, _ = need(right, rpart, BROADCAST,
+                            "cross join's mutable (right) input")
+            return _rebuilt(node, left, right), None
         lcol, rcol = node.condition
-        lpos = (node.left.schema.index_of(lcol),)
-        rpos = (node.right.schema.index_of(rcol),)
-        left, _ = _require(left, lpart, lpos)
-        right, _ = _require(right, rpart, rpos)
-        out = node.with_children([left, right])
-        return out, lpos if node.handler_factory is None else None
+        left, lpart = need(left, lpart, (node.left.schema.index_of(lcol),),
+                           f"join input (left, key {lcol!r})")
+        right, _ = need(right, rpart, (node.right.schema.index_of(rcol),),
+                        f"join input (right, key {rcol!r})")
+        out = lpart if node.handler_factory is None else None
+        return _rebuilt(node, left, right), out
 
     if isinstance(node, LGroupBy):
-        child, part = _place(node.children[0])
-        if node.pre_aggregated:
-            return node.with_children([child]), part
-        if node.keys:
-            wanted = tuple(node.children[0].schema.index_of(k)
-                           for k in node.keys)
-            child, _ = _require(child, part, wanted)
-            out_part: Partitioning = tuple(range(len(node.keys)))
-        else:
-            child, _ = _require(child, part, ())
-            out_part = ()
-        return node.with_children([child]), out_part
+        child, part = walk(node.children[0])
+        in_schema = node.children[0].schema
+        key_pos = tuple(in_schema.index_of(k) for k in node.keys)
+        if not node.pre_aggregated:
+            # A combiner aggregates whatever its worker holds locally; the
+            # final instance needs each group on one worker.
+            what = (f"group-by on {node.keys}" if node.keys
+                    else "global (keyless) aggregate")
+            child, part = need(child, part, key_pos, what)
+        # The keys lead the output; any other column is aggregated away.
+        keys_out: Dict[int, int] = {}
+        for i, pos in enumerate(key_pos):
+            keys_out.setdefault(pos, i)
+        return _rebuilt(node, child), _remap(part, keys_out)
 
     if isinstance(node, LFixpoint):
-        key_pos = node.schema.index_of(node.key)
-        base, bpart = _place(node.children[0])
-        recursive, rpart = _place(node.children[1])
-        base, _ = _require(base, bpart, (key_pos,))
-        recursive, _ = _require(recursive, rpart, (key_pos,))
-        return node.with_children([base, recursive]), (key_pos,)
+        key = (node.schema.index_of(node.key),)
+        base, _ = need(*walk(node.children[0]), key,
+                       f"fixpoint base case (key {node.key!r})")
+        recursive, _ = need(*walk(node.children[1]), key,
+                            f"fixpoint recursive case (key {node.key!r})")
+        return _rebuilt(node, base, recursive), key
 
-    children = [_place(c)[0] for c in node.children]
-    return node.with_children(children), None
+    return _rebuilt(node, *(walk(c)[0] for c in node.children)), None
 
 
-def _through_project(node: LProject, part: Partitioning) -> Partitioning:
-    if part in (None, BROADCAST):
-        return part
-    in_schema = node.children[0].schema
-    out = []
-    for pos in part:
-        hit = None
-        for i, (expr, _) in enumerate(node.items):
-            if isinstance(expr, ColumnRef) and in_schema.index_of(expr.name) == pos:
-                hit = i
-                break
-        if hit is None:
-            return None
-        out.append(hit)
-    return tuple(out)
+def _remap(part: Partitioning, positions: Dict[int, int]) -> Partitioning:
+    """Partitioning through a node mapping input positions to output
+    positions: it survives iff every partition column passes through."""
+    if not isinstance(part, tuple) or not part:
+        return part  # None, broadcast and gather pass unchanged
+    if not all(p in positions for p in part):
+        return None
+    return tuple(positions[p] for p in part)
+
+
+def _rebuilt(node: LNode, *children: LNode) -> LNode:
+    if all(new is old for new, old in zip(children, node.children)):
+        return node
+    return node.with_children(list(children))

@@ -221,11 +221,10 @@ def push_pre_aggregation(node: LGroupBy) -> Optional[LNode]:
     partial = LGroupBy(node.children[0], node.keys, partial_aggs,
                        pre_aggregated=True,
                        clear_each_stratum=node.clear_each_stratum)
-    # Keyless (global) aggregates gather their partials onto one worker.
-    rehash = LRehash(partial, key=node.keys[0] if node.keys else None)
     # Keys keep their names through the partial, so the final group-by
-    # re-uses them.
-    return LGroupBy(rehash, node.keys, final_aggs,
+    # re-uses them.  Exchange placement puts the rehash (a gather, for a
+    # keyless aggregate) between the two wherever the partials need it.
+    return LGroupBy(partial, node.keys, final_aggs,
                     clear_each_stratum=node.clear_each_stratum)
 
 

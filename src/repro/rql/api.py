@@ -76,7 +76,12 @@ class RQLSession:
         plain keyed replacement would let a later, longer path overwrite
         the source's distance.
         """
-        query, _ = self._split_presentation(parse(text))
+        return self._plan(text, fixpoint_handler)[0]
+
+    def _plan(self, text: str, fixpoint_handler: Optional[str]):
+        """The logical plan and the top-level ORDER BY / LIMIT stripped
+        from it."""
+        query, presentation = self._split_presentation(parse(text))
         node = compile_query(query, self.cluster.catalog, self.registry)
         if fixpoint_handler is not None:
             from repro.optimizer.logical import LFixpoint
@@ -88,22 +93,18 @@ class RQLSession:
                 self.registry.while_handler_factory(fixpoint_handler)
         if self.optimize:
             node = self.optimizer.optimize(node)
-        return node
+        return node, presentation
 
     def analyze(self, text: str,
                 fixpoint_handler: Optional[str] = None) -> DiagnosticReport:
         """Statically analyze a query's chosen plan without executing it.
 
-        Runs every ``repro.analysis`` rule pass over the optimized
-        logical tree and returns the diagnostic report.  When the session
-        was built with ``optimize=False`` the compiler output has no
-        exchanges yet, so partitioning is checked against the tree the
-        lowering would actually produce (``add_exchanges``).
+        Runs every ``repro.analysis`` rule pass over the logical tree the
+        lowering runs: the chosen plan with its exchanges placed
+        (``add_exchanges`` adds nothing to an optimized plan).
         """
-        node = self.logical_plan(text, fixpoint_handler=fixpoint_handler)
-        if not self.optimize:
-            node = add_exchanges(node)
-        return analyze_logical(node)
+        return analyze_logical(add_exchanges(
+            self.logical_plan(text, fixpoint_handler=fixpoint_handler)))
 
     def explain(self, text: str, with_estimates: bool = False,
                 with_diagnostics: bool = False) -> str:
@@ -112,8 +113,7 @@ class RQLSession:
         estimator = self.optimizer.estimator if with_estimates else None
         rendered = explain_plan(node, estimator)
         if with_diagnostics:
-            report = analyze_logical(
-                node if self.optimize else add_exchanges(node))
+            report = analyze_logical(add_exchanges(node))
             rendered += "\n-- diagnostics --\n" + report.format()
         return rendered
 
@@ -135,20 +135,9 @@ class RQLSession:
         unioned result (presentation only; execution is unordered, as in
         any distributed engine).
         """
-        query, presentation = self._split_presentation(parse(text))
-        node = compile_query(query, self.cluster.catalog, self.registry)
-        if fixpoint_handler is not None:
-            from repro.optimizer.logical import LFixpoint
-
-            if not isinstance(node, LFixpoint):
-                raise TypeCheckError(
-                    "fixpoint_handler given but the query is not recursive")
-            node.while_handler_factory = \
-                self.registry.while_handler_factory(fixpoint_handler)
-        if self.optimize:
-            node = self.optimizer.optimize(node)
-        report = analyze_logical(
-            node if self.optimize else add_exchanges(node))
+        node, presentation = self._plan(text, fixpoint_handler)
+        node = add_exchanges(node)
+        report = analyze_logical(node)
         if check and report.has_errors():
             raise PlanValidationError(
                 "plan failed static analysis (pass check=False / "

@@ -49,6 +49,11 @@ class PartitionedTable:
             raise SchemaError(
                 f"partition key {partition_key!r} not in schema of {name}"
             )
+        if replication < 1:
+            raise SchemaError(
+                f"table {name} asks for replication={replication}: "
+                "every partition needs at least its primary copy"
+            )
         if partition_key is None and replication > 1:
             # Replicas sit on the nodes after the primary in the key's
             # preference list; a round-robin row has no key, hence none.
@@ -59,7 +64,7 @@ class PartitionedTable:
         self.name = name
         self.schema = schema
         self.partition_key = partition_key
-        self.replication = max(1, replication)
+        self.replication = replication
         self._key_index = (
             schema.index_of(partition_key) if partition_key is not None else None
         )

@@ -1,6 +1,6 @@
-"""Focused rule-pass behaviors the corpus doesn't pin: severity
-downgrades, partitioning propagation through projections, broadcast
-handling, and warning-vs-error boundaries."""
+"""Focused rule-pass behaviors the corpus doesn't pin: partitioning
+propagation through projections and pre-aggregation, broadcast handling,
+and warning-vs-error boundaries."""
 
 from repro.analysis import analyze_logical
 from repro.analysis.diagnostics import Severity
@@ -26,17 +26,11 @@ def _sum_groupby(child, key="srcId", col="weight"):
                   [F("total", SQLType.DOUBLE)], composable=True)])
 
 
-class TestExchangesPlacedFlag:
-    def test_missing_rehash_is_error_when_placed(self):
-        report = analyze_logical(missing_rehash(), exchanges_placed=True)
+class TestMissingRehash:
+    def test_missing_rehash_is_an_error(self):
+        report = analyze_logical(missing_rehash())
         assert any(d.code == "REX005"
                    and d.severity is Severity.ERROR for d in report)
-
-    def test_missing_rehash_is_info_before_placement(self):
-        report = analyze_logical(missing_rehash(), exchanges_placed=False)
-        hits = [d for d in report if d.code == "REX005"]
-        assert hits and all(d.severity is Severity.INFO for d in hits)
-        assert not report.has_errors()
 
 
 class TestPartitioningPropagation:

@@ -109,6 +109,10 @@ class TestCliExecution:
         ["check", "--perturbations", "0"],
         ["telemetry", "--nodes", "0"],
         ["telemetry", "--scale", "0"],
+        ["--replication", "0", "SELECT 1 FROM t"],
+        ["--replication", "-1", "SELECT 1 FROM t"],
+        ["--max-strata", "0", "SELECT 1 FROM t"],
+        ["flight", "--events", "-1", "bundle.json"],
     ], ids=" ".join)
     def test_bad_count_is_a_usage_error(self, argv, capsys):
         """A count out of range is refused before anything runs: exit 2

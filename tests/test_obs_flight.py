@@ -277,6 +277,15 @@ class TestCliFlight:
         assert doc[0]["reason"] == "exception"
         assert doc[0]["strata_recorded"] == 2
 
+    def test_zero_events_prints_no_notes(self, tmp_path):
+        from repro.obs.flight import format_summary
+
+        doc = load_bundle(self._write(tmp_path))
+        assert "last 2 note(s)" in format_summary(doc)
+        assert "last 1 note(s)" in format_summary(doc, events=1)
+        text = format_summary(doc, events=0)
+        assert "note(s):" not in text and "stratum=1" not in text
+
     def test_unreadable_bundle_fails(self, tmp_path, capsys):
         from repro.cli import main
 

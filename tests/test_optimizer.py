@@ -165,11 +165,15 @@ class TestPreAggregation:
                       [Field("s", SQLType.ANY)], composable=True)])
 
     def test_rewrite_shape(self):
+        """The partial sits directly below the final group-by; exchange
+        placement puts the rehash between them (big is keyed on id, so
+        the partials are not partitioned on g)."""
         cluster = make_cluster()
         pre = push_pre_aggregation(self.groupby(cluster))
         assert isinstance(pre, LGroupBy) and not pre.pre_aggregated
-        rehash = pre.children[0]
-        assert isinstance(rehash, LRehash)
+        assert pre.children[0].pre_aggregated
+        rehash = add_exchanges(pre).children[0]
+        assert isinstance(rehash, LRehash) and rehash.key == "g"
         partial = rehash.children[0]
         assert isinstance(partial, LGroupBy) and partial.pre_aggregated
 

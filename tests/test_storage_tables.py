@@ -97,6 +97,13 @@ class TestPartitionedTable:
                                  replication=2)
         assert not cluster.catalog.has("u")
 
+    @pytest.mark.parametrize("replication", [0, -1])
+    def test_replication_below_one_is_refused(self, replication):
+        """Every partition needs its primary copy; a factor below one used
+        to be clamped to 1 and run silently unreplicated."""
+        with pytest.raises(SchemaError, match="replication"):
+            make_table(replication=replication)
+
     def test_total_bytes_positive(self):
         ring = HashRing(range(2))
         table = make_table()
