@@ -17,15 +17,18 @@ Section 4.2), trading more output deltas for no buffering delay.
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+import textwrap
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.deltas import Delta, DeltaOp
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, UDFError
 from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes
 from repro.operators.base import Operator
-from repro.udf.aggregates import AggregateSpec
-from repro.udf.builtins import ArgMin, Sum
+from repro.operators.expressions import _code
+from repro.udf.aggregates import AggregateSpec, fold_templates
 
 
 class _Group:
@@ -62,6 +65,8 @@ class GroupBy(Operator):
         self.reset_emissions_each_stratum = reset_emissions_each_stratum
         self.groups: Dict[tuple, _Group] = {}
         self._dirty: Dict[tuple, None] = {}  # insertion-ordered set
+        # (Recovery may swap in fresh specs of the same shape.)
+        self._fold, self._flush = _compile(self.specs, mode)
 
     def open(self, ctx):
         super().open(ctx)
@@ -120,167 +125,23 @@ class GroupBy(Operator):
             self._dirty[key] = None
 
     def push_batch(self, deltas, port: int = 0) -> None:
-        """The production loop for both modes: one tuple charge, the fold,
-        then the stream-mode outputs handed on as one batch."""
+        """The production loop for both modes: one tuple charge, the
+        generated fold, then the stream-mode outputs handed on as one
+        batch."""
         if not deltas:
             return
         self.ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
         out: List[Delta] = []
-        self._fold(deltas, out)
+        self._fold(self, deltas, out)
         self.emit_batch(out)
-
-    def _fold(self, deltas, out: List[Delta]) -> None:
-        """Fold ``deltas`` in order, amortizing lookups and per-spec
-        dispatch; stream mode flushes each delta's group into ``out``."""
-        ctx = self.ctx
-        key_fn = self.key_fn
-        groups = self.groups
-        dirty = self._dirty
-        stream = self.mode == "stream"
-        specs = self.specs
-        worker = ctx.worker
-        charge_state_access = worker.charge_state_access
-        # charge_state_access is a no-op until state spills past the
-        # memory budget; guard with an inline compare in the hot loop.
-        memory_budget = worker.cost.worker_memory_bytes
-        charge_cpu = ctx.charge_cpu
-        cost = ctx.cost
-        # Hoist per-spec dispatch out of the loop: (arg, agg_state, charge).
-        spec_plan = []
-        for spec in specs:
-            per_delta_cost = getattr(spec.aggregator, "per_delta_cost", None)
-            spec_plan.append((
-                spec.arg, spec.aggregator.agg_state,
-                per_delta_cost(cost) if per_delta_cost is not None else None,
-            ))
-        udf_cost = cost.udf_cost_per_tuple(batched=True)
-        insert, delete = DeltaOp.INSERT, DeltaOp.DELETE
-        replace, value_update = DeltaOp.REPLACE, DeltaOp.UPDATE
-        # CPU charges are constants per spec, so count them in the loop
-        # and charge once per call — the worker's tally accounting makes
-        # n charges of v and one charge of (v, n) the same multiset.
-        charge_counts = [0] * len(spec_plan)
-        udf_charges = 0
-        if len(spec_plan) == 1:
-            s_arg, s_agg_state, s_per_delta = spec_plan[0]
-            single = True
-            # Exact-class check so the running-SUM δ fold (PageRank's hot
-            # path) can be inlined below; Sum subclasses keep the generic
-            # agg_state call.
-            s_sum_fast = (specs[0].aggregator.__class__ is Sum
-                          and s_per_delta is None)
-            # Same idea for ArgMin inserts (SSSP's offer stream): the
-            # multiset add is inlined below with _key's exact (value, id)
-            # ordering.  ArgMax keeps the generic call (_Rev wrapping).
-            s_argmin_fast = (specs[0].aggregator.__class__ is ArgMin
-                             and s_per_delta is None)
-        else:
-            single = False
-            s_sum_fast = s_argmin_fast = False
-        for delta in deltas:
-            op = delta.op
-            row = delta.row
-            key = key_fn(row)
-            if op is replace and key_fn(delta.old) != key:
-                # The replacement straddles two groups: decompose, keeping
-                # both halves' outputs at this delta's place in ``out``.
-                self._fold((Delta(delete, delta.old), Delta(insert, row)),
-                           out)
-                continue
-            if worker.state_bytes > memory_budget:
-                charge_state_access()
-            try:
-                group = groups[key]
-            except KeyError:
-                group = _Group([spec.aggregator.init_state()
-                                for spec in specs])
-                groups[key] = group
-                worker.add_state_bytes(row_bytes(key) + 32)
-            if op is insert:
-                group.live += 1
-                folded = s_argmin_fast
-                if folded:
-                    ident, value = s_arg(row)
-                    # ArgMin.agg_state's INSERT branch with _key and the
-                    # multiset add inlined (no charge: INSERT carries no
-                    # per-delta or UDC cost on this path).
-                    state0 = group.states[0]
-                    k = (value, ident)
-                    mlive = state0._live
-                    mlive[k] = mlive.get(k, 0) + 1
-                    state0.size += 1
-                    if not state0._stale:
-                        best = state0._best
-                        if best is None or k < best:
-                            state0._best = k
-            elif op is value_update:
-                if group.live < 1:
-                    group.live = 1
-                payload = delta.payload
-                # Same fold, charge, and float-operation order as
-                # Sum.agg_state's UPDATE branch; non-plain-numeric
-                # payloads (incl. bool) take the generic call.
-                folded = s_sum_fast and (payload.__class__ is float
-                                         or payload.__class__ is int)
-                if folded:
-                    state0 = group.states[0]
-                    if state0["count"] < 1:
-                        state0["count"] = 1
-                    state0["sum"] += payload
-                    udf_charges += 1
-            else:
-                folded = False
-                if op is delete:
-                    group.live -= 1
-            if not folded:
-                is_update = op is value_update
-                states = group.states
-                if single:
-                    if s_per_delta is not None:
-                        charge_counts[0] += 1
-                    elif is_update:
-                        udf_charges += 1
-                    states[0] = s_agg_state(
-                        states[0], delta,
-                        None if is_update else s_arg(row),
-                        s_arg(delta.old) if op is replace else None)
-                else:
-                    i = 0
-                    for arg, agg_state, per_delta in spec_plan:
-                        value = None if is_update else arg(row)
-                        old_value = arg(delta.old) if op is replace else None
-                        if per_delta is not None:
-                            charge_counts[i] += 1
-                        elif is_update:
-                            udf_charges += 1
-                        states[i] = agg_state(states[i], delta, value,
-                                              old_value)
-                        i += 1
-            if stream:
-                self._flush_key(key, group, out)
-            else:
-                dirty[key] = None
-        for i, (_, _, per_delta) in enumerate(spec_plan):
-            if charge_counts[i]:
-                charge_cpu(per_delta, charge_counts[i])
-        if udf_charges:
-            charge_cpu(udf_cost, udf_charges)
 
     # -- emission ----------------------------------------------------------
     def _flush_key(self, key: tuple, group: _Group,
                    out: Optional[List[Delta]] = None) -> None:
         emit = self.emit if out is None else out.append
-        specs = self.specs
-        if len(specs) == 1:
-            # Single-aggregate flush (the common shape for the benchmark
-            # workloads): skip the generator/zip machinery per key.
-            value = specs[0].aggregator.agg_result(group.states[0])
-            outputs = (value,)
-            empty = group.live <= 0 and value is None
-        else:
-            outputs = tuple(spec.aggregator.agg_result(state)
-                            for spec, state in zip(specs, group.states))
-            empty = group.live <= 0 and all(v is None for v in outputs)
+        outputs = tuple(spec.aggregator.agg_result(state)
+                        for spec, state in zip(self.specs, group.states))
+        empty = group.live <= 0 and all(v is None for v in outputs)
         if empty:
             if group.last is not None:
                 emit(Delta(DeltaOp.DELETE, group.last))
@@ -295,10 +156,13 @@ class GroupBy(Operator):
 
     def on_stratum_end(self, punct: Punctuation) -> None:
         out: List[Delta] = []
-        for key in self._dirty:
-            group = self.groups.get(key)
-            if group is not None:
-                self._flush_key(key, group, out)
+        if self.ctx.batch:
+            self._flush(self, out)
+        else:  # the per-tuple reference
+            for key in self._dirty:
+                group = self.groups.get(key)
+                if group is not None:
+                    self._flush_key(key, group, out)
         self.emit_deltas(out)
         self._dirty.clear()
         if self.clear_states_each_stratum:
@@ -316,3 +180,149 @@ class GroupBy(Operator):
 
     def state_size(self) -> int:
         return len(self.groups)
+
+
+# -- the generated fold ----------------------------------------------------
+# One (fold, flush) pair per plan shape (spec templates or calls, mode and
+# charge plan): ``process`` over a batch and ``_flush_key`` over the dirty
+# keys, with each builtin's templates inlined.  Per-spec CPU charges are
+# counted and charged (c, n) once, the same tally as n charges of c.  Both
+# take the operator as an argument: the module-level cache reaches none.
+
+_FOLD = """\
+def fold(_op, _deltas, _out):
+    _key_fn, _groups, _dirty = _op.key_fn, _op.groups, _op._dirty
+    _worker, _specs = _op.ctx.worker, _op.specs
+    _budget = _worker.cost.worker_memory_bytes
+{prologue}
+    _n = _u = 0
+    for _delta in _deltas:
+        _kind, _row = _delta.op, _delta.row
+        _key = _key_fn(_row)
+        if _kind is _REPLACE and _key_fn(_delta.old) != _key:
+            fold(_op, (Delta(_DELETE, _delta.old), Delta(_INSERT, _row)), _out)
+            continue
+        if _worker.state_bytes > _budget:  # else a no-op: nothing spilled
+            _worker.charge_state_access()
+        try:
+            _group = _groups[_key]
+        except KeyError:
+            _group = _groups[_key] = _Group([{init}])
+            _worker.add_state_bytes(row_bytes(_key) + 32)
+        _states = _group.states
+        if _kind is _INSERT:
+            _group.live += 1
+{INSERT}
+        elif _kind is _UPDATE:
+            if _group.live < 1:
+                _group.live = 1
+            p = _delta.payload
+{UPDATE}
+        elif _kind is _DELETE:
+            _group.live -= 1
+{DELETE}
+        else:
+            _old = _delta.old
+{REPLACE}
+{mark}
+{charges}
+
+
+def flush(_op, _out):
+    _groups, _specs = _op.groups, _op.specs
+{prologue}
+    for _key in _op._dirty:
+        _group = _groups.get(_key)
+        if _group is not None:
+            _states = _group.states
+{flush}
+"""
+
+_FLUSH_KEY = """\
+{outputs}
+if _group.live <= 0{empty}:
+    if _group.last is not None:
+        _out.append(Delta(_DELETE, _group.last))
+    del _groups[_key]
+else:
+    _new, _last = _key + ({row}), _group.last
+    if _last is None:
+        _out.append(Delta(_INSERT, _new))
+    elif _new != _last:
+        _out.append(Delta(_REPLACE, _new, _last))
+    _group.last = _new"""
+
+_COMPILED: Dict[tuple, tuple] = {}
+_NAMES = {"Delta": Delta, "UDFError": UDFError, "_Group": _Group,
+          "row_bytes": row_bytes, **{f"_{k.name}": k for k in DeltaOp}}
+
+
+def _compile(specs: Sequence[AggregateSpec], mode: str):
+    """One code object per distinct source, in :mod:`linecache` under a
+    name hashed from it: tracebacks show the template line that raised."""
+    shape, names = [], {}
+    for spec in specs:
+        fold, result = fold_templates(spec.aggregator)
+        names.update(spec.aggregator.fold_names)
+        shape.append((fold, result, getattr(
+            spec.aggregator, "per_delta_cost", None) is not None))
+    source = _source(shape, mode == "stream")
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    filename = f"<groupby-fold-{digest}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    key = (source, tuple(sorted(names.items())))
+    if key not in _COMPILED:
+        namespace = dict(names, __name__=__name__, **_NAMES)
+        exec(_code(source, filename), namespace)
+        _COMPILED[key] = (namespace["fold"], namespace["flush"])
+    return _COMPILED[key]
+
+
+def _source(shape, stream: bool) -> str:
+    prologue, charges, outputs = [], [], []
+    folds = {kind: [] for kind in DeltaOp}
+    uncharged = sum(not charged for _, _, charged in shape)
+    if uncharged:  # a δ payload runs handler code: the UDC cost
+        folds[DeltaOp.UPDATE].append("_u += 1")
+        charges += ["if _u:", "    _op.ctx.charge_cpu(_op.ctx.cost."
+                    f"udf_cost_per_tuple(batched=True), _u * {uncharged})"]
+    for i, (fold, result, charged) in enumerate(shape):
+        agg = f"_specs[{i}].aggregator"
+        prologue += [f"_arg{i}, _init{i} = _specs[{i}].arg, {agg}.init_state",
+                     f"_state{i}, _result{i} = {agg}.agg_state, "
+                     f"{agg}.agg_result"]
+        if charged:
+            prologue.append(f"_pd{i} = {agg}.per_delta_cost(_op.ctx.cost)")
+            charges += ["if _n:", f"    _op.ctx.charge_cpu(_pd{i}, _n)"]
+        outputs += ([f"_r{i} = _result{i}(_states[{i}])"] if result is None
+                    else [f"s = _states[{i}]", f"_r{i} = {result}"])
+        for kind, lines in folds.items():
+            if kind is not DeltaOp.UPDATE:
+                lines.append(f"v = _arg{i}(_row)")
+            if kind is DeltaOp.REPLACE:
+                lines.append(f"o = _arg{i}(_old)")
+            if fold is not None:
+                lines += [f"s = _states[{i}]", fold[kind].rstrip()]
+            else:
+                lines.append(
+                    f"_states[{i}] = _state{i}(_states[{i}], _delta, "
+                    f"{'None' if kind is DeltaOp.UPDATE else 'v'}, "
+                    f"{'o' if kind is DeltaOp.REPLACE else 'None'})")
+    flush_key = _FLUSH_KEY.format(
+        outputs="\n".join(outputs),
+        empty="".join(f" and _r{i} is None" for i in range(len(shape))),
+        row="".join(f"_r{i}, " for i in range(len(shape))))
+    mark = ["_n += 1"] if len(shape) > uncharged else []
+    mark.append(flush_key if stream else "_dirty[_key] = None")
+    return _FOLD.format(
+        prologue=_indent(4, prologue),
+        init=", ".join(f"_init{i}()" for i in range(len(shape))),
+        mark=_indent(8, mark), charges=_indent(4, charges),
+        flush=_indent(12, [flush_key]),
+        **{kind.name: _indent(12, lines or ["pass"])
+           for kind, lines in folds.items()})
+
+
+def _indent(width: int, lines: List[str]) -> str:
+    return textwrap.indent("\n".join(lines), " " * width)

@@ -825,14 +825,17 @@ class QueryExecutor:
         return None
 
     def _plan_replays_exactly(self, plan: PhysicalPlan) -> bool:
-        """True when every stateful handler in the plan is replay-idempotent
-        (min/max-style refinement algebras): restored checkpoint rows can
-        then be replayed through surviving downstream operator state without
-        double-counting, so :meth:`_recover_incrementally` is exact.
-        Anything else — sums, averages — goes through
-        :meth:`_resume_from_checkpoint`, which resets downstream state and
-        recomputes it from the restored mutable set instead.
+        """True when :meth:`_recover_incrementally` is exact: every row it
+        re-emits lands in state that lost it, and none has reached the sink
+        or surviving state already.  That takes a recursive plan (the sink
+        holds only the fixpoint's result) whose every stateful handler is
+        replay-idempotent (min/max-style refinement: a replayed row cannot
+        double-count).  Anything else — any non-recursive plan, sums,
+        averages — goes through :meth:`_resume_from_checkpoint`, which
+        resets downstream state and recomputes it instead.
         """
+        if not plan.is_recursive:
+            return False
         for node in plan.root.walk():
             if isinstance(node, PFixpoint):
                 if node.while_handler_factory is not None:

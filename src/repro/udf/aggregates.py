@@ -22,7 +22,7 @@ pre-aggregated inputs of multiplicative (non key-FK) joins.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.deltas import Delta, DeltaOp
 from repro.common.errors import UDFError
@@ -100,6 +100,16 @@ class Aggregator:
         """The current output value for a key, computed from its state."""
         raise NotImplementedError
 
+    fold_source: Optional[Dict[DeltaOp, str]] = None
+    """:meth:`agg_state` as source for the group-by's generated fold: per
+    delta kind, statements folding value ``v`` (old value ``o``, payload
+    ``p``) into state ``s``, never rebinding it, with the same arithmetic
+    and errors.  ``result_source`` is :meth:`agg_result` as an expression
+    over ``s``; ``fold_names`` binds what they name besides ``UDFError``.
+    ``None``: the group-by calls the method (see :func:`fold_templates`)."""
+    result_source: Optional[str] = None
+    fold_names: Dict[str, Any] = {}
+
     # -- optimizer metadata ------------------------------------------------
     def pre_aggregator(self) -> Optional["Aggregator"]:
         """The combiner run before the shuffle (None if not supported)."""
@@ -112,6 +122,19 @@ class Aggregator:
 
     def __repr__(self):
         return f"UDA({self.name})"
+
+
+def fold_templates(agg: Aggregator) -> Tuple[Optional[dict], Optional[str]]:
+    """``agg``'s ``fold_source`` and ``result_source``, each only where it
+    is declared at or below the class declaring the method it stands for:
+    a subclass that overrides ``agg_state`` (or ``agg_result``) is called."""
+    def owner(name):
+        return next(c for c in type(agg).__mro__ if name in vars(c))
+
+    return tuple(getattr(agg, source)
+                 if issubclass(owner(source), owner(method)) else None
+                 for source, method in (("fold_source", "agg_state"),
+                                        ("result_source", "agg_result")))
 
 
 class AggregateSpec:

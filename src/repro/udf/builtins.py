@@ -10,10 +10,15 @@ state — so :class:`Min`/:class:`Max` keep an order-statistic multiset, while
 Numeric built-ins additionally interpret ``δ(E)`` value-update deltas whose
 payload is a numeric adjustment (the "arithmetic sum" implicit operation the
 paper uses for PageRank diffs).
+
+``Sum``, ``Count``, ``Min``/``Max`` and ``ArgMin``/``ArgMax`` also state
+``agg_state``/``agg_result`` as source templates that the group-by
+compiles; the methods stay their reference.  The others are called.
 """
 
 from __future__ import annotations
 
+import textwrap
 from collections import Counter
 from typing import Any, Optional, Tuple
 
@@ -33,9 +38,7 @@ def _numeric_fold(state, delta: Delta, value, old_value, fold_in, fold_out):
         fold_in(state, value)
     elif delta.op is DeltaOp.UPDATE:
         if not isinstance(delta.payload, (int, float)):
-            raise UDFError(
-                "built-in aggregates only interpret numeric UPDATE payloads"
-            )
+            raise UDFError(_NUMERIC_UPDATE)
         state["sum"] = state.get("sum", 0) + delta.payload
     return state
 
@@ -54,6 +57,11 @@ def _remove_value(s, v):
         s["count"] -= 1
 
 
+# The two above as source, over the input named by the format argument.
+_ADD_VALUE = "if {0} is not None:\n    s['sum'] += {0}\n    s['count'] += 1\n"
+_REMOVE_VALUE = _ADD_VALUE.replace("+=", "-=")
+
+
 def _add_partial(s, v):
     if v is not None:
         s["sum"] += v[0]
@@ -64,6 +72,9 @@ def _remove_partial(s, v):
     if v is not None:
         s["sum"] -= v[0]
         s["count"] -= v[1]
+
+
+_NUMERIC_UPDATE = "built-in aggregates only interpret numeric UPDATE payloads"
 
 
 class Sum(Aggregator):
@@ -81,35 +92,27 @@ class Sum(Aggregator):
         return {"sum": 0, "count": 0}
 
     def agg_state(self, state, delta: Delta, value, old_value=None):
-        # Hot path (PageRank diffs are Sum updates): hand-inlined fold —
-        # same arithmetic and ordering as _numeric_fold, no closures.
-        op = delta.op
-        if op is DeltaOp.UPDATE:
-            payload = delta.payload
-            if not isinstance(payload, (int, float)):
-                raise UDFError(
-                    "built-in aggregates only interpret numeric UPDATE "
-                    "payloads"
-                )
-            if state["count"] < 1:
-                state["count"] = 1
-            state["sum"] += payload
-        elif op is DeltaOp.INSERT:
-            if value is not None:
-                state["sum"] += value
-                state["count"] += 1
-        elif op is DeltaOp.DELETE:
-            if value is not None:
-                state["sum"] -= value
-                state["count"] -= 1
-        else:  # REPLACE: retract the old image, then apply the new
-            if old_value is not None:
-                state["sum"] -= old_value
-                state["count"] -= 1
-            if value is not None:
-                state["sum"] += value
-                state["count"] += 1
+        if delta.op is not DeltaOp.UPDATE:
+            return _numeric_fold(state, delta, value, old_value,
+                                 _add_value, _remove_value)
+        if not isinstance(delta.payload, (int, float)):
+            raise UDFError(_NUMERIC_UPDATE)
+        if state["count"] < 1:  # an adjusted group is not empty
+            state["count"] = 1
+        state["sum"] += delta.payload
         return state
+
+    fold_source = {
+        DeltaOp.INSERT: _ADD_VALUE.format("v"),
+        DeltaOp.DELETE: _REMOVE_VALUE.format("v"),
+        DeltaOp.REPLACE: _REMOVE_VALUE.format("o") + _ADD_VALUE.format("v"),
+        # An exact int/float payload skips the isinstance test: δ-sums are
+        # PageRank's hot path, and the test is only for the refusal.
+        DeltaOp.UPDATE: "if p.__class__ is not float and p.__class__ is not "
+        "int and not isinstance(p, (int, float)):\n    raise UDFError("
+        f"{_NUMERIC_UPDATE!r})\nif s['count'] < 1:\n    s['count'] = 1\n"
+        "s['sum'] += p"}
+    result_source = "s['sum'] if s['count'] > 0 else None"
 
     def agg_result(self, state):
         return state["sum"] if state["count"] > 0 else None
@@ -146,6 +149,19 @@ class Count(Aggregator):
                 raise UDFError("count interprets only integer UPDATE payloads")
             state["n"] += delta.payload
         return state
+
+    @property
+    def fold_source(self):
+        counted = "" if self.count_star else "if v is not None:\n    "
+        return {
+            DeltaOp.INSERT: counted + "s['n'] += 1",
+            DeltaOp.DELETE: counted + "s['n'] -= 1",
+            DeltaOp.REPLACE: "pass" if self.count_star else
+            "s['n'] += (v is not None) - (o is not None)",
+            DeltaOp.UPDATE: "if not isinstance(p, int):\n    raise UDFError("
+            "'count interprets only integer UPDATE payloads')\ns['n'] += p"}
+
+    result_source = "s['n']"
 
     def agg_result(self, state):
         return state["n"]
@@ -203,6 +219,14 @@ class _OrderStatMultiset:
                                 else value < best):
                 self._best = value
 
+    @staticmethod
+    def add_source(x: str, largest: bool) -> str:
+        """``s.add(x)`` as source, for the built-ins' fold templates."""
+        return (f"live = s._live\nlive[{x}] = live.get({x}, 0) + 1\n"
+                "s.size += 1\nif not s._stale:\n    best = s._best\n"
+                f"    if best is None or {x} {'>' if largest else '<'} best:\n"
+                f"        s._best = {x}\n")
+
     def remove(self, value) -> None:
         count = self._live.get(value, 0)
         if count <= 0:
@@ -225,6 +249,9 @@ class _OrderStatMultiset:
             self._best = (max if self.largest else min)(self._live)
             self._stale = False
         return self._best
+
+    #: ``s.extreme()`` as an expression, the rescan left a call.
+    EXTREME_SOURCE = "s.extreme() if s._stale else s._best if s.size > 0 else None"
 
 
 class Min(Aggregator):
@@ -255,6 +282,20 @@ class Min(Aggregator):
             raise UDFError(f"{self.name} cannot interpret UPDATE deltas; "
                            "supply a user delta handler")
         return state
+
+    @property
+    def fold_source(self):
+        add = "if v is not None:\n" + textwrap.indent(
+            _OrderStatMultiset.add_source("v", self.largest), "    ")
+        return {
+            DeltaOp.INSERT: add,
+            DeltaOp.DELETE: "if v is not None:\n    s.remove(v)\n",
+            DeltaOp.REPLACE: "if o is not None:\n    s.remove(o)\n" + add,
+            DeltaOp.UPDATE: "raise UDFError(%r)" % (
+                f"{self.name} cannot interpret UPDATE deltas; supply a user "
+                "delta handler")}
+
+    result_source = _OrderStatMultiset.EXTREME_SOURCE
 
     def agg_result(self, state: _OrderStatMultiset):
         return state.extreme()
@@ -345,6 +386,7 @@ class ArgMin(Aggregator):
     name = "argmin"
     largest = False
     replay_idempotent = True
+    fold_names = {"_Rev": _Rev}
 
     def init_state(self):
         return _OrderStatMultiset(self.largest)
@@ -367,6 +409,22 @@ class ArgMin(Aggregator):
             raise UDFError("argmin cannot interpret UPDATE deltas")
         return state
 
+    @property
+    def fold_source(self):
+        def key(x):  # _key inlined: k = (value, id), id wrapped for ArgMax
+            ident = "_Rev(ident)" if self.largest else "ident"
+            return f"ident, value = {x}\nk = (value, {ident})\n"
+
+        add = key("v") + _OrderStatMultiset.add_source("k", self.largest)
+        return {DeltaOp.INSERT: add,
+                DeltaOp.DELETE: key("v") + "s.remove(k)\n",
+                DeltaOp.REPLACE: key("o") + "s.remove(k)\n" + add,
+                DeltaOp.UPDATE:
+                "raise UDFError('argmin cannot interpret UPDATE deltas')"}
+
+    result_source = (f"None if (t := {_OrderStatMultiset.EXTREME_SOURCE}) "
+                     "is None else (t[1], t[0])")
+
     def agg_result(self, state: _OrderStatMultiset):
         top = state.extreme()
         if top is None:
@@ -380,6 +438,8 @@ class ArgMin(Aggregator):
 class ArgMax(ArgMin):
     name = "argmax"
     largest = True
+    result_source = (f"None if (t := {_OrderStatMultiset.EXTREME_SOURCE}) "
+                     "is None else (t[1].value, t[0])")
 
 
 class CollectList(Aggregator):

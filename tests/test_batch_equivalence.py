@@ -205,8 +205,8 @@ def test_groupby_multi_spec_batch_equivalence(mode, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_groupby_stream_sum_update_fast_path(seed):
-    """Single exact ``Sum`` over δ-UPDATEs (the inlined fold), with bool
-    payloads taking the generic call, flushed per delta."""
+    """Single ``Sum`` over δ-UPDATEs, flushed per delta: the template's
+    exact int/float test, with bool payloads taking its isinstance test."""
     rng = random.Random(450 + seed)
     stream = [update((rng.randrange(4),),
                      payload=rng.choice([1, 2.5, -1.25, True]))
@@ -223,8 +223,8 @@ def test_groupby_stream_sum_update_fast_path(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_groupby_stream_argmin_insert_fast_path(seed):
-    """Single exact ``ArgMin`` over INSERTs (the inlined multiset add),
-    interleaved with deletes that take the generic call."""
+    """Single ``ArgMin`` over INSERTs (the template's inlined multiset
+    add), interleaved with deletes (its ``remove`` call)."""
     rng = random.Random(470 + seed)
     stream = gen_stream(rng, 100, key_space=3, allow_replace=False)
 

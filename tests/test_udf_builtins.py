@@ -5,15 +5,22 @@ insert/delete/replace deltas through an aggregator's ``agg_state`` yields the
 same ``agg_result`` as recomputing the aggregate over the final multiset.
 The same law covers δ(E) adjustments for the aggregators that accept them,
 ``ArgMin``/``ArgMax`` over ``(id, value)`` pairs, and AVG split into
-``AvgPartial`` combiners feeding ``AvgFinal``.
+``AvgPartial`` combiners feeding ``AvgFinal``.  Each law also runs through a
+one-group ``GroupBy``, whose generated fold inlines the aggregators'
+templates instead of calling ``agg_state``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import CostModel, Worker
 from repro.common import delete, insert, replace, update
+from repro.common.deltas import Delta
 from repro.common.errors import UDFError
+from repro.common.punctuation import Punctuation
+from repro.operators import ExecContext, GroupBy
+from repro.udf import AggregateSpec
 from repro.udf.builtins import (
     ArgMax,
     ArgMin,
@@ -27,6 +34,8 @@ from repro.udf.builtins import (
     Sum,
 )
 
+from helpers import Capture
+
 
 def run(agg, ops):
     """Fold (delta, value, old_value) triples through an aggregator."""
@@ -34,6 +43,30 @@ def run(agg, ops):
     for delta, value, old in ops:
         state = agg.agg_state(state, delta, value, old)
     return agg.agg_result(state)
+
+
+def groupby(key_fn, agg, arg, mode="stratum"):
+    """A group-by over one aggregate, opened for batch execution."""
+    gb = GroupBy(key_fn=key_fn, specs=[AggregateSpec(agg, arg=arg)],
+                 mode=mode)
+    sink = Capture()
+    sink.add_input(gb)
+    ctx = ExecContext(Worker(0, CostModel()), batch=True)
+    gb.open(ctx)
+    sink.open(ctx)
+    return gb, sink
+
+
+def run_groupby(agg, ops):
+    """``run`` through a one-group ``GroupBy``'s generated fold and flush:
+    the result is the group's emitted value.  A group exists only once a
+    delta reached it, so an empty script reads a fresh state."""
+    if not ops:
+        return agg.agg_result(agg.init_state())
+    gb, sink = groupby(lambda row: (), agg, lambda row: row[0])
+    gb.push_batch([delta for delta, _, _ in ops])
+    gb.on_punctuation(Punctuation.end_of_stratum(0))
+    return sink.deltas[-1].row[-1] if sink.deltas else None
 
 
 def fold_values(agg, values):
@@ -241,7 +274,7 @@ def assert_result(got, expected):
         assert got == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("agg_cls,reference", [
+FOLD_LAWS = [
     (Sum, lambda vs: sum(vs) if vs else None),
     (Count, lambda vs: len(vs)),
     (Min, lambda vs: min(vs) if vs else None),
@@ -249,14 +282,8 @@ def assert_result(got, expected):
     (Avg, lambda vs: sum(vs) / len(vs) if vs else None),
     (AvgPartial, lambda vs: (float(sum(vs)), len(vs)) if vs else None),
     (CollectList, lambda vs: tuple(sorted(vs)) if vs else None),
-])
-@given(script=delta_script())
-def test_delta_folding_equals_recomputation(agg_cls, reference, script):
-    ops, survivors, _ = script
-    assert_result(run(agg_cls(), ops), reference(survivors))
-
-
-@pytest.mark.parametrize("agg_cls,reference", [
+]
+UPDATE_LAWS = [
     # δ(E) adds E to the group's value; an adjusted group is non-empty.
     (Sum, lambda vs, adj: (None if not vs and adj is None
                            else sum(vs) + (adj or 0))),
@@ -265,13 +292,47 @@ def test_delta_folding_equals_recomputation(agg_cls, reference, script):
     (Avg, lambda vs, adj: (sum(vs) + (adj or 0)) / len(vs) if vs else None),
     (AvgPartial, lambda vs, adj: ((float(sum(vs) + (adj or 0)), len(vs))
                                   if vs else None)),
-])
+]
+ARG_LAWS = [
+    # Least value; ties go to the least id.
+    (ArgMin, lambda pairs: min(pairs, key=lambda p: (p[1], p[0]))),
+    # Greatest value; ties go to the least id.
+    (ArgMax, lambda pairs: max(pairs, key=lambda p: (p[1], -p[0]))),
+]
+
+
+@pytest.mark.parametrize("agg_cls,reference", FOLD_LAWS)
+@given(script=delta_script())
+def test_delta_folding_equals_recomputation(agg_cls, reference, script):
+    ops, survivors, _ = script
+    assert_result(run(agg_cls(), ops), reference(survivors))
+
+
+@pytest.mark.parametrize("agg_cls,reference", FOLD_LAWS)
+@settings(max_examples=50)
+@given(script=delta_script())
+def test_groupby_folding_equals_recomputation(agg_cls, reference, script):
+    ops, survivors, _ = script
+    assert_result(run_groupby(agg_cls(), ops), reference(survivors))
+
+
+@pytest.mark.parametrize("agg_cls,reference", UPDATE_LAWS)
 @settings(max_examples=50)
 @given(script=delta_script(updates=True))
 def test_delta_update_folding_equals_recomputation(agg_cls, reference,
                                                    script):
     ops, survivors, adjustment = script
     assert_result(run(agg_cls(), ops), reference(survivors, adjustment))
+
+
+@pytest.mark.parametrize("agg_cls,reference", UPDATE_LAWS)
+@settings(max_examples=50)
+@given(script=delta_script(updates=True))
+def test_groupby_update_folding_equals_recomputation(agg_cls, reference,
+                                                     script):
+    ops, survivors, adjustment = script
+    assert_result(run_groupby(agg_cls(), ops),
+                  reference(survivors, adjustment))
 
 
 @pytest.mark.parametrize("agg_cls", [Max, AvgFinal, ArgMin, ArgMax,
@@ -281,17 +342,21 @@ def test_update_refused_where_it_has_no_meaning(agg_cls):
         run(agg_cls(), [(update((0,), payload=1), None, None)])
 
 
-@pytest.mark.parametrize("agg_cls,pick", [
-    # Least value; ties go to the least id.
-    (ArgMin, lambda pairs: min(pairs, key=lambda p: (p[1], p[0]))),
-    # Greatest value; ties go to the least id.
-    (ArgMax, lambda pairs: max(pairs, key=lambda p: (p[1], -p[0]))),
-])
+@pytest.mark.parametrize("agg_cls,pick", ARG_LAWS)
 @settings(max_examples=50)
 @given(script=delta_script(values=id_values))
 def test_argmin_folding_equals_recomputation(agg_cls, pick, script):
     ops, survivors, _ = script
     assert run(agg_cls(), ops) == (pick(survivors) if survivors else None)
+
+
+@pytest.mark.parametrize("agg_cls,pick", ARG_LAWS)
+@settings(max_examples=50)
+@given(script=delta_script(values=id_values))
+def test_groupby_argmin_folding_equals_recomputation(agg_cls, pick, script):
+    ops, survivors, _ = script
+    assert run_groupby(agg_cls(), ops) == (pick(survivors) if survivors
+                                           else None)
 
 
 def _partial_change(before, after):
@@ -329,4 +394,28 @@ def test_partial_then_final_equals_direct_avg(scripts):
                 final_state = final.agg_state(final_state, *change)
     survivors = [v for _, live, _ in scripts for v in live]
     assert_result(final.agg_result(final_state),
+                  sum(survivors) / len(survivors) if survivors else None)
+
+
+@settings(max_examples=50)
+@given(scripts=st.lists(delta_script(), min_size=1, max_size=3))
+def test_groupby_partial_then_final_equals_direct_avg(scripts):
+    """The same composition as two generated folds: a stream-mode
+    ``AvgPartial`` group per script (the combiner) feeding one
+    ``AvgFinal`` group, steps interleaved across scripts."""
+    final, sink = groupby(lambda row: (), AvgFinal(), lambda row: row[1])
+    partial = GroupBy(key_fn=lambda row: (row[0],), mode="stream",
+                      specs=[AggregateSpec(AvgPartial(),
+                                           arg=lambda row: row[1])])
+    final.add_input(partial)
+    partial.open(final.ctx)
+    for step in range(max(len(ops) for ops, _, _ in scripts)):
+        partial.push_batch([
+            Delta(delta.op, (i,) + delta.row,
+                  None if delta.old is None else (i,) + delta.old)
+            for i, (ops, _, _) in enumerate(scripts) if step < len(ops)
+            for delta in [ops[step][0]]])
+    partial.on_punctuation(Punctuation.end_of_stratum(0))
+    survivors = [v for _, live, _ in scripts for v in live]
+    assert_result(sink.deltas[-1].row[-1] if sink.deltas else None,
                   sum(survivors) / len(survivors) if survivors else None)
