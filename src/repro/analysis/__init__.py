@@ -2,12 +2,15 @@
 
 Two layers (see ``docs/analysis.md``):
 
-* **Plan analyzer** (:mod:`repro.analysis.analyzer`) — rule passes over
-  RQL logical plans and physical plans that check the invariants REX's
-  correctness rests on *before* execution: stratification, fixpoint
-  termination, UDA pre-aggregation legality, partitioning soundness,
-  delta-annotation soundness, and schema/arity/type consistency.
-  Diagnostics carry stable ``REX0xx`` codes.
+* **Plan analyzer** (:mod:`repro.analysis.analyzer`) — rule passes that
+  check the invariants REX's correctness rests on *before* execution.
+  The structural passes (stratification, fixpoint termination, UDA
+  pre-aggregation legality, partitioning soundness, delta-annotation
+  soundness, schema/arity/type consistency; ``REX0xx``) read RQL logical
+  plans or physical plans.  Delta polarity (``REX3xx``,
+  :mod:`~repro.analysis.absint`) and column lineage (``REX4xx``,
+  :mod:`~repro.analysis.lineage`) run on the physical plan only — a
+  logical plan is lowered first — so they judge the operators that run.
 * **Simulator-invariant lint** (:mod:`repro.analysis.lint`) — a Python
   ``ast``-based linter enforcing this repo's engineering contracts across
   ``src/``: no wall-clock reads inside charged simulation paths,

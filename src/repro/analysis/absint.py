@@ -5,8 +5,9 @@ The engine's deltas carry one of four annotations (Definition 1): ``+``
 plan fragments can only ever produce a *subset* of those kinds — a table
 scan emits pure insertions, a group-by emits insert/replace (and deletes
 only when its input can retract), a declared handler emits what it says
-it emits.  This module runs an abstract interpretation over logical and
-physical plan trees that infers, per node:
+it emits.  This module runs an abstract interpretation over the lowered
+physical plan — the tree the executor builds from — that infers, per
+node:
 
 * **delta polarity** — the set of annotation kinds the node's output
   stream can carry, as a value of the lattice::
@@ -18,11 +19,6 @@ physical plan trees that infers, per node:
 * **monotonicity** — whether a fixpoint's body can ever shrink or
   retract the recursive relation (no ``-`` derivable anywhere in the
   loop);
-
-* **key preservation** — whether Project/ApplyFunction/GroupBy inside a
-  recursive branch keep the functional dependency on the fixpoint key
-  (logical trees only: physical key functions are opaque compiled
-  callables);
 
 * **dead deltas** — annotation kinds a stateful operator's handling code
   can never observe, so the corresponding branches are provably dead.
@@ -37,30 +33,18 @@ Findings surface as REX300-REX306 diagnostics (only runtime REX307 —
 blocks execution).  The operators execute the same general loops
 whatever the verdicts say; on sanitized runs under
 ``ExecOptions(absint=True)`` the executor hands the inference to the
-sanitizer, which downgrades shadow replay to polarity assertions on
-proven operators and escalates any contradiction to REX307.
+sanitizer, which asserts the proven polarities (downgrading a proven
+join's or fixpoint's shadow checks to that assertion) and escalates any
+contradiction to REX307.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.common.deltas import DeltaOp
-from repro.operators.expressions import ColumnRef
-from repro.optimizer.logical import (
-    LApply,
-    LFeedback,
-    LFilter,
-    LFixpoint,
-    LGroupBy,
-    LJoin,
-    LNode,
-    LProject,
-    LRehash,
-    LScan,
-)
 from repro.runtime.plan import (
     PApply,
     PFeedback,
@@ -161,8 +145,6 @@ class NodeProperties:
     port_polarities: Optional[Tuple[Polarity, ...]] = None
     #: Fixpoint nodes only: True/False when proven, None when unknown.
     monotone: Optional[bool] = None
-    #: Logical recursive-branch nodes only; None when not applicable.
-    key_preserving: Optional[bool] = None
     #: Annotation kinds this operator handles but can never observe.
     dead: frozenset = BOTTOM
 
@@ -179,8 +161,6 @@ class NodeProperties:
             doc["input_polarity_kinds"] = kind_symbols(self.in_polarity.kinds)
         if self.monotone is not None:
             doc["monotone"] = self.monotone
-        if self.key_preserving is not None:
-            doc["key_preserving"] = self.key_preserving
         if self.dead:
             doc["dead_kinds"] = kind_symbols(self.dead)
         return doc
@@ -195,34 +175,41 @@ class NodeProperties:
             text += " monotone"
         elif self.monotone is False:
             text += " non-monotone"
-        if self.key_preserving is False:
-            text += " !key"
         return text
 
 
-class PlanProperties:
-    """The per-node inference results for one plan, queryable by node."""
+class PlanFacts:
+    """The per-node results of one analysis of a physical plan (this
+    module's :class:`NodeProperties`, or the lineage pass's
+    ``NodeLineage``), queryable by node: an operator node, or — through
+    the plan's ``origins`` — the logical node it was lowered from."""
 
-    def __init__(self, nodes: List[NodeProperties],
-                 by_id: Dict[int, NodeProperties]):
+    def __init__(self, nodes: List, by_id: Dict[int, object],
+                 origins: Optional[Dict[int, object]] = None):
         self.nodes = nodes
         self._by_id = by_id
+        for pid, lnode in (origins or {}).items():
+            if pid in by_id:
+                by_id[id(lnode)] = by_id[pid]
 
-    def of(self, node) -> Optional[NodeProperties]:
+    def of(self, node):
         return self._by_id.get(id(node))
 
     def annotation(self, node) -> str:
-        props = self.of(node)
-        return props.annotation() if props is not None else ""
+        facts = self.of(node)
+        return facts.annotation() if facts is not None else ""
 
     def report(self) -> List[Dict]:
         """JSON-ready rows (what ``cli analyze --format json`` embeds
-        under ``"properties"``)."""
+        under ``"properties"`` and ``"lineage"``)."""
         return [n.to_dict() for n in self.nodes]
 
 
-def _unqualified(name: str) -> str:
-    return name.rpartition(".")[2]
+def split_plan(plan: Union[PhysicalPlan, PNode]):
+    """``(root, origins)`` of a plan; a bare tree has no origins."""
+    if isinstance(plan, PhysicalPlan):
+        return plan.root, plan.origins
+    return plan, None
 
 
 def _declared_polarity(obj) -> Optional[frozenset]:
@@ -248,9 +235,9 @@ _HANDLED_FIXPOINT_SET = ANY
 
 
 class _Pass:
-    """One evaluation of the transfer functions over a tree, with the
-    feedback leaf's polarity held constant (supplied by the outer
-    iteration)."""
+    """One evaluation of the transfer functions over a physical tree,
+    with the feedback leaf's polarity held constant (supplied by the
+    outer iteration)."""
 
     def __init__(self, feedback: Polarity):
         self.feedback = feedback
@@ -259,7 +246,7 @@ class _Pass:
         self.by_id: Dict[int, NodeProperties] = {}
         self.diagnostics: List[Diagnostic] = []
 
-    # -- shared helpers ---------------------------------------------------
+    # -- helpers ----------------------------------------------------------
     def _record(self, node, props: NodeProperties) -> NodeProperties:
         self.nodes.append(props)
         self.by_id[id(node)] = props
@@ -289,9 +276,8 @@ class _Pass:
                        f"(polarity {in_pol.name})",
                        path,
                        hint="retraction and replacement bookkeeping can "
-                            "never run here; the sanitizer checks this "
-                            "operator by polarity assertion instead of "
-                            "shadow replay under ExecOptions(absint=True)")
+                            "never run here; under ExecOptions(absint=True) "
+                            "the sanitizer asserts this polarity at runtime")
         dead = BOTTOM
         if in_pol.exact and in_pol.kinds:
             dead = handled - in_pol.kinds
@@ -372,8 +358,7 @@ class _Pass:
                             "recurrence allows it")
         return monotone
 
-
-class _PhysicalPass(_Pass):
+    # -- transfer over the tree -----------------------------------------
     def eval(self, node: PNode, path: str = "") -> Polarity:
         name = type(node).__name__[1:]
         here = f"{path}/{name}" if path else name
@@ -537,185 +522,20 @@ class _PhysicalPass(_Pass):
         return current
 
 
-class _LogicalPass(_Pass):
-    def eval(self, node: LNode, path: str = "") -> Polarity:
-        name = type(node).__name__[1:]
-        here = f"{path}/{name}" if path else name
-
-        child_pols = [self.eval(child, here) for child in node.children]
-        in_pol = join_all(child_pols) if child_pols else None
-
-        monotone = None
-        port_pols = None
-        dead: frozenset = BOTTOM
-
-        if isinstance(node, LScan):
-            out = Polarity(INSERT_ONLY, True)
-        elif isinstance(node, LFeedback):
-            out = self.feedback
-        elif isinstance(node, (LProject, LRehash)):
-            out = in_pol
-        elif isinstance(node, LFilter):
-            out = self._filter_transfer(in_pol)
-        elif isinstance(node, LApply):
-            declared = _declared_polarity(node.udf)
-            if declared is not None:
-                out = Polarity(declared, True)
-            elif getattr(node.udf, "table_valued", False):
-                out = self._filter_transfer(in_pol)
-            else:
-                out = in_pol
-        elif isinstance(node, LJoin):
-            out, port_pols, dead = self._eval_join(node, child_pols,
-                                                   in_pol, here)
-        elif isinstance(node, LGroupBy):
-            dead = self._stateful_checks("GroupBy", here, in_pol,
-                                         _HANDLED_GROUPBY)
-            out = self._groupby_transfer(in_pol)
-        elif isinstance(node, LFixpoint):
-            out, monotone, dead = self._eval_fixpoint(node, child_pols,
-                                                      in_pol, here)
-        else:
-            out = in_pol if in_pol is not None else Polarity(BOTTOM, True)
-
-        self._record(node, NodeProperties(
-            path=here, label=node.label(), out_polarity=out,
-            in_polarity=in_pol, port_polarities=port_pols,
-            monotone=monotone, dead=dead))
-        return out
-
-    def _eval_join(self, node: LJoin, child_pols: List[Polarity],
-                   in_pol: Polarity, here: str):
-        out_kinds: set = set()
-        exact = True
-        handler = (_instantiate(node.handler_factory)
-                   if node.handler_factory is not None else None)
-        for port, p in enumerate(child_pols):
-            # Logical handler joins interpret deltas from the right child.
-            if handler is not None and port == 1:
-                declared = _declared_polarity(handler)
-                if declared is None:
-                    widened = self._widen(
-                        f"join delta handler {handler.name!r}", here)
-                    out_kinds |= widened.kinds
-                    exact = False
-                else:
-                    out_kinds |= declared
-            else:
-                out_kinds |= self._rules_join_output(p.kinds)
-                exact = exact and p.exact
-        dead = BOTTOM
-        if handler is None:
-            dead = self._stateful_checks("Join", here, in_pol,
-                                         _HANDLED_JOIN)
-        return (Polarity(frozenset(out_kinds), exact),
-                tuple(child_pols), dead)
-
-    def _eval_fixpoint(self, node: LFixpoint, child_pols: List[Polarity],
-                       in_pol: Polarity, here: str):
-        body = child_pols[1] if len(child_pols) > 1 else in_pol
-        handler = (_instantiate(node.while_handler_factory)
-                   if node.while_handler_factory is not None else None)
-        dead: frozenset = BOTTOM
-        if handler is not None:
-            declared = _declared_polarity(handler)
-            admitted = (Polarity(declared, True) if declared is not None
-                        else self._widen(
-                            f"while delta handler {handler.name!r}", here))
-        elif node.union_all:
-            admitted = in_pol
-        else:  # keyed FIXPOINT BY k
-            kinds = {INSERT, REPLACE}
-            if DELETE in in_pol.kinds:
-                kinds.add(DELETE)
-            admitted = Polarity(frozenset(kinds), in_pol.exact)
-            dead = self._stateful_checks("Fixpoint", here, in_pol,
-                                         _HANDLED_FIXPOINT_KEYED)
-            if in_pol.exact and UPDATE in in_pol.kinds:
-                self._emit(
-                    "REX305",
-                    "δ(UPDATE) deltas reach a keyed fixpoint that has no "
-                    "while delta handler; the operator rejects them at "
-                    "runtime",
-                    here,
-                    hint="interpret the δ stream with a group-by or a "
-                         "while delta handler before the fixpoint")
-        monotone = self._fixpoint_checks(here, body, admitted)
-        self.fixpoint_out = admitted
-        self._check_key_preservation(node, here)
-        return admitted, monotone, dead
-
-    # -- key preservation (logical trees only) -------------------------
-    def _check_key_preservation(self, fixpoint: LFixpoint,
-                                fpath: str) -> None:
-        """Best-effort functional-dependency tracking on the fixpoint
-        key: a Project keeps the FD iff some output item passes the key
-        column through as a bare column reference; a replace-mode
-        applyFunction rebuilds rows from UDF output (FD lost); a GroupBy
-        keeps it iff the key is among its grouping columns."""
-        key_tail = _unqualified(fixpoint.key)
-        recursive = fixpoint.children[1]
-        for node, npath in _walk_logical_with_path(recursive, fpath):
-            preserved: Optional[bool] = None
-            why = ""
-            if isinstance(node, LProject):
-                preserved = any(
-                    isinstance(expr, ColumnRef)
-                    and _unqualified(expr.name) == key_tail
-                    for expr, _ in node.items)
-                why = (f"no projected column passes fixpoint key "
-                       f"{fixpoint.key!r} through unchanged")
-            elif isinstance(node, LApply) and node.mode == "replace":
-                preserved = False
-                why = ("replace-mode applyFunction rebuilds rows from "
-                       f"UDF output; the dependency on fixpoint key "
-                       f"{fixpoint.key!r} is not provable")
-            elif isinstance(node, LGroupBy):
-                preserved = any(_unqualified(k) == key_tail
-                                for k in node.keys)
-                why = (f"fixpoint key {fixpoint.key!r} is not among the "
-                       f"grouping columns")
-            if preserved is None:
-                continue
-            props = self.by_id.get(id(node))
-            if props is not None:
-                props.key_preserving = preserved
-            if not preserved:
-                self._emit("REX303",
-                           f"{node.label()} inside the recursive branch "
-                           f"destroys the key: {why}",
-                           npath,
-                           hint="carry the fixpoint key column through "
-                                "the recursive branch unchanged")
-
-
-def _walk_logical_with_path(node: LNode, path: str = ""):
-    here = f"{path}/{type(node).__name__[1:]}" if path \
-        else type(node).__name__[1:]
-    yield node, here
-    for child in node.children:
-        yield from _walk_logical_with_path(child, here)
-
-
-def infer(plan: Union[LNode, PhysicalPlan, PNode]
-          ) -> Tuple[PlanProperties, List[Diagnostic]]:
+def infer(plan: Union[PhysicalPlan, PNode]
+          ) -> Tuple[PlanFacts, List[Diagnostic]]:
     """Run the abstract interpretation to a fixed point over the feedback
     edge; returns (per-node properties, REX30x diagnostics)."""
-    if isinstance(plan, LNode):
-        pass_cls, root = _LogicalPass, plan
-    else:
-        root = plan.root if isinstance(plan, PhysicalPlan) else plan
-        pass_cls = _PhysicalPass
+    root, origins = split_plan(plan)
     feedback = Polarity(BOTTOM, True)
     run = None
     for _ in range(MAX_PASSES):
-        run = pass_cls(feedback)
+        run = _Pass(feedback)
         run.eval(root)
         if run.fixpoint_out == feedback:
             break
         feedback = run.fixpoint_out
-    props = PlanProperties(run.nodes, run.by_id)
-    return props, run.diagnostics
+    return PlanFacts(run.nodes, run.by_id, origins), run.diagnostics
 
 
 def check_polarity(root, emit) -> None:
@@ -726,7 +546,7 @@ def check_polarity(root, emit) -> None:
         emit(diag)
 
 
-def properties_report(plan: Union[LNode, PhysicalPlan, PNode]) -> List[Dict]:
+def properties_report(plan: Union[PhysicalPlan, PNode]) -> List[Dict]:
     """The inferred properties as JSON-ready dicts (what
     ``repro.cli analyze --format json`` embeds under ``"properties"``)."""
     props, _ = infer(plan)

@@ -115,10 +115,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "REX302": (Severity.WARNING,
                "fixpoint body may retract or shrink (non-monotone "
                "recursion; convergence depends on runtime values)"),
-    "REX303": (Severity.WARNING,
-               "key-destroying Project/ApplyFunction inside a recursive "
-               "branch (functional dependency on the fixpoint key is "
-               "lost)"),
     "REX304": (Severity.INFO,
                "dead delta polarity (a downstream operator can never "
                "observe these delta kinds; their handling is removable)"),
@@ -214,11 +210,9 @@ def make(code: str, message: str, location: str = "", hint: str = "",
 class DiagnosticReport:
     """An ordered list of findings with the common queries over it.
 
-    Identical ``(code, location, message)`` triples are collapsed: the
-    logical and physical passes often fire the same finding on the same
-    node when both run over one plan, and one copy carries all the
-    information.  First occurrence wins (its severity and hint are
-    kept).
+    Identical ``(code, location, message)`` triples are collapsed: one
+    copy carries all the information.  First occurrence wins (its
+    severity and hint are kept).
     """
 
     diagnostics: List[Diagnostic] = field(default_factory=list)

@@ -276,6 +276,12 @@ def _output_shape(body: Optional[ast.expr],
     return len(body.elts), passthrough
 
 
+#: Summaries by ``(code object, row_param, row_attrs)``.  A summary is a
+#: function of the source alone, and compiled expressions and key
+#: extractors share one code object per source, so each is parsed once.
+_SUMMARIES: Dict[tuple, EffectSummary] = {}
+
+
 def extract_effects(fn, row_param: int = 0,
                     row_attrs: Sequence[str] = ("row",)) -> EffectSummary:
     """Effect summary for a row-level callable.
@@ -287,6 +293,18 @@ def extract_effects(fn, row_param: int = 0,
     plain row parameter the bare name itself is the row expression.
     """
     fn = inspect.unwrap(fn)
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return _extract(fn, row_param, row_attrs)
+    key = (code, row_param, tuple(row_attrs))
+    summary = _SUMMARIES.get(key)
+    if summary is None:
+        summary = _SUMMARIES[key] = _extract(fn, row_param, row_attrs)
+    return summary
+
+
+def _extract(fn, row_param: int,
+             row_attrs: Sequence[str]) -> EffectSummary:
     tree = _source_tree(fn)
     if tree is None:
         return OPAQUE

@@ -1,8 +1,8 @@
 """Column-lineage & UDF-effect analysis (REX400-407).
 
 Where :mod:`repro.analysis.absint` abstracts *which delta kinds* flow
-along each plan edge, this pass abstracts *which columns* do.  Two
-directions compose:
+along each edge of the lowered physical plan, this pass abstracts *which
+columns* do.  Two directions compose:
 
 * **arity inference** (bottom-up) — how many columns each node's output
   rows carry.  Scans take their width from the catalog (when the caller
@@ -48,6 +48,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
+from repro.analysis.absint import (
+    INSERT_ONLY,
+    PlanFacts,
+    infer as infer_polarity,
+    split_plan,
+)
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.analysis.effects import (
     EffectSummary,
@@ -56,24 +62,11 @@ from repro.analysis.effects import (
     extract_effects,
     extract_handler_effects,
 )
-from repro.optimizer.logical import (
-    LApply,
-    LFeedback,
-    LFilter,
-    LFixpoint,
-    LGroupBy,
-    LJoin,
-    LNode,
-    LProject,
-    LRehash,
-    LScan,
-)
 from repro.runtime.plan import (
     PApply,
     PFeedback,
     PFilter,
     PFixpoint,
-    PFused,
     PGroupBy,
     PJoin,
     PNode,
@@ -180,27 +173,6 @@ class NodeLineage:
         return text
 
 
-class PlanLineage:
-    """The per-node inference results for one plan, queryable by node."""
-
-    def __init__(self, nodes: List[NodeLineage],
-                 by_id: Dict[int, NodeLineage]):
-        self.nodes = nodes
-        self._by_id = by_id
-
-    def of(self, node) -> Optional[NodeLineage]:
-        return self._by_id.get(id(node))
-
-    def annotation(self, node) -> str:
-        lin = self.of(node)
-        return lin.annotation() if lin is not None else ""
-
-    def report(self) -> List[Dict]:
-        """JSON-ready rows (what ``cli analyze --format json`` embeds
-        under ``"lineage"``)."""
-        return [n.to_dict() for n in self.nodes]
-
-
 def _reads_live(summary: EffectSummary) -> Live:
     """A callable's read-set as the demand it places on its input."""
     if not summary.proves_reads():
@@ -248,7 +220,6 @@ class _PhysicalLineage:
         self.nodes: List[NodeLineage] = []
         self.by_id: Dict[int, NodeLineage] = {}
         self.diagnostics: List[Diagnostic] = []
-        self._effects_memo: Dict[int, EffectSummary] = {}
 
     # -- shared helpers --------------------------------------------------
     def _record(self, node, lin: NodeLineage) -> NodeLineage:
@@ -261,14 +232,8 @@ class _PhysicalLineage:
         self.diagnostics.append(make(code, message, location=location,
                                      hint=hint))
 
-    def _effects(self, fn, **kwargs) -> EffectSummary:
-        if fn is None:
-            return OPAQUE
-        memo = self._effects_memo.get(id(fn))
-        if memo is None:
-            memo = extract_effects(fn, **kwargs)
-            self._effects_memo[id(fn)] = memo
-        return memo
+    def _effects(self, fn) -> EffectSummary:
+        return OPAQUE if fn is None else extract_effects(fn)
 
     def _note_opaque(self, what: str, path: str,
                      summary: EffectSummary) -> None:
@@ -378,45 +343,16 @@ class _PhysicalLineage:
             # output slot each: the group-by emits key + one value per
             # spec and downstream projections unpack the tuples.
             return key_arity + len(specs)
-        if isinstance(node, PFused):
-            width = self._arity(node.children[0]) \
-                if node.children else None
-            for constituent in node.constituents:
-                width = self._constituent_arity(constituent, width)
-            return width
         # PUnion / PFixpoint / PCollect: children must be union-compatible.
         widths = {self._arity(child) for child in node.children}
         widths.discard(None)
         return widths.pop() if len(widths) == 1 else None
-
-    def _constituent_arity(self, constituent: PNode,
-                           width: Optional[int]) -> Optional[int]:
-        if isinstance(constituent, PFilter):
-            return width
-        if isinstance(constituent, PProject):
-            return self._effects(constituent.row_fn).out_arity
-        if isinstance(constituent, PApply):
-            udf = _instantiate(constituent.udf_factory)
-            produced = (len(udf.out_types)
-                        if udf is not None
-                        and getattr(udf, "out_types", None) else None)
-            if constituent.mode == "replace":
-                return produced
-            if width is None or produced is None:
-                return None
-            return width + produced
-        return width
 
     # -- top-down demand --------------------------------------------------
     def eval(self, node: PNode, demand: Live, path: str = "") -> None:
         name = type(node).__name__[1:]
         here = f"{path}/{name}" if path else name
         out_arity = self._arity(node)
-
-        if isinstance(node, PFused):
-            self._eval_fused(node, demand, here, out_arity)
-            return
-
         reads: Optional[FrozenSet[int]] = None
         reads_exact = False
         pure: Optional[bool] = None
@@ -446,7 +382,7 @@ class _PhysicalLineage:
             in_live = _reads_live(summary)
             self.eval(node.children[0], in_live, here)
         elif isinstance(node, PApply):
-            in_live = self._eval_apply(node, demand, here, out_arity)
+            in_live = self._eval_apply(node, demand, here)
             self.eval(node.children[0], in_live, here)
         elif isinstance(node, PRehash):
             in_live = demand
@@ -475,8 +411,7 @@ class _PhysicalLineage:
             in_live=in_live, reads=reads, reads_exact=reads_exact,
             pure=pure))
 
-    def _eval_apply(self, node: PApply, demand: Live, here: str,
-                    out_arity: Optional[int]) -> Live:
+    def _eval_apply(self, node: PApply, demand: Live, here: str) -> Live:
         udf = _instantiate(node.udf_factory)
         arg_summary = self._effects(node.arg_fn)
         self._note_opaque("applyFunction argument builder", here,
@@ -487,7 +422,9 @@ class _PhysicalLineage:
             self._check_declared(
                 f"UDF {getattr(udf, 'name', 'udf')!r}", here, udf,
                 udf_summary)
-        self._check_dead_columns("ApplyFunction", here, demand, out_arity)
+        # No REX400 here: an applyFunction's columns are its input's and
+        # the UDF's declared outputs, fixed like a scan's (a query that
+        # selects ``f(x).{a}`` cannot drop ``f``'s other outputs).
         in_live = _reads_live(arg_summary)
         if node.mode == "extend":
             child_arity = self._arity(node.children[0])
@@ -578,238 +515,26 @@ class _PhysicalLineage:
             self.eval(child, body_demand, here)
         return body_demand
 
-    def _eval_fused(self, node: PFused, demand: Live, here: str,
-                    out_arity: Optional[int]) -> None:
-        # Constituents are stored upstream-first; demand flows the other
-        # way, so walk them reversed, recording each constituent's own
-        # output-edge demand as we go.
-        current = demand
-        input_widths: List[Optional[int]] = []
-        width = self._arity(node.children[0]) if node.children else None
-        for constituent in node.constituents:
-            input_widths.append(width)
-            width = self._constituent_arity(constituent, width)
-        for constituent, in_width in zip(reversed(node.constituents),
-                                         reversed(input_widths)):
-            cname = type(constituent).__name__[1:]
-            cpath = f"{here}/{cname}"
-            reads: Optional[FrozenSet[int]] = None
-            reads_exact = False
-            pure: Optional[bool] = None
-            if isinstance(constituent, PFilter):
-                summary = self._effects(constituent.predicate)
-                reads, reads_exact = summary.reads, summary.proves_reads()
-                pure = summary.pure and not summary.opaque
-                in_live = current.join(_reads_live(summary))
-            elif isinstance(constituent, PProject):
-                summary = self._effects(constituent.row_fn)
-                reads, reads_exact = summary.reads, summary.proves_reads()
-                pure = summary.pure and not summary.opaque
-                in_live = _reads_live(summary)
-            elif isinstance(constituent, PApply):
-                in_live = self._eval_apply(
-                    constituent, current, cpath,
-                    self._constituent_arity(constituent, in_width))
-            else:
-                in_live = current
-            self._record(constituent, NodeLineage(
-                path=cpath, label=cname,
-                out_arity=self._constituent_arity(constituent, in_width),
-                live=current, in_live=in_live, reads=reads,
-                reads_exact=reads_exact, pure=pure))
-            current = in_live
-        self._record(node, NodeLineage(
-            path=here, label="Fused", out_arity=out_arity, live=demand,
-            in_live=current))
-        for child in node.children:
-            self.eval(child, current, here)
-
-
-# ---------------------------------------------------------------------------
-# Logical pass
-# ---------------------------------------------------------------------------
-
-
-class _LogicalLineage:
-    """Demand propagation over a logical tree.
-
-    Logical nodes carry schemas, so arity is always known and read-sets
-    come from bound expressions (:meth:`Expr.columns`) instead of AST
-    extraction — the verdicts here are exact by construction.  Pushdown
-    licenses (REX404-406) are physical-plan concerns (they reference
-    exchanges and compiled callables) and are not emitted here.
-    """
-
-    def __init__(self, feedback_demand: Live):
-        self.feedback_demand = feedback_demand
-        self.observed_feedback = NONE
-        self.nodes: List[NodeLineage] = []
-        self.by_id: Dict[int, NodeLineage] = {}
-        self.diagnostics: List[Diagnostic] = []
-
-    _record = _PhysicalLineage._record
-    _emit = _PhysicalLineage._emit
-    _check_dead_columns = _PhysicalLineage._check_dead_columns
-    _check_declared = _PhysicalLineage._check_declared
-
-    @staticmethod
-    def _columns_live(exprs, schema) -> Live:
-        cols = set()
-        for expr in exprs:
-            for name in expr.columns():
-                try:
-                    cols.add(schema.index_of(name))
-                except Exception:  # noqa: BLE001 - REX008 owns the report
-                    return ALL
-        return Live(frozenset(cols), True)
-
-    def eval(self, node: LNode, demand: Live, path: str = "") -> None:
-        name = type(node).__name__[1:]
-        here = f"{path}/{name}" if path else name
-        out_arity = len(node.schema.fields)
-        in_live: Optional[Live] = None
-
-        if isinstance(node, LScan):
-            pass  # see the physical pass: REX400 is for computed columns
-        elif isinstance(node, LFeedback):
-            self.observed_feedback = self.observed_feedback.join(demand)
-        elif isinstance(node, LFilter):
-            child = node.children[0]
-            in_live = demand.join(
-                self._columns_live([node.predicate], child.schema))
-            self.eval(child, in_live, here)
-        elif isinstance(node, LProject):
-            self._check_dead_columns(node.label(), here, demand, out_arity)
-            child = node.children[0]
-            if demand.exact:
-                exprs = [expr for i, (expr, _) in enumerate(node.items)
-                         if i in demand.cols]
-            else:
-                exprs = [expr for expr, _ in node.items]
-            in_live = self._columns_live(exprs, child.schema)
-            self.eval(child, in_live, here)
-        elif isinstance(node, LApply):
-            child = node.children[0]
-            in_live = self._columns_live(node.args, child.schema)
-            if node.mode == "extend":
-                child_arity = len(child.schema.fields)
-                passthrough = (Live(
-                    frozenset(c for c in demand.cols if c < child_arity),
-                    True) if demand.exact else ALL)
-                in_live = in_live.join(passthrough)
-            udf_fn = _udf_callable(node.udf)
-            self._check_declared(
-                f"UDF {getattr(node.udf, 'name', 'udf')!r}", here,
-                node.udf, extract_effects(udf_fn)
-                if udf_fn is not None else OPAQUE)
-            self.eval(child, in_live, here)
-        elif isinstance(node, LJoin):
-            in_live = self._eval_join(node, demand, here)
-        elif isinstance(node, LGroupBy):
-            child = node.children[0]
-            self._check_dead_columns(node.label(), here, demand, out_arity)
-            key_exprs_live = Live(frozenset(
-                child.schema.index_of(k) for k in node.keys
-                if child.schema.has(k)), True)
-            in_live = key_exprs_live
-            for agg in node.aggs:
-                in_live = in_live.join(
-                    self._columns_live(agg.args, child.schema))
-            self.eval(child, in_live, here)
-        elif isinstance(node, LFixpoint):
-            body_demand = demand.join(self.feedback_demand)
-            if node.schema.has(node.key):
-                body_demand = body_demand.join(Live(
-                    frozenset({node.schema.index_of(node.key)}), True))
-            if node.while_handler_factory is not None:
-                handler = _instantiate(node.while_handler_factory)
-                summary = extract_handler_effects(type(handler)) \
-                    if handler is not None else OPAQUE
-                if handler is not None:
-                    self._check_declared(
-                        f"while delta handler {handler.name!r}", here,
-                        handler, summary)
-                body_demand = body_demand.join(_reads_live(summary))
-            for child in node.children:
-                self.eval(child, body_demand, here)
-            in_live = body_demand
-        elif isinstance(node, LRehash):
-            child = node.children[0]
-            in_live = demand
-            if node.key is not None and child.schema.has(node.key):
-                in_live = in_live.join(Live(
-                    frozenset({child.schema.index_of(node.key)}), True))
-            self.eval(child, in_live, here)
-        else:
-            in_live = demand
-            for child in node.children:
-                self.eval(child, demand, here)
-
-        self._record(node, NodeLineage(
-            path=here, label=node.label(), out_arity=out_arity,
-            live=demand, in_live=in_live))
-
-    def _eval_join(self, node: LJoin, demand: Live, here: str) -> Live:
-        if node.handler_factory is not None:
-            handler = _instantiate(node.handler_factory)
-            if handler is not None:
-                self._check_declared(
-                    f"join delta handler {handler.name!r}", here, handler,
-                    extract_handler_effects(type(handler)))
-            for child in node.children:
-                self.eval(child, ALL, here)
-            return ALL
-        left, right = node.children
-        left_arity = len(left.schema.fields)
-        if demand.exact:
-            left_demand = Live(
-                frozenset(c for c in demand.cols if c < left_arity), True)
-            right_demand = Live(
-                frozenset(c - left_arity for c in demand.cols
-                          if c >= left_arity), True)
-        else:
-            left_demand = right_demand = ALL
-        if node.condition is not None:
-            lcol, rcol = node.condition
-            if left.schema.has(lcol):
-                left_demand = left_demand.join(Live(
-                    frozenset({left.schema.index_of(lcol)}), True))
-            if right.schema.has(rcol):
-                right_demand = right_demand.join(Live(
-                    frozenset({right.schema.index_of(rcol)}), True))
-        self.eval(left, left_demand, here)
-        self.eval(right, right_demand, here)
-        return left_demand.join(right_demand)
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
 
-def infer_lineage(plan: Union[LNode, PhysicalPlan, PNode],
+def infer_lineage(plan: Union[PhysicalPlan, PNode],
                   table_arity: Optional[Dict[str, int]] = None
-                  ) -> Tuple[PlanLineage, List[Diagnostic]]:
+                  ) -> Tuple[PlanFacts, List[Diagnostic]]:
     """Run the column-lineage analysis to a fixed point over the feedback
     edge; returns (per-node lineage, REX40x diagnostics).
 
     ``table_arity`` maps table names to their column counts (the
     executor supplies it from the catalog); without it scans have
     unknown width and verdicts that need it are withheld.
-    """
-    if isinstance(plan, LNode):
-        run = None
-        feedback = NONE
-        for _ in range(MAX_PASSES):
-            run = _LogicalLineage(feedback)
-            run.eval(plan, live_all(len(plan.schema.fields)))
-            merged = feedback.join(run.observed_feedback)
-            if merged == feedback:
-                break
-            feedback = merged
-        return PlanLineage(run.nodes, run.by_id), run.diagnostics
 
-    root = plan.root if isinstance(plan, PhysicalPlan) else plan
+    The tree must be unfused: every caller analyses ``lower()`` output
+    or the executor's tree before :func:`~repro.optimizer.fusion.
+    fuse_plan` runs (the executor rewrites, then fuses).
+    """
+    root, origins = split_plan(plan)
     feedback = NONE
     fixpoint_arity: Optional[int] = None
     run = None
@@ -823,19 +548,17 @@ def infer_lineage(plan: Union[LNode, PhysicalPlan, PNode],
         if converged:
             break
         feedback = merged
-    lineage = PlanLineage(run.nodes, run.by_id)
+    lineage = PlanFacts(run.nodes, run.by_id, origins)
     _check_rewrite_licenses(root, lineage, run.diagnostics)
     return lineage, run.diagnostics
 
 
-def _check_rewrite_licenses(root: PNode, lineage: PlanLineage,
+def _check_rewrite_licenses(root: PNode, lineage: PlanFacts,
                             diagnostics: List[Diagnostic]) -> None:
     """REX404/REX405/REX406: name the rewrites the facts license (or the
     effect that blocks them).  These mirror the legality rules of
     :func:`repro.optimizer.rewrite.rewrite_plan` exactly — the rewrite
     pass spends precisely the licenses published here."""
-    from repro.analysis.absint import INSERT_ONLY, infer as infer_polarity
-
     props, _ = infer_polarity(root)
 
     def walk(node: PNode):
@@ -936,7 +659,7 @@ def check_lineage(root, emit,
         emit(diag)
 
 
-def lineage_report(plan: Union[LNode, PhysicalPlan, PNode],
+def lineage_report(plan: Union[PhysicalPlan, PNode],
                    table_arity: Optional[Dict[str, int]] = None
                    ) -> List[Dict]:
     """The inferred lineage as JSON-ready dicts (what

@@ -34,12 +34,14 @@ The schedule-perturbation race detector (REX205/REX206) lives in
 :mod:`repro.analysis.determinism`.
 
 The delta-polarity abstract interpretation (:mod:`repro.analysis.absint`)
-changes the sanitizer's economics: operators carrying static proofs
-(``proof_polarity`` / ``proof_monotone`` / ``proof_insert_only_ports``)
-are *downgraded* from the heavy invariant machinery — shadow replay for
-group-by, the per-delta legality pass for fixpoints — to assertion mode:
-one kind-set probe per batch checking that the deltas actually flowing
-match what was proven.  A contradiction is a hard :data:`REX307` error
+changes the sanitizer's economics: joins and fixpoints carrying static
+proofs (``proof_insert_only_ports`` / ``proof_polarity`` +
+``proof_monotone``) are *downgraded* from the heavy invariant machinery —
+the join's bucket pre-check, the fixpoint's per-delta legality pass — to
+assertion mode: one kind-set probe per batch checking that the deltas
+actually flowing match what was proven.  A group-by with a proof gets the
+assertion *and* keeps its re-aggregation, since a polarity proof says
+nothing about the values its aggregates compute.  A contradiction is a hard :data:`REX307` error
 ("runtime delta violated a static proof"), strictly worse than any
 REX200-series warning, because it means either an operator emitted an
 undeclared delta kind or a UDF's ``emits_polarity`` declaration lies.
@@ -242,12 +244,13 @@ class Sanitizer:
         from repro.operators.groupby import GroupBy
         from repro.operators.join import HashJoin
 
-        # An operator carrying an exact static proof is downgraded to the
-        # polarity assertion (see the module docstring).
+        # A join or fixpoint carrying an exact static proof is downgraded
+        # to the polarity assertion (see the module docstring).  A
+        # group-by keeps its re-aggregation: a polarity proof says nothing
+        # about aggregate values.
         if isinstance(op, GroupBy):
             shadow.polarity = True
-            shadow.groupby = (op.proof_polarity is None
-                              and self._node_sampled(node_id))
+            shadow.groupby = self._node_sampled(node_id)
         elif isinstance(op, Fixpoint):
             shadow.polarity = True
             covered = op.proof_polarity is not None and op.proof_monotone

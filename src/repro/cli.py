@@ -431,12 +431,24 @@ def _read_query(query: str) -> str:
     return query
 
 
-def main_analyze(argv: List[str]) -> int:
+def _lowered_facts(session: RQLSession, query: str):
+    """The lowered plan of ``query`` with the per-node polarity and
+    lineage listings of that one tree (the diagnostics' tree too)."""
     from repro.analysis.absint import properties_report
-    from repro.analysis.diagnostics import to_sarif
     from repro.analysis.lineage import lineage_report
-    from repro.optimizer.fusion import fusion_report
+    from repro.optimizer.logical import table_arity
     from repro.optimizer.physical import lower
+
+    node = session.logical_plan(query)
+    root = lower(node).root
+    arity = table_arity(node)
+    return (root, arity, properties_report(root),
+            lineage_report(root, table_arity=arity))
+
+
+def main_analyze(argv: List[str]) -> int:
+    from repro.analysis.diagnostics import to_sarif
+    from repro.optimizer.fusion import fusion_report
     from repro.optimizer.rewrite import rewrite_report
 
     args = build_analyze_parser().parse_args(argv)
@@ -447,16 +459,13 @@ def main_analyze(argv: List[str]) -> int:
     query = _read_query(args.query)
     try:
         report = session.analyze(query)
-        # The fusion and abstract-interpretation passes run on the lowered
-        # physical plan; surface their per-chain / per-node verdicts
-        # alongside the diagnostics so the report shows what the executor
-        # will actually collapse and what the sanitizer may assume.
-        physical_root = lower(session.logical_plan(query)).root
+        # Every pass runs on the lowered physical plan; surface the
+        # per-chain / per-node verdicts alongside the diagnostics so the
+        # report shows what the executor will actually collapse and what
+        # the sanitizer may assume.
+        physical_root, table_arity, properties, lineage = \
+            _lowered_facts(session, query)
         fusion = fusion_report(physical_root)
-        properties = properties_report(physical_root)
-        table_arity = {name: len(cluster.catalog.get(name).schema.fields)
-                       for name in cluster.catalog.names()}
-        lineage = lineage_report(physical_root, table_arity=table_arity)
         rewrites = rewrite_report(physical_root, table_arity=table_arity)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -480,8 +489,6 @@ def main_analyze(argv: List[str]) -> int:
                 if "monotone" in p:
                     notes.append("monotone" if p["monotone"]
                                  else "non-monotone")
-                if "key_preserving" in p and not p["key_preserving"]:
-                    notes.append("key-destroying")
                 if "dead_kinds" in p:
                     notes.append("dead={" + ",".join(p["dead_kinds"]) + "}")
                 print(f"  {p['path']}: " + " ".join(notes))
@@ -602,13 +609,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.trace_chrome, "w") as fh:
                 json.dump(chrome_trace(obs.tracer.events()), fh)
         if args.analyze:
-            from repro.analysis.absint import properties_report
-            from repro.analysis.lineage import lineage_report
             try:
                 diagnostics = session.analyze(query)
-                properties = properties_report(
-                    session.logical_plan(query))
-                lineage = lineage_report(session.logical_plan(query))
+                _, _, properties, lineage = _lowered_facts(session, query)
             except ReproError:
                 diagnostics = None
                 properties = None

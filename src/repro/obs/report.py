@@ -197,9 +197,6 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
             notes = []
             if "monotone" in p:
                 notes.append("monotone" if p["monotone"] else "non-monotone")
-            if "key_preserving" in p:
-                notes.append("key-preserving" if p["key_preserving"]
-                             else "key-destroying")
             if "dead_kinds" in p:
                 notes.append("dead={" + ",".join(p["dead_kinds"]) + "}")
             polarity = p["polarity"] + ("" if p["exact"] else "?")

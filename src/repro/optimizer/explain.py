@@ -5,10 +5,12 @@ the paper's Figure 1 (base case feeding a fixpoint whose recursive side
 joins the fixpoint receiver with the graph, aggregates, and loops).
 
 ``properties=True`` appends each node's inferred-properties column from
-the abstract interpretation (delta polarity, monotonicity, key
-preservation — see ``docs/analysis.md``), e.g. ``[Δ=insert-only]``,
-plus the column-lineage analysis's per-edge live-column annotation,
-e.g. ``[live={0,1}/3]`` (columns 0-1 of 3 are read downstream).
+the abstract interpretation (delta polarity and monotonicity — see
+``docs/analysis.md``), e.g. ``[Δ=insert-only]``, plus the column-lineage
+analysis's per-edge live-column annotation, e.g. ``[live={0,1}/3]``
+(columns 0-1 of 3 are read downstream).  Both analyses run on the
+lowered plan; each logical node shows the facts of the operator it
+lowers to.  A tree that cannot be lowered renders without them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.optimizer.cost import CostEstimator
-from repro.optimizer.logical import LNode
+from repro.optimizer.logical import LNode, table_arity
 
 
 def explain(node: LNode, estimator: Optional[CostEstimator] = None,
@@ -28,9 +30,16 @@ def explain(node: LNode, estimator: Optional[CostEstimator] = None,
     if properties:
         from repro.analysis.absint import infer
         from repro.analysis.lineage import infer_lineage
+        from repro.common.errors import ReproError
+        from repro.optimizer.physical import lower
 
-        props, _ = infer(node)
-        lineage, _ = infer_lineage(node)
+        try:
+            plan = lower(node)
+        except ReproError:
+            plan = None
+        if plan is not None:
+            props, _ = infer(plan)
+            lineage, _ = infer_lineage(plan, table_arity=table_arity(node))
     lines: List[str] = []
     _render(node, lines, prefix="", is_last=True, estimator=estimator,
             props=props, lineage=lineage)

@@ -9,7 +9,7 @@ build new trees.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.common.schema import Field, Schema, SQLType
@@ -275,3 +275,10 @@ class LRehash(LNode):
         if self.key is None:
             return "Gather"
         return f"Rehash({self.key})"
+
+
+def table_arity(root: LNode) -> Dict[str, int]:
+    """Column count of every table ``root`` scans (what the column-lineage
+    analysis needs to know the width of a physical scan)."""
+    return {n.table: len(n.schema.fields) for n in root.walk()
+            if isinstance(n, LScan)}

@@ -49,12 +49,28 @@ from repro.udf.aggregates import AggregateSpec
 
 
 def lower(root: LNode) -> PhysicalPlan:
-    """Lower a logical tree to a validated physical plan."""
-    return PhysicalPlan(_lower(add_exchanges(root)))
+    """Lower a logical tree to a validated physical plan.
+
+    ``plan.origins`` maps each operator node's ``id`` to the logical node
+    it was lowered from, so analyses of the physical tree also answer for
+    the logical one (``explain`` annotates logical trees that way).
+    """
+    placed = add_exchanges(root)
+    lowered = _lower(placed)
+    plan = PhysicalPlan(lowered)
+    # Lowering is one to one and keeps child order: the walks pair up.
+    plan.origins = {id(pnode): lnode for pnode, lnode
+                    in zip(lowered.walk(), placed.walk())}
+    return plan
 
 
 def _key_at(i: int):
     return lambda row: (row[i],)
+
+
+def _no_key(row) -> tuple:
+    """The empty key: a gather, a cross join, a global aggregate."""
+    return ()
 
 
 def _lower(node: LNode) -> PNode:
@@ -91,7 +107,7 @@ def _lower(node: LNode) -> PNode:
             return PRehash(broadcast=True, children=(child,))
         if node.key is None:
             # Gather: route every row to a single worker.
-            return PRehash(key_fn=lambda row: (), children=(child,))
+            return PRehash(key_fn=_no_key, children=(child,))
         return PRehash(key_fn=_key_at(node.schema.index_of(node.key)),
                        children=(child,))
 
@@ -111,7 +127,7 @@ def _lower_join(node: LJoin) -> PNode:
     if node.condition is None:
         # Cross join: placement broadcast the (small, mutable) right side
         # so the partitioned left side never moves (K-means' centroids).
-        left_key = right_key = lambda r: ()
+        left_key = right_key = _no_key
     else:
         lcol, rcol = node.condition
         left_key = _key_at(node.left.schema.index_of(lcol))
@@ -143,8 +159,7 @@ def _make_specs_factory(aggs: Sequence[LAggCall], in_schema: Schema):
 def _lower_groupby(node: LGroupBy) -> PNode:
     child = _lower(node.children[0])
     in_schema = node.children[0].schema
-    key_fn = (make_key_fn(in_schema, node.keys) if node.keys
-              else (lambda row: ()))
+    key_fn = make_key_fn(in_schema, node.keys) if node.keys else _no_key
     return PGroupBy(
         key_fn=key_fn,
         specs_factory=_make_specs_factory(node.aggs, in_schema),

@@ -99,9 +99,10 @@ class RQLSession:
                 fixpoint_handler: Optional[str] = None) -> DiagnosticReport:
         """Statically analyze a query's chosen plan without executing it.
 
-        Runs every ``repro.analysis`` rule pass over the logical tree the
-        lowering runs: the chosen plan with its exchanges placed
-        (``add_exchanges`` adds nothing to an optimized plan).
+        Runs the structural rule passes over the logical tree the lowering
+        runs — the chosen plan with its exchanges placed (``add_exchanges``
+        adds nothing to an optimized plan) — and the polarity and lineage
+        passes over its lowered physical plan.
         """
         return analyze_logical(add_exchanges(
             self.logical_plan(text, fixpoint_handler=fixpoint_handler)))

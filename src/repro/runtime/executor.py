@@ -142,10 +142,10 @@ class ExecOptions:
     """Let an attached sanitizer use the delta-polarity abstract
     interpretation (:mod:`repro.analysis.absint`, REX3xx): the inference
     runs over the (fused) physical plan at instantiation and the
-    sanitizer downgrades shadow replay to cheap polarity assertions on
-    operators whose input polarity is proven — a violated proof is a
-    hard REX307 error.  Set False for maximal checking (full replay
-    everywhere).  Has no effect on unsanitized runs: the operators
+    sanitizer asserts each proven polarity — a violated proof is a hard
+    REX307 error — and downgrades a proven join's or fixpoint's shadow
+    replay to that assertion (a group-by keeps its re-aggregation).  Set
+    False for maximal checking (full replay everywhere).  Has no effect on unsanitized runs: the operators
     execute the same loops either way, and
     :meth:`QueryMetrics.fingerprint` is bit-identical on or off
     (enforced by ``tests/test_equivalence.py``)."""

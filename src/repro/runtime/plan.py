@@ -11,7 +11,7 @@ shared instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError  # noqa: F401 — re-exported for callers
 
@@ -172,6 +172,9 @@ class PhysicalPlan:
         if not isinstance(root, PCollect):
             root = PCollect(children=(root,))
         self.root = root
+        #: ``id`` of an operator node -> the logical node it was lowered
+        #: from (filled by :func:`repro.optimizer.physical.lower`).
+        self.origins: Dict[int, Any] = {}
         self._validate()
 
     def _validate(self) -> None:

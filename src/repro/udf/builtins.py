@@ -380,7 +380,8 @@ class ArgMin(Aggregator):
     """The appendix's general-purpose aggregate: the identifier carrying the
     minimum value.  Input values are ``(id, value)`` pairs; result is the
     ``(id, value)`` pair with the least value (ties broken by id, for
-    determinism).  Used by the shortest-path query (Listing 2).
+    determinism).  A pair whose value is NULL is skipped, as ``min``
+    skips NULLs.  Used by the shortest-path query (Listing 2).
     """
 
     name = "argmin"
@@ -392,33 +393,40 @@ class ArgMin(Aggregator):
         return _OrderStatMultiset(self.largest)
 
     def _key(self, pair):
+        """The multiset entry of ``pair``; None for a NULL value."""
         ident, value = pair
+        if value is None:
+            return None
         # Order by value first; id tie-break keeps results deterministic.
         return (value, ident) if not self.largest else (value, _Rev(ident))
 
     def agg_state(self, state: _OrderStatMultiset, delta: Delta, value,
                   old_value=None):
-        if delta.op is DeltaOp.INSERT:
-            state.add(self._key(value))
-        elif delta.op is DeltaOp.DELETE:
-            state.remove(self._key(value))
-        elif delta.op is DeltaOp.REPLACE:
-            state.remove(self._key(old_value))
-            state.add(self._key(value))
-        else:
+        if delta.op is DeltaOp.UPDATE:
             raise UDFError("argmin cannot interpret UPDATE deltas")
+        if delta.op is not DeltaOp.INSERT:
+            old = self._key(value if delta.op is DeltaOp.DELETE
+                            else old_value)
+            if old is not None:
+                state.remove(old)
+        if delta.op is not DeltaOp.DELETE:
+            new = self._key(value)
+            if new is not None:
+                state.add(new)
         return state
 
     @property
     def fold_source(self):
-        def key(x):  # _key inlined: k = (value, id), id wrapped for ArgMax
+        def keyed(x, body):  # _key inlined, a NULL value skipped
             ident = "_Rev(ident)" if self.largest else "ident"
-            return f"ident, value = {x}\nk = (value, {ident})\n"
+            return (f"ident, value = {x}\nif value is not None:\n"
+                    + textwrap.indent(f"k = (value, {ident})\n" + body,
+                                      "    "))
 
-        add = key("v") + _OrderStatMultiset.add_source("k", self.largest)
+        add = keyed("v", _OrderStatMultiset.add_source("k", self.largest))
         return {DeltaOp.INSERT: add,
-                DeltaOp.DELETE: key("v") + "s.remove(k)\n",
-                DeltaOp.REPLACE: key("o") + "s.remove(k)\n" + add,
+                DeltaOp.DELETE: keyed("v", "s.remove(k)\n"),
+                DeltaOp.REPLACE: keyed("o", "s.remove(k)\n") + add,
                 DeltaOp.UPDATE:
                 "raise UDFError('argmin cannot interpret UPDATE deltas')"}
 
@@ -446,7 +454,8 @@ class CollectList(Aggregator):
     """Collection-valued aggregation (Section 2 calls these essential).
 
     Gathers input values into a list; deletion removes one occurrence.
-    The result is sorted so output is deterministic across partitionings.
+    NULLs are skipped.  The result is sorted so output is deterministic
+    across partitionings.
     """
 
     name = "collect"
@@ -456,14 +465,19 @@ class CollectList(Aggregator):
 
     def agg_state(self, state: Counter, delta: Delta, value, old_value=None):
         if delta.op is DeltaOp.INSERT:
-            state[value] += 1
+            if value is not None:
+                state[value] += 1
         elif delta.op is DeltaOp.DELETE:
+            if value is None:
+                return state
             if state[value] <= 0:
                 raise UDFError(f"deleting {value!r} not present in collection")
             state[value] -= 1
         elif delta.op is DeltaOp.REPLACE:
-            state[old_value] -= 1
-            state[value] += 1
+            if old_value is not None:
+                state[old_value] -= 1
+            if value is not None:
+                state[value] += 1
         else:
             raise UDFError("collect cannot interpret UPDATE deltas")
         return state

@@ -406,13 +406,6 @@ def polarity_update_into_keyed_fixpoint() -> PNode:
         PFixpoint(key_fn=_key0, children=(PScan("seed"), recursive)),))
 
 
-def polarity_key_destroying_project() -> LNode:
-    """Recursive-branch Project that drops the fixpoint key -> REX303."""
-    bad = LProject(_feedback(),
-                   [(ColumnRef("val"), F("val", SQLType.DOUBLE))])
-    return LFixpoint(_seed(), bad, key="node", cte_name="R")
-
-
 def polarity_insert_only_groupby() -> PNode:
     """Scan-fed group-by is proven insert-only -> REX300 (and its
     retraction branches are dead -> REX304)."""
@@ -458,8 +451,6 @@ POLARITY_CASES: List[Case] = [
          polarity_replacement_only_groupby, frozenset({"REX305"})),
     Case("polarity_update_into_keyed_fixpoint",
          polarity_update_into_keyed_fixpoint, frozenset({"REX305"})),
-    Case("polarity_key_destroying_project",
-         polarity_key_destroying_project, frozenset({"REX303"})),
     Case("polarity_insert_only_groupby", polarity_insert_only_groupby,
          frozenset({"REX300", "REX304"})),
     Case("polarity_declared_handler_proof",

@@ -146,8 +146,8 @@ def test_proof_violation_trips_rex307():
     feed.push(Delta(DeltaOp.INSERT, (1, 2)))
     assert "REX307" not in set(sanitizer.report.codes())
     shadow = sanitizer._shadows[id(gb)]
-    assert shadow.polarity and not shadow.groupby, \
-        "an exact proof must license assertion mode"
+    assert shadow.polarity and shadow.groupby, \
+        "an exact proof adds the assertion and keeps the re-aggregation"
 
     feed.push(Delta(DeltaOp.REPLACE, (1, 3), old=(1, 2)))
     codes = set(sanitizer.report.codes())

@@ -101,9 +101,9 @@ AGGREGATES = {
     "avg_partial": (AvgPartial, _X),
     "avg_final": (AvgFinal,
                   lambda r: None if r[3] is None else (r[1], 1 + r[2] % 2)),
-    "argmin": (ArgMin, lambda r: (r[2], r[1])),
-    "argmax": (ArgMax, lambda r: (r[2], r[1])),
-    "collect": (CollectList, lambda r: r[1]),  # sorted() refuses None
+    "argmin": (ArgMin, lambda r: (r[2], r[3])),
+    "argmax": (ArgMax, lambda r: (r[2], r[3])),
+    "collect": (CollectList, _X),
     "uda": (SumSquares, _X),
     "override": (DoubledSum, _X),
     "per_delta": (UserSum, _X),
@@ -324,26 +324,34 @@ SANITIZED_QUERY = ("SELECT srcId, sum(destId), count(*), min(destId), "
                    "max(destId) FROM graph GROUP BY srcId")
 
 
-def sanitized_run():
-    """``sanitize="full"`` with the abstract interpretation off: an exact
-    insert-only proof would downgrade the group-by's differential
-    re-aggregation (REX201) to the polarity assertion."""
+def sanitized_run(absint):
+    """``sanitize="full"``, with the abstract interpretation on or off."""
     cluster = Cluster(4)
     cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
                          dbpedia_like(60, avg_out_degree=3, seed=3), "srcId")
     result = RQLSession(cluster).execute(
-        SANITIZED_QUERY, options=ExecOptions(sanitize="full", absint=False))
+        SANITIZED_QUERY, options=ExecOptions(sanitize="full", absint=absint))
     return result.sanitizer
 
 
-def test_full_sanitizer_catches_a_wrong_template(monkeypatch):
-    clean = sanitized_run()
+def check_catches_a_wrong_template(monkeypatch, absint):
+    clean = sanitized_run(absint)
     assert clean.checks > 0 and clean.violations == 0
 
     doubled_insert = dict(Sum.fold_source)
     doubled_insert[DeltaOp.INSERT] = doubled_insert[DeltaOp.INSERT].replace(
         "s['sum'] += v", "s['sum'] += 2 * v")
     monkeypatch.setattr(Sum, "fold_source", doubled_insert)
-    broken = sanitized_run()
+    broken = sanitized_run(absint)
     assert broken.violations > 0
     assert {d.code for d in broken.report.diagnostics} == {"REX201"}
+
+
+def test_full_sanitizer_catches_a_wrong_template(monkeypatch):
+    check_catches_a_wrong_template(monkeypatch, absint=False)
+
+
+def test_full_sanitizer_catches_a_wrong_template_under_absint(monkeypatch):
+    """The default ``absint=True``: the group-by's exact insert-only proof
+    adds the polarity assertion, and the re-aggregation still runs."""
+    check_catches_a_wrong_template(monkeypatch, absint=True)

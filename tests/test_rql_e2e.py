@@ -70,6 +70,24 @@ class TestSimpleQueries:
             assert count == expected[ln][0]
             assert avg_tax == pytest.approx(expected[ln][1])
 
+    def test_argmin_argmax_and_collect_skip_nulls(self):
+        """Like min, they ignore NULL values; an all-NULL group is NULL."""
+        cluster = Cluster(3)
+        cluster.create_table("t", ["g:Integer", "id:Integer", "v:Integer"],
+                             [(0, 1, 5), (0, 2, None), (0, 3, 2),
+                              (1, 4, None), (2, 6, 7), (2, 7, 7)], None)
+        session = RQLSession(cluster)
+
+        def run(select):
+            return sorted(session.execute(
+                f"SELECT g, {select} FROM t GROUP BY g").rows)
+
+        assert run("ArgMin(id, v).{id, d}") == [
+            (0, 3, 2), (1, None, None), (2, 6, 7)]
+        assert run("ArgMax(id, v).{id, d}") == [
+            (0, 1, 5), (1, None, None), (2, 6, 7)]
+        assert run("collect(v)") == [(0, (2, 5)), (1, None), (2, (7, 7))]
+
     def test_scalar_udf_in_query(self):
         session, rows = self.make_lineitem_session(50)
 
