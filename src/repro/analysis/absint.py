@@ -536,18 +536,3 @@ def infer(plan: Union[PhysicalPlan, PNode]
             break
         feedback = run.fixpoint_out
     return PlanFacts(run.nodes, run.by_id, origins), run.diagnostics
-
-
-def check_polarity(root, emit) -> None:
-    """Rule-pass entry point (analyzer pipeline shape): run the
-    interpretation and emit its diagnostics."""
-    _, diagnostics = infer(root)
-    for diag in diagnostics:
-        emit(diag)
-
-
-def properties_report(plan: Union[PhysicalPlan, PNode]) -> List[Dict]:
-    """The inferred properties as JSON-ready dicts (what
-    ``repro.cli analyze --format json`` embeds under ``"properties"``)."""
-    props, _ = infer(plan)
-    return props.report()

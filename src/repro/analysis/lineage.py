@@ -1,4 +1,4 @@
-"""Column-lineage & UDF-effect analysis (REX400-407).
+"""Column-lineage & UDF-effect analysis (REX400-403, REX407).
 
 Where :mod:`repro.analysis.absint` abstracts *which delta kinds* flow
 along each edge of the lowered physical plan, this pass abstracts *which
@@ -33,14 +33,14 @@ Verdicts:
   provably never reads (exact extractions only).
 * **REX403** — a key function reads a position beyond its input's known
   arity: the key column was projected away upstream (error).
-* **REX404** — a rewrite candidate was declined: the blocking effect
-  (impurity, unknown reads, non-insert polarity) is named.
-* **REX405** — filter pushdown licensed below the node.
-* **REX406** — projection narrowing licensed through the exchange.
 * **REX407** — an opaque callable widened the analysis.
 
-The rewrite pass (:mod:`repro.optimizer.rewrite`) consumes the same
-inference: REX405/REX406 verdicts are exactly the licenses it spends.
+REX404-REX406 are not this pass's verdicts: they are the decisions of
+the rewrite pass (:mod:`repro.optimizer.rewrite`), which reads these
+facts together with absint's polarity.  The analyzer runs that pass on
+the facts of its one inference and reports each decision at its path
+(declined → REX404, filter pushdown → REX405, exchange narrowing →
+REX406), so legality is written once.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.analysis.absint import (
-    INSERT_ONLY,
-    PlanFacts,
-    infer as infer_polarity,
-    split_plan,
-)
+from repro.analysis.absint import PlanFacts, split_plan
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.analysis.effects import (
     EffectSummary,
@@ -548,121 +543,4 @@ def infer_lineage(plan: Union[PhysicalPlan, PNode],
         if converged:
             break
         feedback = merged
-    lineage = PlanFacts(run.nodes, run.by_id, origins)
-    _check_rewrite_licenses(root, lineage, run.diagnostics)
-    return lineage, run.diagnostics
-
-
-def _check_rewrite_licenses(root: PNode, lineage: PlanFacts,
-                            diagnostics: List[Diagnostic]) -> None:
-    """REX404/REX405/REX406: name the rewrites the facts license (or the
-    effect that blocks them).  These mirror the legality rules of
-    :func:`repro.optimizer.rewrite.rewrite_plan` exactly — the rewrite
-    pass spends precisely the licenses published here."""
-    props, _ = infer_polarity(root)
-
-    def walk(node: PNode):
-        yield node
-        for child in node.children:
-            yield from walk(child)
-
-    for node in walk(root):
-        lin = lineage.of(node)
-        if lin is None:
-            continue
-        if isinstance(node, PRehash) and not node.broadcast:
-            child = node.children[0]
-            child_lin = lineage.of(child)
-            child_arity = child_lin.out_arity if child_lin else None
-            wanted = lin.in_live
-            if child_arity is None or wanted is None or not wanted.exact:
-                continue
-            width = max(wanted.cols) + 1 if wanted.cols else 0
-            if width >= child_arity:
-                continue
-            child_pol = props.of(child)
-            if child_pol is not None \
-                    and child_pol.out_polarity.proves(INSERT_ONLY):
-                diagnostics.append(make(
-                    "REX406",
-                    f"only columns {sorted(wanted.cols)} of "
-                    f"{child_arity} crossing this exchange are live "
-                    "downstream; narrowing to the first "
-                    f"{width} column(s) is licensed "
-                    "(insert-only polarity proven)",
-                    location=lin.path,
-                    hint="ExecOptions(rewrite=True) inserts the "
-                         "truncation project below the exchange"))
-            else:
-                pol_name = (child_pol.out_polarity.name
-                            if child_pol is not None else "unknown")
-                diagnostics.append(make(
-                    "REX404",
-                    f"projection narrowing through this exchange "
-                    f"(live {sorted(wanted.cols)} of {child_arity}) is "
-                    f"blocked: input polarity {pol_name!r} is not "
-                    "proven insert-only, so delta rows may be key-only "
-                    "tuples narrower than the declared width",
-                    location=lin.path,
-                    hint="declare an insert-only emits_polarity on the "
-                         "upstream handler if the stream truly never "
-                         "replaces or updates"))
-        elif isinstance(node, PFilter):
-            child = node.children[0]
-            if not isinstance(child, (PRehash, PProject)):
-                continue
-            if isinstance(child, PRehash) and child.broadcast:
-                continue
-            below = "the exchange" if isinstance(child, PRehash) \
-                else "the projection"
-            if lin.pure and lin.reads_exact:
-                child_pol = props.of(child)
-                if child_pol is not None \
-                        and child_pol.out_polarity.proves(INSERT_ONLY):
-                    diagnostics.append(make(
-                        "REX405",
-                        f"filter pushdown below {below} is licensed: the "
-                        f"predicate is pure, reads exactly "
-                        f"{sorted(lin.reads or ())}, and the stream is "
-                        "proven insert-only",
-                        location=lin.path,
-                        hint="ExecOptions(rewrite=True) applies the "
-                             "pushdown"))
-                else:
-                    diagnostics.append(make(
-                        "REX404",
-                        f"filter pushdown below {below} is blocked: the "
-                        "stream's polarity is not proven insert-only "
-                        "(replacement straddles would route or project "
-                        "differently across the move)",
-                        location=lin.path))
-            else:
-                blocker = ("the predicate has side effects or calls "
-                           "outside the pure whitelist" if lin.pure is False
-                           else "the predicate's read-set could not be "
-                                "proven")
-                diagnostics.append(make(
-                    "REX404",
-                    f"filter pushdown below {below} is blocked: "
-                    f"{blocker}",
-                    location=lin.path,
-                    hint="keep predicates as pure single-expression "
-                         "lambdas over constant row positions"))
-
-
-def check_lineage(root, emit,
-                  table_arity: Optional[Dict[str, int]] = None) -> None:
-    """Rule-pass entry point (analyzer pipeline shape): run the
-    inference and emit its diagnostics."""
-    _, diagnostics = infer_lineage(root, table_arity=table_arity)
-    for diag in diagnostics:
-        emit(diag)
-
-
-def lineage_report(plan: Union[PhysicalPlan, PNode],
-                   table_arity: Optional[Dict[str, int]] = None
-                   ) -> List[Dict]:
-    """The inferred lineage as JSON-ready dicts (what
-    ``repro.cli analyze --format json`` embeds under ``"lineage"``)."""
-    lineage, _ = infer_lineage(plan, table_arity=table_arity)
-    return lineage.report()
+    return PlanFacts(run.nodes, run.by_id, origins), run.diagnostics

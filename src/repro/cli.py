@@ -431,45 +431,38 @@ def _read_query(query: str) -> str:
     return query
 
 
-def _lowered_facts(session: RQLSession, query: str):
-    """The lowered plan of ``query`` with the per-node polarity and
-    lineage listings of that one tree (the diagnostics' tree too)."""
-    from repro.analysis.absint import properties_report
-    from repro.analysis.lineage import lineage_report
-    from repro.optimizer.logical import table_arity
-    from repro.optimizer.physical import lower
-
-    node = session.logical_plan(query)
-    root = lower(node).root
-    arity = table_arity(node)
-    return (root, arity, properties_report(root),
-            lineage_report(root, table_arity=arity))
+def _listings(analysis):
+    """The per-node polarity and lineage listings and the rewrite
+    decisions of one analysis, as JSON-ready dicts (empty when a logical
+    error kept the plan from being lowered)."""
+    if analysis.plan is None:
+        return [], [], []
+    return (analysis.properties.report(), analysis.lineage.report(),
+            [d.to_dict() for d in analysis.rewrites])
 
 
 def main_analyze(argv: List[str]) -> int:
     from repro.analysis.diagnostics import to_sarif
     from repro.optimizer.fusion import fusion_report
-    from repro.optimizer.rewrite import rewrite_report
 
     args = build_analyze_parser().parse_args(argv)
     cluster = _build_cluster(args)
     if cluster is None:
         return 2
     session = RQLSession(cluster, optimize=not args.no_optimize)
-    query = _read_query(args.query)
     try:
-        report = session.analyze(query)
-        # Every pass runs on the lowered physical plan; surface the
-        # per-chain / per-node verdicts alongside the diagnostics so the
-        # report shows what the executor will actually collapse and what
-        # the sanitizer may assume.
-        physical_root, table_arity, properties, lineage = \
-            _lowered_facts(session, query)
-        fusion = fusion_report(physical_root)
-        rewrites = rewrite_report(physical_root, table_arity=table_arity)
+        analysis = session.prepare(_read_query(args.query)).analysis
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Every dataflow pass runs on the lowered physical plan; surface the
+    # per-chain / per-node verdicts alongside the diagnostics so the
+    # report shows what the executor will actually collapse and what
+    # the sanitizer may assume.
+    report = analysis.report
+    properties, lineage, rewrites = _listings(analysis)
+    fusion = (fusion_report(analysis.plan.root)
+              if analysis.plan is not None else [])
     if args.format == "json":
         payload = json.loads(report.to_json())
         payload["fusion"] = fusion
@@ -567,7 +560,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                               sanitize=args.sanitize,
                               sanitize_seed=args.sanitize_seed,
                               flight_dir=args.flight_dir)
-        result = session.execute(query, options, check=not args.force)
+        prepared = session.prepare(query)
+        result = session.execute_prepared(prepared, options,
+                                          check=not args.force)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         flight_path = getattr(exc, "rex_flight_path", None)
@@ -609,16 +604,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.trace_chrome, "w") as fh:
                 json.dump(chrome_trace(obs.tracer.events()), fh)
         if args.analyze:
-            try:
-                diagnostics = session.analyze(query)
-                _, _, properties, lineage = _lowered_facts(session, query)
-            except ReproError:
-                diagnostics = None
-                properties = None
-                lineage = None
+            properties, lineage, _ = _listings(prepared.analysis)
             print(file=sys.stderr)
             print(explain_analyze(obs, result.metrics,
-                                  diagnostics=diagnostics,
+                                  diagnostics=prepared.analysis.report,
                                   properties=properties,
                                   lineage=lineage), file=sys.stderr)
     sanitizer = result.sanitizer

@@ -84,11 +84,11 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
     analyzer; when given (and non-empty) its findings are appended so the
     cost table and the plan's static findings read as one report.
     ``properties`` is an optional inferred-properties listing from the
-    abstract interpretation (``repro.analysis.absint.properties_report``):
+    abstract interpretation (``PlanFacts.report()`` of ``absint.infer``):
     per-node delta polarity, monotonicity, and dead-delta facts, rendered
     as their own column block after the cost table.
     ``lineage`` is an optional per-edge live-column listing from the
-    column-lineage analysis (``repro.analysis.lineage.lineage_report``),
+    column-lineage analysis (``PlanFacts.report()`` of ``infer_lineage``),
     rendered the same way: which output positions each operator's
     consumers actually read, and what each node's own callables read.
     """

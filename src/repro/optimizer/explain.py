@@ -22,12 +22,15 @@ from repro.optimizer.logical import LNode, table_arity
 
 
 def explain(node: LNode, estimator: Optional[CostEstimator] = None,
-            properties: bool = True) -> str:
+            properties=True) -> str:
     """Multi-line tree rendering, optionally annotated with estimates
-    and inferred delta-polarity properties."""
+    and inferred delta-polarity properties.  ``properties`` may also be
+    an analysis of ``node`` already made
+    (:class:`~repro.analysis.analyzer.PlanAnalysis`), whose facts are
+    read instead of lowering ``node`` again."""
     props = None
     lineage = None
-    if properties:
+    if properties is True:
         from repro.analysis.absint import infer
         from repro.analysis.lineage import infer_lineage
         from repro.common.errors import ReproError
@@ -40,6 +43,8 @@ def explain(node: LNode, estimator: Optional[CostEstimator] = None,
         if plan is not None:
             props, _ = infer(plan)
             lineage, _ = infer_lineage(plan, table_arity=table_arity(node))
+    elif properties:
+        props, lineage = properties.properties, properties.lineage
     lines: List[str] = []
     _render(node, lines, prefix="", is_last=True, estimator=estimator,
             props=props, lineage=lineage)

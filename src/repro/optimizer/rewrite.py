@@ -22,15 +22,16 @@ width, which truncation or late filtering would corrupt.  Filters move
 only when their predicate is pure (re-evaluation safe) with an exactly
 known read-set; narrowing only truncates a *suffix* (``row[:k]``),
 because downstream compiled callables address columns by fixed position.
-These are precisely the REX405/REX406 licenses the analyzer publishes;
-a candidate that fails a gate is recorded as a declined
-:class:`RewriteDecision` (the analyzer's REX404 mirror).
+The pass is the only place legality is written: the analyzer runs it on
+the facts of its one inference and reports each
+:class:`RewriteDecision` at its path (a declined candidate as REX404, an
+applied ``filter-pushdown`` as REX405, an applied ``narrow-exchange`` as
+REX406), so a diagnostic and the rewrite it names cannot disagree.
 
-The pass runs before fusion in the executor (``ExecOptions(rewrite=
-True)``, the default).  On plans where no rewrite fires — all three
-original bench workloads, by construction of their polarity — the tree
-is returned with identical object identity and ``QueryMetrics.
-fingerprint`` is bit-identical rewrite on or off.
+The executor runs the pass before fusion (``ExecOptions(rewrite=
+True)``, the default).  Where nothing fires the tree is returned with
+identical object identity and ``QueryMetrics.fingerprint`` is
+bit-identical rewrite on or off.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.absint import INSERT_ONLY, infer as infer_polarity
+from repro.analysis.absint import INSERT_ONLY, PlanFacts, \
+    infer as infer_polarity
+from repro.analysis.diagnostics import Diagnostic, make
 from repro.analysis.lineage import infer_lineage
 from repro.common.deltas import DeltaOp
 from repro.runtime.plan import (
@@ -59,8 +62,8 @@ MAX_SWEEPS = 8
 
 def _no_candidates(root: PNode) -> bool:
     """True when a constant-time structural scan proves no rewrite can
-    *apply* to ``root`` — the executor then skips lineage/polarity
-    inference entirely, so a no-op rewrite pass costs nothing.
+    *apply* to ``root``; :func:`rewrite_plan` then skips the inference
+    and the pass entirely.
 
     The proof obligations mirror the legality gates below:
 
@@ -75,10 +78,14 @@ def _no_candidates(root: PNode) -> bool:
       ``emits_polarity`` can never prove the insert-only gate — both
       are structurally dead candidates.
 
-    Skipping is always sound: rewrites are optional optimizations and
-    the tree is returned untouched.  Only the decline *records* for the
-    structurally dead candidates are elided; :func:`rewrite_report`
-    (the analyzer/CLI path) still runs the thorough pass.
+    Skipping is sound (``tests/test_rewrite_decisions.py`` checks that
+    the full pass applies nothing wherever this returns True); it elides
+    only the decline records of structurally dead candidates, which the
+    analyzer still reports as REX404 because it runs the full pass.
+    The gate is cheap, not complete: it skips ``pagerank_plan(mode=
+    "delta")``, but not ``sssp_plan()``, whose exchange drains a handler
+    join declared insert-only, so the full pass runs on every execution
+    of that plan and finds nothing to rewrite.
     """
     stack = [(root, None)]
     while stack:
@@ -126,6 +133,20 @@ class RewriteDecision:
             "reason": self.reason,
         }
 
+    def diagnostic(self) -> Diagnostic:
+        """The analyzer's finding for this decision: REX404 for a
+        declined candidate, REX405/REX406 for an applied filter pushdown
+        / exchange narrowing."""
+        if not self.applied:
+            return make("REX404", f"{self.kind} declined: {self.reason}",
+                        location=self.path,
+                        hint="the rewrite pass leaves this candidate in "
+                             "place until the named fact is proven")
+        code = "REX405" if self.kind == "filter-pushdown" else "REX406"
+        return make(code, f"{self.kind} licensed: {self.reason}",
+                    location=self.path,
+                    hint="ExecOptions(rewrite=True) applies it")
+
 
 def _node_kind(node: PNode) -> str:
     name = type(node).__name__
@@ -147,18 +168,17 @@ def _composed(predicate, row_fn):
 
 
 class _Rewriter:
-    """One sweep over the tree with lineage/polarity facts pinned.
+    """One sweep over the tree with the caller's lineage/polarity facts.
 
-    Lookups are keyed by the *original* node identities of the tree the
-    facts were inferred on; rebuilt subtrees are fresh objects, so each
-    sweep re-infers before running (see :func:`rewrite_plan`).
+    Lookups are keyed by the node identities of the tree the facts were
+    inferred on; rebuilt subtrees are fresh objects, so after a sweep
+    that changed the tree the caller re-infers (see :func:`rewrite_with`).
     """
 
-    def __init__(self, root: PNode,
-                 table_arity: Optional[Dict[str, int]],
+    def __init__(self, props: PlanFacts, lineage: PlanFacts,
                  decisions: List[RewriteDecision]):
-        self.lineage, _ = infer_lineage(root, table_arity=table_arity)
-        self.props, _ = infer_polarity(root)
+        self.props = props
+        self.lineage = lineage
         self.decisions = decisions
         self.changed = False
 
@@ -333,8 +353,7 @@ class _Rewriter:
 
 
 def rewrite_plan(root: PNode,
-                 table_arity: Optional[Dict[str, int]] = None,
-                 *, thorough: bool = False
+                 table_arity: Optional[Dict[str, int]] = None
                  ) -> Tuple[PNode, List[RewriteDecision]]:
     """Apply every licensed rewrite; returns the (possibly new) root
     plus one :class:`RewriteDecision` per candidate, applied or
@@ -345,37 +364,36 @@ def rewrite_plan(root: PNode,
     passes the catalog's); without it scans have unknown width and
     narrowing above them stays off.
 
-    By default the structural pre-gate (:func:`_no_candidates`) short-
-    circuits plans where no rewrite can apply — all three original
-    bench workloads, by construction of their handler polarity — before
-    any inference runs.  ``thorough=True`` (the analyzer/report path)
-    always runs the full pass so structurally dead candidates still get
-    their decline records.
+    The structural pre-gate (:func:`_no_candidates`) returns plans where
+    no rewrite can apply before any inference runs; otherwise this
+    infers polarity and lineage once and runs :func:`rewrite_with`.
     """
+    if _no_candidates(root):
+        return root, []
+    return rewrite_with(root, *_facts(root, table_arity), table_arity)
+
+
+def _facts(root: PNode, table_arity: Optional[Dict[str, int]]):
+    props, _ = infer_polarity(root)
+    lineage, _ = infer_lineage(root, table_arity=table_arity)
+    return props, lineage
+
+
+def rewrite_with(root: PNode, props: PlanFacts, lineage: PlanFacts,
+                 table_arity: Optional[Dict[str, int]] = None
+                 ) -> Tuple[PNode, List[RewriteDecision]]:
+    """The whole pass over ``root``, starting from polarity and lineage
+    facts the caller inferred on that tree (the analyzer passes its own);
+    they are re-inferred only after a sweep changed the tree.  No
+    pre-gate: every candidate gets its decision."""
     decisions: List[RewriteDecision] = []
-    if not thorough and _no_candidates(root):
-        return root, decisions
-    sweep: Optional[_Rewriter] = None
     for _ in range(MAX_SWEEPS):
-        sweep = _Rewriter(root, table_arity, decisions)
+        sweep = _Rewriter(props, lineage, decisions)
         root = sweep.push_filters(root)
         if not sweep.changed:
             break
-    # The last sweep left the tree unchanged, so its facts still key the
-    # live node identities — reuse them instead of re-inferring.
-    final = sweep if sweep is not None and not sweep.changed \
-        else _Rewriter(root, table_arity, decisions)
-    root = final.narrow_exchanges(root)
+        props, lineage = _facts(root, table_arity)
+    root = _Rewriter(props, lineage, decisions).narrow_exchanges(root)
     # A candidate declined in sweep 1 is re-visited (and re-declined)
     # by every later sweep; keep the first record of each decision.
     return root, list(dict.fromkeys(decisions))
-
-
-def rewrite_report(root: PNode,
-                   table_arity: Optional[Dict[str, int]] = None
-                   ) -> List[dict]:
-    """The rewrite decisions for ``root`` as JSON-ready dicts (what
-    ``repro.cli analyze --format json`` embeds under ``"rewrites"``)."""
-    _, decisions = rewrite_plan(root, table_arity=table_arity,
-                                thorough=True)
-    return [d.to_dict() for d in decisions]

@@ -7,13 +7,15 @@ disseminate, execute, union results.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.analysis import analyze_logical
+from repro.analysis.analyzer import PlanAnalysis, analyze_plan
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.cluster.cluster import Cluster
 from repro.optimizer.exchanges import add_exchanges
 from repro.optimizer.explain import explain as explain_plan
+from repro.optimizer.logical import LNode
 from repro.optimizer.physical import lower
 from repro.optimizer.planner import Optimizer
 from repro.common.errors import PlanValidationError, TypeCheckError
@@ -22,6 +24,18 @@ from repro.rql.compiler import compile_query
 from repro.rql.parser import parse
 from repro.runtime.executor import ExecOptions, QueryExecutor, QueryResult
 from repro.udf.registry import UDFRegistry
+
+
+@dataclass
+class PreparedQuery:
+    """A query compiled once, with its exchanges placed, and analysed
+    once: the logical tree, the top-level ORDER BY / LIMIT stripped from
+    it, and the one :class:`~repro.analysis.analyzer.PlanAnalysis` whose
+    lowered plan runs."""
+
+    node: LNode
+    presentation: Optional[tuple]
+    analysis: PlanAnalysis
 
 
 class RQLSession:
@@ -95,37 +109,48 @@ class RQLSession:
             node = self.optimizer.optimize(node)
         return node, presentation
 
+    def prepare(self, text: str,
+                fixpoint_handler: Optional[str] = None) -> PreparedQuery:
+        """Compile a query's chosen plan, place its exchanges
+        (``add_exchanges`` adds nothing to an optimized plan) and analyse
+        it: the structural rule passes over the logical tree, then the
+        polarity, lineage and rewrite passes over its lowered plan."""
+        node, presentation = self._plan(text, fixpoint_handler)
+        node = add_exchanges(node)
+        return PreparedQuery(node, presentation, analyze_plan(node))
+
     def analyze(self, text: str,
                 fixpoint_handler: Optional[str] = None) -> DiagnosticReport:
-        """Statically analyze a query's chosen plan without executing it.
-
-        Runs the structural rule passes over the logical tree the lowering
-        runs — the chosen plan with its exchanges placed (``add_exchanges``
-        adds nothing to an optimized plan) — and the polarity and lineage
-        passes over its lowered physical plan.
-        """
-        return analyze_logical(add_exchanges(
-            self.logical_plan(text, fixpoint_handler=fixpoint_handler)))
+        """Statically analyze a query's chosen plan without executing it
+        (the report of :meth:`prepare`)."""
+        return self.prepare(text, fixpoint_handler).analysis.report
 
     def explain(self, text: str, with_estimates: bool = False,
                 with_diagnostics: bool = False) -> str:
         """Render the chosen plan as a tree (Figure 1 style)."""
         node = self.logical_plan(text)
         estimator = self.optimizer.estimator if with_estimates else None
-        rendered = explain_plan(node, estimator)
-        if with_diagnostics:
-            report = analyze_logical(add_exchanges(node))
-            rendered += "\n-- diagnostics --\n" + report.format()
-        return rendered
+        if not with_diagnostics:
+            return explain_plan(node, estimator)
+        analysis = analyze_plan(add_exchanges(node))
+        return (explain_plan(node, estimator, properties=analysis)
+                + "\n-- diagnostics --\n" + analysis.report.format())
 
     def execute(self, text: str,
                 options: Optional[ExecOptions] = None,
                 fixpoint_handler: Optional[str] = None,
                 check: bool = True) -> QueryResult:
-        """Run a query to completion and return rows plus metrics.
+        """Run a query to completion and return rows plus metrics
+        (:meth:`prepare`, then :meth:`execute_prepared`)."""
+        return self.execute_prepared(self.prepare(text, fixpoint_handler),
+                                     options, check)
 
-        Before execution the plan goes through static analysis; plans
-        with error-level diagnostics are refused with
+    def execute_prepared(self, prepared: PreparedQuery,
+                         options: Optional[ExecOptions] = None,
+                         check: bool = True) -> QueryResult:
+        """Run a prepared query on the plan its analysis lowered.
+
+        Plans with error-level diagnostics are refused with
         :class:`PlanValidationError` unless ``check=False`` (the CLI's
         ``--force``).  A forced run does not discard the evidence: the
         full report rides on ``QueryResult.suppressed_diagnostics`` and
@@ -136,15 +161,15 @@ class RQLSession:
         unioned result (presentation only; execution is unordered, as in
         any distributed engine).
         """
-        node, presentation = self._plan(text, fixpoint_handler)
-        node = add_exchanges(node)
-        report = analyze_logical(node)
+        report = prepared.analysis.report
         if check and report.has_errors():
             raise PlanValidationError(
                 "plan failed static analysis (pass check=False / "
                 "--force to run anyway)",
                 diagnostics=report.errors)
-        plan = lower(node)
+        plan = prepared.analysis.plan
+        if plan is None:  # a logical error kept the analysis from lowering
+            plan = lower(prepared.node)
         executor = QueryExecutor(self.cluster, options)
         result = executor.execute(plan)
         if not check and report:
@@ -156,7 +181,7 @@ class RQLSession:
                     errors=len(report.errors),
                     warnings=len(report.warnings),
                     codes=report.codes())
-        if presentation is not None:
-            result.rows = self._apply_presentation(result.rows, node.schema,
-                                                   presentation)
+        if prepared.presentation is not None:
+            result.rows = self._apply_presentation(
+                result.rows, prepared.node.schema, prepared.presentation)
         return result

@@ -150,18 +150,20 @@ class ExecOptions:
     :meth:`QueryMetrics.fingerprint` is bit-identical on or off
     (enforced by ``tests/test_equivalence.py``)."""
     rewrite: bool = True
-    """Proof-directed plan rewrites from the column-lineage analysis
-    (:mod:`repro.analysis.lineage`, REX4xx): run
-    :func:`repro.optimizer.rewrite.rewrite_plan` over the physical tree
-    at instantiation (before fusion) and apply the rewrites its facts
-    license — filter pushdown below exchanges/projections/extend-applies
+    """Proof-directed plan rewrites on the polarity and column-lineage
+    facts: run :func:`repro.optimizer.rewrite.rewrite_plan` over the
+    physical tree at instantiation (before fusion) and apply what it
+    licenses — filter pushdown below exchanges/projections/extend-applies
     /plain joins, and suffix-truncating projection pushdown through
     exchanges to shrink wire bytes.  Every rewrite requires a proven
     insert-only exact polarity on the stream it touches plus pure,
     exactly-extracted callables, so result rows are identical on or off;
-    plans where nothing fires (all three original bench workloads) keep
-    :meth:`QueryMetrics.fingerprint` bit-identical as well.  Applied and
-    declined candidates are recorded in ``rewrite_decisions``."""
+    plans where nothing fires (the workloads of ``tests/workloads.py``)
+    keep :meth:`QueryMetrics.fingerprint` bit-identical as well.  A
+    structural pre-gate skips the inference on plans with no candidate
+    (``pagerank_plan(mode="delta")``, not ``sssp_plan()``).  Applied and
+    declined candidates are recorded in ``rewrite_decisions``; the
+    analyzer reports the same decisions as REX404-REX406."""
 
     def __post_init__(self):
         for name, allowed in _CHOICES.items():

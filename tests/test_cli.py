@@ -151,6 +151,49 @@ class TestObservabilityFlags:
         assert doc["traceEvents"]
         assert any(r["ph"] == "M" for r in doc["traceEvents"])
 
+    @staticmethod
+    def _openmetrics_series(text, name):
+        """Parse OpenMetrics text strictly; the points of series ``name``."""
+        lines = text.splitlines()
+        assert lines[-1] == "# EOF"
+        points = {}
+        for line in lines[:-1]:
+            if line.startswith("# TYPE "):
+                assert line.split()[3] in ("counter", "gauge"), line
+                continue
+            sample, value = line.rsplit(" ", 1)
+            float(value)
+            if sample.startswith(name + "{"):
+                points[sample[len(name):]] = float(value)
+        return points
+
+    @pytest.mark.parametrize("target", ["run.json", "run.prom", "-"])
+    def test_telemetry_export_carries_the_stratum_family(
+            self, edges_csv, tmp_path, capsys, target):
+        """``--telemetry FILE`` writes registry JSON for ``*.json``,
+        OpenMetrics text otherwise, and to stdout (after the rows) for
+        ``-``; each holds the per-stratum tuple counts."""
+        import json as _json
+
+        path = target if target == "-" else str(tmp_path / target)
+        rc = main(["--table", f"graph={edges_csv}", "--key", "graph=srcId",
+                   "--telemetry", path, self.QUERY])
+        assert rc == 0
+        out = capsys.readouterr().out
+        if target == "-":
+            rows, _, text = out.partition("# TYPE ")
+            assert sorted(rows.splitlines()) == ["0\t2", "1\t1", "2\t1"]
+            text = "# TYPE " + text
+        else:
+            text = (tmp_path / target).read_text()
+        if target.endswith(".json"):
+            points = _json.loads(text)["stratum.tuples_processed"]
+            counts = [value for _, value in points]
+        else:
+            counts = list(self._openmetrics_series(
+                text, "stratum_tuples_processed").values())
+        assert counts and all(c > 0 for c in counts), text
+
     def test_analyze_prints_report_to_stderr(self, edges_csv, capsys):
         rc = main(["--table", f"graph={edges_csv}", "--key", "graph=srcId",
                    "--analyze", self.QUERY])

@@ -15,7 +15,9 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.deltas import DeltaOp
-from repro.optimizer.rewrite import rewrite_plan, rewrite_report
+from repro.analysis.absint import infer
+from repro.analysis.lineage import infer_lineage
+from repro.optimizer.rewrite import rewrite_plan, rewrite_with
 from repro.runtime import (
     ExecOptions,
     PFilter,
@@ -194,12 +196,18 @@ def test_update_polarity_declines_narrowing():
 
 
 def test_rewrite_report_matches_rewrite_plan():
+    """The analyzer's rewrite listing — the pass run on the facts of its
+    own inference — is exactly what the executor's pass decides."""
     cluster, plan, _ = _wide_builder()
     arity = {n: len(cluster.catalog.get(n).schema.fields)
              for n in cluster.catalog.names()}
-    report = rewrite_report(plan.root, table_arity=arity)
-    applied = [r for r in report if r["applied"]]
-    assert {r["kind"] for r in applied} == {"filter-pushdown",
-                                            "narrow-exchange"}
-    for r in report:
-        assert r["path"] and r["reason"]
+    props, _ = infer(plan.root)
+    lineage, _ = infer_lineage(plan.root, table_arity=arity)
+    _, report = rewrite_with(plan.root, props, lineage, arity)
+    _, decisions = rewrite_plan(plan.root, table_arity=arity)
+    assert report == decisions
+    applied = [d for d in report if d.applied]
+    assert {d.kind for d in applied} == {"filter-pushdown",
+                                         "narrow-exchange"}
+    for d in report:
+        assert d.path and d.reason
