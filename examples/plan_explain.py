@@ -1,14 +1,17 @@
 """Reproduce Figure 1: the optimizer's physical plan for PageRank.
 
 Prints the compiled, optimized plan tree for Listing 1 with cardinality
-estimates, and shows the optimizer's working on a flat OLAP query
-(predicate placement, pre-aggregation pushdown, candidate counts).
+estimates, shows the optimizer's working on a flat OLAP query
+(predicate placement, pre-aggregation pushdown, candidate counts), and
+runs the static analyzer over that query and over the hand-wired
+Figure 1 plan.
 
 Run:  python examples/plan_explain.py
 """
 
 from repro import Cluster, RQLSession
-from repro.algorithms import PRAgg
+from repro.algorithms import PRAgg, pagerank_plan
+from repro.analysis import analyze
 from repro.datasets import dbpedia_like, lineitem
 from repro.datasets.tpch import LINEITEM_SCHEMA
 from repro.optimizer import Optimizer, explain
@@ -53,6 +56,16 @@ def main() -> None:
           f"considered, {report.candidates_pruned} pruned, best cost "
           f"{report.best_cost:.6f}s):")
     print(explain(best, optimizer.estimator))
+
+    print("\n== static analysis ==")
+    report = session.analyze(
+        "SELECT linenumber, sum(tax), count(*) FROM lineitem "
+        "WHERE quantity > 25 GROUP BY linenumber")
+    print(f"the OLAP query: {len(report)} finding(s), {report.codes()}")
+    # A hand-wired physical plan goes through the same analyzer.
+    report = analyze(pagerank_plan(mode="delta"))
+    print(f"the Figure 1 plan: {len(report)} finding(s), {report.codes()}")
+    assert not report.has_errors(), report.format()
 
 
 if __name__ == "__main__":

@@ -58,6 +58,22 @@ def main() -> None:
     for row in sorted(result.rows):
         print(f"  order {row[0]}: {row[1]}")
 
+    print("\n== table-valued UDF (a dependent join) ==")
+
+    @udf(in_types=["Varchar"], out_types=["part:Varchar"],
+         table_valued=True)
+    def name_parts(name):
+        return [(part,) for part in name.split("-")]
+
+    session.register(name_parts)
+    result = session.execute(
+        "SELECT custId, name_parts(name).{part} FROM customers "
+        "WHERE custId < 2")
+    for cust, part in sorted(result.rows):
+        print(f"  customer {cust}: {part}")
+    assert sorted(result.rows) == [(0, "0"), (0, "customer"),
+                                   (1, "1"), (1, "customer")]
+
     print("\n== the optimizer's chosen plan ==")
     print(session.explain(
         "SELECT name, sum(amount) FROM orders, customers "

@@ -27,9 +27,7 @@ from repro.common import (
     DeltaOp,
     Schema,
     SQLType,
-    delete,
     insert,
-    replace,
     update,
 )
 from repro.rql import RQLSession
@@ -61,8 +59,6 @@ __all__ = [
     "Delta",
     "DeltaOp",
     "insert",
-    "delete",
-    "replace",
     "update",
     "Schema",
     "SQLType",

@@ -56,13 +56,19 @@ def analyze_logical(root: LNode) -> DiagnosticReport:
     return analyze_plan(root).report
 
 
-def analyze_physical(plan: Union[PhysicalPlan, PNode]) -> DiagnosticReport:
-    """Run the structural passes over a physical plan (or bare tree)."""
+def analyze_physical(plan: Union[PhysicalPlan, PNode],
+                     table_arity: Optional[Dict[str, int]] = None
+                     ) -> DiagnosticReport:
+    """Run the structural passes over a physical plan (or bare tree).
+
+    ``table_arity`` maps a table to its width, as the executor reads it
+    from the catalog; without it a scan's width is unknown and no
+    exchange is narrowed (REX406)."""
     root, _ = split_plan(plan)
     report = DiagnosticReport()
     for rule in PHYSICAL_PASSES:
         rule(root, report.add)
-    return _dataflow(plan, report).report
+    return _dataflow(plan, report, table_arity).report
 
 
 def _dataflow(plan: Union[PhysicalPlan, PNode], report: DiagnosticReport,

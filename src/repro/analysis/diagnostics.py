@@ -177,10 +177,6 @@ class Diagnostic:
             raise ValueError(f"unknown diagnostic code {self.code!r}; "
                              f"register it in repro.analysis.diagnostics")
 
-    @property
-    def title(self) -> str:
-        return CODES[self.code][1]
-
     def format(self) -> str:
         loc = f" at {self.location}" if self.location else ""
         hint = f"\n    hint: {self.hint}" if self.hint else ""
@@ -253,9 +249,6 @@ class DiagnosticReport:
     def codes(self) -> List[str]:
         return sorted({d.code for d in self.diagnostics})
 
-    def by_code(self, code: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def sorted(self) -> "DiagnosticReport":
         """Errors first, then warnings, then infos; stable within a tier."""
         return DiagnosticReport(sorted(
@@ -279,76 +272,3 @@ class DiagnosticReport:
                 "warnings": len(self.warnings),
             },
         }, indent=indent)
-
-
-#: SARIF severity levels for each :class:`Severity` tier.
-_SARIF_LEVELS = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "note",
-}
-
-
-def to_sarif(report: DiagnosticReport, *, tool_name: str = "repro-analyze",
-             indent: Optional[int] = 2) -> str:
-    """Serialize a report as a SARIF 2.1.0 log (one run).
-
-    Plan-node locations have no file, so they are carried as logical
-    locations (``fullyQualifiedName`` = the plan-node path); lint
-    locations of the form ``file:line`` become physical locations.  The
-    rule catalog lists the full published code set, each with its title
-    and default severity level, so SARIF consumers can surface rules
-    that did not fire on this run.
-    """
-    rules: Dict[str, Dict] = {
-        code: {
-            "id": code,
-            "shortDescription": {"text": title},
-            "defaultConfiguration": {"level": _SARIF_LEVELS[severity]},
-        }
-        for code, (severity, title) in CODES.items()
-    }
-    results: List[Dict] = []
-    for diag in report.sorted():
-        result: Dict = {
-            "ruleId": diag.code,
-            "level": _SARIF_LEVELS[diag.severity],
-            "message": {"text": diag.message},
-        }
-        if diag.hint:
-            result["properties"] = {"hint": diag.hint}
-        if diag.location:
-            head, sep, tail = diag.location.rpartition(":")
-            if sep and tail.isdigit():
-                result["locations"] = [{
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": head},
-                        "region": {"startLine": int(tail)},
-                    },
-                }]
-            else:
-                result["locations"] = [{
-                    "logicalLocations": [{
-                        "fullyQualifiedName": diag.location,
-                        "kind": "member",
-                    }],
-                }]
-        results.append(result)
-    log = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": tool_name,
-                    "informationUri":
-                        "https://example.invalid/repro/docs/analysis.md",
-                    "rules": sorted(rules.values(),
-                                    key=lambda r: r["id"]),
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=indent)

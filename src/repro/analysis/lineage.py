@@ -94,9 +94,6 @@ class Live:
     def join(self, other: "Live") -> "Live":
         return Live(self.cols | other.cols, self.exact and other.exact)
 
-    def widened(self) -> "Live":
-        return Live(self.cols, False)
-
     @property
     def name(self) -> str:
         if not self.exact:

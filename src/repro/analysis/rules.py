@@ -59,10 +59,6 @@ def _walk_with_path(node: LNode, path: str = ""):
         yield from _walk_with_path(child, here)
 
 
-def _subtree_has(node: LNode, kind) -> bool:
-    return any(isinstance(n, kind) for n in node.walk())
-
-
 def _feedbacks(node: LNode) -> List[LFeedback]:
     return [n for n in node.walk() if isinstance(n, LFeedback)]
 

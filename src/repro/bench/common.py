@@ -47,9 +47,6 @@ class Series:
     values: List[float]
     x: Optional[List[float]] = None
 
-    def total(self) -> float:
-        return sum(self.values)
-
     def last(self) -> float:
         return self.values[-1]
 

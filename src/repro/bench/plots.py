@@ -12,19 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.bench.common import FigureResult, Series
 
 _GLYPHS = "*o+x#@%&"
-
-
-def _scale(values: Sequence[float], size: int, log: bool) -> List[int]:
-    if log:
-        values = [math.log10(max(v, 1e-12)) for v in values]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return [round((v - lo) / span * (size - 1)) for v in values]
 
 
 def line_chart(series: List[Series], width: int = 64, height: int = 16,

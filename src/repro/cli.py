@@ -185,7 +185,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-optimize", action="store_true",
                         help="analyze the raw compiler output (exchanges "
                              "are added as the lowering would)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     return parser
 
@@ -196,7 +196,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         description="Run the simulator-invariant linter (REX1xx codes).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     return parser
 
@@ -442,7 +442,6 @@ def _listings(analysis):
 
 
 def main_analyze(argv: List[str]) -> int:
-    from repro.analysis.diagnostics import to_sarif
     from repro.optimizer.fusion import fusion_report
 
     args = build_analyze_parser().parse_args(argv)
@@ -470,8 +469,6 @@ def main_analyze(argv: List[str]) -> int:
         payload["lineage"] = lineage
         payload["rewrites"] = rewrites
         print(json.dumps(payload, indent=2))
-    elif args.format == "sarif":
-        print(to_sarif(report, tool_name="repro-analyze"))
     else:
         print(report.format())
         if properties:
@@ -510,15 +507,12 @@ def main_analyze(argv: List[str]) -> int:
 
 
 def main_lint(argv: List[str]) -> int:
-    from repro.analysis.diagnostics import to_sarif
     from repro.analysis.lint import lint_paths
 
     args = build_lint_parser().parse_args(argv)
     report = lint_paths(args.paths or ["src"])
     if args.format == "json":
         print(report.to_json(indent=2))
-    elif args.format == "sarif":
-        print(to_sarif(report, tool_name="repro-lint"))
     else:
         print(report.format())
     return 1 if report else 0

@@ -189,10 +189,6 @@ class Cluster:
                                         on_bytes_fanout=self._charge_link_fanout)
 
     # -- topology ---------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self.workers)
-
     def node_ids(self) -> List[int]:
         return sorted(self.workers)
 
@@ -268,9 +264,3 @@ class Cluster:
             if t > best:
                 best = t
         return best
-
-    def reset_usage(self) -> None:
-        for w in self.workers.values():
-            w.stratum_usage = ResourceUsage()
-            w.total_usage = ResourceUsage()
-            w.state_bytes = 0

@@ -14,9 +14,7 @@ This package holds the data model every other subsystem builds on:
 from repro.common.deltas import (
     Delta,
     DeltaOp,
-    delete,
     insert,
-    replace,
     update,
 )
 from repro.common.errors import (
@@ -36,8 +34,6 @@ __all__ = [
     "Delta",
     "DeltaOp",
     "insert",
-    "delete",
-    "replace",
     "update",
     "Field",
     "Schema",

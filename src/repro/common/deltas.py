@@ -102,20 +102,6 @@ class Delta:
             return Delta(DeltaOp.REPLACE, row, old=old)
         return Delta(self.op, row, payload=self.payload)
 
-    def inverted(self) -> "Delta":
-        """Return the delta that undoes this one (insert<->delete).
-
-        REPLACE inverts to the reverse replacement.  UPDATE deltas have
-        user-defined semantics and cannot be mechanically inverted.
-        """
-        if self.op is DeltaOp.INSERT:
-            return Delta(DeltaOp.DELETE, self.row)
-        if self.op is DeltaOp.DELETE:
-            return Delta(DeltaOp.INSERT, self.row)
-        if self.op is DeltaOp.REPLACE:
-            return Delta(DeltaOp.REPLACE, self.old, old=self.row)
-        raise ValueError("UPDATE deltas are not mechanically invertible")
-
     def __repr__(self):
         """Compact, annotation-first notation matching the paper's
         Definition 1: ``Δ+(...)``, ``Δ-(...)``, ``Δ->(new|old=...)``,
@@ -187,38 +173,6 @@ def insert(row: Row) -> Delta:
     return Delta(DeltaOp.INSERT, tuple(row))
 
 
-def delete(row: Row) -> Delta:
-    """Build a ``-()`` deletion delta."""
-    return Delta(DeltaOp.DELETE, tuple(row))
-
-
-def replace(old: Row, new: Row) -> Delta:
-    """Build a ``->(t')`` replacement delta: ``new`` replaces ``old``."""
-    return Delta(DeltaOp.REPLACE, tuple(new), old=tuple(old))
-
-
 def update(row: Row, payload: Any) -> Delta:
     """Build a ``δ(E)`` value-update delta with user-interpreted payload."""
     return Delta(DeltaOp.UPDATE, tuple(row), payload=payload)
-
-
-def apply_deltas(rows: set, deltas) -> set:
-    """Apply a sequence of insert/delete/replace deltas to a set of rows.
-
-    This is the *reference semantics* against which stateful operators are
-    property-tested: applying the deltas an operator emits to a materialised
-    copy of its output must equal recomputing the output from scratch.
-    UPDATE deltas are rejected because their meaning is handler-defined.
-    """
-    out = set(rows)
-    for d in deltas:
-        if d.op is DeltaOp.INSERT:
-            out.add(d.row)
-        elif d.op is DeltaOp.DELETE:
-            out.discard(d.row)
-        elif d.op is DeltaOp.REPLACE:
-            out.discard(d.old)
-            out.add(d.row)
-        else:
-            raise ValueError("apply_deltas cannot interpret UPDATE deltas")
-    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SchemaError
 
@@ -41,22 +41,6 @@ class SQLType(enum.Enum):
         if normalized in aliases:
             return aliases[normalized]
         raise SchemaError(f"unknown RQL type: {name!r}")
-
-    def accepts(self, value: Any) -> bool:
-        """Whether a Python value is a legal carrier for this type."""
-        if value is None:
-            return True  # SQL NULL is legal in every type
-        if self is SQLType.INTEGER:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self is SQLType.DOUBLE:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is SQLType.VARCHAR:
-            return isinstance(value, str)
-        if self is SQLType.BOOLEAN:
-            return isinstance(value, bool)
-        if self is SQLType.LIST:
-            return isinstance(value, (list, tuple))
-        return True  # ANY
 
     def is_numeric(self) -> bool:
         return self in (SQLType.INTEGER, SQLType.DOUBLE)
@@ -134,15 +118,6 @@ class Schema:
     def __getitem__(self, i: int) -> Field:
         return self.fields[i]
 
-    def __eq__(self, other):
-        return isinstance(other, Schema) and self.fields == other.fields
-
-    def __hash__(self):
-        return hash(self.fields)
-
-    def names(self) -> List[str]:
-        return [f.name for f in self.fields]
-
     def index_of(self, name: str) -> int:
         """Index of a column by (possibly qualified) name.
 
@@ -171,10 +146,6 @@ class Schema:
     def field(self, name: str) -> Field:
         return self.fields[self.index_of(name)]
 
-    def project(self, names: Sequence[str]) -> "Schema":
-        """Schema of a projection onto ``names`` (order preserved)."""
-        return Schema(self.fields[self.index_of(n)] for n in names)
-
     def concat(self, other: "Schema") -> "Schema":
         """Schema of the concatenation (join output) of two rows."""
         return Schema(self.fields + other.fields)
@@ -182,20 +153,6 @@ class Schema:
     def renamed(self, relation: Optional[str]) -> "Schema":
         """Schema with every field re-qualified to a new relation alias."""
         return Schema(f.renamed(relation) for f in self.fields)
-
-    def validate_row(self, row: Sequence[Any]) -> None:
-        """Check arity and carrier types of a row; raise on mismatch."""
-        if len(row) != len(self.fields):
-            raise SchemaError(
-                f"row arity {len(row)} does not match schema arity "
-                f"{len(self.fields)} ({self})"
-            )
-        for value, field in zip(row, self.fields):
-            if not field.type.accepts(value):
-                raise SchemaError(
-                    f"value {value!r} is not a legal {field.type.value} "
-                    f"for column {field.qualified}"
-                )
 
     def __repr__(self):
         inner = ", ".join(repr(f) for f in self.fields)

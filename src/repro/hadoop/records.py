@@ -9,7 +9,7 @@ accounting uses the same size model as the rest of the repo).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.common.sizes import value_bytes
 from repro.storage.hashing import stable_hash
@@ -62,10 +62,6 @@ class DFSDataset:
 
     def num_records(self) -> int:
         return sum(len(p) for p in self.partitions.values())
-
-    def total_bytes(self) -> int:
-        return sum(record_bytes(r) for p in self.partitions.values()
-                   for r in p)
 
     def __repr__(self):
         return (f"DFSDataset({self.name}, records={self.num_records()}, "

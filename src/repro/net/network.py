@@ -13,7 +13,7 @@ stream).  The receiving side registers a handler per exchange.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
@@ -132,9 +132,6 @@ class SimulatedNetwork:
             self._queue.clear()
             self._queue.extend(kept)
 
-    def revive_node(self, node: int) -> None:
-        self._dead.discard(node)
-
     def send(self, msg: Message) -> None:
         if msg.src in self._dead:
             return  # a dead node cannot transmit
@@ -196,9 +193,6 @@ class SimulatedNetwork:
             elif self._on_bytes is not None:
                 for dst in remotes:
                     self._on_bytes(src, dst, PUNCT_BYTES)
-
-    def pending(self) -> int:
-        return len(self._queue)
 
     def drain(self) -> int:
         """Deliver queued messages until quiescent; returns count delivered.

@@ -24,7 +24,6 @@ from repro.obs.trace import (
     TraceSink,
     Tracer,
     chrome_trace,
-    delta_flow_fingerprint,
     validate_jsonl,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "RingBufferSink",
     "JsonlSink",
     "chrome_trace",
-    "delta_flow_fingerprint",
     "validate_jsonl",
     "explain_analyze",
     "FlightRecorder",

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.deltas import DeltaOp
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import RingBufferSink, Tracer, TraceSink
+from repro.obs.trace import RingBufferSink, Tracer
 
 #: DeltaOp symbol -> registry-safe label.
 KIND_LABELS = {"+": "insert", "-": "delete", "->": "replace", "δ": "update"}
@@ -361,24 +361,14 @@ class ObsContext:
             series(name, capacity=STRATUM_SERIES_CAPACITY).append(
                 stratum, value)
 
-    def record_fixpoint(self, node: int, stratum: int, delta_out: int,
-                        mutable_size: int) -> None:
-        """Per-worker Δ-set / mutable-set sizes over strata."""
-        reg = self.registry
-        reg.series(f"fixpoint.n{node}.delta_out").append(stratum, delta_out)
-        reg.series(f"fixpoint.n{node}.mutable_size").append(
-            stratum, mutable_size)
-
     def checkpoint_write(self, node: int, n_deltas: int,
                          n_replicas: int) -> None:
-        self.registry.counter("checkpoint.deltas_replicated").inc(n_deltas)
         self.tracer.instant("checkpoint.write", "checkpoint", node,
                             stratum=self.stratum, deltas=n_deltas,
                             replicas=n_replicas)
 
     def checkpoint_restore(self, victim: int, rows_restored: int,
                            rows_reread: int) -> None:
-        self.registry.counter("checkpoint.rows_restored").inc(rows_restored)
         self.tracer.instant("checkpoint.restore", "checkpoint", victim,
                             stratum=self.stratum, restored=rows_restored,
                             reread=rows_reread)

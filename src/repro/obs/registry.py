@@ -7,14 +7,13 @@ naming scheme (see docs/observability.md):
 
 * ``op.n<node>.<Operator#k>.tuples_in`` — per-operator dataflow counters;
 * ``net.exchange.<exchange>.bytes`` — per-channel traffic;
-* ``fixpoint.n<node>.delta_out`` — per-worker Δ-set sizes (a series);
 * ``stratum.<metric>`` — one series per number of a stratum's
   :class:`~repro.cluster.metrics.IterationMetrics` (``seconds``,
   ``bytes_sent``, ``delta_count``, ``mutable_size``,
   ``tuples_processed``) plus the fabric's ``inflight_peak``;
 * ``node.n<node>.stratum_seconds`` — each node's own simulated seconds
   per stratum (a series: the skew view);
-* ``checkpoint.*`` / ``sanitizer.*`` — checkpoint and sanitizer counters.
+* ``sanitizer.*`` — sanitizer counters.
 
 Series are indexed by stratum.
 
@@ -29,16 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count, synced by assigning ``value``."""
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
 
     def snapshot(self):
         return self.value
@@ -95,9 +91,6 @@ class Series:
     def values(self) -> List[float]:
         return [v for _, v in self.points]
 
-    def last(self) -> Optional[float]:
-        return self.points[-1][1] if self.points else None
-
     def snapshot(self):
         return list(self.points)
 
@@ -145,18 +138,6 @@ class MetricsRegistry:
         """Look up an instrument without creating it (None if absent)."""
         return self._instruments.get(name)
 
-    def reset(self) -> None:
-        """Drop every instrument — reuse one registry across queries."""
-        self._instruments.clear()
-
-    def remove(self, prefix: str) -> int:
-        """Drop every instrument whose name starts with ``prefix``;
-        returns how many were removed."""
-        doomed = [n for n in self._instruments if n.startswith(prefix)]
-        for n in doomed:
-            del self._instruments[n]
-        return len(doomed)
-
     def names(self, prefix: str = "") -> List[str]:
         return sorted(n for n in self._instruments if n.startswith(prefix))
 
@@ -164,6 +145,3 @@ class MetricsRegistry:
         """A plain-data dump of every instrument under ``prefix``."""
         return {n: self._instruments[n].snapshot()
                 for n in self.names(prefix)}
-
-    def __len__(self):
-        return len(self._instruments)

@@ -25,7 +25,6 @@ simulated node.
 from __future__ import annotations
 
 import json
-import re
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -108,10 +107,6 @@ class JsonlSink(TraceSink):
         self._fh.write(json.dumps(event.to_dict(), sort_keys=True,
                                   default=str))
         self._fh.write("\n")
-
-    def flush(self) -> None:
-        if not getattr(self._fh, "closed", False):
-            self._fh.flush()
 
     def close(self) -> None:
         """Flush buffered lines (idempotent) so error-path dumps — flight
@@ -243,49 +238,3 @@ def validate_jsonl(lines: Iterable[str]) -> int:
             raise ValueError(f"line {i}: complete event without dur")
         count += 1
     return count
-
-
-#: Exchange ids carry a per-attempt uniquifier (``x0.a3``) so restarted
-#: queries never collide with stale handlers; the *logical* channel is the
-#: part before ``.a<N>``.  Canonicalizing it keeps fingerprints comparable
-#: across runs in one process.
-_ATTEMPT_SUFFIX = re.compile(r"\.a\d+\b")
-
-
-def _canon(name: Any) -> Any:
-    return _ATTEMPT_SUFFIX.sub("", name) if isinstance(name, str) else name
-
-
-def delta_flow_fingerprint(events: Iterable[TraceEvent]) -> tuple:
-    """A canonical digest of *what flowed where*, invariant to batching.
-
-    Batch and per-tuple execution produce different numbers of operator
-    events (one per batch vs one per delta) but move the same multiset of
-    deltas through the same operators in the same strata.  The fingerprint
-    therefore aggregates: per (stratum, node, operator, annotation kind)
-    input delta counts, per (stratum, exchange) wire bytes and delta
-    counts, and the ordered stratum boundary sequence.  Operator and
-    exchange names are canonicalized (the per-attempt ``.a<N>`` exchange
-    uniquifier is stripped).  Two runs of the same query in different
-    execution modes must fingerprint identically.
-    """
-    op_counts: Dict[tuple, int] = {}
-    exchange_counts: Dict[tuple, int] = {}
-    strata: List[tuple] = []
-    for ev in events:
-        if ev.cat == "operator":
-            kinds = ev.args.get("kinds") or {}
-            for kind, n in kinds.items():
-                key = (ev.stratum, ev.node,
-                       _canon(ev.args.get("op", ev.name)), kind)
-                op_counts[key] = op_counts.get(key, 0) + n
-        elif ev.cat == "exchange" and ev.name == "send":
-            key = (ev.stratum, _canon(ev.args.get("exchange")))
-            exchange_counts[key] = (exchange_counts.get(key, 0)
-                                    + ev.args.get("deltas", 0))
-        elif ev.cat == "stratum" and ev.name == "stratum.end":
-            strata.append((ev.stratum, ev.args.get("delta_count"),
-                           ev.args.get("bytes_sent")))
-    return (tuple(sorted(op_counts.items())),
-            tuple(sorted(exchange_counts.items())),
-            tuple(strata))

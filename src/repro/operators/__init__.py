@@ -22,7 +22,6 @@ from repro.operators.misc import REQUESTOR_NODE, Collect, ResultSink, Union
 from repro.operators.stateless import (
     ApplyFunction,
     Filter,
-    LocalSource,
     Project,
     TableScan,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "Probe",
     "RuntimeHooks",
     "TableScan",
-    "LocalSource",
     "Filter",
     "Project",
     "ApplyFunction",

@@ -9,12 +9,12 @@ but can create or manipulate annotations in arbitrary ways."
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.common.deltas import Delta, DeltaOp, map_rows, run
 from repro.common.errors import ExecutionError, RecoveryError
 from repro.common.punctuation import Punctuation
-from repro.operators.base import ExecContext, Operator, SourceOperator
+from repro.operators.base import Operator, SourceOperator
 
 
 class TableScan(SourceOperator):
@@ -78,19 +78,6 @@ class TableScan(SourceOperator):
         self.emit_deltas(run(DeltaOp.INSERT, taken))
         if taken:
             self.ctx.worker.charge_disk_seek()
-
-
-class LocalSource(SourceOperator):
-    """A source fed programmatically (tests, Hadoop-wrap input adapters)."""
-
-    def __init__(self, rows_by_stratum=None, name: Optional[str] = None):
-        super().__init__(name or "LocalSource")
-        self.rows_by_stratum = rows_by_stratum or {}
-
-    def run_stratum(self, stratum: int) -> None:
-        rows = self.rows_by_stratum.get(stratum, ())
-        self.emit_deltas(run(DeltaOp.INSERT, map(tuple, rows)))
-        self.forward_punctuation(Punctuation.end_of_stratum(stratum))
 
 
 class Filter(Operator):

@@ -1,10 +1,5 @@
 """Cost-based query optimization (Section 5 of the paper)."""
 
-from repro.optimizer.calibration import (
-    UDFProfile,
-    apply_profile,
-    calibrate_udf,
-)
 from repro.optimizer.cost import (
     CostEstimator,
     Estimate,
@@ -44,9 +39,6 @@ __all__ = [
     "Optimizer",
     "OptimizerReport",
     "CostEstimator",
-    "UDFProfile",
-    "calibrate_udf",
-    "apply_profile",
     "Estimate",
     "EstimationPruned",
     "StatisticsCatalog",

@@ -131,10 +131,8 @@ class CostEstimator:
             return child
         if isinstance(node, LApply):
             child = self.estimate(node.children[0], feedback)
-            calibrated = getattr(node.udf, "calibrated_cost", None)
-            per_call = (calibrated if calibrated is not None
-                        else self.cost.udf_cost_per_tuple(batched=True))
-            child.usage.cpu += child.rows * per_call
+            child.usage.cpu += (child.rows
+                                * self.cost.udf_cost_per_tuple(batched=True))
             # Productivity: table-valued functions fan out.
             child.rows *= max(getattr(node.udf, "selectivity", 1.0), 0.0)
             return child
@@ -168,18 +166,13 @@ class CostEstimator:
     def predicate_cost(self, node: LFilter) -> float:
         """Per-tuple evaluation cost (UDF predicates pay invocation).
 
-        Calibrated profiles (Section 5.1, :mod:`repro.optimizer.
-        calibration`) take precedence; otherwise zero-argument cost-hint
-        shapes scale the default UDC invocation cost."""
+        Zero-argument cost-hint shapes (Section 5.1) scale the default UDC
+        invocation cost."""
         if node.cost_per_tuple is not None:
             return node.cost_per_tuple
         extra = 0.0
         for expr in _walk_expr(node.predicate):
             if isinstance(expr, FuncCall):
-                calibrated = getattr(expr.udf, "calibrated_cost", None)
-                if calibrated is not None:
-                    extra += calibrated
-                    continue
                 hint = getattr(expr.udf, "cost_hint", None)
                 scale = hint() if callable(hint) and _arity0(hint) else 1.0
                 extra += self.cost.udf_cost_per_tuple(batched=True) * scale

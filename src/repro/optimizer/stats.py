@@ -11,7 +11,7 @@ sampled beyond a size cap, like an ANALYZE pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.sizes import row_bytes
 from repro.storage.tables import Catalog, PartitionedTable
@@ -63,8 +63,3 @@ class StatisticsCatalog:
             self._stats[name] = analyze_table(self.catalog.get(name))
         return self._stats[name]
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        if name is None:
-            self._stats.clear()
-        else:
-            self._stats.pop(name, None)

@@ -6,12 +6,6 @@ from repro.runtime.executor import (
     QueryExecutor,
     QueryResult,
 )
-from repro.runtime.termination import (
-    after_iterations,
-    any_of,
-    changed_fraction_below,
-    stable_for,
-)
 from repro.runtime.plan import (
     PApply,
     PCollect,
@@ -34,10 +28,6 @@ __all__ = [
     "QueryResult",
     "ExecOptions",
     "FailureSpec",
-    "after_iterations",
-    "changed_fraction_below",
-    "stable_for",
-    "any_of",
     "PhysicalPlan",
     "PNode",
     "PScan",

@@ -13,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import IterationMetrics, QueryMetrics
@@ -643,14 +643,8 @@ class QueryExecutor:
                     for wp in plans:
                         fp = wp.fixpoint
                         if fp:
-                            out = pending[wp.worker_id] = fp.take_pending(
+                            pending[wp.worker_id] = fp.take_pending(
                                 opts.feedback_mode)
-                            if obs is not None:
-                                # Per-worker Δ-set / mutable-set size series
-                                # (Figures 2-3 at node granularity).
-                                obs.record_fixpoint(wp.worker_id, stratum,
-                                                    len(out),
-                                                    fp.mutable_size())
                 if obs is not None:
                     # Checkpoint traffic is control-plane cost: charge it
                     # to a named system activity, not an operator.

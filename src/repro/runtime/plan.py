@@ -10,7 +10,7 @@ shared instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError  # noqa: F401 — re-exported for callers
@@ -49,9 +49,6 @@ class PFilter(PNode):
     #: UDF invocations per tuple inside the predicate (charged as UDC cost).
     udf_calls: int = 0
 
-    @classmethod
-    def over(cls, child: PNode, predicate) -> "PFilter":
-        return cls(predicate=predicate, children=(child,))
 
 
 @dataclass(frozen=True)

@@ -177,16 +177,3 @@ class RingSnapshot:
             else:
                 raise ReproError("no live nodes remain in partition snapshot")
         return out
-
-    def replicas(self, key: Any, n: int) -> List[int]:
-        """The first ``n`` live nodes clockwise of ``key`` (post-failure
-        routing); ``n`` is clipped to the number of live nodes."""
-        failed = self._failed
-        live = [node for node in self.preference(key) if node not in failed]
-        if not live:
-            raise ReproError("no live nodes remain in partition snapshot")
-        return live[:n]
-
-    def original_replicas(self, key: Any, n: int) -> List[int]:
-        """Replica set ignoring failures — who *held* the checkpoints."""
-        return list(self.preference(key)[:n])

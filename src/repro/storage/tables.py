@@ -120,15 +120,9 @@ class PartitionedTable:
             rows.extend(self.primaries[node].rows)
         return rows
 
-    def total_rows(self) -> int:
-        return sum(len(p) for p in self.primaries.values())
-
-    def total_bytes(self) -> int:
-        return sum(p.bytes for p in self.primaries.values())
-
     def __repr__(self):
         return (f"PartitionedTable({self.name}, key={self.partition_key}, "
-                f"rows={self.total_rows()}, nodes={len(self.primaries)})")
+                f"rows={sum(len(p) for p in self.primaries.values())}, nodes={len(self.primaries)})")
 
 
 class Catalog:
@@ -151,9 +145,6 @@ class Catalog:
 
     def has(self, name: str) -> bool:
         return name in self._tables
-
-    def drop(self, name: str) -> None:
-        self._tables.pop(name, None)
 
     def names(self) -> List[str]:
         return sorted(self._tables)

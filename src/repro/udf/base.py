@@ -18,7 +18,7 @@ feeds predicate-rank ordering.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import UDFError
 from repro.common.schema import SQLType
@@ -69,10 +69,6 @@ class UDF:
         self.name = self.name or type(self).__name__
         self.input_fields = _parse_types(self.in_types)
         self.output_fields = _parse_types(self.out_types)
-
-    @property
-    def arity(self) -> int:
-        return len(self.input_fields)
 
     def evaluate(self, *args):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -159,8 +155,8 @@ class CachingUDF(UDF):
     """Memoizing wrapper for deterministic functions (Section 5.1).
 
     "Functions can be marked as volatile or deterministic: for deterministic
-    functions, REX will cache and reuse values."  Cache statistics are
-    exposed so the optimizer's calibration can observe hit rates.
+    functions, REX will cache and reuse values."  ``hits`` and ``misses``
+    count cache lookups.
     """
 
     def __init__(self, inner: UDF, max_entries: int = 1 << 16):
@@ -196,7 +192,3 @@ class CachingUDF(UDF):
             self._cache[key] = value
         return value
 
-    @property
-    def hit_rate(self) -> float:
-        calls = self.hits + self.misses
-        return self.hits / calls if calls else 0.0

@@ -10,7 +10,7 @@ function/aggregator can be dropped in without ceremony (see
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import UDFError
 from repro.udf.aggregates import Aggregator, JoinDeltaHandler, WhileDeltaHandler
@@ -68,20 +68,15 @@ class UDFRegistry:
             return builtin()
         raise UDFError(f"unknown aggregate: {name!r}")
 
-    def join_handler(self, name: str) -> JoinDeltaHandler:
-        """A *fresh* handler instance (handlers hold per-worker state)."""
-        return self.join_handler_factory(name)()
-
     def join_handler_factory(self, name: str) -> Callable[[], JoinDeltaHandler]:
+        """Makes a *fresh* handler instance per call (handlers hold
+        per-worker state)."""
         prototype = self._join_handlers.get(name.lower())
         if prototype is None:
             raise UDFError(f"unknown join delta handler: {name!r}")
         # Deep-copying a registered prototype preserves constructor
         # arguments (e.g. PRAgg's tolerance) while isolating worker state.
         return lambda: copy.deepcopy(prototype)
-
-    def while_handler(self, name: str) -> WhileDeltaHandler:
-        return self.while_handler_factory(name)()
 
     def while_handler_factory(self, name: str) -> Callable[[], WhileDeltaHandler]:
         prototype = self._while_handlers.get(name.lower())

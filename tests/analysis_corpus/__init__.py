@@ -553,7 +553,7 @@ def lineage_blocked_pushdown_impure() -> PNode:
     """A filter above an exchange whose predicate calls outside the pure
     whitelist: pushdown must be declined -> REX404."""
     ex = PRehash.by(PScan("edges"), _key0)
-    return PCollect(children=(PFilter.over(ex, _noisy_pred),))
+    return PCollect(children=(PFilter(predicate=_noisy_pred, children=(ex,)),))
 
 
 def lineage_blocked_narrowing_polarity() -> PNode:
@@ -570,7 +570,7 @@ def lineage_pushdown_license() -> PNode:
     """A pure exactly-read predicate above an insert-only exchange:
     pushdown is licensed -> REX405."""
     ex = PRehash.by(PScan("edges"), _key0)
-    return PCollect(children=(PFilter.over(ex, _pos_weight),))
+    return PCollect(children=(PFilter(predicate=_pos_weight, children=(ex,)),))
 
 
 def lineage_narrowable_exchange() -> PNode:

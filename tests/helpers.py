@@ -1,8 +1,9 @@
-"""Shared test scaffolding: a standalone exec context, a scripted source
-and a capture sink."""
+"""Shared test scaffolding: a standalone exec context, a scripted source,
+a capture sink, the ``-()``/``->(t')`` delta constructors and the set
+semantics of a delta stream."""
 
 from repro.cluster import CostModel, Worker
-from repro.common.deltas import Delta
+from repro.common.deltas import Delta, DeltaOp
 from repro.common.punctuation import Punctuation
 from repro.operators import ExecContext, Operator, SourceOperator
 
@@ -58,3 +59,35 @@ def wire(*chain):
     for op in chain:
         op.open(ctx)
     return ctx
+
+
+def delete(row) -> Delta:
+    """Build a ``-()`` deletion delta."""
+    return Delta(DeltaOp.DELETE, tuple(row))
+
+
+def replace(old, new) -> Delta:
+    """Build a ``->(t')`` replacement delta: ``new`` replaces ``old``."""
+    return Delta(DeltaOp.REPLACE, tuple(new), old=tuple(old))
+
+
+def apply_deltas(rows: set, deltas) -> set:
+    """Apply a sequence of insert/delete/replace deltas to a set of rows.
+
+    This is the reference semantics against which stateful operators are
+    property-tested: applying the deltas an operator emits to a materialised
+    copy of its output must equal recomputing the output from scratch.
+    UPDATE deltas are rejected because their meaning is handler-defined.
+    """
+    out = set(rows)
+    for d in deltas:
+        if d.op is DeltaOp.INSERT:
+            out.add(d.row)
+        elif d.op is DeltaOp.DELETE:
+            out.discard(d.row)
+        elif d.op is DeltaOp.REPLACE:
+            out.discard(d.old)
+            out.add(d.row)
+        else:
+            raise ValueError("apply_deltas cannot interpret UPDATE deltas")
+    return out

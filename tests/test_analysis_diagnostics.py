@@ -55,9 +55,6 @@ class TestDiagnostic:
         assert "REX005" in text and "GroupBy" in text \
             and "add a rehash" in text
 
-    def test_title_comes_from_catalog(self):
-        assert "rehash" in make("REX006", "x").title
-
 
 class TestReport:
     def _report(self):
@@ -74,7 +71,6 @@ class TestReport:
         assert [d.code for d in r.errors] == ["REX001"]
         assert len(r.warnings) == 2
         assert r.codes() == ["REX001", "REX006", "REX007"]
-        assert len(r.by_code("REX006")) == 1
 
     def test_sorted_puts_errors_first(self):
         ordered = self._report().sorted()

@@ -34,7 +34,6 @@ from repro.cluster import CostModel
 class TestCommonHelpers:
     def test_series_accessors(self):
         s = Series("x", [1.0, 2.0, 3.0])
-        assert s.total() == 6.0
         assert s.last() == 3.0
 
     def test_figure_result_get(self):
@@ -72,7 +71,7 @@ class TestCommonHelpers:
             base.hadoop_job_startup
 
     def test_fresh_cluster(self):
-        assert fresh_cluster(3).num_nodes == 3
+        assert fresh_cluster(3).node_ids() == [0, 1, 2]
 
 
 class TestFigureRegistry:

@@ -240,57 +240,3 @@ class TestAnalyzeAndLintFormats:
             "json payload must list rewrite decisions (possibly empty)")
         for dec in payload["rewrites"]:
             assert {"path", "kind", "applied", "reason"} <= set(dec)
-
-    def test_analyze_sarif_shape(self, edges_csv, capsys):
-        doc = self._analyze(edges_csv, capsys, "sarif")
-        assert doc["version"] == "2.1.0"
-        assert "sarif-schema-2.1.0" in doc["$schema"]
-        (run,) = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-analyze"
-        rule_ids = {r["id"] for r in driver["rules"]}
-        # the REX40x lineage rules ship with full SARIF rule metadata
-        lineage_rules = [r for r in driver["rules"]
-                         if r["id"].startswith("REX4")]
-        assert {r["id"] for r in lineage_rules} == {
-            f"REX40{i}" for i in range(8)}
-        for rule in lineage_rules:
-            assert rule["shortDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] in (
-                "note", "warning", "error")
-        assert run["results"], "graph group-by yields polarity verdicts"
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids
-            assert result["level"] in ("note", "warning", "error")
-            assert result["message"]["text"]
-            for loc in result.get("locations", []):
-                assert "physicalLocation" in loc \
-                    or loc["logicalLocations"][0]["fullyQualifiedName"]
-        # the insert-only scan feeding the group-by is a REX300 proof
-        assert any(r["ruleId"].startswith("REX3") for r in run["results"])
-
-    def test_lint_sarif_shape(self, tmp_path, capsys):
-        import json as _json
-
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\n\n\ndef stamp():\n"
-                       "    return time.time()\n")
-        rc = main(["lint", "--format", "sarif", str(bad)])
-        assert rc == 1
-        doc = _json.loads(capsys.readouterr().out)
-        (run,) = doc["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        result = next(r for r in run["results"] if r["ruleId"] == "REX102")
-        region = result["locations"][0]["physicalLocation"]
-        assert region["artifactLocation"]["uri"] == str(bad)
-        assert region["region"]["startLine"] >= 1
-
-    def test_lint_sarif_clean_run_is_valid(self, tmp_path, capsys):
-        import json as _json
-
-        ok = tmp_path / "ok.py"
-        ok.write_text("x = 1\n")
-        rc = main(["lint", "--format", "sarif", str(ok)])
-        assert rc == 0
-        doc = _json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"] == []

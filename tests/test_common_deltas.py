@@ -3,11 +3,13 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import Delta, DeltaOp, delete, insert, replace, update
-from repro.common.deltas import apply_deltas, map_rows, run
+from repro.common import Delta, DeltaOp, insert, update
+from repro.common.deltas import map_rows, run
+
+from helpers import apply_deltas, delete, replace
 
 rows = st.tuples(st.integers(), st.integers())
 
@@ -72,26 +74,6 @@ class TestWithRow:
         assert d2.row == (2,) and d2.old == (1,)
 
 
-class TestInversion:
-    def test_insert_inverts_to_delete(self):
-        assert insert((1,)).inverted() == delete((1,))
-
-    def test_delete_inverts_to_insert(self):
-        assert delete((1,)).inverted() == insert((1,))
-
-    def test_replace_inverts_to_reverse_replace(self):
-        assert replace((1,), (2,)).inverted() == replace((2,), (1,))
-
-    def test_update_is_not_invertible(self):
-        with pytest.raises(ValueError):
-            update((1,), payload=1).inverted()
-
-    @given(rows)
-    def test_double_inversion_is_identity(self, row):
-        d = insert(row)
-        assert d.inverted().inverted() == d
-
-
 class TestApplyDeltas:
     def test_insert_delete_replace(self):
         out = apply_deltas({(1,)}, [insert((2,)), delete((1,)),
@@ -110,19 +92,6 @@ class TestApplyDeltas:
         """Inserting rows then deleting them restores the base set."""
         deltas = [insert(r) for r in extra] + [delete(r) for r in extra]
         assert apply_deltas(base, deltas) == base - set(extra)
-
-    @given(st.sets(rows, max_size=20))
-    @example(base={(98, 98)})
-    @example(base={(99, 99)})
-    def test_inverted_sequence_undoes(self, base):
-        """Undo restores every row the sequence did not touch. A set keeps no
-        multiplicity, so a touched row already in ``base`` is not remembered:
-        the inverse removes it too."""
-        forward = [insert((99, 99)), replace((99, 99), (98, 98))]
-        applied = apply_deltas(base, forward)
-        restored = apply_deltas(applied, [d.inverted() for d in reversed(forward)])
-        assert restored == base - {(98, 98), (99, 99)}
-
 
 class TestRepr:
     """The repr is compact and annotation-explicit: the kind symbol leads,

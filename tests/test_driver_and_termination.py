@@ -1,22 +1,14 @@
-"""Generic wrapped-job driver templates and explicit termination helpers."""
+"""Generic wrapped-job driver templates."""
 
 import pytest
 
-from repro.algorithms import make_start_table, run_pagerank, run_sssp
 from repro.cluster import Cluster
 from repro.common.errors import PlanError
-from repro.datasets import dbpedia_like, lineitem
+from repro.datasets import lineitem
 from repro.datasets.tpch import LINEITEM_SCHEMA
 from repro.hadoop import run_wrapped_jobs, simple_agg_job, wrap_job_chain
 from repro.hadoop.jobs import MapReduceJob, Mapper, Reducer
-from repro.runtime import (
-    ExecOptions,
-    PScan,
-    after_iterations,
-    any_of,
-    changed_fraction_below,
-    stable_for,
-)
+from repro.runtime import PScan
 
 
 class TestWrapJobTemplate:
@@ -70,46 +62,3 @@ class TestWrapJobTemplate:
         with pytest.raises(PlanError):
             wrap_job_chain([], PScan("t"))
 
-
-EDGES = dbpedia_like(400, avg_out_degree=5, seed=91)
-
-
-def graph_cluster():
-    cluster = Cluster(3)
-    cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         EDGES, "srcId")
-    return cluster
-
-
-class TestTerminationHelpers:
-    def test_after_iterations(self):
-        opts = ExecOptions(termination=after_iterations(3))
-        _, m = run_pagerank(graph_cluster(), tol=0.0, options=opts)
-        assert m.num_iterations == 4  # strata 0..3
-
-    def test_changed_fraction_below(self):
-        """The paper's explicit condition: stop when <10% of pages moved
-        by more than 1% between consecutive iterations."""
-        opts = ExecOptions(
-            termination=changed_fraction_below(0.10, value_index=1,
-                                               tol=0.01))
-        _, explicit_m = run_pagerank(graph_cluster(), tol=0.0, options=opts)
-        _, full_m = run_pagerank(graph_cluster(), tol=0.0)
-        assert explicit_m.num_iterations < full_m.num_iterations
-
-    def test_stable_for(self):
-        cluster = graph_cluster()
-        make_start_table(cluster, 0)
-        opts = ExecOptions(termination=stable_for(2))
-        dists, m = run_sssp(cluster, options=opts)
-        # Stability tracking must not cut the computation short.
-        from repro.algorithms import sssp_reference
-
-        assert {v: d for v, (_, d) in dists.items()} == {
-            v: float(d) for v, d in sssp_reference(EDGES, 0).items()}
-
-    def test_any_of(self):
-        opts = ExecOptions(termination=any_of(after_iterations(100),
-                                              after_iterations(2)))
-        _, m = run_pagerank(graph_cluster(), tol=0.0, options=opts)
-        assert m.num_iterations == 3

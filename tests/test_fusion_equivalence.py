@@ -57,7 +57,7 @@ def _chain_plan():
     chain = PApply(udf_factory=lambda: (lambda v: v * 2.0),
                    arg_fn=lambda r: (r[2],), mode="extend",
                    children=(PProject.over(
-                       PFilter.over(PScan("t"), lambda r: r[1] != 3),
+                       PFilter(predicate=lambda r: r[1] != 3, children=(PScan("t"),)),
                        lambda r: (r[0], r[1], r[2] + 1.0)),))
     return PhysicalPlan(chain)
 
@@ -130,7 +130,7 @@ def test_chain_feeding_rehash_fuses_local_half():
                                                  arg=lambda r: r[2])],
             children=(PRehash.by(
                 PProject.over(
-                    PFilter.over(PScan("t"), lambda r: r[1] != 3),
+                    PFilter(predicate=lambda r: r[1] != 3, children=(PScan("t"),)),
                     lambda r: (r[0], r[1], r[2] * 2.0)),
                 lambda r: (r[1],)),),
         ))
@@ -178,10 +178,10 @@ def test_stateful_operator_breaks_chain():
 
 
 def test_exchange_boundary_terminates_chain():
-    root = PFilter.over(
-        PProject.over(PRehash.by(PScan("t"), lambda r: (r[0],)),
-                      lambda r: r),
-        lambda r: True)
+    root = PFilter(
+        predicate=lambda r: True,
+        children=(PProject.over(PRehash.by(PScan("t"), lambda r: (r[0],)),
+                                lambda r: r),))
     _, decisions = fuse_plan(root)
     assert len(decisions) == 1
     assert decisions[0].fused
@@ -191,7 +191,8 @@ def test_exchange_boundary_terminates_chain():
 def test_multi_input_operator_terminates_chain():
     join = PJoin(left_key=lambda r: (r[0],), right_key=lambda r: (r[0],),
                  children=(PScan("a"), PScan("b")))
-    root = PProject.over(PFilter.over(join, lambda r: True), lambda r: r)
+    root = PProject.over(PFilter(predicate=lambda r: True, children=(join,)),
+                         lambda r: r)
     _, decisions = fuse_plan(root)
     assert len(decisions) == 1
     assert decisions[0].fused

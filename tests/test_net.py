@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.common import insert, replace, update
+from repro.common import insert, update
 from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
 from repro.net import Message, SimulatedNetwork
+
+from helpers import replace
 
 
 def msg(src=0, dst=1, exchange="x", deltas=None, punct=None, meta=None):
@@ -162,7 +164,7 @@ class TestDeadNodes:
         net.register(1, "x", lambda m: None)
         net.unregister_node(0)
         net.send(msg(src=0, dst=1))
-        assert net.pending() == 0
+        assert not net._queue
         assert net.total_bytes == 0
 
     def test_mail_for_the_dead_dropped(self):
@@ -172,14 +174,6 @@ class TestDeadNodes:
         net.unregister_node(1)
         net.observer = _Recorder()
         assert net.drain() == 0
-        assert net.pending() == 0
+        assert not net._queue
         assert [(m.src, m.dst) for m in net.observer.dropped] == [(0, 1)]
         assert net.observer.delivered == []
-
-    def test_revive(self):
-        net = SimulatedNetwork()
-        net.unregister_node(0)
-        net.revive_node(0)
-        net.register(1, "x", lambda m: None)
-        net.send(msg(src=0, dst=1))
-        assert net.drain() == 1

@@ -9,7 +9,7 @@ from repro.obs.registry import MetricsRegistry
 
 def _populated_registry():
     reg = MetricsRegistry()
-    reg.counter("checkpoint.rows_restored").inc(3)
+    reg.counter("sanitizer.checks").value = 3
     reg.gauge("sanitizer.overhead_seconds").set(1.5)
     s = reg.series("stratum.delta_count")
     s.append(0, 10)
@@ -33,8 +33,8 @@ class TestMetricName:
 class TestOpenMetrics:
     def test_counter_rendering(self):
         text = openmetrics(_populated_registry())
-        assert "# TYPE checkpoint_rows_restored counter" in text
-        assert "checkpoint_rows_restored_total 3" in text
+        assert "# TYPE sanitizer_checks counter" in text
+        assert "sanitizer_checks_total 3" in text
 
     def test_gauge_rendering(self):
         text = openmetrics(_populated_registry())
@@ -48,7 +48,7 @@ class TestOpenMetrics:
 
     def test_terminator_and_prefix_filter(self):
         reg = _populated_registry()
-        reg.counter("op.n0.tuples_in").inc()
+        reg.counter("op.n0.tuples_in").value = 1
         text = openmetrics(reg, prefix="stratum.")
         assert text.endswith("# EOF\n")
         assert "op_n0_tuples_in" not in text
@@ -56,7 +56,7 @@ class TestOpenMetrics:
 
     def test_registry_json_round_trips(self):
         doc = json.loads(registry_json(_populated_registry()))
-        assert doc["checkpoint.rows_restored"] == 3
+        assert doc["sanitizer.checks"] == 3
         assert doc["stratum.delta_count"] == [[0, 10], [1, 4]]
 
 

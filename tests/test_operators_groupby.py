@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import DeltaOp, delete, insert, replace, update
+from repro.common import DeltaOp, insert, update
 from repro.common.punctuation import Punctuation
 from repro.operators import GroupBy
 from repro.udf import AggregateSpec, Avg, Count, Min, Sum
 
-from helpers import Capture, wire
+from helpers import Capture, delete, replace, wire
+
 
 EOS = Punctuation.end_of_stratum
 
@@ -174,7 +175,7 @@ def grouped_script(draw):
 def test_groupby_deltas_equal_recomputation(script, n_strata):
     """Deltas spread over several strata still materialize to the same
     grouped output as direct recomputation."""
-    from repro.common.deltas import apply_deltas
+    from helpers import apply_deltas
 
     ops, live = script
     gb, sink = make_groupby()

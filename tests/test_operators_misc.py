@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.common import delete, insert, replace
+from repro.common import insert
 from repro.common.punctuation import Punctuation
 from repro.net import Message
 from repro.operators import (
@@ -16,7 +16,7 @@ from repro.operators import (
 from repro.operators.misc import REQUESTOR_NODE
 from repro.udf import AggregateSpec, Sum
 
-from helpers import Capture, wire
+from helpers import Capture, delete, replace, wire
 
 
 class TestUnion:
@@ -58,9 +58,9 @@ class TestCollect:
     def test_batches_at_threshold(self):
         cluster, collect, sink = self.make(batch_size=2)
         collect.receive(insert((1,)))
-        assert cluster.network.pending() == 0  # buffered
+        assert not cluster.network._queue  # buffered
         collect.receive(insert((2,)))
-        assert cluster.network.pending() == 1  # flushed as one batch
+        assert len(cluster.network._queue) == 1  # flushed as one batch
 
     def test_punctuation_flushes_remainder(self):
         cluster, collect, sink = self.make(batch_size=100)

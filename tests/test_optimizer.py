@@ -56,7 +56,6 @@ class TestStatistics:
         cluster = make_cluster()
         cat = StatisticsCatalog(cluster.catalog)
         assert cat.table("big") is cat.table("big")
-        cat.invalidate("big")
         assert cat.table("big").rows == 2000
 
     def test_unknown_column_defaults_to_rowcount(self):
@@ -120,6 +119,23 @@ class TestCostEstimation:
         cluster = make_cluster()
         cost = self.estimator(cluster).plan_cost(scan(cluster, "big"))
         assert 0 < cost < float("inf")
+
+    def test_udf_cost_hint_and_selectivity_feed_the_predicate(self):
+        """Section 5.1: a zero-argument cost hint scales the UDC
+        invocation cost; the declared selectivity is the pass rate."""
+        @udf(in_types=["Integer"], out_types=["Boolean"], selectivity=0.5,
+             cost_hint=lambda: 3.0)
+        def even(n):
+            return n % 2 == 0
+
+        cluster = make_cluster()
+        estimator = self.estimator(cluster)
+        node = LFilter(scan(cluster, "big"),
+                       FuncCall(even, [ColumnRef("id")]))
+        assert estimator.predicate_cost(node) == pytest.approx(
+            cluster.cost.cpu_tuple_cost
+            + 3.0 * cluster.cost.udf_cost_per_tuple(batched=True))
+        assert estimator.selectivity_of(node) == pytest.approx(0.5)
 
 
 class TestPredicateRankOrdering:

@@ -48,7 +48,8 @@ def impure_projection():
     """A pure filter over a projection whose row function prints: the
     pushdown would run the row function on rows the filter drops."""
     return PCollect(children=(
-        PFilter.over(PProject.over(PScan("t"), _impure_row), _pure_pred),))
+        PFilter(predicate=_pure_pred,
+                children=(PProject.over(PScan("t"), _impure_row),)),))
 
 
 def _catalog_arity(cluster):
@@ -164,7 +165,7 @@ def test_impure_projection_blocks_the_pushdown():
     assert [(d.code, d.location) for d in report
             if d.code in REWRITE_CODES] == [("REX404", "Collect/Filter")]
     assert "projection row function is not provably pure" in \
-        report.by_code("REX404")[0].message
+        next(d for d in report if d.code == "REX404").message
     new_root, decisions = rewrite_plan(root, table_arity={"t": 2})
     assert new_root is root
     assert [d.applied for d in decisions] == [False]

@@ -97,8 +97,8 @@ def _wide_builder():
     # rows across the wire, so narrowing it has observable byte cost.
     cluster.create_table("wide_edges", WIDE_SCHEMA, _wide_rows(), "dst")
     cluster.create_table("seeds", ["node:Integer"], [(0,)], "node")
-    edges = PFilter.over(PRehash.by(PScan("wide_edges"), _vkey),
-                         _even_payload)
+    edges = PFilter(predicate=_even_payload,
+                    children=(PRehash.by(PScan("wide_edges"), _vkey),))
     join = PJoin(left_key=_vkey, right_key=_vkey,
                  children=(edges, PFeedback()))
     recursive = PRehash.by(PProject.over(join, _second_col), _vkey)
@@ -152,7 +152,7 @@ def _impure_pred(row):
 
 def test_impure_predicate_declines_pushdown():
     ex = PRehash.by(PScan("wide_edges"), _vkey)
-    root = PCollect(children=(PFilter.over(ex, _impure_pred),))
+    root = PCollect(children=(PFilter(predicate=_impure_pred, children=(ex,)),))
     new_root, decisions = rewrite_plan(
         root, table_arity={"wide_edges": 8})
     assert new_root is root
@@ -211,3 +211,22 @@ def test_rewrite_report_matches_rewrite_plan():
                                          "narrow-exchange"}
     for d in report:
         assert d.path and d.reason
+
+
+def test_analyzer_with_catalog_widths_reports_the_applied_rewrites():
+    """Given the catalog's widths, ``analyze_physical`` reports REX405 and
+    REX406 exactly where the executor's pass applies a rewrite."""
+    from repro.analysis import analyze_physical
+
+    _, _, ex = _observe(_wide_builder, rewrite=True)
+    cluster, plan, _ = _wide_builder()
+    arity = {n: len(cluster.catalog.get(n).schema.fields)
+             for n in cluster.catalog.names()}
+    report = analyze_physical(plan, table_arity=arity)
+    found = sorted((d.location, d.code) for d in report.diagnostics
+                   if d.code in ("REX405", "REX406"))
+    applied = sorted((d.path, "REX405" if d.kind == "filter-pushdown"
+                      else "REX406")
+                     for d in ex.rewrite_decisions if d.applied)
+    assert found == applied
+    assert {code for _, code in found} == {"REX405", "REX406"}

@@ -43,7 +43,7 @@ class TestSelectShapes:
         node = compile_text("SELECT srcId FROM graph")
         assert isinstance(node, LProject)
         assert isinstance(node.children[0], LScan)
-        assert node.schema.names() == ["srcId"]
+        assert [f.name for f in node.schema] == ["srcId"]
 
     def test_filter_between(self):
         node = compile_text("SELECT srcId FROM graph WHERE destId > 0")
@@ -103,7 +103,7 @@ class TestHandlerJoinShapes:
     def test_handler_schema_from_expansion(self):
         node = compile_text(self.with_query(self.PR_INNER))
         join = next(n for n in node.walk() if isinstance(n, LJoin))
-        assert join.schema.names() == ["nbr", "prDiff"]
+        assert [f.name for f in join.schema] == ["nbr", "prDiff"]
 
     def test_broadcast_handler_join_without_where(self):
         text = ("WITH KM (cid, x, y) AS (SELECT pid, x, y FROM points) "
@@ -129,7 +129,7 @@ class TestWithRecursive:
             "UNION UNTIL FIXPOINT BY vertex "
             "(SELECT vertex, score FROM R)")
         assert isinstance(node, LFixpoint)
-        assert node.schema.names() == ["vertex", "score"]
+        assert [f.name for f in node.schema] == ["vertex", "score"]
         feedback = next(n for n in node.walk() if isinstance(n, LFeedback))
         assert feedback.schema.has("vertex")
 

@@ -199,7 +199,6 @@ class TestDeletePropagationToSink:
         """A group emptied in a later stratum must vanish from the final
         result (deletion flows through collect to the requestor)."""
         from repro.common.deltas import Delta, DeltaOp
-        from repro.operators import LocalSource
         from repro.runtime.plan import PNode
         import dataclasses
 
@@ -222,7 +221,7 @@ class TestDeletePropagationToSink:
 
         gb.receive(insert(("a", 5)))
         gb.on_punctuation(Punctuation.end_of_stratum(0))
-        from repro.common import delete
+        from helpers import delete
 
         gb.receive(delete(("a", 5)))
         gb.on_punctuation(Punctuation.end_of_query(1))

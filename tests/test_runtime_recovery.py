@@ -191,7 +191,7 @@ class TestRepeatedFailures:
         cluster = sssp_cluster(EDGES, n=8)
         snap = cluster.ring.snapshot()
         # Pick a key owned by three distinct nodes and kill exactly those.
-        victims = snap.original_replicas(0, 3)
+        victims = snap.preference(0)[:3]
         opts = ExecOptions(
             failure=[FailureSpec(after_stratum=2 + i, node=n)
                      for i, n in enumerate(victims)],

@@ -84,17 +84,17 @@ class TestHashRing:
     def test_primary_is_first_replica(self):
         snap = HashRing(range(4)).snapshot()
         for k in range(50):
-            assert snap.primary(k) == snap.replicas(k, 3)[0]
+            assert snap.primary(k) == snap.preference(k)[0]
 
     def test_replicas_distinct(self):
         snap = HashRing(range(5)).snapshot()
         for k in range(50):
-            reps = snap.replicas(k, 3)
+            reps = snap.preference(k)[:3]
             assert len(reps) == len(set(reps)) == 3
 
     def test_replication_clipped_to_cluster_size(self):
         snap = HashRing(range(2)).snapshot()
-        assert len(snap.replicas("k", 5)) == 2
+        assert sorted(snap.preference("k")) == [0, 1]
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(ReproError):
@@ -126,7 +126,7 @@ class TestHashRing:
     def test_failed_primary_falls_to_old_replica(self, key):
         """The takeover node for a key was already in its replica set."""
         snap = HashRing(range(6)).snapshot()
-        replicas_before = snap.replicas(key, 3)
+        replicas_before = snap.preference(key)[:3]
         snap.mark_failed(replicas_before[0])
         assert snap.primary(key) == replicas_before[1]
 
@@ -142,7 +142,7 @@ class TestHashRing:
         without = HashRing(survivors).snapshot()
         assert snap.live_nodes() == survivors == list(without.nodes)
         assert snap.primary(key) == without.primary(key)
-        assert (snap.replicas(key, len(NODES))
+        assert ([n for n in snap.preference(key) if n not in dead]
                 == list(without.preference(key)))
 
 
@@ -168,9 +168,9 @@ class TestRingSnapshot:
 
     def test_original_replicas_ignore_failure(self):
         snap = HashRing(range(4)).snapshot()
-        orig = snap.original_replicas("some-key", 3)
+        orig = snap.preference("some-key")[:3]
         snap.mark_failed(orig[0])
-        assert snap.original_replicas("some-key", 3) == orig
+        assert snap.preference("some-key")[:3] == orig
 
     def test_all_failed_raises(self):
         snap = RING.snapshot()
@@ -179,12 +179,8 @@ class TestRingSnapshot:
         for key in ("k", 1, (1,), (1, "a"), None):
             with pytest.raises(ReproError):
                 snap.primary(key)
-            with pytest.raises(ReproError):
-                snap.replicas(key, 2)
             # Who *held* the key is still answerable.
             assert list(snap.preference(key)) == reference_walk(NODES, key)
-            assert snap.original_replicas(key, 2) == reference_walk(
-                NODES, key)[:2]
 
     @given(st.lists(placement_keys, min_size=1, max_size=8), dead_subsets)
     def test_every_view_agrees_with_the_oracle(self, keys, dead):
@@ -199,9 +195,6 @@ class TestRingSnapshot:
                 live = [n for n in order if n not in failed]
                 assert snap.preference(key) == tuple(order)
                 assert snap.primary(key) == live[0]
-                for n in range(len(NODES) + 3):
-                    assert snap.replicas(key, n) == live[:n]
-                    assert snap.original_replicas(key, n) == order[:n]
 
     @pytest.mark.parametrize("first, second", itertools.permutations(
         [1, True, 1.0, (1,), (True,), ((1,),)], 2))
@@ -223,9 +216,6 @@ class TestRingSnapshot:
             snap.mark_failed(node)
         assert snap.preference((value,)) == snap.preference(value)
         assert snap.primary((value,)) == snap.primary(value)
-        assert snap.replicas((value,), 3) == snap.replicas(value, 3)
-        assert (snap.original_replicas((value,), 3)
-                == snap.original_replicas(value, 3))
 
 
 # Keys equal as dict keys but not all equal on the ring.

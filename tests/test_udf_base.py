@@ -16,7 +16,7 @@ class TestUdfDecorator:
 
         assert double(4) == 8
         assert double.name == "double"
-        assert double.arity == 1
+        assert len(double.input_fields) == 1
 
     def test_arity_enforced(self):
         @udf(in_types=["Integer", "Integer"])
@@ -54,7 +54,7 @@ class TestIntrospection:
         fn = introspect_udf(Tripler)
         assert fn(2) == 6
         assert fn.name == "Tripler"
-        assert fn.arity == 1
+        assert len(fn.input_fields) == 1
 
     def test_plain_callable(self):
         fn = introspect_udf(lambda x: x + 1)
@@ -86,7 +86,6 @@ class TestCachingUDF:
         assert cached(3) == 9
         assert calls == [3]
         assert cached.hits == 1 and cached.misses == 1
-        assert cached.hit_rate == 0.5
 
     def test_rejects_volatile(self):
         @udf(deterministic=False)
@@ -151,7 +150,7 @@ class TestRegistry:
 
         reg = UDFRegistry()
         reg.register(H)
-        assert isinstance(reg.join_handler("H"), H)
+        assert isinstance(reg.join_handler_factory("H")(), H)
         assert reg.is_join_handler("h")
 
     def test_while_handler_dispatch(self):
@@ -161,7 +160,7 @@ class TestRegistry:
 
         reg = UDFRegistry()
         reg.register(W)
-        assert isinstance(reg.while_handler("w"), W)
+        assert isinstance(reg.while_handler_factory("w")(), W)
 
     def test_duplicate_rejected(self):
         reg = UDFRegistry()
@@ -176,6 +175,6 @@ class TestRegistry:
         with pytest.raises(UDFError):
             reg.aggregator("nope")
         with pytest.raises(UDFError):
-            reg.join_handler("nope")
+            reg.join_handler_factory("nope")
         with pytest.raises(UDFError):
-            reg.while_handler("nope")
+            reg.while_handler_factory("nope")
