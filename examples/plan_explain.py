@@ -62,8 +62,10 @@ def main() -> None:
         "SELECT linenumber, sum(tax), count(*) FROM lineitem "
         "WHERE quantity > 25 GROUP BY linenumber")
     print(f"the OLAP query: {len(report)} finding(s), {report.codes()}")
-    # A hand-wired physical plan goes through the same analyzer.
-    report = analyze(pagerank_plan(mode="delta"))
+    # A hand-wired physical plan goes through the same analyzer, with the
+    # catalog's table widths the executor's rewrite pass reads.
+    report = analyze(pagerank_plan(mode="delta"),
+                     table_arity=cluster.catalog.widths())
     print(f"the Figure 1 plan: {len(report)} finding(s), {report.codes()}")
     assert not report.has_errors(), report.format()
 

@@ -27,7 +27,9 @@ from repro.common import (
     DeltaOp,
     Schema,
     SQLType,
+    delete,
     insert,
+    replace,
     update,
 )
 from repro.rql import RQLSession
@@ -59,6 +61,8 @@ __all__ = [
     "Delta",
     "DeltaOp",
     "insert",
+    "delete",
+    "replace",
     "update",
     "Schema",
     "SQLType",

@@ -84,8 +84,11 @@ def _dataflow(plan: Union[PhysicalPlan, PNode], report: DiagnosticReport,
     return PlanAnalysis(report, plan, properties, lineage, rewrites)
 
 
-def analyze(plan: Union[LNode, PhysicalPlan, PNode]) -> DiagnosticReport:
-    """Analyze a logical tree, physical plan, or bare physical tree."""
+def analyze(plan: Union[LNode, PhysicalPlan, PNode],
+            table_arity: Optional[Dict[str, int]] = None) -> DiagnosticReport:
+    """Analyze a logical tree, physical plan, or bare physical tree.  A
+    logical tree reads its widths from its scans; ``table_arity`` gives
+    them for a physical one (see :func:`analyze_physical`)."""
     if isinstance(plan, LNode):
         return analyze_logical(plan)
-    return analyze_physical(plan)
+    return analyze_physical(plan, table_arity)

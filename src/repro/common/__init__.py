@@ -14,7 +14,9 @@ This package holds the data model every other subsystem builds on:
 from repro.common.deltas import (
     Delta,
     DeltaOp,
+    delete,
     insert,
+    replace,
     update,
 )
 from repro.common.errors import (
@@ -34,6 +36,8 @@ __all__ = [
     "Delta",
     "DeltaOp",
     "insert",
+    "delete",
+    "replace",
     "update",
     "Field",
     "Schema",

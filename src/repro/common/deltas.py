@@ -173,6 +173,16 @@ def insert(row: Row) -> Delta:
     return Delta(DeltaOp.INSERT, tuple(row))
 
 
+def delete(row: Row) -> Delta:
+    """Build a ``-()`` deletion delta."""
+    return Delta(DeltaOp.DELETE, tuple(row))
+
+
+def replace(old: Row, new: Row) -> Delta:
+    """Build a ``->(t')`` replacement delta: ``new`` replaces ``old``."""
+    return Delta(DeltaOp.REPLACE, tuple(new), old=tuple(old))
+
+
 def update(row: Row, payload: Any) -> Delta:
     """Build a ``δ(E)`` value-update delta with user-interpreted payload."""
     return Delta(DeltaOp.UPDATE, tuple(row), payload=payload)

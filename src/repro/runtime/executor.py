@@ -312,12 +312,8 @@ class QueryExecutor:
             # stateless chains fusion collapses.  Imported lazily like
             # fusion below.
             from repro.optimizer.rewrite import rewrite_plan
-            table_arity = {
-                name: len(self.cluster.catalog.get(name).schema.fields)
-                for name in self.cluster.catalog.names()
-            }
             exec_root, self.rewrite_decisions = rewrite_plan(
-                exec_root, table_arity=table_arity)
+                exec_root, table_arity=self.cluster.catalog.widths())
         self.fusion_decisions = []
         if self.options.fuse:
             # Imported lazily: repro.optimizer pulls in planner modules

@@ -50,7 +50,6 @@ class PFilter(PNode):
     udf_calls: int = 0
 
 
-
 @dataclass(frozen=True)
 class PProject(PNode):
     row_fn: Callable[[tuple], tuple]

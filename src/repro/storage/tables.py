@@ -122,7 +122,8 @@ class PartitionedTable:
 
     def __repr__(self):
         return (f"PartitionedTable({self.name}, key={self.partition_key}, "
-                f"rows={sum(len(p) for p in self.primaries.values())}, nodes={len(self.primaries)})")
+                f"rows={sum(len(p) for p in self.primaries.values())}, "
+                f"nodes={len(self.primaries)})")
 
 
 class Catalog:
@@ -148,3 +149,7 @@ class Catalog:
 
     def names(self) -> List[str]:
         return sorted(self._tables)
+
+    def widths(self) -> Dict[str, int]:
+        """Each table's column count, as the rewrite pass reads it."""
+        return {name: len(t.schema.fields) for name, t in self._tables.items()}

@@ -83,7 +83,7 @@ class UDF:
 
     def __repr__(self):
         kind = "TVF" if self.table_valued else "UDF"
-        return f"{kind}({self.name}/{self.arity})"
+        return f"{kind}({self.name}/{len(self.input_fields)})"
 
 
 class _FunctionUDF(UDF):

@@ -1,6 +1,5 @@
 """Shared test scaffolding: a standalone exec context, a scripted source,
-a capture sink, the ``-()``/``->(t')`` delta constructors and the set
-semantics of a delta stream."""
+a capture sink and the set semantics of a delta stream."""
 
 from repro.cluster import CostModel, Worker
 from repro.common.deltas import Delta, DeltaOp
@@ -59,16 +58,6 @@ def wire(*chain):
     for op in chain:
         op.open(ctx)
     return ctx
-
-
-def delete(row) -> Delta:
-    """Build a ``-()`` deletion delta."""
-    return Delta(DeltaOp.DELETE, tuple(row))
-
-
-def replace(old, new) -> Delta:
-    """Build a ``->(t')`` replacement delta: ``new`` replaces ``old``."""
-    return Delta(DeltaOp.REPLACE, tuple(new), old=tuple(old))
 
 
 def apply_deltas(rows: set, deltas) -> set:

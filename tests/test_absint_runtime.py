@@ -21,13 +21,12 @@ from unittest import mock
 
 import pytest
 
+from helpers import Capture, Feed
 from repro.cluster import CostModel, Worker
-from repro.common.deltas import Delta, DeltaOp, insert
+from repro.common.deltas import Delta, DeltaOp, delete, insert
 from repro.operators import ExecContext, GroupBy, Probe
 from repro.udf import AggregateSpec, Min
 from workloads import WORKLOADS, build, run
-
-from helpers import Capture, Feed, delete
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cluster import CostModel, Worker
-from repro.common.deltas import Delta, DeltaOp, insert, update
+from repro.common.deltas import Delta, DeltaOp, delete, insert, replace, update
 from repro.common.punctuation import Punctuation
 from repro.operators import (
     ApplyFunction,
@@ -28,8 +28,7 @@ from repro.operators import (
 from repro.udf import AggregateSpec, ArgMin, Count, Sum
 from repro.udf.aggregates import JoinDeltaHandler
 
-from helpers import Capture, delete, replace
-
+from helpers import Capture
 
 EOS = Punctuation.end_of_stratum
 

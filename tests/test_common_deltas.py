@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import Delta, DeltaOp, insert, update
+from repro.common import Delta, DeltaOp, delete, insert, replace, update
 from repro.common.deltas import map_rows, run
 
-from helpers import apply_deltas, delete, replace
+from helpers import apply_deltas
 
 rows = st.tuples(st.integers(), st.integers())
 

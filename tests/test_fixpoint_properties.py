@@ -3,10 +3,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import DeltaOp, insert
+from repro.common import DeltaOp, delete, insert
 from repro.operators import Fixpoint
 
-from helpers import Capture, apply_deltas, delete, wire
+from helpers import Capture, apply_deltas, wire
 
 
 def run_keyed(deltas):

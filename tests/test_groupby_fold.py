@@ -25,7 +25,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel, Worker
-from repro.common.deltas import DeltaOp, insert, update
+from repro.common.deltas import DeltaOp, delete, insert, replace, update
 from repro.common.errors import UDFError
 from repro.common.punctuation import Punctuation
 from repro.datasets import dbpedia_like
@@ -39,8 +39,7 @@ from repro.udf.builtins import (ArgMax, ArgMin, Avg, AvgFinal, AvgPartial,
                                 CollectList, Count, Max, Min, Sum,
                                 _OrderStatMultiset)
 
-from helpers import Capture, delete, replace
-
+from helpers import Capture
 
 EOS = Punctuation.end_of_stratum
 

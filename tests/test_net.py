@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.common import insert, update
+from repro.common import insert, replace, update
 from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
 from repro.net import Message, SimulatedNetwork
-
-from helpers import replace
 
 
 def msg(src=0, dst=1, exchange="x", deltas=None, punct=None, meta=None):

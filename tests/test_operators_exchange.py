@@ -3,11 +3,11 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.common import DeltaOp, insert
+from repro.common import DeltaOp, insert, replace
 from repro.common.punctuation import Punctuation
 from repro.operators import ExchangeReceiver, ExecContext, RehashSender
 
-from helpers import Capture, replace
+from helpers import Capture
 
 
 def make_exchange(n_nodes=3, batch_size=2, broadcast=False, key_fn=None,

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.common import DeltaOp, insert, update
+from repro.common import DeltaOp, delete, insert, replace, update
 from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
 from repro.operators import Fixpoint
 from repro.udf.aggregates import WhileDeltaHandler
 
-from helpers import Capture, delete, replace, wire
+from helpers import Capture, wire
 
 
 def make_fixpoint(**kwargs):

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import DeltaOp, insert, update
+from repro.common import DeltaOp, delete, insert, replace, update
 from repro.common.punctuation import Punctuation
 from repro.operators import GroupBy
 from repro.udf import AggregateSpec, Avg, Count, Min, Sum
 
-from helpers import Capture, delete, replace, wire
+from helpers import Capture, wire
 
 
 EOS = Punctuation.end_of_stratum

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import DeltaOp, insert, update
+from repro.common import DeltaOp, delete, insert, replace, update
 from repro.common.errors import ExecutionError
 from repro.operators import HashJoin
 from repro.operators.join import LEFT, RIGHT
 from repro.udf.aggregates import JoinDeltaHandler
 
-from helpers import Capture, apply_deltas, delete, replace, wire
+from helpers import Capture, apply_deltas, wire
 
 
 def make_join(handler=None, handler_side=RIGHT):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.common import insert
+from repro.common import delete, insert, replace
 from repro.common.punctuation import Punctuation
 from repro.net import Message
 from repro.operators import (
@@ -16,7 +16,7 @@ from repro.operators import (
 from repro.operators.misc import REQUESTOR_NODE
 from repro.udf import AggregateSpec, Sum
 
-from helpers import Capture, delete, replace, wire
+from helpers import Capture, wire
 
 
 class TestUnion:

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.common import DeltaOp, insert, update
+from repro.common import DeltaOp, delete, insert, replace, update
 from repro.common.punctuation import Punctuation
 from repro.operators import ApplyFunction, Filter, Project
 from repro.udf import udf
 
-from helpers import Capture, delete, replace, wire
+from helpers import Capture, wire
 
 
 class TestFilter:

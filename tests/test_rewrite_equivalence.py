@@ -54,8 +54,7 @@ def test_workload_plans_license_no_rewrites(workload):
     unchanged — the ``no_rewrite`` row of ``tests/test_equivalence.py``
     compares fingerprints because of this, not by luck."""
     cluster, plan, _ = build(workload)
-    arity = {n: len(cluster.catalog.get(n).schema.fields)
-             for n in cluster.catalog.names()}
+    arity = cluster.catalog.widths()
     new_root, decisions = rewrite_plan(plan.root, table_arity=arity)
     assert new_root is plan.root
     assert not any(d.applied for d in decisions)
@@ -199,8 +198,7 @@ def test_rewrite_report_matches_rewrite_plan():
     """The analyzer's rewrite listing — the pass run on the facts of its
     own inference — is exactly what the executor's pass decides."""
     cluster, plan, _ = _wide_builder()
-    arity = {n: len(cluster.catalog.get(n).schema.fields)
-             for n in cluster.catalog.names()}
+    arity = cluster.catalog.widths()
     props, _ = infer(plan.root)
     lineage, _ = infer_lineage(plan.root, table_arity=arity)
     _, report = rewrite_with(plan.root, props, lineage, arity)
@@ -220,8 +218,7 @@ def test_analyzer_with_catalog_widths_reports_the_applied_rewrites():
 
     _, _, ex = _observe(_wide_builder, rewrite=True)
     cluster, plan, _ = _wide_builder()
-    arity = {n: len(cluster.catalog.get(n).schema.fields)
-             for n in cluster.catalog.names()}
+    arity = cluster.catalog.widths()
     report = analyze_physical(plan, table_arity=arity)
     found = sorted((d.location, d.code) for d in report.diagnostics
                    if d.code in ("REX405", "REX406"))

@@ -221,7 +221,7 @@ class TestDeletePropagationToSink:
 
         gb.receive(insert(("a", 5)))
         gb.on_punctuation(Punctuation.end_of_stratum(0))
-        from helpers import delete
+        from repro.common import delete
 
         gb.receive(delete(("a", 5)))
         gb.on_punctuation(Punctuation.end_of_query(1))

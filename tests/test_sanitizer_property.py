@@ -16,6 +16,7 @@ straddling replacement raises no finding in either execution mode.
 
 import pytest
 
+from helpers import Capture, Feed
 
 from repro.algorithms import (
     kmeans_reference,
@@ -28,13 +29,11 @@ from repro.algorithms.pagerank import pagerank_plan
 from repro.algorithms.sssp import sssp_plan
 from repro.analysis.sanitizer import Sanitizer
 from repro.cluster import Cluster, CostModel, Worker
-from repro.common.deltas import insert
+from repro.common.deltas import insert, replace
 from repro.datasets import dbpedia_like, geo_points, sample_centroids
 from repro.operators import ExecContext, GroupBy, Probe
 from repro.runtime import ExecOptions, FailureSpec, QueryExecutor
 from repro.udf import AggregateSpec, Sum
-
-from helpers import Capture, Feed, replace
 
 SEEDS = list(range(7))
 

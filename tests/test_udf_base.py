@@ -17,6 +17,7 @@ class TestUdfDecorator:
         assert double(4) == 8
         assert double.name == "double"
         assert len(double.input_fields) == 1
+        assert repr(double) == "UDF(double/1)"
 
     def test_arity_enforced(self):
         @udf(in_types=["Integer", "Integer"])

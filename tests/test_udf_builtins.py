@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import CostModel, Worker
-from repro.common import insert, update
+from repro.common import delete, insert, replace, update
 from repro.common.deltas import Delta
 from repro.common.errors import UDFError
 from repro.common.punctuation import Punctuation
@@ -34,7 +34,7 @@ from repro.udf.builtins import (
     Sum,
 )
 
-from helpers import Capture, delete, replace
+from helpers import Capture
 
 
 def run(agg, ops):

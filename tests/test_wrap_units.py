@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import insert, update
+from repro.common import delete, insert, replace, update
 from repro.common.errors import UDFError
 from repro.hadoop.jobs import (
     LineitemFilterMapper,
@@ -12,8 +12,6 @@ from repro.hadoop.jobs import (
     SumCountReducer,
 )
 from repro.hadoop.wrap import MapWrap, MapWrapJoinHandler, ReduceWrapAgg
-
-from helpers import delete, replace
 
 
 class TestMapWrap:

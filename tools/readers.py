@@ -2,58 +2,46 @@
 
 Production is every ``run`` step of CI's ``cli-smoke`` job (the figure
 report, the examples, the CLI commands and their checks), executed as CI
-executes it but with ``python`` resolved to a recording shim, plus one
-``perf/run.py --workload W --seed 7 --smoke --trace 1`` lifecycle per
-workload of ``BENCHMARK.json``.
-Tier-1 runs after it. Each Python process records under a global
-``sys.settrace`` that returns ``None``, so only call events fire, keyed by
-code object. Prints one row per function that only tier-1, or nothing,
-enters::
+executes it, plus one ``perf/run.py --workload W --seed 7 --smoke --trace 1``
+lifecycle per workload of ``BENCHMARK.json``. Tier-1 runs after it. ``python``
+resolves to a shim that puts a generated ``sitecustomize`` first on the path,
+so each Python process records under a global ``sys.settrace`` that returns
+``None`` (only call events fire), keyed by code object. Prints one row per
+function that only tier-1 (``tests``), or nothing, enters::
 
-    python tools/readers.py              # production, then tier-1
-    python tools/readers.py --no-tests   # production only
+    python tools/readers.py
 
 Needs PyYAML to read ``.github/workflows/ci.yml``.
 """
 
-import atexit, glob, json, os, runpy, shutil, subprocess, sys, tempfile, threading
+import glob, json, os, shutil, subprocess, sys, tempfile
+
+import yaml
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
 
-
-def record(out, argv):
-    """Run ``argv`` (a script, ``-``, ``-m module`` or ``-c code``) in this
-    process and append the ``src/repro`` functions it entered to ``out``."""
-    seen = set()
-    on_call = lambda frame, event, arg: seen.add(frame.f_code)  # noqa: E731
-
-    def dump():
-        sys.settrace(None)
-        paths = {c: os.path.realpath(c.co_filename) for c in seen}
-        with open(out, "a") as handle:
-            handle.writelines(f"{key(c, p)}\n" for c, p in paths.items()
-                              if p.startswith(SRC + os.sep))
-    atexit.register(dump)
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    if argv[0] == "-m":
-        sys.argv = argv[1:]
-        runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
-    elif argv[0] in ("-c", "-"):
-        code = argv[1] if argv[0] == "-c" else sys.stdin.read()
-        sys.argv = argv[1:] if argv[0] == "-" else ["-c", *argv[2:]]
-        sys.path.insert(0, "")
-        exec(compile(code, "<string>", "exec"), {"__name__": "__main__"})
-    else:
-        sys.argv = argv
-        sys.path.insert(0, os.path.dirname(os.path.abspath(argv[0])))
-        runpy.run_path(argv[0], run_name="__main__")
+SITECUSTOMIZE = """\
+import atexit, os, sys, threading
+seen = set()
+def on_call(frame, event, arg):
+    seen.add(frame.f_code)
+def dump():
+    sys.settrace(None)
+    src = os.environ["READERS_SRC"] + os.sep
+    with open(os.environ["READERS_OUT"], "a") as handle:
+        for c in seen:
+            path = os.path.realpath(c.co_filename)
+            if path.startswith(src):
+                handle.write(f"{path}:{c.co_firstlineno}:{c.co_qualname}\\n")
+atexit.register(dump)
+threading.settrace(on_call)
+sys.settrace(on_call)
+"""
 
 
-def key(code, path):
-    name = getattr(code, "co_qualname", code.co_name)  # co_qualname: 3.11+
-    return f"{os.path.relpath(path, REPO)}:{code.co_firstlineno}:{name}"
+def key(path, line, name):
+    return f"{os.path.relpath(path, REPO)}:{line}:{name}"
 
 
 def functions():
@@ -65,50 +53,45 @@ def functions():
             stack += [c for c in code.co_consts if hasattr(c, "co_code")]
             if not code.co_name.startswith("<"):
                 lines = {ln for _, _, ln in code.co_lines() if ln}
-                yield key(code, path), len(lines - {code.co_firstlineno})
+                yield (key(path, code.co_firstlineno, code.co_qualname),
+                       len(lines - {code.co_firstlineno}))
 
 
-def ci_steps():
-    import yaml
-    with open(os.path.join(REPO, ".github", "workflows", "ci.yml")) as handle:
-        steps = yaml.safe_load(handle)["jobs"]["cli-smoke"]["steps"]
-    return [s for s in steps if "run" in s and "pip install" not in s["run"]]
-
-
-def main(args):
-    if args[:1] == ["--record"]:
-        return record(args[1], args[2:])
+def main():
     work = tempfile.mkdtemp(prefix="readers-")
-    prod, tests = os.path.join(work, "production"), os.path.join(work, "tests.out")
     for name in ("src", "tests", "examples", "EXPERIMENTS.md"):
         os.symlink(os.path.join(REPO, name), os.path.join(work, name))
-    recorder = [sys.executable, os.path.abspath(__file__), "--record"]
-    os.mkdir(os.path.join(work, "bin"))
+    for name in ("site", "bin"):
+        os.mkdir(os.path.join(work, name))
+    with open(os.path.join(work, "site", "sitecustomize.py"), "w") as handle:
+        handle.write(SITECUSTOMIZE)
     for shim in ("python", "python3"):
         path = os.path.join(work, "bin", shim)
         with open(path, "w") as handle:
-            handle.write("#!/bin/sh\nexec " + " ".join(
-                f'"{a}"' for a in recorder + [prod]) + ' "$@"\n')
+            handle.write(f'#!/bin/sh\nPYTHONPATH="{work}/site${{PYTHONPATH:+:$PYTHONPATH}}" '
+                         f'exec "{sys.executable}" "$@"\n')
         os.chmod(path, 0o755)
-    env = dict(os.environ, PATH=f"{work}/bin:{os.environ['PATH']}")
-    for step in ci_steps():
-        done = subprocess.run(["bash", "-e", "-o", "pipefail", "-c", step["run"]],
-                              cwd=work, env=env, capture_output=True)
-        if done.returncode:
-            print(f"step failed: {step['name']}", file=sys.stderr)
+    prod, tests = os.path.join(work, "production"), os.path.join(work, "tests.out")
+    env = dict(os.environ, PATH=f"{work}/bin:{os.environ['PATH']}", READERS_SRC=SRC,
+               READERS_OUT=prod)
+    with open(os.path.join(REPO, ".github", "workflows", "ci.yml")) as handle:
+        steps = yaml.safe_load(handle)["jobs"]["cli-smoke"]["steps"]
+    for step in steps:
+        if "run" in step and "pip install" not in step["run"]:
+            done = subprocess.run(["bash", "-e", "-o", "pipefail", "-c", step["run"]],
+                                  cwd=work, env=env, capture_output=True)
+            if done.returncode:
+                print(f"step failed: {step['name']}", file=sys.stderr)
     with open(os.path.join(REPO, "BENCHMARK.json")) as handle:
         workloads = [w["name"] for w in json.load(handle)["workloads"]]
     for w in workloads:
-        subprocess.run(recorder + [prod, f"{REPO}/perf/run.py", "--workload", w,
-                                   "--seed", "7", "--smoke", "--trace", "1"],
-                       cwd=REPO, capture_output=True)
-    if "--no-tests" not in args:
-        subprocess.run(recorder + [tests, "-m", "pytest", "-q", "-p",
-                                   "no:cacheprovider"], cwd=REPO,
-                       capture_output=True,
-                       env=dict(os.environ, PYTHONPATH=f"{REPO}/src"))
+        subprocess.run(["python", "perf/run.py", "--workload", w, "--seed", "7",
+                        "--smoke", "--trace", "1"], cwd=REPO, env=env, capture_output=True)
+    subprocess.run(["python", "-m", "pytest", "-q", "-p", "no:cacheprovider"], cwd=REPO,
+                   capture_output=True, env=dict(env, READERS_OUT=tests, PYTHONPATH=f"{REPO}/src"))
     read = lambda p: set(open(p).read().split()) if os.path.exists(p) else set()  # noqa: E731
-    entered, by_tests = read(prod), read(tests)
+    entered = {key(*k.rsplit(":", 2)) for k in read(prod)}
+    by_tests = {key(*k.rsplit(":", 2)) for k in read(tests)}
     shutil.rmtree(work)
     rows = [("tests" if k in by_tests else "nothing", n, k)
             for k, n in functions() if k not in entered]
@@ -120,4 +103,4 @@ def main(args):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
