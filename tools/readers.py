@@ -28,11 +28,10 @@ def on_call(frame, event, arg):
     seen.add(frame.f_code)
 def dump():
     sys.settrace(None)
-    src = os.environ["READERS_SRC"] + os.sep
-    with open(os.environ["READERS_OUT"], "a") as handle:
+    with open(os.path.join(os.path.dirname(__file__), "entered"), "a") as handle:
         for c in seen:
             path = os.path.realpath(c.co_filename)
-            if path.startswith(src):
+            if path.startswith({src!r}):
                 handle.write(f"{path}:{c.co_firstlineno}:{c.co_qualname}\\n")
 atexit.register(dump)
 threading.settrace(on_call)
@@ -64,16 +63,15 @@ def main():
     for name in ("site", "bin"):
         os.mkdir(os.path.join(work, name))
     with open(os.path.join(work, "site", "sitecustomize.py"), "w") as handle:
-        handle.write(SITECUSTOMIZE)
+        handle.write(SITECUSTOMIZE.replace("{src!r}", repr(SRC + os.sep)))
     for shim in ("python", "python3"):
         path = os.path.join(work, "bin", shim)
         with open(path, "w") as handle:
             handle.write(f'#!/bin/sh\nPYTHONPATH="{work}/site${{PYTHONPATH:+:$PYTHONPATH}}" '
                          f'exec "{sys.executable}" "$@"\n')
         os.chmod(path, 0o755)
-    prod, tests = os.path.join(work, "production"), os.path.join(work, "tests.out")
-    env = dict(os.environ, PATH=f"{work}/bin:{os.environ['PATH']}", READERS_SRC=SRC,
-               READERS_OUT=prod)
+    entered = os.path.join(work, "site", "entered")
+    env = dict(os.environ, PATH=f"{work}/bin:{os.environ['PATH']}")
     with open(os.path.join(REPO, ".github", "workflows", "ci.yml")) as handle:
         steps = yaml.safe_load(handle)["jobs"]["cli-smoke"]["steps"]
     for step in steps:
@@ -87,14 +85,15 @@ def main():
     for w in workloads:
         subprocess.run(["python", "perf/run.py", "--workload", w, "--seed", "7",
                         "--smoke", "--trace", "1"], cwd=REPO, env=env, capture_output=True)
+    read = lambda: {key(*k.rsplit(":", 2)) for k in open(entered).read().split()}  # noqa: E731
+    production = read()
+    os.remove(entered)
     subprocess.run(["python", "-m", "pytest", "-q", "-p", "no:cacheprovider"], cwd=REPO,
-                   capture_output=True, env=dict(env, READERS_OUT=tests, PYTHONPATH=f"{REPO}/src"))
-    read = lambda p: set(open(p).read().split()) if os.path.exists(p) else set()  # noqa: E731
-    entered = {key(*k.rsplit(":", 2)) for k in read(prod)}
-    by_tests = {key(*k.rsplit(":", 2)) for k in read(tests)}
+                   capture_output=True, env=dict(env, PYTHONPATH=f"{REPO}/src"))
+    by_tests = read()
     shutil.rmtree(work)
     rows = [("tests" if k in by_tests else "nothing", n, k)
-            for k, n in functions() if k not in entered]
+            for k, n in functions() if k not in production]
     for verdict, n, k in rows:
         print(f"{verdict:<8} {n:>4}  {k}")
     print(json.dumps({v: [len([r for r in rows if r[0] == v]),
