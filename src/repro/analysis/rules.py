@@ -38,7 +38,6 @@ from repro.optimizer.logical import (
     LJoin,
     LNode,
     LProject,
-    LRehash,
 )
 from repro.optimizer.exchanges import BROADCAST, propagate
 from repro.common.schema import Schema, SQLType
@@ -198,7 +197,7 @@ def check_preaggregation(root: LNode, emit) -> None:
         if not _has_final_aggregation(node, parents):
             emit(make(
                 "REX003",
-                f"partial (combiner) group-by on keys {node.keys} has no "
+                f"partial (combiner) group-by {node.label()} has no "
                 f"final group-by above it: partial aggregates would "
                 f"escape as query results",
                 location=path,
@@ -439,13 +438,6 @@ def check_schemas(root: LNode, emit) -> None:
             _check_groupby_schema(node, path, emit)
         elif isinstance(node, LFixpoint):
             _check_fixpoint_schema(node, path, emit)
-        elif isinstance(node, LRehash):
-            if node.key is not None and not node.schema.has(node.key):
-                emit(make(
-                    "REX008",
-                    f"rehash key {node.key!r} is not a column of its "
-                    f"input schema",
-                    location=path))
 
 
 def _check_expr(expr: Expr, schema: Schema, path: str, emit) -> None:
@@ -496,28 +488,16 @@ def _check_expr(expr: Expr, schema: Schema, path: str, emit) -> None:
 def _check_join_schema(node: LJoin, path: str, emit) -> None:
     if node.condition is None:
         return
-    lcol, rcol = node.condition
-    ok = True
-    if not node.left.schema.has(lcol):
-        emit(make("REX008",
-                  f"join key {lcol!r} is not a column of the left input",
-                  location=path))
-        ok = False
-    if not node.right.schema.has(rcol):
-        emit(make("REX008",
-                  f"join key {rcol!r} is not a column of the right input",
-                  location=path))
-        ok = False
-    if ok:
-        lt = node.left.schema.field(lcol).type
-        rt = node.right.schema.field(rcol).type
-        if not _types_joinable(lt, rt):
-            emit(make(
-                "REX008",
-                f"join keys {lcol!r} ({lt.value}) and {rcol!r} "
-                f"({rt.value}) have incompatible types",
-                location=path,
-                hint="equality across these types never matches"))
+    left = node.left.schema[node.condition[0]]
+    right = node.right.schema[node.condition[1]]
+    if not _types_joinable(left.type, right.type):
+        emit(make(
+            "REX008",
+            f"join keys {left.qualified!r} ({left.type.value}) and "
+            f"{right.qualified!r} ({right.type.value}) have incompatible "
+            f"types",
+            location=path,
+            hint="equality across these types never matches"))
 
 
 def _types_joinable(a: SQLType, b: SQLType) -> bool:
@@ -528,11 +508,6 @@ def _types_joinable(a: SQLType, b: SQLType) -> bool:
 
 def _check_groupby_schema(node: LGroupBy, path: str, emit) -> None:
     child_schema = node.children[0].schema
-    for key in node.keys:
-        if not child_schema.has(key):
-            emit(make("REX008",
-                      f"GROUP BY key {key!r} is not a column of the input",
-                      location=path))
     for agg in node.aggs:
         for arg in agg.args:
             _check_expr(arg, child_schema, path, emit)
@@ -556,12 +531,6 @@ def _check_fixpoint_schema(node: LFixpoint, path: str, emit) -> None:
             f"produces {len(recursive.schema)}",
             location=path,
             hint="the two cases must be union-compatible"))
-    if not node.schema.has(node.key):
-        emit(make(
-            "REX008",
-            f"fixpoint key {node.key!r} is not a column of "
-            f"{node.cte_name!r}",
-            location=path))
 
 
 #: All logical passes in catalog order.

@@ -28,8 +28,9 @@ class ParseError(ReproError):
         self.column = column
 
 
-class TypeCheckError(ReproError):
-    """RQL semantic analysis found a type mismatch or unresolved name."""
+class TypeCheckError(SchemaError):
+    """RQL semantic analysis found a type mismatch, or a column name that
+    resolves to no column or to more than one."""
 
 
 class PlanError(ReproError):

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from repro.common.errors import SchemaError
+from repro.common.errors import SchemaError, TypeCheckError
 
 
 class SQLType(enum.Enum):
@@ -75,19 +75,10 @@ class Field:
 class Schema:
     """An ordered sequence of :class:`Field` with lookup helpers."""
 
-    __slots__ = ("fields", "_index")
+    __slots__ = ("fields",)
 
     def __init__(self, fields: Iterable[Field]):
         self.fields: Tuple[Field, ...] = tuple(fields)
-        self._index = {}
-        for i, f in enumerate(self.fields):
-            # Unqualified name: ambiguous entries map to None so lookups fail
-            # loudly rather than silently picking a column.
-            if f.name in self._index and self._index[f.name] != i:
-                self._index[f.name] = None
-            else:
-                self._index.setdefault(f.name, i)
-            self._index[f.qualified] = i
 
     @classmethod
     def of(cls, *specs: str) -> "Schema":
@@ -119,22 +110,25 @@ class Schema:
         return self.fields[i]
 
     def index_of(self, name: str) -> int:
-        """Index of a column by (possibly qualified) name.
+        """Position of the column ``name`` refers to: the one field whose
+        qualified name is exactly ``name``, else the one field
+        :meth:`Field.matches`.  This is RQL's one name-resolution rule.
 
-        Raises :class:`SchemaError` if the name is unknown or ambiguous.
+        Raises :class:`TypeCheckError` naming every candidate when no
+        field, or more than one, matches.
         """
-        idx = self._index.get(name, -1)
-        if idx is None:
-            raise SchemaError(f"ambiguous column reference: {name!r} in {self}")
-        if idx < 0:
-            # Fall back to a scan for qualified/unqualified mismatches.
-            matches = [i for i, f in enumerate(self.fields) if f.matches(name)]
-            if len(matches) == 1:
-                return matches[0]
-            if len(matches) > 1:
-                raise SchemaError(f"ambiguous column reference: {name!r} in {self}")
-            raise SchemaError(f"unknown column: {name!r} in {self}")
-        return idx
+        matches = [i for i, f in enumerate(self.fields) if f.matches(name)]
+        if len(matches) > 1:
+            matches = [i for i in matches
+                       if self.fields[i].qualified == name] or matches
+        if len(matches) == 1:
+            return matches[0]
+        if matches:
+            candidates = ", ".join(self.fields[i].qualified for i in matches)
+            raise TypeCheckError(
+                f"ambiguous column reference {name!r}: candidates are "
+                f"{candidates}")
+        raise TypeCheckError(f"unknown column {name!r} in {self}")
 
     def has(self, name: str) -> bool:
         try:

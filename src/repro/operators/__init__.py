@@ -11,7 +11,6 @@ from repro.operators.expressions import (
     FuncCall,
     Literal,
     TupleField,
-    make_key_fn,
     make_row_fn,
 )
 from repro.operators.fixpoint import FeedbackSource, Fixpoint
@@ -54,6 +53,5 @@ __all__ = [
     "BoolOp",
     "FuncCall",
     "TupleField",
-    "make_key_fn",
     "make_row_fn",
 ]

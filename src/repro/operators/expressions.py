@@ -248,15 +248,6 @@ class TupleField(Expr):
         return f"{self.base!r}.[{self.index}]"
 
 
-def make_key_fn(schema: Schema, key_cols: Sequence[str]) -> Callable[[tuple], tuple]:
-    """Compile a key extractor for partitioning/grouping on ``key_cols``."""
-    indices = tuple(schema.index_of(c) for c in key_cols)
-    if len(indices) == 1:
-        i = indices[0]
-        return lambda row: (row[i],)
-    return lambda row: tuple(row[i] for i in indices)
-
-
 def make_row_fn(exprs: Sequence[Expr], schema: Schema) -> Callable[[tuple], tuple]:
     """Compile a projection: row -> tuple of evaluated expressions."""
     return compile_exprs([e.bind(schema) for e in exprs])

@@ -67,7 +67,7 @@ class TableScan(SourceOperator):
                     f"table {self.table.name} has no replicas; data on "
                     f"failed node {victim} is unrecoverable"
                 )
-        key_index = self.table._key_index
+        key_index = self.table.key_index
         replica = self.table.replica_partition(self.ctx.node_id)
         taken = []
         for row in replica:  # only keyed tables hold replica rows

@@ -218,17 +218,16 @@ class CostEstimator:
             rows = left.rows * right.rows
             width = left.row_bytes + right.row_bytes
         else:
-            lcol, rcol = node.condition
-            l_distinct = self._distinct(node.left, lcol, left.rows)
-            r_distinct = self._distinct(node.right, rcol, right.rows)
+            lpos, rpos = node.condition
+            l_distinct = self._distinct(node.left, lpos, left.rows)
+            r_distinct = self._distinct(node.right, rpos, right.rows)
             rows = left.rows * right.rows / max(l_distinct, r_distinct, 1.0)
             width = left.row_bytes + right.row_bytes
         return Estimate(rows=rows, row_bytes=width, usage=usage)
 
-    def _distinct(self, node: LNode, column: str, rows: float) -> float:
+    def _distinct(self, node: LNode, pos: int, rows: float) -> float:
         if isinstance(node, LScan):
-            # Strip the binding qualifier for the stats lookup.
-            name = column.split(".")[-1]
+            name = node.schema[pos].name
             return float(self.stats.table(node.table).distinct_of(name))
         return max(1.0, rows)
 

@@ -73,7 +73,7 @@ def _place(consumer: LNode, child: LNode, part: Partitioning,
         return LRehash(child, key=None, broadcast=True)
     if wanted == ():
         return LRehash(child, key=None)  # gather
-    return LRehash(child, key=child.schema[wanted[0]].name)
+    return LRehash(child, key=wanted[0])
 
 
 def _placed(wanted: Partitioning) -> Partitioning:
@@ -102,10 +102,10 @@ def propagate(node: LNode, require: Require,
     if isinstance(node, LScan):
         if node.partition_key is None:
             return node, None
-        return node, (node.schema.index_of(node.partition_key),)
+        return node, (node.partition_key,)
 
     if isinstance(node, LFeedback):
-        return node, (node.schema.index_of(node.fixpoint_key),)
+        return node, (node.fixpoint_key,)
 
     if isinstance(node, LFilter):
         child, part = walk(node.children[0])
@@ -123,7 +123,7 @@ def propagate(node: LNode, require: Require,
         passed: Dict[int, int] = {}
         for i, (expr, _) in enumerate(node.items):
             if isinstance(expr, ColumnRef) and in_schema.has(expr.name):
-                passed.setdefault(in_schema.index_of(expr.name), i)
+                passed.setdefault(expr.bind(in_schema).index, i)
         return _rebuilt(node, child), _remap(part, passed)
 
     if isinstance(node, LRehash):
@@ -133,7 +133,7 @@ def propagate(node: LNode, require: Require,
         elif node.key is None:
             out = ()
         else:
-            out = (node.schema.index_of(node.key),)
+            out = (node.key,)
         if redundant is not None and part == out:
             redundant(node, out)
         return _rebuilt(node, child), out
@@ -145,36 +145,36 @@ def propagate(node: LNode, require: Require,
             right, _ = need(right, rpart, BROADCAST,
                             "cross join's mutable (right) input")
             return _rebuilt(node, left, right), None
-        lcol, rcol = node.condition
-        left, lpart = need(left, lpart, (node.left.schema.index_of(lcol),),
-                           f"join input (left, key {lcol!r})")
-        right, _ = need(right, rpart, (node.right.schema.index_of(rcol),),
-                        f"join input (right, key {rcol!r})")
+        lpos, rpos = node.condition
+        left, lpart = need(left, lpart, (lpos,), "join input (left, key "
+                           f"{node.left.schema[lpos].name!r})")
+        right, _ = need(right, rpart, (rpos,), "join input (right, key "
+                        f"{node.right.schema[rpos].name!r})")
         out = lpart if node.handler_factory is None else None
         return _rebuilt(node, left, right), out
 
     if isinstance(node, LGroupBy):
         child, part = walk(node.children[0])
-        in_schema = node.children[0].schema
-        key_pos = tuple(in_schema.index_of(k) for k in node.keys)
         if not node.pre_aggregated:
             # A combiner aggregates whatever its worker holds locally; the
             # final instance needs each group on one worker.
-            what = (f"group-by on {node.keys}" if node.keys
+            names = [node.children[0].schema[k].name for k in node.keys]
+            what = (f"group-by on {names}" if node.keys
                     else "global (keyless) aggregate")
-            child, part = need(child, part, key_pos, what)
+            child, part = need(child, part, node.keys, what)
         # The keys lead the output; any other column is aggregated away.
         keys_out: Dict[int, int] = {}
-        for i, pos in enumerate(key_pos):
+        for i, pos in enumerate(node.keys):
             keys_out.setdefault(pos, i)
         return _rebuilt(node, child), _remap(part, keys_out)
 
     if isinstance(node, LFixpoint):
-        key = (node.schema.index_of(node.key),)
+        key = (node.key,)
+        name = node.schema[node.key].name
         base, _ = need(*walk(node.children[0]), key,
-                       f"fixpoint base case (key {node.key!r})")
+                       f"fixpoint base case (key {name!r})")
         recursive, _ = need(*walk(node.children[1]), key,
-                            f"fixpoint recursive case (key {node.key!r})")
+                            f"fixpoint recursive case (key {name!r})")
         return _rebuilt(node, base, recursive), key
 
     return _rebuilt(node, *(walk(c)[0] for c in node.children)), None

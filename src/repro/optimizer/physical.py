@@ -8,14 +8,13 @@ tracks no partitioning of its own.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.common.errors import PlanError
 from repro.common.schema import Schema
 from repro.operators.expressions import (
     FuncCall,
     compile_exprs,
-    make_key_fn,
     make_row_fn,
 )
 from repro.optimizer.exchanges import add_exchanges
@@ -64,13 +63,20 @@ def lower(root: LNode) -> PhysicalPlan:
     return plan
 
 
-def _key_at(i: int):
-    return lambda row: (row[i],)
-
-
 def _no_key(row) -> tuple:
     """The empty key: a gather, a cross join, a global aggregate."""
     return ()
+
+
+def _key_of(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The key extractor for the column ``positions`` the compiler
+    resolved (the empty key for none)."""
+    if not positions:
+        return _no_key
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    return lambda row: tuple(row[i] for i in positions)
 
 
 def _lower(node: LNode) -> PNode:
@@ -105,11 +111,9 @@ def _lower(node: LNode) -> PNode:
         child = _lower(node.children[0])
         if node.broadcast:
             return PRehash(broadcast=True, children=(child,))
-        if node.key is None:
-            # Gather: route every row to a single worker.
-            return PRehash(key_fn=_no_key, children=(child,))
-        return PRehash(key_fn=_key_at(node.schema.index_of(node.key)),
-                       children=(child,))
+        # No key is a gather: every row goes to a single worker.
+        keys = () if node.key is None else (node.key,)
+        return PRehash(key_fn=_key_of(keys), children=(child,))
 
     if isinstance(node, LJoin):
         return _lower_join(node)
@@ -129,9 +133,8 @@ def _lower_join(node: LJoin) -> PNode:
         # so the partitioned left side never moves (K-means' centroids).
         left_key = right_key = _no_key
     else:
-        lcol, rcol = node.condition
-        left_key = _key_at(node.left.schema.index_of(lcol))
-        right_key = _key_at(node.right.schema.index_of(rcol))
+        lpos, rpos = node.condition
+        left_key, right_key = _key_of((lpos,)), _key_of((rpos,))
     return PJoin(left_key=left_key, right_key=right_key,
                  handler_factory=node.handler_factory, handler_side=1,
                  children=(_lower(node.left), _lower(node.right)))
@@ -159,9 +162,8 @@ def _make_specs_factory(aggs: Sequence[LAggCall], in_schema: Schema):
 def _lower_groupby(node: LGroupBy) -> PNode:
     child = _lower(node.children[0])
     in_schema = node.children[0].schema
-    key_fn = make_key_fn(in_schema, node.keys) if node.keys else _no_key
     return PGroupBy(
-        key_fn=key_fn,
+        key_fn=_key_of(node.keys),
         specs_factory=_make_specs_factory(node.aggs, in_schema),
         clear_states_each_stratum=node.clear_each_stratum,
         children=(child,),
@@ -169,8 +171,7 @@ def _lower_groupby(node: LGroupBy) -> PNode:
 
 
 def _lower_fixpoint(node: LFixpoint) -> PNode:
-    key_fn = _key_at(node.schema.index_of(node.key))
-    return PFixpoint(key_fn=key_fn, semantics="keyed",
+    return PFixpoint(key_fn=_key_of((node.key,)), semantics="keyed",
                      while_handler_factory=node.while_handler_factory,
                      children=(_lower(node.children[0]),
                                _lower(node.children[1])))

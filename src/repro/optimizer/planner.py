@@ -221,10 +221,10 @@ def push_pre_aggregation(node: LGroupBy) -> Optional[LNode]:
     partial = LGroupBy(node.children[0], node.keys, partial_aggs,
                        pre_aggregated=True,
                        clear_each_stratum=node.clear_each_stratum)
-    # Keys keep their names through the partial, so the final group-by
-    # re-uses them.  Exchange placement puts the rehash (a gather, for a
-    # keyless aggregate) between the two wherever the partials need it.
-    return LGroupBy(partial, node.keys, final_aggs,
+    # The keys lead the partial's output, so the final group-by keys on
+    # its first columns.  Exchange placement puts the rehash (a gather,
+    # for a keyless aggregate) between the two wherever the partials need it.
+    return LGroupBy(partial, range(len(node.keys)), final_aggs,
                     clear_each_stratum=node.clear_each_stratum)
 
 
@@ -265,22 +265,9 @@ def push_preagg_through_multiplicative_join(node: LGroupBy
     if (not isinstance(join, LJoin) or join.handler_factory is not None
             or join.condition is None):
         return None
-    lcol, rcol = join.condition
-    key = node.keys[0]
-    # The group key must be the join key (either side's name for it).
-    try:
-        key_is_left = join.left.schema.index_of(key) == \
-            join.left.schema.index_of(lcol) if join.left.schema.has(key) \
-            else False
-    except Exception:
-        key_is_left = False
-    try:
-        key_is_right = join.right.schema.index_of(key) == \
-            join.right.schema.index_of(rcol) if join.right.schema.has(key) \
-            else False
-    except Exception:
-        key_is_right = False
-    if not (key_is_left or key_is_right):
+    lpos, rpos = join.condition
+    # The group key must be the join key (either side's column of it).
+    if node.keys[0] not in (lpos, len(join.left.schema) + rpos):
         return None
 
     # Classify each aggregate by the side its argument columns live on.
@@ -304,13 +291,13 @@ def push_preagg_through_multiplicative_join(node: LGroupBy
         else:
             return None
 
-    def side_groupby(child: LNode, key_col: str, aggs_here):
+    def side_groupby(child: LNode, key_pos: int, aggs_here):
         calls = list(aggs_here)
         calls.append(LAggCall("count", lambda: Count(count_star=True), [],
                               out_fields=[Field(f"_cnt_{id(child)}",
                                                 SQLType.INTEGER)],
                               composable=True))
-        return LGroupBy(child, [key_col], calls)
+        return LGroupBy(child, [key_pos], calls)
 
     left_aggs = []
     right_aggs = []
@@ -323,15 +310,16 @@ def push_preagg_through_multiplicative_join(node: LGroupBy
                         composable=True)
         (left_aggs if side == 0 else right_aggs).append(call)
 
-    left_gb = side_groupby(join.left, lcol, left_aggs)
-    right_gb = side_groupby(join.right, rcol, right_aggs)
+    left_gb = side_groupby(join.left, lpos, left_aggs)
+    right_gb = side_groupby(join.right, rpos, right_aggs)
     left_cnt = left_gb.schema[len(left_gb.schema) - 1].name
     right_cnt = right_gb.schema[len(right_gb.schema) - 1].name
-    joined = LJoin(left_gb, right_gb, (lcol, rcol))
+    # Each side group-by's key leads its output.
+    joined = LJoin(left_gb, right_gb, (0, 0))
 
     items = []
     key_field = node.schema[0]
-    items.append((ColumnRef(lcol), key_field))
+    items.append((ColumnRef(left_gb.schema[0].qualified), key_field))
     for col, agg, side in partial_cols:
         template = agg.aggregator_factory()
         multiply = template.multiply

@@ -19,8 +19,7 @@ from repro.optimizer.logical import LNode
 from repro.optimizer.physical import lower
 from repro.optimizer.planner import Optimizer
 from repro.common.errors import PlanValidationError, TypeCheckError
-from repro.rql import ast as rql_ast
-from repro.rql.compiler import compile_query
+from repro.rql.compiler import Compiler, Presentation
 from repro.rql.parser import parse
 from repro.runtime.executor import ExecOptions, QueryExecutor, QueryResult
 from repro.udf.registry import UDFRegistry
@@ -30,11 +29,12 @@ from repro.udf.registry import UDFRegistry
 class PreparedQuery:
     """A query compiled once, with its exchanges placed, and analysed
     once: the logical tree, the top-level ORDER BY / LIMIT stripped from
-    it, and the one :class:`~repro.analysis.analyzer.PlanAnalysis` whose
-    lowered plan runs."""
+    it (sort keys as output positions), and the one
+    :class:`~repro.analysis.analyzer.PlanAnalysis` whose lowered plan
+    runs."""
 
     node: LNode
-    presentation: Optional[tuple]
+    presentation: Optional[Presentation]
     analysis: PlanAnalysis
 
 
@@ -57,25 +57,12 @@ class RQLSession:
         """
         return self.registry.register(obj, name)
 
-    def _split_presentation(self, query):
-        """Strip top-level ORDER BY / LIMIT; they are applied at the
-        requestor after result collection."""
-        import dataclasses
-
-        if isinstance(query, rql_ast.Select) and (query.order_by
-                                                  or query.limit is not None):
-            presentation = (query.order_by, query.limit)
-            stripped = dataclasses.replace(query, order_by=(), limit=None)
-            return stripped, presentation
-        return query, None
-
-    def _apply_presentation(self, rows, schema, presentation):
+    def _apply_presentation(self, rows, presentation: Presentation):
         order_by, limit = presentation
-        for item in reversed(order_by):
-            index = schema.index_of(item.name.text)
+        for pos, descending in reversed(order_by):
             rows = sorted(rows,
-                          key=lambda r: (r[index] is None, r[index]),
-                          reverse=item.descending)
+                          key=lambda r: (r[pos] is None, r[pos]),
+                          reverse=descending)
         if limit is not None:
             rows = rows[:limit]
         return list(rows)
@@ -95,8 +82,8 @@ class RQLSession:
     def _plan(self, text: str, fixpoint_handler: Optional[str]):
         """The logical plan and the top-level ORDER BY / LIMIT stripped
         from it."""
-        query, presentation = self._split_presentation(parse(text))
-        node = compile_query(query, self.cluster.catalog, self.registry)
+        compiler = Compiler(self.cluster.catalog, self.registry)
+        node = compiler.compile(parse(text))
         if fixpoint_handler is not None:
             from repro.optimizer.logical import LFixpoint
 
@@ -107,7 +94,7 @@ class RQLSession:
                 self.registry.while_handler_factory(fixpoint_handler)
         if self.optimize:
             node = self.optimizer.optimize(node)
-        return node, presentation
+        return node, compiler.presentation
 
     def prepare(self, text: str,
                 fixpoint_handler: Optional[str] = None) -> PreparedQuery:
@@ -183,5 +170,5 @@ class RQLSession:
                     codes=report.codes())
         if prepared.presentation is not None:
             result.rows = self._apply_presentation(
-                result.rows, prepared.node.schema, prepared.presentation)
+                result.rows, prepared.presentation)
         return result

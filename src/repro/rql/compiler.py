@@ -5,6 +5,12 @@ resolves calls against the UDF registry (scalar UDF / aggregate / join
 delta handler — the namespaces the paper discovers via reflection), type-
 checks what it can, and emits :mod:`repro.optimizer.logical` trees.
 
+This is the only code that resolves a user-written column name, by the
+one rule of :meth:`Schema.index_of`.  Select, WHERE, join and GROUP BY
+names resolve against the whole FROM list, as in SQL; every key the
+plan carries (partitioning, join, group-by, fixpoint) and every ORDER BY
+item leaves here as a column position.
+
 Two paper idioms get dedicated treatment:
 
 * **Handler joins** — ``SELECT H(args).{out...} FROM immutable, recursive
@@ -50,6 +56,10 @@ from repro.storage.tables import Catalog
 from repro.udf.builtins import Count
 from repro.udf.registry import UDFRegistry
 
+#: A top-level ORDER BY / LIMIT, applied by the requestor to the collected
+#: rows: ((output position, descending), ...) and the row limit.
+Presentation = Tuple[Tuple[Tuple[int, bool], ...], Optional[int]]
+
 
 class Compiler:
     """Stateful compilation of one query."""
@@ -57,14 +67,19 @@ class Compiler:
     def __init__(self, catalog: Catalog, registry: UDFRegistry):
         self.catalog = catalog
         self.registry = registry
-        self._cte: Optional[Tuple[str, Schema, str]] = None  # name, schema, key
+        self._cte: Optional[Tuple[str, Schema, int]] = None  # name, schema, key
         self._gensym = itertools.count()
+        self.presentation: Optional[Presentation] = None
 
     # ------------------------------------------------------------------
     def compile(self, query: ast.Query) -> LNode:
+        """Compile a top-level query.  Its ORDER BY / LIMIT, which the
+        requestor applies to the collected rows, is not part of the plan:
+        it is left in :attr:`presentation`, sort keys as output
+        positions."""
         if isinstance(query, ast.WithRecursive):
             return self._compile_with(query)
-        return self._compile_select(query)
+        return self._compile_select(query, top=True)
 
     def _compile_with(self, query: ast.WithRecursive) -> LNode:
         base = self._compile_select(query.base)
@@ -80,12 +95,8 @@ class Compiler:
             ])
         else:
             cte_schema = base.schema.renamed(query.name)
-        if not cte_schema.has(query.fixpoint_key):
-            raise TypeCheckError(
-                f"FIXPOINT BY {query.fixpoint_key} is not a column of "
-                f"{query.name}"
-            )
-        self._cte = (query.name, cte_schema, query.fixpoint_key)
+        key = cte_schema.index_of(query.fixpoint_key)
+        self._cte = (query.name, cte_schema, key)
         recursive = self._compile_select(query.recursive)
         if len(recursive.schema) != len(cte_schema):
             raise TypeCheckError(
@@ -93,33 +104,43 @@ class Compiler:
                 f"{len(recursive.schema)} columns, expected {len(cte_schema)}"
             )
         self._cte = None
-        return LFixpoint(base, recursive, key=query.fixpoint_key,
+        return LFixpoint(base, recursive, key=key,
                          cte_name=query.name, union_all=query.union_all,
                          schema=cte_schema)
 
     # ------------------------------------------------------------------
-    def _compile_select(self, sel: ast.Select) -> LNode:
-        if sel.order_by or sel.limit is not None:
+    def _compile_select(self, sel: ast.Select, top: bool = False) -> LNode:
+        presented = bool(sel.order_by) or sel.limit is not None
+        if presented and not top:
             # Presentation clauses are applied at the requestor over the
-            # collected result; they are stripped from the top-level query
-            # by the session and are meaningless on subqueries.
+            # collected result; they are meaningless on subqueries.
             raise TypeCheckError(
                 "ORDER BY / LIMIT are only supported on the top-level "
                 "query")
         sources = [(ref.binding, self._compile_from(ref))
                    for ref in sel.from_]
         handler_item = self._find_handler_item(sel)
+        order: Tuple[Tuple[int, bool], ...] = ()
         if handler_item is not None:
-            return self._compile_handler_join(sel, sources, handler_item)
-
-        node = self._join_sources(sources, sel.where)
-        node, items = self._expand_table_functions(node, list(sel.items))
-        if sel.group_by or self._has_aggregates(items):
-            return self._compile_groupby(sel, node, items)
-        compiled = [(self._expr(item.expr, node.schema),
+            if sel.order_by:
+                raise TypeCheckError(
+                    "ORDER BY is not supported on a join-handler SELECT")
+            node = self._compile_handler_join(sel, sources, handler_item)
+        else:
+            node = self._join_sources(sources, sel.where)
+            node, items = self._expand_table_functions(node, list(sel.items))
+            if sel.order_by:
+                order = self._order_keys(sel.order_by, items, node.schema)
+            if sel.group_by or self._has_aggregates(items):
+                node = self._compile_groupby(sel, node, items)
+            else:
+                node = LProject(node, [
+                    (self._expr(item.expr, node.schema),
                      self._out_field(item, node.schema, i))
-                    for i, item in enumerate(items)]
-        return LProject(node, compiled)
+                    for i, item in enumerate(items)])
+        if presented:
+            self.presentation = (order, sel.limit)
+        return node
 
     def _compile_from(self, ref: ast.TableRef) -> LNode:
         if ref.subquery is not None:
@@ -136,7 +157,7 @@ class Compiler:
             return LFeedback(cte_name, schema, key)
         if self.catalog.has(name):
             table = self.catalog.get(name)
-            return LScan(name, table.schema, table.partition_key,
+            return LScan(name, table.schema, table.key_index,
                          binding=ref.binding)
         raise TypeCheckError(f"unknown relation {name!r}")
 
@@ -181,8 +202,14 @@ class Compiler:
 
         condition = None
         if sel.where is not None:
-            condition = self._join_condition(sel.where, left.schema,
-                                             right.schema)
+            condition, rest = self._extract_join_condition(
+                self._split_conjuncts(sel.where),
+                left.schema.concat(right.schema), len(left.schema),
+                len(right.schema))
+            if rest:
+                raise TypeCheckError(
+                    "handler joins support a single equality join "
+                    "condition")
         handler_factory = self.registry.join_handler_factory(item.call.func)
         handler = handler_factory()
         declared = {name: ftype
@@ -193,29 +220,17 @@ class Compiler:
                      handler_factory=handler_factory,
                      handler_schema=Schema(out_fields))
 
-    def _join_condition(self, where: ast.AstExpr, left: Schema,
-                        right: Schema) -> Tuple[str, str]:
-        if (not isinstance(where, ast.Binary) or where.op != "="
-                or not isinstance(where.left, ast.Name)
-                or not isinstance(where.right, ast.Name)):
-            raise TypeCheckError(
-                "handler joins support a single equality join condition")
-        a, b = where.left.text, where.right.text
-        if left.has(a) and right.has(b):
-            return (a, b)
-        if left.has(b) and right.has(a):
-            return (b, a)
-        raise TypeCheckError(
-            f"join condition {a} = {b} does not span the two relations")
-
     # -- generic joins -----------------------------------------------------
     def _join_sources(self, sources: List[Tuple[str, LNode]],
                       where: Optional[ast.AstExpr]) -> LNode:
+        """Left-deep join of the FROM relations, in order; each joins on
+        the first ``a = b`` conjunct between it and those before it."""
         conjuncts = self._split_conjuncts(where)
+        scope = Schema([f for _, source in sources for f in source.schema])
         node = sources[0][1]
         for _, right in sources[1:]:
             condition, conjuncts = self._extract_join_condition(
-                conjuncts, node.schema, right.schema)
+                conjuncts, scope, len(node.schema), len(right.schema))
             node = LJoin(node, right, condition)
         for conjunct in conjuncts:
             node = LFilter(node, self._expr(conjunct, node.schema))
@@ -231,17 +246,23 @@ class Compiler:
         return [where]
 
     def _extract_join_condition(self, conjuncts: List[ast.AstExpr],
-                                left: Schema, right: Schema):
+                                scope: Schema, width: int,
+                                right_width: int
+                                ) -> Tuple[Tuple[int, int],
+                                           List[ast.AstExpr]]:
+        """The first ``a = b`` conjunct equating one of ``scope``'s first
+        ``width`` columns (the left input) with one of the next
+        ``right_width`` (the right input), as (left, right) input
+        positions, and the other conjuncts."""
+        end = width + right_width
         for i, c in enumerate(conjuncts):
             if (isinstance(c, ast.Binary) and c.op == "="
                     and isinstance(c.left, ast.Name)
                     and isinstance(c.right, ast.Name)):
-                a, b = c.left.text, c.right.text
-                rest = conjuncts[:i] + conjuncts[i + 1:]
-                if left.has(a) and right.has(b) and not left.has(b):
-                    return (a, b), rest
-                if left.has(b) and right.has(a) and not left.has(a):
-                    return (b, a), rest
+                a, b = sorted((scope.index_of(c.left.text),
+                               scope.index_of(c.right.text)))
+                if a < width <= b < end:
+                    return (a, b - width), conjuncts[:i] + conjuncts[i + 1:]
         raise TypeCheckError(
             "no equality join condition found between the FROM relations")
 
@@ -303,23 +324,18 @@ class Compiler:
         return False
 
     def _compile_groupby(self, sel: ast.Select, child: LNode,
-                         items: Optional[List[ast.SelectItem]] = None
-                         ) -> LNode:
-        if items is None:
-            items = list(sel.items)
-        keys = []
-        for name in sel.group_by:
-            if not child.schema.has(name.text):
-                raise TypeCheckError(f"GROUP BY column {name.text!r} unknown")
-            keys.append(name.text)
+                         items: List[ast.SelectItem]) -> LNode:
+        keys = [child.schema.index_of(name.text) for name in sel.group_by]
         aggs: List[LAggCall] = []
-        # Rewrite select items over the group-by output schema.
-        rewritten: List[Tuple[ast.AstExpr, Optional[str]]] = []
-        projection_exprs: List[Tuple[Expr, Field]] = []
 
         def lift(expr: ast.AstExpr) -> ast.AstExpr:
             """Replace aggregate calls with references to synthetic
             columns, collecting LAggCalls along the way."""
+            if isinstance(expr, ast.Name):
+                # A select column names a FROM column, as in SQL; it must
+                # then be a group key to survive into the group-by output.
+                child.schema.index_of(expr.text)
+                return expr
             if isinstance(expr, ast.Call) and self.registry.is_aggregate(expr.func):
                 col = f"_agg{next(self._gensym)}"
                 aggs.append(self._agg_call(expr, child.schema, col))
@@ -330,58 +346,34 @@ class Compiler:
                 return ast.Unary(expr.op, lift(expr.operand))
             return expr
 
-        groupby_placeholder_fields: List[Field] = []
+        # One slot per SELECT item, in order: the projected fields of an
+        # aggregate's expansion, or a lifted scalar, compiled over the
+        # group-by's output schema once that exists.
+        slots = []
         for i, item in enumerate(items):
             expr = item.expr
-            if isinstance(expr, ast.FieldExpansion):
-                if not self.registry.is_aggregate(expr.call.func):
-                    raise TypeCheckError(
-                        f"{expr.call.func} is not an aggregate")
-                col = f"_agg{next(self._gensym)}"
-                aggs.append(self._agg_call(expr.call, child.schema, col))
-                for j, fname in enumerate(expr.fields):
-                    projection_exprs.append(
-                        (TupleField(ColumnRef(col), j),
-                         Field(fname, SQLType.ANY)))
+            if not isinstance(expr, ast.FieldExpansion):
+                slots.append((lift(expr), self._item_name(item, i)))
                 continue
-            lifted = lift(expr)
-            rewritten.append((lifted, self._item_name(item, i)))
+            if not self.registry.is_aggregate(expr.call.func):
+                raise TypeCheckError(f"{expr.call.func} is not an aggregate")
+            col = f"_agg{next(self._gensym)}"
+            aggs.append(self._agg_call(expr.call, child.schema, col))
+            slots.append([(TupleField(ColumnRef(col), j),
+                           Field(fname, SQLType.ANY))
+                          for j, fname in enumerate(expr.fields)])
 
         groupby = LGroupBy(child, keys, aggs)
-        for lifted, name in rewritten:
+        projection: List[Tuple[Expr, Field]] = []
+        for slot in slots:
+            if isinstance(slot, list):
+                projection.extend(slot)
+                continue
+            lifted, name = slot
             compiled = self._expr(lifted, groupby.schema)
-            ftype = compiled.output_type(groupby.schema)
-            projection_exprs.append((compiled, Field(name, ftype)))
-        # Preserve SELECT-list order: key/scalar items came first unless the
-        # expansion appeared earlier; rebuild in original order.
-        ordered = self._ordered_projection(items, projection_exprs, groupby)
-        return LProject(groupby, ordered)
-
-    def _ordered_projection(self, items: List[ast.SelectItem],
-                            computed: List[Tuple[Expr, Field]],
-                            groupby: LGroupBy) -> List[Tuple[Expr, Field]]:
-        """Reassemble projection items in SELECT-list order.
-
-        ``computed`` holds expansion items first or last depending on
-        discovery order; match them back positionally.
-        """
-        expansion_fields = [f for item in items
-                            if isinstance(item.expr, ast.FieldExpansion)
-                            for f in item.expr.fields]
-        expansions = [(e, f) for e, f in computed
-                      if f.name in expansion_fields]
-        scalars = [(e, f) for e, f in computed
-                   if f.name not in expansion_fields]
-        out: List[Tuple[Expr, Field]] = []
-        si = iter(scalars)
-        ei = iter(expansions)
-        for item in items:
-            if isinstance(item.expr, ast.FieldExpansion):
-                for _ in item.expr.fields:
-                    out.append(next(ei))
-            else:
-                out.append(next(si))
-        return out
+            projection.append(
+                (compiled, Field(name, compiled.output_type(groupby.schema))))
+        return LProject(groupby, projection)
 
     def _agg_call(self, call: ast.Call, schema: Schema, out_col: str
                   ) -> LAggCall:
@@ -392,15 +384,16 @@ class Compiler:
             factory = lambda: self.registry.aggregator(name)
         args = [] if call.star else [self._expr(a, schema) for a in call.args]
         template = factory()
+        declared = template.output_fields
+        out_type = declared[0][1] if len(declared) == 1 else SQLType.ANY
         return LAggCall(name, factory, args,
-                        out_fields=[Field(out_col, SQLType.ANY)],
+                        out_fields=[Field(out_col, out_type)],
                         composable=getattr(template, "composable", False))
 
     # -- expressions ---------------------------------------------------------
     def _expr(self, expr: ast.AstExpr, schema: Schema) -> Expr:
         if isinstance(expr, ast.Name):
-            if not schema.has(expr.text):
-                raise TypeCheckError(f"unknown column {expr.text!r}")
+            schema.index_of(expr.text)
             return ColumnRef(expr.text)
         if isinstance(expr, ast.NumberLit):
             return Literal(expr.value)
@@ -430,6 +423,36 @@ class Compiler:
             return FuncCall(fn, [self._expr(a, schema) for a in expr.args])
         raise TypeCheckError(f"unsupported expression {expr!r}")
 
+    def _order_keys(self, order_by: Sequence[ast.OrderItem],
+                    items: Sequence[ast.SelectItem], scope: Schema
+                    ) -> Tuple[Tuple[int, bool], ...]:
+        """Resolve ORDER BY names to output positions, as SQL does: a name
+        is an output alias (an ``AS`` or an aggregate's ``.{...}``
+        expansion field), or else a FROM column (``scope``) that the
+        SELECT list projects."""
+        outputs: List[Tuple[Optional[str], Optional[int]]] = []
+        for item in items:  # (alias, FROM position of a bare column)
+            expr = item.expr
+            if isinstance(expr, ast.FieldExpansion):
+                outputs.extend((f, None) for f in expr.fields)
+            else:
+                outputs.append((item.alias, scope.index_of(expr.text)
+                                if isinstance(expr, ast.Name) else None))
+        keys = []
+        for order in order_by:
+            name = order.name.text
+            found = [i for i, (alias, _) in enumerate(outputs)
+                     if alias == name]
+            if not found:
+                pos = scope.index_of(name)
+                found = [i for i, (_, src) in enumerate(outputs)
+                         if src == pos]
+            if not found:
+                raise TypeCheckError(
+                    f"ORDER BY {name!r} is not a column of the SELECT list")
+            keys.append((found[0], order.descending))
+        return tuple(keys)
+
     def _item_name(self, item: ast.SelectItem, index: int) -> str:
         if item.alias:
             return item.alias
@@ -445,5 +468,7 @@ class Compiler:
 
 def compile_query(query: ast.Query, catalog: Catalog,
                   registry: UDFRegistry) -> LNode:
-    """Compile a parsed RQL query into a logical plan."""
+    """Compile a parsed RQL query into a logical plan (without its
+    top-level ORDER BY / LIMIT, see :attr:`Compiler.presentation`)."""
     return Compiler(catalog, registry).compile(query)
+

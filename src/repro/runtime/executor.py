@@ -955,7 +955,7 @@ class QueryExecutor:
                         f"table {table.name} has no replicas; data on "
                         f"node {victim} is unrecoverable")
                 continue
-            key_index = table._key_index
+            key_index = table.key_index
             lost_rows = []
             # Sorted: set order is unordered and these rows feed emission
             # order downstream (the sanitizer's REX106 lint catches this).

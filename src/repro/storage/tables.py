@@ -65,7 +65,7 @@ class PartitionedTable:
         self.schema = schema
         self.partition_key = partition_key
         self.replication = replication
-        self._key_index = (
+        self.key_index = (
             schema.index_of(partition_key) if partition_key is not None else None
         )
         # node id -> primary partition; node id -> replica partition
@@ -84,7 +84,7 @@ class PartitionedTable:
         for node in nodes:
             self.primaries[node] = Partition()
             self.replicas[node] = Partition()
-        key_index = self._key_index
+        key_index = self.key_index
         replication = self.replication
         primaries = self.primaries
         replicas = self.replicas

@@ -122,6 +122,7 @@ class Count(Aggregator):
     """COUNT(*) or COUNT(expr); NULL inputs are skipped for COUNT(expr)."""
 
     name = "count"
+    out_types = ("Integer",)
     composable = True
     multiply = staticmethod(lambda value, n: None if value is None else value * n)
 

@@ -74,7 +74,7 @@ def _edges(partition_key=None) -> LScan:
                  partition_key=partition_key)
 
 
-def _seed(partition_key="node") -> LScan:
+def _seed(partition_key=0) -> LScan:
     return LScan("seed",
                  _schema(("node", SQLType.INTEGER),
                          ("val", SQLType.DOUBLE)),
@@ -85,7 +85,7 @@ def _feedback(cte="R") -> LFeedback:
     return LFeedback(cte,
                      _schema(("node", SQLType.INTEGER),
                              ("val", SQLType.DOUBLE)),
-                     fixpoint_key="node")
+                     fixpoint_key=0)
 
 
 def _converged(child: LNode) -> LFilter:
@@ -129,26 +129,26 @@ class _MultiplyUDF:
 
 def nested_fixpoint() -> LNode:
     inner = LFixpoint(_seed(), _converged(_feedback("Inner")),
-                      key="node", cte_name="Inner")
-    return LFixpoint(_seed(), _converged(inner), key="node", cte_name="R")
+                      key=0, cte_name="Inner")
+    return LFixpoint(_seed(), _converged(inner), key=0, cte_name="R")
 
 
 def negation_in_recursion() -> LNode:
     guard = LFilter(
         _feedback(),
         BoolOp("not", [BinaryOp(">", ColumnRef("val"), Literal(0.5))]))
-    return LFixpoint(_seed(), guard, key="node", cte_name="R")
+    return LFixpoint(_seed(), guard, key=0, cte_name="R")
 
 
 def double_feedback() -> LNode:
-    recursive = LJoin(_feedback(), _feedback(), condition=("node", "node"))
+    recursive = LJoin(_feedback(), _feedback(), condition=(0, 0))
     return LFixpoint(_seed(), _converged(recursive),
-                     key="node", cte_name="R")
+                     key=0, cte_name="R")
 
 
 def feedback_in_base() -> LNode:
     return LFixpoint(_converged(_feedback()), _converged(_feedback()),
-                     key="node", cte_name="R")
+                     key=0, cte_name="R")
 
 
 def union_all_no_contraction() -> LNode:
@@ -156,90 +156,92 @@ def union_all_no_contraction() -> LNode:
         _feedback(),
         [(ColumnRef("node"), F("node", SQLType.INTEGER)),
          (ColumnRef("val"), F("val", SQLType.DOUBLE))])
-    return LFixpoint(_seed(), recursive, key="node", cte_name="R",
+    return LFixpoint(_seed(), recursive, key=0, cte_name="R",
                      union_all=True)
 
 
 def non_composable_preagg() -> LNode:
     partial = LGroupBy(
-        _edges("srcId"), ["srcId"],
+        _edges(0), [0],
         [LAggCall("collect", CollectList, [ColumnRef("weight")],
                   [F("ws", SQLType.LIST)])],
         pre_aggregated=True)
-    return LGroupBy(LRehash(partial, "srcId"), ["srcId"],
+    return LGroupBy(LRehash(partial, 0), [0],
                     [LAggCall("collect", CollectList, [ColumnRef("ws")],
                               [F("ws2", SQLType.LIST)])])
 
 
 def escaping_partials() -> LNode:
     return LGroupBy(
-        _edges("srcId"), ["srcId"],
+        _edges(0), [0],
         [LAggCall("sum", Sum, [ColumnRef("weight")],
                   [F("_p0", SQLType.DOUBLE)], composable=True)],
         pre_aggregated=True)
 
 
-def _side_preagg(scan: LScan, key: str, agg_factory, agg_name: str,
-                 cnt_name: str) -> LGroupBy:
+def _side_preagg(scan: LScan, key: int, agg_factory, agg_name: str,
+                 cnt_name: str, partial: str = "_m0") -> LGroupBy:
     return LGroupBy(
         scan, [key],
         [LAggCall(agg_name, agg_factory, [ColumnRef("weight")],
-                  [F("_m0", SQLType.DOUBLE)], composable=True),
+                  [F(partial, SQLType.DOUBLE)], composable=True),
          LAggCall("count", Count, [],
                   [F(cnt_name, SQLType.INTEGER)], composable=True)],
         pre_aggregated=True)
 
 
 def multiplicative_no_multiply() -> LNode:
-    left = _side_preagg(_edges("srcId"), "srcId",
+    left = _side_preagg(_edges(0), 0,
                         _NoMultiplySum, "sum_nm", "_cnt_1")
-    right = _side_preagg(_edges("srcId"), "srcId", Sum, "sum", "_cnt_2")
-    join = LJoin(left, right, condition=("srcId", "srcId"))
+    # The right side's partial has its own name: an unqualified "_m0"
+    # on both sides would be an ambiguous reference.
+    right = _side_preagg(_edges(0), 0, Sum, "sum", "_cnt_2", partial="_m1")
+    join = LJoin(left, right, condition=(0, 0))
     return LProject(
         join,
-        [(FuncCall(_MultiplyUDF(), [ColumnRef("_m0")]),
+        [(FuncCall(_MultiplyUDF(), [ColumnRef("_m1")]),
           F("total", SQLType.DOUBLE))])
 
 
 def multiplicative_no_compensation() -> LNode:
-    left = _side_preagg(_edges("srcId"), "srcId", Sum, "sum", "_cnt_1")
-    right = _side_preagg(_edges("srcId"), "srcId", Sum, "sum", "_cnt_2")
-    return LJoin(left, right, condition=("srcId", "srcId"))
+    left = _side_preagg(_edges(0), 0, Sum, "sum", "_cnt_1")
+    right = _side_preagg(_edges(0), 0, Sum, "sum", "_cnt_2")
+    return LJoin(left, right, condition=(0, 0))
 
 
 def missing_rehash() -> LNode:
     return LGroupBy(
-        _edges(partition_key=None), ["srcId"],
+        _edges(partition_key=None), [0],
         [LAggCall("sum", Sum, [ColumnRef("weight")],
                   [F("total", SQLType.DOUBLE)], composable=True)])
 
 
 def redundant_rehash() -> LNode:
-    rehash = LRehash(_edges(partition_key="srcId"), "srcId")
+    rehash = LRehash(_edges(partition_key=0), 0)
     return LGroupBy(
-        rehash, ["srcId"],
+        rehash, [0],
         [LAggCall("sum", Sum, [ColumnRef("weight")],
                   [F("total", SQLType.DOUBLE)], composable=True)])
 
 
 def starved_handler() -> LNode:
     handler_join = LJoin(
-        _edges("srcId"), _seed("node"), condition=None,
+        _edges(0), _seed(0), condition=None,
         handler_factory=_handler_factory,
         handler_schema=_schema(("node", SQLType.INTEGER),
                                ("val", SQLType.DOUBLE)))
     recursive = LJoin(_converged(handler_join), _feedback(),
-                      condition=("node", "node"))
-    return LFixpoint(_seed(), recursive, key="node", cte_name="R")
+                      condition=(0, 0))
+    return LFixpoint(_seed(), recursive, key=0, cte_name="R")
 
 
 def uninterpreted_payload() -> LNode:
     handler_join = LJoin(
-        _feedback(), _edges("srcId"), condition=None,
+        _feedback(), _edges(0), condition=None,
         handler_factory=_handler_factory,
         handler_schema=_schema(("node", SQLType.INTEGER),
                                ("val", SQLType.DOUBLE)))
-    return LFixpoint(_seed(), handler_join, key="node", cte_name="R")
+    return LFixpoint(_seed(), handler_join, key=0, cte_name="R")
 
 
 def unknown_column() -> LNode:
@@ -250,13 +252,13 @@ def join_type_mismatch() -> LNode:
     names = LScan("names", _schema(("id", SQLType.INTEGER),
                                    ("label", SQLType.VARCHAR)),
                   partition_key=None)
-    return LJoin(LRehash(_edges(), "srcId"), LRehash(names, "label"),
-                 condition=("srcId", "label"))
+    return LJoin(LRehash(_edges(), 0), LRehash(names, 1),
+                 condition=(0, 1))
 
 
 def aggregate_arity_mismatch() -> LNode:
     return LGroupBy(
-        LRehash(_edges(), "srcId"), ["srcId"],
+        LRehash(_edges(), 0), [0],
         [LAggCall("tsum", _TypedSum,
                   [ColumnRef("weight"), ColumnRef("destId")],
                   [F("total", SQLType.DOUBLE)], composable=True)])
@@ -268,7 +270,7 @@ def fixpoint_arity_mismatch() -> LNode:
         [(ColumnRef("node"), F("node", SQLType.INTEGER)),
          (ColumnRef("val"), F("val", SQLType.DOUBLE)),
          (Literal(0), F("extra", SQLType.INTEGER))])
-    return LFixpoint(_seed(), wide, key="node", cte_name="R")
+    return LFixpoint(_seed(), wide, key=0, cte_name="R")
 
 
 # ---------------------------------------------------------------------------
@@ -619,26 +621,26 @@ LINEAGE_CASES: List[Case] = [
 
 def good_groupby() -> LNode:
     return LGroupBy(
-        LRehash(_edges(), "srcId"), ["srcId"],
+        LRehash(_edges(), 0), [0],
         [LAggCall("sum", Sum, [ColumnRef("weight")],
                   [F("total", SQLType.DOUBLE)], composable=True)])
 
 
 def good_preagg_pair() -> LNode:
     partial = LGroupBy(
-        _edges(), ["srcId"],
+        _edges(), [0],
         [LAggCall("sum", Sum, [ColumnRef("weight")],
                   [F("_p0", SQLType.DOUBLE)], composable=True)],
         pre_aggregated=True)
     return LGroupBy(
-        LRehash(partial, "srcId"), ["srcId"],
+        LRehash(partial, 0), [0],
         [LAggCall("sum", Sum, [ColumnRef("_p0")],
                   [F("total", SQLType.DOUBLE)], composable=True)])
 
 
 def good_fixpoint() -> LNode:
     return LFixpoint(_seed(), _converged(_feedback()),
-                     key="node", cte_name="R")
+                     key=0, cte_name="R")
 
 
 def good_phys_fixpoint() -> PNode:

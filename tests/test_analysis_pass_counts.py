@@ -19,9 +19,9 @@ from repro.cluster import Cluster
 from repro.datasets import lineitem
 from repro.optimizer.physical import lower
 from repro.rql import RQLSession
-from repro.rql.compiler import compile_query
+from repro.rql.compiler import Compiler
 
-PASSES = {compile_query.__code__: "compile", lower.__code__: "lower",
+PASSES = {Compiler.compile.__code__: "compile", lower.__code__: "lower",
           absint.infer.__code__: "infer",
           lineage.infer_lineage.__code__: "lineage"}
 

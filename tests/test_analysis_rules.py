@@ -19,7 +19,7 @@ from tests.analysis_corpus import (
 from repro.optimizer.logical import LAggCall
 
 
-def _sum_groupby(child, key="srcId", col="weight"):
+def _sum_groupby(child, key=0, col="weight"):
     return LGroupBy(
         child, [key],
         [LAggCall("sum", Sum, [ColumnRef(col)],
@@ -35,21 +35,21 @@ class TestMissingRehash:
 
 class TestPartitioningPropagation:
     def test_projection_preserves_partitioning_positionally(self):
-        scan = _edges(partition_key="srcId")
+        scan = _edges(partition_key=0)
         proj = LProject(scan, [
             (ColumnRef("weight"), F("w", SQLType.DOUBLE)),
             (ColumnRef("srcId"), F("node", SQLType.INTEGER)),
         ])
-        report = analyze_logical(_sum_groupby(proj, key="node", col="w"))
+        report = analyze_logical(_sum_groupby(proj, key=1, col="w"))
         assert "REX005" not in report.codes()
 
     def test_projection_dropping_the_key_loses_partitioning(self):
-        scan = _edges(partition_key="srcId")
+        scan = _edges(partition_key=0)
         proj = LProject(scan, [
             (ColumnRef("weight"), F("w", SQLType.DOUBLE)),
             (ColumnRef("destId"), F("d", SQLType.INTEGER)),
         ])
-        report = analyze_logical(_sum_groupby(proj, key="d", col="w"))
+        report = analyze_logical(_sum_groupby(proj, key=1, col="w"))
         assert "REX005" in report.codes()
 
     def test_broadcast_does_not_satisfy_keyed_requirement(self):

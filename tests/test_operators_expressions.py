@@ -21,7 +21,6 @@ from repro.operators import (
     FuncCall,
     Literal,
     TupleField,
-    make_key_fn,
     make_row_fn,
 )
 from repro.operators.expressions import _PY_OPS, compile_exprs
@@ -141,14 +140,6 @@ class TestFuncCallAndTupleField:
 
 
 class TestCompiledHelpers:
-    def test_make_key_fn_single(self):
-        key = make_key_fn(SCHEMA, ["a"])
-        assert key((7, 0.0, "x")) == (7,)
-
-    def test_make_key_fn_composite(self):
-        key = make_key_fn(SCHEMA, ["s", "a"])
-        assert key((7, 0.0, "x")) == ("x", 7)
-
     def test_make_row_fn(self):
         fn = make_row_fn([ColumnRef("s"), BinaryOp("+", ColumnRef("a"), Literal(1))],
                          SCHEMA)

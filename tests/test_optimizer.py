@@ -40,7 +40,7 @@ def make_cluster():
 
 def scan(cluster, name):
     table = cluster.catalog.get(name)
-    return LScan(name, table.schema, table.partition_key)
+    return LScan(name, table.schema, table.key_index)
 
 
 class TestStatistics:
@@ -85,14 +85,14 @@ class TestCostEstimation:
     def test_join_uses_distinct_counts(self):
         cluster = make_cluster()
         join = LJoin(scan(cluster, "big"), scan(cluster, "small"),
-                     ("big.g", "small.g"))
+                     (1, 0))
         est = self.estimator(cluster).estimate(join)
         # 2000 * 10 / max(10, 10) = 2000
         assert est.rows == pytest.approx(2000, rel=0.01)
 
     def test_rehash_charges_network(self):
         cluster = make_cluster()
-        node = LRehash(scan(cluster, "big"), key="g")
+        node = LRehash(scan(cluster, "big"), key=1)
         est = self.estimator(cluster).estimate(node)
         assert est.usage.net_out > 0
 
@@ -108,8 +108,8 @@ class TestCostEstimation:
         cluster = make_cluster()
         estimator = self.estimator(cluster)
         base = scan(cluster, "big")
-        recursive = LFeedback("R", base.schema.renamed("R"), "id")
-        fp = LFixpoint(base, recursive, key="id", cte_name="R")
+        recursive = LFeedback("R", base.schema.renamed("R"), 0)
+        fp = LFixpoint(base, recursive, key=0, cte_name="R")
         est = estimator.estimate(fp)
         base_est = estimator.estimate(base)
         assert est.usage.total() > base_est.usage.total()
@@ -176,7 +176,7 @@ class TestPredicateRankOrdering:
 class TestPreAggregation:
     def groupby(self, cluster):
         return LGroupBy(
-            scan(cluster, "big"), ["g"],
+            scan(cluster, "big"), [1],
             [LAggCall("sum", Sum, [ColumnRef("v")],
                       [Field("s", SQLType.ANY)], composable=True)])
 
@@ -189,14 +189,14 @@ class TestPreAggregation:
         assert isinstance(pre, LGroupBy) and not pre.pre_aggregated
         assert pre.children[0].pre_aggregated
         rehash = add_exchanges(pre).children[0]
-        assert isinstance(rehash, LRehash) and rehash.key == "g"
+        assert isinstance(rehash, LRehash) and rehash.label() == "Rehash(g)"
         partial = rehash.children[0]
         assert isinstance(partial, LGroupBy) and partial.pre_aggregated
 
     def test_noncomposable_not_rewritten(self):
         cluster = make_cluster()
         gb = LGroupBy(
-            scan(cluster, "big"), ["g"],
+            scan(cluster, "big"), [1],
             [LAggCall("collect", lambda: __import__(
                 "repro.udf.builtins", fromlist=["CollectList"]).CollectList(),
                 [ColumnRef("v")], [Field("c", SQLType.ANY)],

@@ -79,11 +79,11 @@ def _graph():
 
 def _scan(cluster, name):
     table = cluster.catalog.get(name)
-    return LScan(name, table.schema, table.partition_key)
+    return LScan(name, table.schema, table.key_index)
 
 
 def _destid_sum(cluster):
-    return LGroupBy(_scan(cluster, "graph"), ["destId"],
+    return LGroupBy(_scan(cluster, "graph"), [1],
                     [LAggCall("sum", Sum, [ColumnRef("srcId")],
                               [Field("s", SQLType.ANY)], composable=True)])
 
@@ -94,7 +94,7 @@ class TestPreAggregation:
         srcId-keyed input says nothing about where destId groups live."""
         placed = add_exchanges(push_pre_aggregation(_destid_sum(_graph())))
         rehashes = [n for n in placed.walk() if isinstance(n, LRehash)]
-        assert [r.key for r in rehashes] == ["destId"]
+        assert [r.label() for r in rehashes] == ["Rehash(destId)"]
         assert rehashes[0].children[0].pre_aggregated
         report = analyze_logical(placed)
         assert not set(report.codes()) & PARTITIONING_CODES, report.format()
@@ -109,7 +109,7 @@ class TestPreAggregation:
 
     def test_partitioning_on_a_group_key_survives_remapped(self):
         cluster = _graph()
-        partial = LGroupBy(_scan(cluster, "graph"), ["destId", "srcId"],
+        partial = LGroupBy(_scan(cluster, "graph"), [1, 0],
                            [LAggCall("sum", Sum, [ColumnRef("srcId")],
                                      [Field("s", SQLType.ANY)],
                                      composable=True)],

@@ -14,7 +14,9 @@ from repro.optimizer.logical import (
     LScan,
 )
 from repro.optimizer.logical import LAggCall
+from repro.common.errors import PlanError
 from repro.common.schema import Field, SQLType
+from repro.optimizer.physical import _key_of
 from repro.runtime.plan import PGroupBy, PJoin, PRehash, PScan
 from repro.udf import Sum
 
@@ -30,7 +32,7 @@ def make_catalog():
 
 def scan(cluster, name):
     table = cluster.catalog.get(name)
-    return LScan(name, table.schema, table.partition_key)
+    return LScan(name, table.schema, table.key_index)
 
 
 def node_types(pnode):
@@ -48,13 +50,13 @@ def node_types(pnode):
 class TestExchangePlacement:
     def test_colocated_join_needs_no_rehash(self):
         cluster = make_catalog()
-        join = LJoin(scan(cluster, "r"), scan(cluster, "r"), ("r.k", "r.k"))
+        join = LJoin(scan(cluster, "r"), scan(cluster, "r"), (0, 0))
         placed = add_exchanges(join)
         assert not any(isinstance(n, LRehash) for n in placed.walk())
 
     def test_unpartitioned_side_gets_rehash(self):
         cluster = make_catalog()
-        join = LJoin(scan(cluster, "r"), scan(cluster, "u"), ("r.k", "u.k"))
+        join = LJoin(scan(cluster, "r"), scan(cluster, "u"), (0, 0))
         placed = add_exchanges(join)
         rehashes = [n for n in placed.walk() if isinstance(n, LRehash)]
         assert len(rehashes) == 1
@@ -64,7 +66,7 @@ class TestExchangePlacement:
 
     def test_groupby_on_partition_key_local(self):
         cluster = make_catalog()
-        gb = LGroupBy(scan(cluster, "r"), ["k"],
+        gb = LGroupBy(scan(cluster, "r"), [0],
                       [LAggCall("sum", Sum, [ColumnRef("v")],
                                 [Field("s", SQLType.ANY)])])
         placed = add_exchanges(gb)
@@ -72,7 +74,7 @@ class TestExchangePlacement:
 
     def test_groupby_on_other_column_rehashes(self):
         cluster = make_catalog()
-        gb = LGroupBy(scan(cluster, "r"), ["v"],
+        gb = LGroupBy(scan(cluster, "r"), [1],
                       [LAggCall("sum", Sum, [ColumnRef("k")],
                                 [Field("s", SQLType.ANY)])])
         placed = add_exchanges(gb)
@@ -84,7 +86,7 @@ class TestExchangePlacement:
                            [(ColumnRef("k"), Field("k", SQLType.INTEGER)),
                             (BinaryOp("+", ColumnRef("v"), Literal(1)),
                              Field("v1", SQLType.INTEGER))])
-        gb = LGroupBy(project, ["k"],
+        gb = LGroupBy(project, [0],
                       [LAggCall("sum", Sum, [ColumnRef("v1")],
                                 [Field("s", SQLType.ANY)])])
         placed = add_exchanges(gb)
@@ -94,7 +96,7 @@ class TestExchangePlacement:
         cluster = make_catalog()
         project = LProject(scan(cluster, "r"),
                            [(ColumnRef("v"), Field("v", SQLType.INTEGER))])
-        gb = LGroupBy(project, ["v"],
+        gb = LGroupBy(project, [0],
                       [LAggCall("sum", Sum, [ColumnRef("v")],
                                 [Field("s", SQLType.ANY)])])
         placed = add_exchanges(gb)
@@ -104,7 +106,7 @@ class TestExchangePlacement:
 class TestLowering:
     def test_lowered_shapes(self):
         cluster = make_catalog()
-        join = LJoin(scan(cluster, "r"), scan(cluster, "u"), ("r.k", "u.k"))
+        join = LJoin(scan(cluster, "r"), scan(cluster, "u"), (0, 0))
         plan = lower(add_exchanges(join))
         kinds = node_types(plan.root)
         assert "PJoin" in kinds and "PRehash" in kinds and "PScan" in kinds
@@ -126,8 +128,28 @@ class TestLowering:
     def test_lowering_is_safety_net(self):
         """Lowering without prior add_exchanges still inserts exchanges."""
         cluster = make_catalog()
-        gb = LGroupBy(scan(cluster, "u"), ["k"],
+        gb = LGroupBy(scan(cluster, "u"), [0],
                       [LAggCall("sum", Sum, [ColumnRef("w")],
                                 [Field("s", SQLType.ANY)])])
         plan = lower(gb)  # no add_exchanges
         assert "PRehash" in node_types(plan.root)
+
+    def test_key_of_single(self):
+        assert _key_of((0,))((7, 0.0, "x")) == (7,)
+
+    def test_key_of_composite(self):
+        assert _key_of((2, 0))((7, 0.0, "x")) == ("x", 7)
+
+
+class TestKeyPositions:
+    """Logical keys are column positions, checked where a node is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda r: LRehash(r, 2),
+        lambda r: LGroupBy(r, [0, -1], []),
+        lambda r: LJoin(r, r, (0, 2)),
+        lambda r: LScan("r", r.schema, 2),
+    ], ids=["rehash", "group-by", "join", "scan"])
+    def test_out_of_range_position_refused(self, build):
+        with pytest.raises(PlanError):
+            build(scan(make_catalog(), "r"))

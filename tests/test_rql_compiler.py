@@ -55,7 +55,7 @@ class TestSelectShapes:
         assert isinstance(node, LProject)
         gb = node.children[0]
         assert isinstance(gb, LGroupBy)
-        assert gb.keys == ["srcId"]
+        assert gb.keys == (0,)
         assert gb.aggs[0].name == "count"
 
     def test_aggregate_inside_arithmetic_lifted(self):
@@ -77,7 +77,7 @@ class TestSelectShapes:
         node = compile_text("SELECT count(*) FROM graph")
         gb = node.children[0]
         assert isinstance(gb, LGroupBy)
-        assert gb.keys == []
+        assert gb.keys == ()
 
 
 class TestHandlerJoinShapes:
@@ -158,7 +158,7 @@ class TestJoinExtraction:
             "SELECT graph.srcId FROM graph, graph g2 "
             "WHERE graph.srcId = g2.destId")
         join = next(n for n in node.walk() if isinstance(n, LJoin))
-        assert join.condition == ("graph.srcId", "g2.destId")
+        assert join.condition == (0, 1)  # graph.srcId, g2.destId
 
     def test_residual_conjunct_stays_as_filter(self):
         node = compile_text(

@@ -5,7 +5,6 @@ import pytest
 from repro.algorithms import make_start_table, run_sssp, sssp_reference
 from repro.cluster import Cluster
 from repro.common import OptionsError, insert
-from repro.operators import make_key_fn
 from repro.runtime import (
     ExecOptions,
     FailureSpec,

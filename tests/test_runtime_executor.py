@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import Cluster
 from repro.common import insert
 from repro.common.errors import PlanError
-from repro.operators import make_key_fn
 from repro.runtime import (
     ExecOptions,
     PCollect,

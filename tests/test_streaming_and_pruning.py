@@ -95,7 +95,7 @@ class TestBranchAndBound:
         estimator = CostEstimator(StatisticsCatalog(cluster.catalog),
                                   cluster.cost, 4)
         table = cluster.catalog.get("big")
-        node = LScan("big", table.schema, "id")
+        node = LScan("big", table.schema, table.key_index)
         full = estimator.plan_cost(node)
         with pytest.raises(EstimationPruned):
             estimator.plan_cost(node, budget=full / 100.0)
@@ -109,7 +109,7 @@ class TestBranchAndBound:
         estimator = CostEstimator(StatisticsCatalog(cluster.catalog),
                                   cluster.cost, 2)
         table = cluster.catalog.get("t")
-        node = LScan("t", table.schema, "id")
+        node = LScan("t", table.schema, table.key_index)
         with pytest.raises(EstimationPruned):
             estimator.plan_cost(node, budget=1e-12)
         # The estimator is reusable afterwards (budget cleared).
