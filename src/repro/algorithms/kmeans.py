@@ -21,8 +21,11 @@ The plan follows Listing 3's shape:
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
+from operator import index
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import QueryMetrics
@@ -51,6 +54,19 @@ class KMAgg(JoinDeltaHandler):
     centroid moves toward a point it may capture it; when a point's own
     centroid moves away the nearest centroid is recomputed over all known
     centroids.  Assignment changes emit ``δ(dx, dy, dn)`` adjustments.
+
+    Each centroid move is one whole-array pass over the bucket.  The
+    per-point state lives in numpy arrays aligned with the bucket's rows
+    (``x``, ``y``, ``pid``, and the assignment ``cid``/``d2``, valid
+    where ``assigned``); coordinates are doubles, as the declared
+    ``Double`` types say.  Every expression is the scalar rule's, element
+    by element, so the emitted deltas are exactly the ones a per-point
+    loop in bucket order would emit: distances are ``dx*dx + dy*dy``, a
+    NaN distance fails every comparison, the nearest centroid is the
+    first strict minimum over the sorted cids, and each centroid's
+    adjustments are summed in point order.  A pid appears at most once
+    in the bucket (one assignment per point); a repeated pid is a
+    :class:`UDFError`.
     """
 
     name = "KMAgg"
@@ -61,23 +77,88 @@ class KMAgg(JoinDeltaHandler):
 
     def __init__(self):
         super().__init__()
-        self.centroids: Dict[int, Tuple[float, float]] = {}
-        self.assign: Dict[int, Tuple[int, float]] = {}  # pid -> (cid, dist2)
-        # Sorted centroid ids, maintained by insort on first sight —
-        # centroids move but never disappear, so this is exactly
-        # sorted(self.centroids) without re-sorting per nearest-scan.
+        # Centroids move but never disappear: ``_cids`` is sorted(known
+        # cids), kept by bisection, with ``_cx``/``_cy`` aligned to it.
         self._cids: List[int] = []
+        self._cx = np.empty(0)
+        self._cy = np.empty(0)
+        # pid -> (cid, d2) of points that left the bucket: a point that
+        # comes back resumes its assignment.
+        self._departed: Dict[int, Tuple[int, float]] = {}
+        self._clear_points()
 
-    def _nearest(self, x: float, y: float) -> Tuple[int, float]:
-        best_cid, best_d2 = -1, float("inf")
-        centroids = self.centroids
-        for cid in self._cids:
-            cx, cy = centroids[cid]
-            dx = x - cx
-            dy = y - cy
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best_cid, best_d2 = cid, d2
+    # -- per-point arrays ---------------------------------------------------
+    def _clear_points(self) -> None:
+        # The bucket rows the point arrays were built from.  The join
+        # appends to the bucket, and a ``-``/``->`` on the point side
+        # rewrites it in place; _sync compares before every pass.
+        self._rows: list = []
+        self.x = np.empty(0)
+        self.y = np.empty(0)
+        self.pid = np.empty(0, dtype=np.int64)
+        self.assigned = np.empty(0, dtype=bool)
+        self.cid = np.empty(0, dtype=np.int64)
+        self.d2 = np.empty(0)
+
+    def _sync(self, left_bucket: list) -> None:
+        rows = self._rows
+        n = len(rows)
+        if len(left_bucket) == n:
+            if left_bucket == rows:
+                return
+        elif len(left_bucket) > n and left_bucket[:n] == rows:
+            self._extend(left_bucket[n:])
+            return
+        # Rewritten in place: park every assignment by pid, rebuild.
+        self._departed.update(
+            (p, (c, d)) for p, a, c, d in zip(
+                self.pid.tolist(), self.assigned.tolist(),
+                self.cid.tolist(), self.d2.tolist()) if a)
+        self._clear_points()
+        self._extend(list(left_bucket))
+
+    def _extend(self, new_rows: list) -> None:
+        pids, xs, ys = [], [], []
+        for p, x, y in new_rows:
+            pids.append(p)
+            xs.append(x)
+            ys.append(y)
+        pid = np.array(pids, dtype=np.int64)
+        m = len(pids)
+        if len(np.unique(pid)) != m or np.isin(pid, self.pid).any():
+            raise UDFError("KMAgg: a pid appears twice in the point bucket")
+        if None in xs or None in ys:
+            raise UDFError("KMAgg: a point has a NULL coordinate")
+        assigned = np.zeros(m, dtype=bool)
+        cid = np.zeros(m, dtype=np.int64)
+        d2 = np.zeros(m)
+        departed = self._departed
+        if departed:
+            for i, p in enumerate(pids):
+                back = departed.pop(p, None)
+                if back is not None:
+                    assigned[i] = True
+                    cid[i], d2[i] = back
+        self._rows.extend(new_rows)
+        self.x = np.concatenate((self.x, np.array(xs, dtype=np.float64)))
+        self.y = np.concatenate((self.y, np.array(ys, dtype=np.float64)))
+        self.pid = np.concatenate((self.pid, pid))
+        self.assigned = np.concatenate((self.assigned, assigned))
+        self.cid = np.concatenate((self.cid, cid))
+        self.d2 = np.concatenate((self.d2, d2))
+
+    def _nearest(self, x: np.ndarray, y: np.ndarray):
+        """(cid, d2) of each point's nearest known centroid: the first
+        strictly smallest distance over the sorted cids, or ``(-1, inf)``
+        when no distance is below infinity (all NaN or inf)."""
+        dx = x[:, None] - self._cx
+        dy = y[:, None] - self._cy
+        d2 = dx * dx + dy * dy
+        d2 = np.where(d2 < np.inf, d2, np.inf)
+        first = d2.argmin(axis=1)
+        best_d2 = d2[np.arange(len(first)), first]
+        found = best_d2 < np.inf
+        best_cid = np.where(found, np.asarray(self._cids)[first], -1)
         return best_cid, best_d2
 
     def update(self, left_bucket, right_bucket, delta, side):
@@ -85,55 +166,77 @@ class KMAgg(JoinDeltaHandler):
         if cx is None or cy is None:
             # An emptied cluster produced a NULL centroid; freeze it.
             return []
-        centroids = self.centroids
-        if cid not in centroids:
-            insort(self._cids, cid)
-        centroids[cid] = (cx, cy)
-        out: List[Delta] = []
-        adjustments: Dict[int, List[float]] = {}
-        assign = self.assign
-        nearest = self._nearest
+        try:
+            cid = index(cid)
+        except TypeError:
+            raise UDFError(f"KMAgg: centroid id {cid!r} is not an integer"
+                           ) from None
+        cids = self._cids
+        at = bisect_left(cids, cid)
+        if at == len(cids) or cids[at] != cid:
+            cids.insert(at, cid)
+            self._cx = np.insert(self._cx, at, cx)
+            self._cy = np.insert(self._cy, at, cy)
+        else:
+            self._cx[at] = cx
+            self._cy[at] = cy
+        self._sync(left_bucket)
+        if not self._rows:
+            return []
+        # Python float arithmetic overflows to inf and makes NaN silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._reassign(cid, cx, cy)
 
-        def adjust(c: int, dx: float, dy: float, dn: int) -> None:
-            acc = adjustments.setdefault(c, [0.0, 0.0, 0])
-            acc[0] += dx
-            acc[1] += dy
-            acc[2] += dn
-
-        # Hot loop: every local point per centroid move.  Every distance
-        # in this handler is the same inlined expression, so comparisons
-        # stay self-consistent; dx*dx, not dx**2, which goes through libm
-        # pow and is several times slower.
-        assign_get = assign.get
-        for pid, x, y in left_bucket:
-            current = assign_get(pid)
-            dx = x - cx
-            dy = y - cy
-            new_d2 = dx * dx + dy * dy
-            if current is None:
-                # First centroid this point has ever seen.
-                assign[pid] = (cid, new_d2)
-                adjust(cid, x, y, 1)
-                continue
-            cur_cid, cur_d2 = current
-            if cur_cid == cid:
-                if new_d2 <= cur_d2:
-                    assign[pid] = (cid, new_d2)
-                else:
-                    # Our centroid moved away; someone else may be closer.
-                    best_cid, best_d2 = nearest(x, y)
-                    assign[pid] = (best_cid, best_d2)
-                    if best_cid != cid:
-                        adjust(cid, -x, -y, -1)
-                        adjust(best_cid, x, y, 1)
-            elif new_d2 < cur_d2:
-                assign[pid] = (cid, new_d2)
-                adjust(cur_cid, -x, -y, -1)
-                adjust(cid, x, y, 1)
-        for c, (dx, dy, dn) in sorted(adjustments.items()):
-            if dx or dy or dn:
-                out.append(update((c,), payload=(dx, dy, dn)))
-        return out
+    def _reassign(self, cid: int, cx: float, cy: float) -> List[Delta]:
+        """One pass of the per-point rule over the whole bucket for the
+        move of ``cid`` to ``(cx, cy)``; returns the adjustments."""
+        x, y = self.x, self.y
+        assigned, assigned_cid, d2 = self.assigned, self.cid, self.d2
+        had = assigned.copy()
+        before = assigned_cid.copy()
+        dx = x - cx
+        dy = y - cy
+        new_d2 = dx * dx + dy * dy
+        # The per-point rule's cases; NaN fails <= and <.  A point takes
+        # the moved centroid if it is its first, its own and no farther,
+        # or another strictly closer than its own.
+        mine = had & (assigned_cid == cid)
+        closer = new_d2 <= d2
+        take = (~had | (mine & closer)
+                | (had & (assigned_cid != cid) & (new_d2 < d2)))
+        np.copyto(d2, new_d2, where=take)
+        np.copyto(assigned_cid, cid, where=take)
+        assigned.fill(True)
+        # Its own centroid moved away: someone else may be closer.
+        away = np.flatnonzero(mine & ~closer)
+        assigned_cid[away], d2[away] = self._nearest(x[away], y[away])
+        moved = np.flatnonzero(~had | (assigned_cid != before))
+        if not len(moved):
+            return []
+        # A (leave, join) event pair per moved point, in point order; a
+        # first assignment has no leave.
+        real = np.column_stack((had[moved], np.ones(len(moved), dtype=bool))
+                               ).ravel()
+        target = np.column_stack((before[moved], assigned_cid[moved])
+                                 ).ravel()[real]
+        leaving = np.tile((True, False), len(moved))[real]
+        at = np.repeat(moved, 2)[real]
+        ex = x[at]
+        ey = y[at]
+        np.negative(ex, out=ex, where=leaving)
+        np.negative(ey, out=ey, where=leaving)
+        # bincount folds its weights sequentially in event order: per
+        # centroid, the same float additions as adding them one by one.
+        centroids, slot = np.unique(target, return_inverse=True)
+        k = len(centroids)
+        sum_x = np.bincount(slot, weights=ex, minlength=k)
+        sum_y = np.bincount(slot, weights=ey, minlength=k)
+        count = (np.bincount(slot[~leaving], minlength=k)
+                 - np.bincount(slot[leaving], minlength=k))
+        return [update((c,), payload=(sx, sy, n))
+                for c, sx, sy, n in zip(centroids.tolist(), sum_x.tolist(),
+                                        sum_y.tolist(), count.tolist())
+                if sx or sy or n]
 
 
 class CentroidAvg(Aggregator):

@@ -122,9 +122,12 @@ class Compiler:
         handler_item = self._find_handler_item(sel)
         order: Tuple[Tuple[int, bool], ...] = ()
         if handler_item is not None:
-            if sel.order_by:
+            if top:
+                # The handler's non-key outputs ride as δ payloads, which
+                # have no row image in a collected result.
                 raise TypeCheckError(
-                    "ORDER BY is not supported on a join-handler SELECT")
+                    "a join-handler SELECT must feed a GROUP BY or a "
+                    "recursive case; it cannot be the top-level query")
             node = self._compile_handler_join(sel, sources, handler_item)
         else:
             node = self._join_sources(sources, sel.where)

@@ -114,6 +114,26 @@ class TestHandlerJoinShapes:
         join = next(n for n in node.walk() if isinstance(n, LJoin))
         assert join.condition is None
 
+    def test_top_level_handler_select_rejected(self):
+        # The handler's prDiff column rides as a δ payload, so a collected
+        # result would hold rows narrower than the declared schema.
+        cluster = Cluster(2)
+        cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
+                             [(0, 1), (0, 3), (1, 3), (1, 2)], "srcId")
+        cluster.create_table("PR", ["srcId:Integer", "pr:Double"],
+                             [(0, 1.0), (1, 1.0)], "srcId")
+        session = RQLSession(cluster)
+        session.register(PRAgg(tol=0.0))
+        with pytest.raises(TypeCheckError,
+                           match="must feed a GROUP BY or a recursive case"):
+            session.execute("SELECT PRAgg(srcId, pr).{nbr, prDiff} "
+                            "FROM graph, PR WHERE graph.srcId = PR.srcId")
+        grouped = session.execute(
+            "SELECT nbr, sum(prDiff) FROM (SELECT PRAgg(srcId, pr)"
+            ".{nbr, prDiff} FROM graph, PR WHERE graph.srcId = PR.srcId "
+            "GROUP BY srcId) GROUP BY nbr")
+        assert all(len(row) == 2 for row in grouped.rows)
+
     def test_three_relations_with_handler_rejected(self):
         text = self.with_query(
             "SELECT PRAgg(srcId, pr).{nbr, prDiff} FROM graph, graph g2, PR "
