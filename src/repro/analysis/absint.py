@@ -30,9 +30,10 @@ verdicts are withheld rather than guessed.
 
 Findings surface as REX300-REX306 diagnostics (only runtime REX307 —
 "a delta contradicted a proof" — is an error; the static pass never
-blocks execution).  The operators execute the same general loops
-whatever the verdicts say; on sanitized runs under
-``ExecOptions(absint=True)`` the executor hands the inference to the
+blocks execution).  A query infers once, in its plan's preparation
+(:func:`repro.analysis.analyzer.prepare`).  The operators execute the
+same general loops whatever the verdicts say; on sanitized runs under
+``ExecOptions(absint=True)`` the executor hands the proofs to the
 sanitizer, which asserts the proven polarities (downgrading a proven
 join's or fixpoint's shadow checks to that assertion) and escalates any
 contradiction to REX307.
@@ -40,7 +41,7 @@ contradiction to REX307.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, make
@@ -58,6 +59,7 @@ from repro.runtime.plan import (
     PRehash,
     PScan,
     PhysicalPlan,
+    instantiate,
 )
 
 INSERT = DeltaOp.INSERT
@@ -219,13 +221,6 @@ def _declared_polarity(obj) -> Optional[frozenset]:
     return frozenset(declared)
 
 
-def _instantiate(factory):
-    try:
-        return factory()
-    except Exception:  # noqa: BLE001 - factories are user code
-        return None
-
-
 #: Annotation kinds whose handling code exists in each stateful operator
 #: (the universe REX304's dead-kind facts are computed against).
 _HANDLED_GROUPBY = ANY
@@ -360,12 +355,17 @@ class _Pass:
 
     # -- transfer over the tree -----------------------------------------
     def eval(self, node: PNode, path: str = "") -> Polarity:
-        name = type(node).__name__[1:]
+        name = node.kind
         here = f"{path}/{name}" if path else name
         label = name
 
         if isinstance(node, PFused):
-            return self._eval_fused(node, here)
+            # The analyses run before fusion; a fused tree reads as the
+            # chain it collapsed.
+            chain = node.children
+            for constituent in node.constituents:
+                chain = (replace(constituent, children=chain),)
+            return self.eval(chain[0], path)
 
         child_pols = [self.eval(child, here) for child in node.children]
         in_pol = join_all(child_pols) if child_pols else None
@@ -404,7 +404,7 @@ class _Pass:
 
     def _eval_apply(self, node: PApply, in_pol: Polarity,
                     here: str) -> Polarity:
-        udf = _instantiate(node.udf_factory)
+        udf = instantiate(node.udf_factory)
         declared = _declared_polarity(udf)
         if node.delta_aware:
             if declared is not None:
@@ -420,7 +420,7 @@ class _Pass:
                    in_pol: Polarity, here: str):
         out_kinds: set = set()
         exact = True
-        handler = (_instantiate(node.handler_factory)
+        handler = (instantiate(node.handler_factory)
                    if node.handler_factory is not None else None)
         for port, p in enumerate(child_pols):
             uses_handler = (handler is not None
@@ -448,7 +448,7 @@ class _Pass:
     def _eval_fixpoint(self, node: PFixpoint, child_pols: List[Polarity],
                        in_pol: Polarity, here: str):
         body = child_pols[1] if len(child_pols) > 1 else in_pol
-        handler = (_instantiate(node.while_handler_factory)
+        handler = (instantiate(node.while_handler_factory)
                    if node.while_handler_factory is not None else None)
         dead: frozenset = BOTTOM
         if handler is not None:
@@ -484,42 +484,6 @@ class _Pass:
         monotone = self._fixpoint_checks(here, body, admitted)
         self.fixpoint_out = admitted
         return admitted, monotone, dead
-
-    def _eval_fused(self, node: PFused, here: str) -> Polarity:
-        child_pols = [self.eval(child, here) for child in node.children]
-        in_pol = join_all(child_pols) if child_pols else Polarity(BOTTOM,
-                                                                  True)
-        chain_in = in_pol
-        current = in_pol
-        for constituent in node.constituents:
-            cname = type(constituent).__name__[1:]
-            cpath = f"{here}/{cname}"
-            if isinstance(constituent, PFilter):
-                out = self._filter_transfer(current)
-            elif isinstance(constituent, PApply):
-                out = self._eval_apply(constituent, current, cpath)
-            else:  # PProject and other annotation-preserving links
-                out = current
-            self._record(constituent, NodeProperties(
-                path=cpath, label=cname, out_polarity=out,
-                in_polarity=current))
-            current = out
-        dead = BOTTOM
-        if chain_in.exact and chain_in.kinds \
-                and REPLACE not in chain_in.kinds:
-            dead = frozenset({REPLACE})
-            self._emit("REX304",
-                       "dead delta polarity in fused chain: '->' handling "
-                       "in its constituents can never run (chain input "
-                       f"polarity {chain_in.name})",
-                       here,
-                       hint="informational: the constituents keep their "
-                            "replacement handling; it is dead on this "
-                            "input, not removed")
-        self._record(node, NodeProperties(
-            path=here, label="Fused", out_polarity=current,
-            in_polarity=chain_in, dead=dead))
-        return current
 
 
 def infer(plan: Union[PhysicalPlan, PNode]

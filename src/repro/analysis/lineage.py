@@ -69,6 +69,7 @@ from repro.runtime.plan import (
     PRehash,
     PScan,
     PhysicalPlan,
+    instantiate,
 )
 
 #: Upper bound on feedback-demand iterations.  Demand sets only grow and
@@ -170,13 +171,6 @@ def _reads_live(summary: EffectSummary) -> Live:
     if not summary.proves_reads():
         return ALL
     return Live(summary.reads, True)
-
-
-def _instantiate(factory):
-    try:
-        return factory()
-    except Exception:  # noqa: BLE001 - factories are user code
-        return None
 
 
 def _udf_callable(udf):
@@ -305,7 +299,7 @@ class _PhysicalLineage:
         if isinstance(node, PProject):
             return self._effects(node.row_fn).out_arity
         if isinstance(node, PApply):
-            udf = _instantiate(node.udf_factory)
+            udf = instantiate(node.udf_factory)
             produced = (len(udf.out_types)
                         if udf is not None
                         and getattr(udf, "out_types", None) else None)
@@ -317,7 +311,7 @@ class _PhysicalLineage:
             return child + produced
         if isinstance(node, PJoin):
             if node.handler_factory is not None:
-                handler = _instantiate(node.handler_factory)
+                handler = instantiate(node.handler_factory)
                 out_types = getattr(handler, "out_types", None)
                 return len(out_types) if out_types else None
             left = self._arity(node.children[0])
@@ -327,7 +321,7 @@ class _PhysicalLineage:
             return left + right
         if isinstance(node, PGroupBy):
             key_arity = self._effects(node.key_fn).out_arity
-            specs = _instantiate(node.specs_factory)
+            specs = instantiate(node.specs_factory)
             if key_arity is None or specs is None:
                 return None
             # Tuple-valued aggregate results (ArgMin over several
@@ -342,7 +336,7 @@ class _PhysicalLineage:
 
     # -- top-down demand --------------------------------------------------
     def eval(self, node: PNode, demand: Live, path: str = "") -> None:
-        name = type(node).__name__[1:]
+        name = node.kind
         here = f"{path}/{name}" if path else name
         out_arity = self._arity(node)
         reads: Optional[FrozenSet[int]] = None
@@ -404,7 +398,7 @@ class _PhysicalLineage:
             pure=pure))
 
     def _eval_apply(self, node: PApply, demand: Live, here: str) -> Live:
-        udf = _instantiate(node.udf_factory)
+        udf = instantiate(node.udf_factory)
         arg_summary = self._effects(node.arg_fn)
         self._note_opaque("applyFunction argument builder", here,
                           arg_summary)
@@ -431,7 +425,7 @@ class _PhysicalLineage:
 
     def _eval_join(self, node: PJoin, demand: Live, here: str) -> Live:
         if node.handler_factory is not None:
-            handler = _instantiate(node.handler_factory)
+            handler = instantiate(node.handler_factory)
             summary = extract_handler_effects(type(handler)) \
                 if handler is not None else OPAQUE
             if handler is not None:
@@ -472,7 +466,7 @@ class _PhysicalLineage:
         self._check_dead_columns("GroupBy", here, demand,
                                  self._arity(node))
         in_live = _reads_live(key_summary)
-        specs = _instantiate(node.specs_factory)
+        specs = instantiate(node.specs_factory)
         if specs is None:
             return ALL
         for spec in specs:
@@ -495,7 +489,7 @@ class _PhysicalLineage:
                                       self._arity(child))
             body_demand = body_demand.join(_reads_live(key_summary))
         if node.while_handler_factory is not None:
-            handler = _instantiate(node.while_handler_factory)
+            handler = instantiate(node.while_handler_factory)
             summary = extract_handler_effects(type(handler)) \
                 if handler is not None else OPAQUE
             if handler is not None:

@@ -27,8 +27,7 @@ PhysicalRulePass = Callable[[PNode, Callable[[Diagnostic], None]], None]
 
 
 def _walk_with_path(node: PNode, path: str = ""):
-    here = f"{path}/{type(node).__name__[1:]}" if path \
-        else type(node).__name__[1:]
+    here = f"{path}/{node.kind}" if path else node.kind
     yield node, here
     for child in node.children:
         yield from _walk_with_path(child, here)

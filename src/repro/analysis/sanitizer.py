@@ -400,9 +400,11 @@ class Sanitizer:
                 location=shadow.loc,
                 hint="either an operator emitted an undeclared delta "
                      "kind or a UDF's emits_polarity declaration is "
-                     "wrong; rerun with ExecOptions(absint=False) and "
-                     "sanitize='full' so full shadow replay, not the "
-                     "downgraded assertion mode, localizes the source")
+                     "wrong (the proof is the plan's one inference, "
+                     "listed by QueryResult.analysis.properties); rerun "
+                     "with ExecOptions(absint=False) and sanitize='full' "
+                     "so full shadow replay, not the downgraded "
+                     "assertion mode, localizes the source")
 
     def observed_polarities(self) -> Dict[str, Dict[int, frozenset]]:
         """Runtime-observed delta kinds per stateful operator and input

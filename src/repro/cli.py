@@ -48,6 +48,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.errors import ReproError
 from repro.obs import (JsonlSink, ObsContext, RingBufferSink, Tracer,
                        chrome_trace, explain_analyze)
+from repro.obs.report import fact_listings
 from repro.rql.api import RQLSession
 from repro.runtime.executor import ExecOptions
 
@@ -334,6 +335,10 @@ def main_telemetry(argv: List[str]) -> int:
     cluster = Cluster(args.nodes)
     plan, max_strata = _builtin_plan(args.workload, cluster, args.scale,
                                      args.data_seed)
+    if args.analyze:
+        # Prepared once with its report: the run builds from these facts.
+        from repro.analysis.analyzer import analyze_plan
+        plan = analyze_plan(plan, cluster.catalog.widths())
     obs = ObsContext()
     options = ExecOptions(max_strata=max_strata, obs=obs)
     try:
@@ -355,7 +360,7 @@ def main_telemetry(argv: List[str]) -> int:
     else:
         sys.stdout.write(text)
     if args.analyze:
-        print(explain_analyze(obs, result.metrics), file=sys.stderr)
+        _print_explain_analyze(obs, result.metrics, plan)
     return 0
 
 
@@ -441,9 +446,17 @@ def _listings(analysis):
             [d.to_dict() for d in analysis.rewrites])
 
 
-def main_analyze(argv: List[str]) -> int:
-    from repro.optimizer.fusion import fusion_report
+def _print_explain_analyze(obs, metrics, analysis) -> None:
+    """EXPLAIN ANALYZE on stderr: the cost table, then the prepared
+    plan's diagnostics and its polarity and lineage listings."""
+    properties, lineage, _ = _listings(analysis)
+    print(file=sys.stderr)
+    print(explain_analyze(obs, metrics, diagnostics=analysis.report,
+                          properties=properties, lineage=lineage),
+          file=sys.stderr)
 
+
+def main_analyze(argv: List[str]) -> int:
     args = build_analyze_parser().parse_args(argv)
     cluster = _build_cluster(args)
     if cluster is None:
@@ -456,12 +469,11 @@ def main_analyze(argv: List[str]) -> int:
         return 2
     # Every dataflow pass runs on the lowered physical plan; surface the
     # per-chain / per-node verdicts alongside the diagnostics so the
-    # report shows what the executor will actually collapse and what
-    # the sanitizer may assume.
+    # report shows what the executor will actually collapse (fusion
+    # after the rewrites, as it runs) and what the sanitizer may assume.
     report = analysis.report
     properties, lineage, rewrites = _listings(analysis)
-    fusion = (fusion_report(analysis.plan.root)
-              if analysis.plan is not None else [])
+    fusion = [d.to_dict() for d in analysis.fusion]
     if args.format == "json":
         payload = json.loads(report.to_json())
         payload["fusion"] = fusion
@@ -471,25 +483,8 @@ def main_analyze(argv: List[str]) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(report.format())
-        if properties:
-            print()
-            print("inferred properties (physical plan)")
-            for p in properties:
-                notes = [f"Δ={p['polarity']}" + ("" if p["exact"] else "?")]
-                if "monotone" in p:
-                    notes.append("monotone" if p["monotone"]
-                                 else "non-monotone")
-                if "dead_kinds" in p:
-                    notes.append("dead={" + ",".join(p["dead_kinds"]) + "}")
-                print(f"  {p['path']}: " + " ".join(notes))
-        if lineage:
-            print()
-            print("column lineage (physical plan)")
-            for n in lineage:
-                live = ("all?" if not n["live_exact"]
-                        else "{" + ",".join(map(str, n["live"])) + "}")
-                width = f"/{n['out_arity']}" if "out_arity" in n else ""
-                print(f"  {n['path']}: live={live}{width}")
+        for line in fact_listings(properties, lineage):
+            print(line)
         if rewrites:
             print()
             print("rewrite decisions (physical plan)")
@@ -598,12 +593,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.trace_chrome, "w") as fh:
                 json.dump(chrome_trace(obs.tracer.events()), fh)
         if args.analyze:
-            properties, lineage, _ = _listings(prepared.analysis)
-            print(file=sys.stderr)
-            print(explain_analyze(obs, result.metrics,
-                                  diagnostics=prepared.analysis.report,
-                                  properties=properties,
-                                  lineage=lineage), file=sys.stderr)
+            _print_explain_analyze(obs, result.metrics, prepared.analysis)
     sanitizer = result.sanitizer
     if sanitizer is not None:
         print(f"-- sanitizer ({sanitizer.level}): {sanitizer.checks} "

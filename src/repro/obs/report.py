@@ -118,12 +118,7 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
                  if total_charged > 0 else 0.0)
         table.append(["(unattributed)", "", "", "", "", "", "", "", "",
                       _fmt_seconds(unattributed), f"{share:.1f}", ""])
-    widths = [max(len(h), *(len(r[i]) for r in table)) if table else len(h)
-              for i, h in enumerate(headers)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in table:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    lines += _aligned(headers, table, rule=True)
     if top is not None and len(rows) > top:
         lines.append(f"... ({len(rows) - top} more operators)")
 
@@ -149,12 +144,7 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
                 str(it.delta_count), str(it.mutable_size),
                 str(it.bytes_sent), str(it.tuples_processed),
             ])
-        twidths = [max(len(h), *(len(r[i]) for r in trows)) if trows
-                   else len(h) for i, h in enumerate(theaders)]
-        lines.append("  ".join(h.rjust(w)
-                               for h, w in zip(theaders, twidths)))
-        for r in trows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(r, twidths)))
+        lines += _aligned(theaders, trows, pad=str.rjust)
         lines.append(f"total: {metrics.total_seconds():.4f}s simulated over "
                      f"{metrics.num_iterations} strata, "
                      f"{metrics.total_bytes()} bytes shuffled, "
@@ -188,11 +178,21 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
                      f"{violations} violation(s), "
                      f"{overhead:.4f}s host overhead (not simulated)")
 
-    if properties:
+    lines.extend(fact_listings(properties, lineage))
+
+    if diagnostics is not None and len(diagnostics):
         lines.append("")
-        lines.append("inferred properties (abstract interpretation)")
-        pheaders = ["operator", "Δ polarity", "notes"]
-        prows: List[List[str]] = []
+        lines.append("static analysis (repro analyze)")
+        lines.append(diagnostics.format())
+    return "\n".join(lines)
+
+
+def fact_listings(properties=None, lineage=None) -> List[str]:
+    """The per-node polarity and lineage listings of a plan analysis
+    (``PlanFacts.report()`` rows) as two aligned text blocks."""
+    blocks = []
+    if properties:
+        rows = []
         for p in properties:
             notes = []
             if "monotone" in p:
@@ -200,25 +200,14 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
             if "dead_kinds" in p:
                 notes.append("dead={" + ",".join(p["dead_kinds"]) + "}")
             polarity = p["polarity"] + ("" if p["exact"] else "?")
-            prows.append([p["path"], polarity, " ".join(notes)])
-        pwidths = [max(len(h), *(len(r[i]) for r in prows)) if prows
-                   else len(h) for i, h in enumerate(pheaders)]
-        lines.append("  ".join(h.ljust(w)
-                               for h, w in zip(pheaders, pwidths)))
-        for r in prows:
-            lines.append("  ".join(c.ljust(w)
-                                   for c, w in zip(r, pwidths)).rstrip())
-
+            rows.append([p["path"], polarity, " ".join(notes)])
+        blocks.append(("inferred properties (abstract interpretation)",
+                       ["operator", "Δ polarity", "notes"], rows))
     if lineage:
-        lines.append("")
-        lines.append("column lineage (live = read by downstream consumers)")
-        lheaders = ["operator", "live", "reads"]
-        lrows: List[List[str]] = []
+        rows = []
         for n in lineage:
-            if n["live_exact"]:
-                live = "{" + ",".join(map(str, n["live"])) + "}"
-            else:
-                live = "all?"
+            live = ("{" + ",".join(map(str, n["live"])) + "}"
+                    if n["live_exact"] else "all?")
             if "out_arity" in n:
                 live += f"/{n['out_arity']}"
             reads = ""
@@ -226,20 +215,26 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
                 reads = "{" + ",".join(map(str, n["reads"])) + "}"
                 if not n.get("reads_exact", False):
                     reads += "?"
-            lrows.append([n["path"], live, reads])
-        lwidths = [max(len(h), *(len(r[i]) for r in lrows)) if lrows
-                   else len(h) for i, h in enumerate(lheaders)]
-        lines.append("  ".join(h.ljust(w)
-                               for h, w in zip(lheaders, lwidths)))
-        for r in lrows:
-            lines.append("  ".join(c.ljust(w)
-                                   for c, w in zip(r, lwidths)).rstrip())
+            rows.append([n["path"], live, reads])
+        blocks.append(("column lineage (live = read by downstream "
+                       "consumers)", ["operator", "live", "reads"], rows))
+    lines: List[str] = []
+    for title, headers, rows in blocks:
+        lines += ["", title, *(r.rstrip() for r in _aligned(headers, rows))]
+    return lines
 
-    if diagnostics is not None and len(diagnostics):
-        lines.append("")
-        lines.append("static analysis (repro analyze)")
-        lines.append(diagnostics.format())
-    return "\n".join(lines)
+
+def _aligned(headers: List[str], rows: List[List[str]], pad=str.ljust,
+             rule: bool = False) -> List[str]:
+    """``headers`` over ``rows``, every column padded to its widest cell
+    and, with ``rule``, a dashed line under the headers."""
+    widths = [max(len(r[i]) for r in (headers, *rows))
+              for i in range(len(headers))]
+    lines = ["  ".join(pad(c, w) for c, w in zip(r, widths))
+             for r in (headers, *rows)]
+    if rule:
+        lines.insert(1, "  ".join("-" * w for w in widths))
+    return lines
 
 
 #: (registry series name, timeline label) pairs shown as sparklines.

@@ -10,7 +10,6 @@ from repro.optimizer.explain import explain
 from repro.optimizer.fusion import (
     FusionDecision,
     fuse_plan,
-    fusion_report,
 )
 from repro.optimizer.logical import (
     LAggCall,
@@ -49,7 +48,6 @@ __all__ = [
     "lower",
     "FusionDecision",
     "fuse_plan",
-    "fusion_report",
     "normalize_filter_ranks",
     "push_filter_into_join",
     "push_pre_aggregation",

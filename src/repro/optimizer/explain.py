@@ -28,22 +28,17 @@ def explain(node: LNode, estimator: Optional[CostEstimator] = None,
     an analysis of ``node`` already made
     (:class:`~repro.analysis.analyzer.PlanAnalysis`), whose facts are
     read instead of lowering ``node`` again."""
-    props = None
-    lineage = None
     if properties is True:
-        from repro.analysis.absint import infer
-        from repro.analysis.lineage import infer_lineage
+        from repro.analysis.analyzer import prepare
         from repro.common.errors import ReproError
         from repro.optimizer.physical import lower
 
         try:
-            plan = lower(node)
+            properties = prepare(lower(node), table_arity(node))
         except ReproError:
-            plan = None
-        if plan is not None:
-            props, _ = infer(plan)
-            lineage, _ = infer_lineage(plan, table_arity=table_arity(node))
-    elif properties:
+            properties = None
+    props = lineage = None
+    if properties:
         props, lineage = properties.properties, properties.lineage
     lines: List[str] = []
     _render(node, lines, prefix="", is_last=True, estimator=estimator,

@@ -23,8 +23,8 @@ per-tuple and per-call costs exactly as the unfused pipeline would, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.runtime.plan import (
     PApply,
@@ -33,6 +33,7 @@ from repro.runtime.plan import (
     PNode,
     PProject,
     PRehash,
+    derive,
 )
 
 #: Operators eligible for fusion: stateless, unary, order-preserving.
@@ -66,11 +67,6 @@ class FusionDecision:
         }
 
 
-def _node_kind(node: PNode) -> str:
-    name = type(node).__name__
-    return name[1:] if name.startswith("P") else name
-
-
 def _terminator(node: PNode) -> str:
     """Why a chain could not extend below ``node``."""
     if not node.children:
@@ -78,21 +74,21 @@ def _terminator(node: PNode) -> str:
     if len(node.children) > 1:
         return "multi-input operator below"
     child = node.children[0]
-    kind = _node_kind(child)
+    kind = child.kind
     if isinstance(child, PRehash):
         return f"exchange boundary ({kind})"
-    if isinstance(child, FUSABLE):  # pragma: no cover — chain absorbs it
-        return "unreachable"
     return f"stateful or source operator ({kind})"
 
 
-def fuse_plan(root: PNode) -> Tuple[PNode, List[FusionDecision]]:
+def fuse_plan(root: PNode, rebuilds: Optional[list] = None
+              ) -> Tuple[PNode, List[FusionDecision]]:
     """Rewrite ``root``, collapsing maximal stateless chains.
 
     Returns the (possibly new) root plus one :class:`FusionDecision` per
     maximal chain found — fused or declined — so explain surfaces can
     render the decision.  Subtrees without fusable chains are returned
-    unchanged (same object identity).
+    unchanged (same object identity); each rebuilt node is noted on
+    ``rebuilds`` (see :func:`~repro.runtime.plan.derive`).
     """
     decisions: List[FusionDecision] = []
 
@@ -106,17 +102,17 @@ def fuse_plan(root: PNode) -> Tuple[PNode, List[FusionDecision]]:
                 cursor = cursor.children[0]
                 chain.append(cursor)
             tail = tuple(
-                rebuild(child, f"{path}/{_node_kind(child)}")
+                rebuild(child, f"{path}/{child.kind}")
                 for child in cursor.children
             )
-            ops = tuple(_node_kind(n) for n in reversed(chain))
+            ops = tuple(n.kind for n in reversed(chain))
             if len(chain) >= MIN_CHAIN:
                 decisions.append(FusionDecision(
                     path=path, ops=ops, fused=True,
                     reason=(f"{len(chain)} stateless operators; chain ends "
                             f"at {_terminator(cursor)}"),
                 ))
-                constituents = tuple(replace(n, children=())
+                constituents = tuple(derive(n, rebuilds, children=())
                                      for n in reversed(chain))
                 return PFused(constituents=constituents, children=tail)
             decisions.append(FusionDecision(
@@ -126,20 +122,13 @@ def fuse_plan(root: PNode) -> Tuple[PNode, List[FusionDecision]]:
             ))
             if tail == cursor.children:
                 return node
-            return replace(node, children=tail)
+            return derive(node, rebuilds, children=tail)
         rebuilt = tuple(
-            rebuild(child, f"{path}/{_node_kind(child)}")
+            rebuild(child, f"{path}/{child.kind}")
             for child in node.children
         )
         if rebuilt == node.children:
             return node
-        return replace(node, children=rebuilt)
+        return derive(node, rebuilds, children=rebuilt)
 
-    return rebuild(root, _node_kind(root)), decisions
-
-
-def fusion_report(root: PNode) -> List[dict]:
-    """The fusion decisions for ``root`` as JSON-ready dicts (what
-    ``repro.cli analyze --format json`` embeds under ``"fusion"``)."""
-    _, decisions = fuse_plan(root)
-    return [d.to_dict() for d in decisions]
+    return rebuild(root, root.kind), decisions

@@ -127,6 +127,17 @@ def _lower(node: LNode) -> PNode:
     raise PlanError(f"cannot lower logical node {type(node).__name__}")
 
 
+def _join_key_of(pos: int, side: str) -> Callable[[tuple], tuple]:
+    """The key extractor of one ``side`` of an SQL equi-join.  In SQL a
+    NULL equals nothing, not even another NULL: it becomes the two-column
+    key ``(None, side)``, which no one-column key and not the other
+    side's NULL equals, so a NULL-keyed row never finds a partner."""
+    def key(row):
+        value = row[pos]
+        return (None, side) if value is None else (value,)
+    return key
+
+
 def _lower_join(node: LJoin) -> PNode:
     if node.condition is None:
         # Cross join: placement broadcast the (small, mutable) right side
@@ -134,7 +145,8 @@ def _lower_join(node: LJoin) -> PNode:
         left_key = right_key = _no_key
     else:
         lpos, rpos = node.condition
-        left_key, right_key = _key_of((lpos,)), _key_of((rpos,))
+        left_key = _join_key_of(lpos, "left")
+        right_key = _join_key_of(rpos, "right")
     return PJoin(left_key=left_key, right_key=right_key,
                  handler_factory=node.handler_factory, handler_side=1,
                  children=(_lower(node.left), _lower(node.right)))

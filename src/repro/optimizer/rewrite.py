@@ -22,21 +22,21 @@ width, which truncation or late filtering would corrupt.  Filters move
 only when their predicate is pure (re-evaluation safe) with an exactly
 known read-set; narrowing only truncates a *suffix* (``row[:k]``),
 because downstream compiled callables address columns by fixed position.
-The pass is the only place legality is written: the analyzer runs it on
-the facts of its one inference and reports each
-:class:`RewriteDecision` at its path (a declined candidate as REX404, an
-applied ``filter-pushdown`` as REX405, an applied ``narrow-exchange`` as
-REX406), so a diagnostic and the rewrite it names cannot disagree.
-
-The executor runs the pass before fusion (``ExecOptions(rewrite=
-True)``, the default).  Where nothing fires the tree is returned with
+The pass is the only place legality is written: a plan's preparation
+(:func:`repro.analysis.analyzer.prepare`) runs it once, on the facts of
+the plan's one inference, before fusion; the executor builds what it
+returns (``ExecOptions(rewrite=True)``, the default), and the analyzer
+reports each :class:`RewriteDecision` at its path (a declined candidate
+as REX404, an applied ``filter-pushdown`` as REX405, an applied
+``narrow-exchange`` as REX406), so a diagnostic and the rewrite it names
+cannot disagree.  Where nothing fires the tree is returned with
 identical object identity and ``QueryMetrics.fingerprint`` is
 bit-identical rewrite on or off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.absint import INSERT_ONLY, PlanFacts, \
@@ -53,6 +53,8 @@ from repro.runtime.plan import (
     PNode,
     PProject,
     PRehash,
+    derive,
+    instantiate,
 )
 
 #: Upper bound on pushdown sweeps: each sweep moves a filter at most one
@@ -62,30 +64,19 @@ MAX_SWEEPS = 8
 
 def _no_candidates(root: PNode) -> bool:
     """True when a constant-time structural scan proves no rewrite can
-    *apply* to ``root``; :func:`rewrite_plan` then skips the inference
-    and the pass entirely.
+    *apply* to ``root``, so a plan's preparation (and
+    :func:`rewrite_plan`) skips the inference and the pass.
 
-    The proof obligations mirror the legality gates below:
-
-    * Filter pushdown needs a :class:`PFilter`; a plan without one has
-      no pushdown candidate at all.
-    * Exchange narrowing needs a non-broadcast single-child
-      :class:`PRehash` whose downstream demand is a strict column
-      prefix and whose input is proven insert-only.  A rehash feeding a
-      :class:`PFixpoint` or :class:`PCollect` directly is demanded at
-      full width (results keep every column), and a rehash draining a
-      handler join whose handler declares a non-insert
-      ``emits_polarity`` can never prove the insert-only gate — both
-      are structurally dead candidates.
-
-    Skipping is sound (``tests/test_rewrite_decisions.py`` checks that
-    the full pass applies nothing wherever this returns True); it elides
-    only the decline records of structurally dead candidates, which the
-    analyzer still reports as REX404 because it runs the full pass.
-    The gate is cheap, not complete: it skips ``pagerank_plan(mode=
-    "delta")``, but not ``sssp_plan()``, whose exchange drains a handler
-    join declared insert-only, so the full pass runs on every execution
-    of that plan and finds nothing to rewrite.
+    Its obligations mirror the legality gates below: filter pushdown
+    needs a :class:`PFilter`; exchange narrowing needs a non-broadcast
+    single-child :class:`PRehash` that feeds neither a fixpoint nor the
+    collector (both demand every column) and does not drain a handler
+    join declaring a non-insert ``emits_polarity`` (the insert-only gate
+    cannot hold there).  Skipping is sound
+    (``tests/test_rewrite_decisions.py``) and elides only the decline
+    records of dead candidates.  The gate is cheap, not complete: it
+    skips ``pagerank_plan(mode="delta")`` but not ``sssp_plan()``, whose
+    exchange drains a handler join declared insert-only.
     """
     stack = [(root, None)]
     while stack:
@@ -100,11 +91,8 @@ def _no_candidates(root: PNode) -> bool:
                 continue  # full-width demand: narrowing is moot
             child = node.children[0]
             if isinstance(child, PJoin) and child.handler_factory is not None:
-                try:
-                    handler = child.handler_factory()
-                except Exception:  # noqa: BLE001 - factories are user code
-                    handler = None
-                emits = getattr(handler, "emits_polarity", None)
+                emits = getattr(instantiate(child.handler_factory),
+                                "emits_polarity", None)
                 if emits and not frozenset(emits) <= {DeltaOp.INSERT}:
                     continue  # insert-only gate provably fails
             return False
@@ -121,9 +109,6 @@ class RewriteDecision:
     """``filter-pushdown`` or ``narrow-exchange``."""
     applied: bool
     reason: str
-
-    def label(self) -> str:
-        return f"{self.kind}[{'applied' if self.applied else 'declined'}]"
 
     def to_dict(self) -> dict:
         return {
@@ -148,11 +133,6 @@ class RewriteDecision:
                     hint="ExecOptions(rewrite=True) applies it")
 
 
-def _node_kind(node: PNode) -> str:
-    name = type(node).__name__
-    return name[1:] if name.startswith("P") else name
-
-
 def _truncator(width: int):
     """The inserted narrowing projection: keep the first ``width``
     columns.  Suffix truncation only — downstream compiled callables
@@ -173,14 +153,21 @@ class _Rewriter:
     Lookups are keyed by the node identities of the tree the facts were
     inferred on; rebuilt subtrees are fresh objects, so after a sweep
     that changed the tree the caller re-infers (see :func:`rewrite_with`).
+    Each rebuilt node is noted on ``rebuilds``
+    (:func:`~repro.runtime.plan.derive`).
     """
 
     def __init__(self, props: PlanFacts, lineage: PlanFacts,
-                 decisions: List[RewriteDecision]):
+                 decisions: List[RewriteDecision],
+                 rebuilds: Optional[list] = None):
         self.props = props
         self.lineage = lineage
         self.decisions = decisions
+        self.rebuilds = rebuilds
         self.changed = False
+
+    def _derive(self, node: PNode, **changes) -> PNode:
+        return derive(node, self.rebuilds, **changes)
 
     def _insert_only(self, node: PNode) -> bool:
         props = self.props.of(node)
@@ -198,7 +185,7 @@ class _Rewriter:
 
     # -- filter pushdown --------------------------------------------------
     def push_filters(self, node: PNode, path: str = "") -> PNode:
-        here = f"{path}/{_node_kind(node)}" if path else _node_kind(node)
+        here = f"{path}/{node.kind}" if path else node.kind
         rebuilt = tuple(self.push_filters(child, here)
                         for child in node.children)
         if isinstance(node, PFilter) and len(node.children) == 1:
@@ -207,7 +194,7 @@ class _Rewriter:
                 return pushed
         if rebuilt == node.children:
             return node
-        return replace(node, children=rebuilt)
+        return self._derive(node, children=rebuilt)
 
     def _push_one(self, node: PFilter, below: PNode,
                   here: str) -> Optional[PNode]:
@@ -219,7 +206,7 @@ class _Rewriter:
         if lin is None or not isinstance(
                 original_child, (PRehash, PProject, PApply, PJoin)):
             return None
-        target = _node_kind(original_child)
+        target = original_child.kind
         kind = "filter-pushdown"
         if isinstance(original_child, PRehash) and original_child.broadcast:
             return None
@@ -239,8 +226,8 @@ class _Rewriter:
         reads = lin.reads or frozenset()
 
         if isinstance(original_child, PRehash):
-            moved = replace(below, children=(
-                replace(node, children=(below.children[0],)),))
+            moved = self._derive(below, children=(
+                self._derive(node, children=(below.children[0],)),))
             self._apply(here, kind,
                         f"below {target}: pure predicate over "
                         f"{sorted(reads)}, insert-only stream; rows are "
@@ -254,10 +241,9 @@ class _Rewriter:
                               f"below {target}: projection row function "
                               "is not provably pure")
                 return None
-            moved = replace(below, children=(PFilter(
-                predicate=_composed(node.predicate, below.row_fn),
-                children=(below.children[0],),
-                udf_calls=node.udf_calls),))
+            moved = self._derive(below, children=(self._derive(
+                node, predicate=_composed(node.predicate, below.row_fn),
+                children=(below.children[0],)),))
             self._apply(here, kind,
                         f"below {target}: predicate composed with the "
                         "pure row function; rows are dropped before the "
@@ -278,8 +264,8 @@ class _Rewriter:
                               "produced by the UDF (or the input width "
                               "is unknown)")
                 return None
-            moved = replace(below, children=(
-                replace(node, children=(below.children[0],)),))
+            moved = self._derive(below, children=(
+                self._derive(node, children=(below.children[0],)),))
             self._apply(here, kind,
                         f"below {target}: predicate reads only the "
                         f"pass-through prefix {sorted(reads)}; rows are "
@@ -306,8 +292,8 @@ class _Rewriter:
                           f"below {target}: left input polarity not "
                           "proven insert-only")
             return None
-        moved = replace(below, children=(
-            replace(node, children=(below.children[0],)),
+        moved = self._derive(below, children=(
+            self._derive(node, children=(below.children[0],)),
             below.children[1]))
         self._apply(here, kind,
                     f"below {target}: predicate reads only left columns "
@@ -317,11 +303,11 @@ class _Rewriter:
 
     # -- exchange narrowing -----------------------------------------------
     def narrow_exchanges(self, node: PNode, path: str = "") -> PNode:
-        here = f"{path}/{_node_kind(node)}" if path else _node_kind(node)
+        here = f"{path}/{node.kind}" if path else node.kind
         rebuilt = tuple(self.narrow_exchanges(child, here)
                         for child in node.children)
         node2 = node if rebuilt == node.children \
-            else replace(node, children=rebuilt)
+            else self._derive(node, children=rebuilt)
         if not (isinstance(node, PRehash) and not node.broadcast
                 and len(node.children) == 1):
             return node2
@@ -347,7 +333,7 @@ class _Rewriter:
                     f"only columns {sorted(wanted.cols)} of {child_arity} "
                     f"are live downstream; truncating to row[:{width}] "
                     "below the exchange")
-        return replace(node2, children=(
+        return self._derive(node2, children=(
             PProject(row_fn=_truncator(width),
                      children=(node2.children[0],)),))
 
@@ -355,19 +341,12 @@ class _Rewriter:
 def rewrite_plan(root: PNode,
                  table_arity: Optional[Dict[str, int]] = None
                  ) -> Tuple[PNode, List[RewriteDecision]]:
-    """Apply every licensed rewrite; returns the (possibly new) root
-    plus one :class:`RewriteDecision` per candidate, applied or
-    declined.  Trees with no applicable rewrite come back with identical
-    object identity.
-
-    ``table_arity`` maps table names to column counts (the executor
-    passes the catalog's); without it scans have unknown width and
-    narrowing above them stays off.
-
-    The structural pre-gate (:func:`_no_candidates`) returns plans where
-    no rewrite can apply before any inference runs; otherwise this
-    infers polarity and lineage once and runs :func:`rewrite_with`.
-    """
+    """The pass on its own, as a plan's preparation runs it: the
+    pre-gate, then one inference of each fact and :func:`rewrite_with`.
+    Returns the (possibly new) root and one :class:`RewriteDecision` per
+    candidate; a tree where nothing applies comes back as is.
+    ``table_arity`` maps a table to its width; without it no exchange
+    above a scan narrows."""
     if _no_candidates(root):
         return root, []
     return rewrite_with(root, *_facts(root, table_arity), table_arity)
@@ -380,20 +359,23 @@ def _facts(root: PNode, table_arity: Optional[Dict[str, int]]):
 
 
 def rewrite_with(root: PNode, props: PlanFacts, lineage: PlanFacts,
-                 table_arity: Optional[Dict[str, int]] = None
+                 table_arity: Optional[Dict[str, int]] = None,
+                 rebuilds: Optional[list] = None
                  ) -> Tuple[PNode, List[RewriteDecision]]:
     """The whole pass over ``root``, starting from polarity and lineage
-    facts the caller inferred on that tree (the analyzer passes its own);
-    they are re-inferred only after a sweep changed the tree.  No
-    pre-gate: every candidate gets its decision."""
+    facts the caller inferred on that tree (a prepared plan passes its
+    own); they are re-inferred only after a sweep changed the tree.  No
+    pre-gate: every candidate gets its decision.  Each rebuilt node is
+    noted on ``rebuilds``."""
     decisions: List[RewriteDecision] = []
     for _ in range(MAX_SWEEPS):
-        sweep = _Rewriter(props, lineage, decisions)
+        sweep = _Rewriter(props, lineage, decisions, rebuilds)
         root = sweep.push_filters(root)
         if not sweep.changed:
             break
         props, lineage = _facts(root, table_arity)
-    root = _Rewriter(props, lineage, decisions).narrow_exchanges(root)
+    root = _Rewriter(props, lineage, decisions,
+                     rebuilds).narrow_exchanges(root)
     # A candidate declined in sweep 1 is re-visited (and re-declined)
     # by every later sweep; keep the first record of each decision.
     return root, list(dict.fromkeys(decisions))

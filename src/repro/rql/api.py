@@ -101,7 +101,9 @@ class RQLSession:
         """Compile a query's chosen plan, place its exchanges
         (``add_exchanges`` adds nothing to an optimized plan) and analyse
         it: the structural rule passes over the logical tree, then the
-        polarity, lineage and rewrite passes over its lowered plan."""
+        lowered plan's preparation
+        (:func:`~repro.analysis.analyzer.prepare`), which the executor
+        builds from without repeating a pass."""
         node, presentation = self._plan(text, fixpoint_handler)
         node = add_exchanges(node)
         return PreparedQuery(node, presentation, analyze_plan(node))
@@ -117,11 +119,11 @@ class RQLSession:
         """Render the chosen plan as a tree (Figure 1 style)."""
         node = self.logical_plan(text)
         estimator = self.optimizer.estimator if with_estimates else None
-        if not with_diagnostics:
-            return explain_plan(node, estimator)
         analysis = analyze_plan(add_exchanges(node))
-        return (explain_plan(node, estimator, properties=analysis)
-                + "\n-- diagnostics --\n" + analysis.report.format())
+        rendered = explain_plan(node, estimator, properties=analysis)
+        if with_diagnostics:
+            rendered += "\n-- diagnostics --\n" + analysis.report.format()
+        return rendered
 
     def execute(self, text: str,
                 options: Optional[ExecOptions] = None,
@@ -135,7 +137,7 @@ class RQLSession:
     def execute_prepared(self, prepared: PreparedQuery,
                          options: Optional[ExecOptions] = None,
                          check: bool = True) -> QueryResult:
-        """Run a prepared query on the plan its analysis lowered.
+        """Run a prepared query on the plan its analysis prepared.
 
         Plans with error-level diagnostics are refused with
         :class:`PlanValidationError` unless ``check=False`` (the CLI's
@@ -154,11 +156,10 @@ class RQLSession:
                 "plan failed static analysis (pass check=False / "
                 "--force to run anyway)",
                 diagnostics=report.errors)
-        plan = prepared.analysis.plan
-        if plan is None:  # a logical error kept the analysis from lowering
+        plan = prepared.analysis
+        if plan.plan is None:  # a logical error kept the analysis from lowering
             plan = lower(prepared.node)
-        executor = QueryExecutor(self.cluster, options)
-        result = executor.execute(plan)
+        result = QueryExecutor(self.cluster, options).execute(plan)
         if not check and report:
             result.suppressed_diagnostics = report
             obs = options.obs if options is not None else None

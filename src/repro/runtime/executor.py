@@ -139,31 +139,20 @@ class ExecOptions:
     (``QueryResult.flight.last_bundle`` / the exception's
     ``rex_flight_bundle`` attribute)."""
     absint: bool = True
-    """Let an attached sanitizer use the delta-polarity abstract
-    interpretation (:mod:`repro.analysis.absint`, REX3xx): the inference
-    runs over the (fused) physical plan at instantiation and the
-    sanitizer asserts each proven polarity — a violated proof is a hard
-    REX307 error — and downgrades a proven join's or fixpoint's shadow
-    replay to that assertion (a group-by keeps its re-aggregation).  Set
-    False for maximal checking (full replay everywhere).  Has no effect on unsanitized runs: the operators
-    execute the same loops either way, and
-    :meth:`QueryMetrics.fingerprint` is bit-identical on or off
-    (enforced by ``tests/test_equivalence.py``)."""
+    """Arm an attached sanitizer with the polarity proofs of the plan's
+    preparation (:mod:`repro.analysis.absint`, REX3xx): it asserts each
+    (a violation is a hard REX307) and downgrades a proven join's or
+    fixpoint's shadow replay to that assertion (a group-by keeps its
+    re-aggregation).  Set False for full replay everywhere.  No effect
+    on unsanitized runs; :meth:`QueryMetrics.fingerprint` is
+    bit-identical on or off (``tests/test_equivalence.py``)."""
     rewrite: bool = True
-    """Proof-directed plan rewrites on the polarity and column-lineage
-    facts: run :func:`repro.optimizer.rewrite.rewrite_plan` over the
-    physical tree at instantiation (before fusion) and apply what it
-    licenses — filter pushdown below exchanges/projections/extend-applies
-    /plain joins, and suffix-truncating projection pushdown through
-    exchanges to shrink wire bytes.  Every rewrite requires a proven
-    insert-only exact polarity on the stream it touches plus pure,
-    exactly-extracted callables, so result rows are identical on or off;
-    plans where nothing fires (the workloads of ``tests/workloads.py``)
-    keep :meth:`QueryMetrics.fingerprint` bit-identical as well.  A
-    structural pre-gate skips the inference on plans with no candidate
-    (``pagerank_plan(mode="delta")``, not ``sssp_plan()``).  Applied and
-    declined candidates are recorded in ``rewrite_decisions``; the
-    analyzer reports the same decisions as REX404-REX406."""
+    """Build from the tree the plan's preparation rewrote
+    (:mod:`repro.optimizer.rewrite`: proof-directed filter pushdown and
+    exchange narrowing, REX405/REX406).  Result rows are identical on or
+    off, and so is :meth:`QueryMetrics.fingerprint` where nothing fires
+    (the workloads of ``tests/workloads.py``).  The decisions are
+    ``QueryResult.analysis.rewrites``."""
 
     def __post_init__(self):
         for name, allowed in _CHOICES.items():
@@ -219,6 +208,33 @@ class QueryResult:
     """The run's :class:`repro.obs.flight.FlightRecorder`: the stratum
     breadcrumb ring, plus ``last_bundle``/``last_path`` if a post-mortem
     dump triggered."""
+    analysis: Optional[object] = None
+    """The prepared plan that ran
+    (:class:`~repro.analysis.analyzer.PlanAnalysis`): its facts, and the
+    rewrite and fusion decisions the executor built from."""
+
+
+def arm_proofs(op, props) -> None:
+    """Set the polarity proofs ``props`` (None: none) of the plan node
+    ``op`` was built from on ``op``.  Only the sanitizer reads them: it
+    asserts each (a contradiction is a hard REX307) and downgrades
+    shadow replay where they hold."""
+    if props is None:
+        return
+    in_pol = props.in_polarity
+    if (isinstance(op, (GroupBy, HashJoin, Fixpoint))
+            and in_pol is not None and in_pol.exact and in_pol.kinds):
+        op.proof_polarity = in_pol.kinds
+    if isinstance(op, HashJoin):
+        ports = props.port_polarities or ()
+        insert_only_ports = frozenset(
+            port for port, p in enumerate(ports)
+            if not op._uses_handler(port)
+            and p.exact and p.kinds and p.kinds <= {DeltaOp.INSERT})
+        if insert_only_ports:
+            op.proof_insert_only_ports = insert_only_ports
+    elif isinstance(op, Fixpoint) and props.monotone:
+        op.proof_monotone = True
 
 
 class _MetricsHooks(RuntimeHooks):
@@ -264,19 +280,13 @@ class QueryExecutor:
         self._collect_exchange = f"collect.a{self._attempt}"
         self._ckpt_exchange = f"ckpt.a{self._attempt}"
         self._fixpoint_key_fn = None
-        self._plan: Optional[PhysicalPlan] = None
         self.sanitizer = None
         #: The run's :class:`~repro.operators.Probe`, or ``None`` when
         #: nothing observes it.
         self.probe = None
         self.flight = None
-        #: Per-chain :class:`repro.optimizer.fusion.FusionDecision` records
-        #: from the fusion pass (empty when ``fuse=False`` / no chains).
-        self.fusion_decisions: List = []
-        #: Per-candidate :class:`repro.optimizer.rewrite.RewriteDecision`
-        #: records from the rewrite pass (empty when ``rewrite=False`` /
-        #: no candidates).
-        self.rewrite_decisions: List = []
+        #: The prepared plan this executor builds from.
+        self.analysis = None
         # Every fixpoint key ever checkpointed: used to detect, on
         # recovery, ranges whose replicas have all been lost.
         self._checkpointed_keys: set = set()
@@ -287,41 +297,18 @@ class QueryExecutor:
     def _live_ids(self) -> List[int]:
         return [w.id for w in self.cluster.alive_workers()]
 
-    def _assign_exchanges(self, root: PNode) -> None:
-        counter = itertools.count()
-        for node in root.walk():
-            if isinstance(node, PRehash):
-                self._exchange_names[id(node)] = (
-                    f"x{next(counter)}.a{self._attempt}"
-                )
-
-    def _instantiate(self, plan: PhysicalPlan) -> None:
-        self._plan = plan
+    def _instantiate(self) -> None:
+        plan = self.analysis.plan
         self.snapshot = self.cluster.ring.snapshot()
         for dead in (n for n in self.cluster.node_ids()
                      if not self.cluster.workers[n].alive):
             self.snapshot.mark_failed(dead)
-        # Fusion runs after validation/analysis (those see the original
-        # plan) and rewrites only what the executor builds from.  The
-        # rewritten tree contains fresh node objects, so exchange naming
-        # and operator construction both walk the *fused* root.
-        exec_root = plan.root
-        self.rewrite_decisions = []
-        if self.options.rewrite:
-            # Rewrites run before fusion so inserted projections join the
-            # stateless chains fusion collapses.  Imported lazily like
-            # fusion below.
-            from repro.optimizer.rewrite import rewrite_plan
-            exec_root, self.rewrite_decisions = rewrite_plan(
-                exec_root, table_arity=self.cluster.catalog.widths())
-        self.fusion_decisions = []
-        if self.options.fuse:
-            # Imported lazily: repro.optimizer pulls in planner modules
-            # that must not be import-cycled with the runtime package.
-            from repro.optimizer.fusion import fuse_plan
-            exec_root, self.fusion_decisions = fuse_plan(exec_root)
-        self._exec_root = exec_root
-        self._assign_exchanges(exec_root)
+        # The rewritten, fused tree holds fresh node objects, so exchange
+        # naming and operator construction both walk it.
+        exec_root = self.analysis.root
+        rehashes = [n for n in exec_root.walk() if isinstance(n, PRehash)]
+        self._exchange_names = {id(n): f"x{i}.a{self._attempt}"
+                                for i, n in enumerate(rehashes)}
         live = self._live_ids()
         if plan.fixpoint is not None:
             self._fixpoint_key_fn = plan.fixpoint.key_fn
@@ -340,14 +327,10 @@ class QueryExecutor:
         subscribers = [s for s in (self.sanitizer, obs) if s is not None]
         self.probe = Probe(subscribers) if subscribers else None
         self.cluster.network.observer = self.probe
-        # Abstract interpretation over the tree the executor builds from.
-        # Only the sanitizer reads its per-node proofs (pushed onto the
-        # operator instances in _make_operator), so unsanitized runs skip
-        # the inference.
-        self._absint_props = None
-        if self.sanitizer is not None and self.options.absint:
-            from repro.analysis.absint import infer
-            self._absint_props, _ = infer(exec_root)
+        # Only the sanitizer reads the polarity proofs (pushed onto the
+        # operator instances in _build), so unsanitized runs never ask the
+        # analysis for them.
+        self._armed = self.sanitizer is not None and self.options.absint
         if self.options.perturb is not None:
             self.options.perturb.install(self.cluster.network)
         for node_id in live:
@@ -390,7 +373,9 @@ class QueryExecutor:
                         in_recursive)
             return
 
-        op = self._make_operator(node, ctx, wp)
+        op = self._create_operator(node, ctx, wp)
+        if self._armed:
+            arm_proofs(op, self.analysis.polarity_of(node))
         if parent is not None:
             parent.add_input(op)
         op.open(ctx)
@@ -403,38 +388,6 @@ class QueryExecutor:
             return
         for child in node.children:
             self._build(child, op, ctx, wp, n_live, in_recursive)
-
-    def _make_operator(self, node: PNode, ctx: ExecContext, wp: _WorkerPlan):
-        op = self._create_operator(node, ctx, wp)
-        if self._absint_props is not None:
-            self._apply_proofs(node, op)
-        return op
-
-    def _apply_proofs(self, node: PNode, op) -> None:
-        """Hand the sanitizer the abstract interpretation's verdicts.
-
-        Each attribute set here is a *proof*: the static analysis
-        guarantees no other delta kinds reach this operator.  The
-        sanitizer asserts the proofs at runtime (a contradiction is a
-        hard REX307) and downgrades shadow replay where they hold; the
-        operators themselves never read them."""
-        props = self._absint_props.of(node)
-        if props is None:
-            return
-        in_pol = props.in_polarity
-        if (isinstance(op, (GroupBy, HashJoin, Fixpoint))
-                and in_pol is not None and in_pol.exact and in_pol.kinds):
-            op.proof_polarity = in_pol.kinds
-        if isinstance(op, HashJoin):
-            ports = props.port_polarities or ()
-            insert_only_ports = frozenset(
-                port for port, p in enumerate(ports)
-                if not op._uses_handler(port)
-                and p.exact and p.kinds and p.kinds <= {DeltaOp.INSERT})
-            if insert_only_ports:
-                op.proof_insert_only_ports = insert_only_ports
-        elif isinstance(op, Fixpoint) and props.monotone:
-            op.proof_monotone = True
 
     def _create_operator(self, node: PNode, ctx: ExecContext,
                          wp: _WorkerPlan):
@@ -478,7 +431,7 @@ class QueryExecutor:
             # Constituents are plain stateless operators; the kernel opens
             # and wires them itself, so they are not re-registered in
             # ``wp.operators`` (recovery resets stateful operators only).
-            return FusedKernel([self._make_operator(c, ctx, wp)
+            return FusedKernel([self._create_operator(c, ctx, wp)
                                 for c in node.constituents])
         if isinstance(node, PUnion):
             return Union()
@@ -495,8 +448,12 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Stratified execution
     # ------------------------------------------------------------------
-    def execute(self, plan: PhysicalPlan) -> QueryResult:
+    def execute(self, plan) -> QueryResult:
         """Run the query to completion; returns rows and metrics.
+
+        ``plan`` is a :class:`~repro.analysis.analyzer.PlanAnalysis` or a
+        bare :class:`PhysicalPlan`, prepared here once; the executor runs
+        no plan-time pass of its own.
 
         Automatic cyclic collection is suspended for the whole span and
         put back as it was found on every exit.  The strata loop
@@ -510,6 +467,12 @@ class QueryExecutor:
         host that had disabled it keeps it disabled.  The switch is
         process-wide.
         """
+        if isinstance(plan, PhysicalPlan):
+            # Imported lazily: repro.analysis depends on runtime.plan.
+            from repro.analysis.analyzer import prepare
+            plan = prepare(plan, self.cluster.catalog.widths())
+        self.analysis = plan.configured(self.options.rewrite,
+                                        self.options.fuse)
         for spec in self.options.failure_specs():
             if spec.node is not None and spec.node not in self.cluster.workers:
                 raise OptionsError(
@@ -518,7 +481,7 @@ class QueryExecutor:
         collector_was_on = gc.isenabled()
         gc.disable()
         try:
-            return self._execute(plan)
+            return self._execute()
         finally:
             # This attempt's handlers close over its operators and this
             # executor; the cluster must not keep them past the query.
@@ -536,20 +499,20 @@ class QueryExecutor:
             if collector_was_on:
                 gc.enable()
 
-    def _execute(self, plan: PhysicalPlan) -> QueryResult:
+    def _execute(self) -> QueryResult:
         """The query itself, inside :meth:`execute`'s scope."""
         # Imported lazily like the other analysis hooks: the runtime
         # package must not import repro.obs at module load.
         from repro.obs.flight import FlightRecorder, gc_state
         flight = self.flight = FlightRecorder(
             directory=self.options.flight_dir)
-        flight.note("query_start", recursive=plan.is_recursive,
+        flight.note("query_start", recursive=self.analysis.plan.is_recursive,
                     attempt=self._attempt, **gc_state())
         self.metrics.startup_seconds = self.cluster.cost.rex_query_startup
         try:
-            self._instantiate(plan)
+            self._instantiate()
             flight.attach(obs=self.options.obs, sanitizer=self.sanitizer)
-            restart = self._run_strata(plan)
+            restart = self._run_strata()
             if restart is not None:
                 return restart
             self._final_flush()
@@ -575,9 +538,10 @@ class QueryExecutor:
                         violations=self.sanitizer.violations)
             flight.dump("sanitizer", diagnostics=self.sanitizer.report)
         return QueryResult(rows=rows, metrics=self.metrics, obs=obs,
-                           sanitizer=self.sanitizer, flight=flight)
+                           sanitizer=self.sanitizer, flight=flight,
+                           analysis=self.analysis)
 
-    def _run_strata(self, plan: PhysicalPlan) -> Optional[QueryResult]:
+    def _run_strata(self) -> Optional[QueryResult]:
         opts = self.options
         obs = opts.obs
         sanitizer = self.sanitizer
@@ -585,7 +549,7 @@ class QueryExecutor:
         perturb = opts.perturb
         flight = self.flight
         network = self.cluster.network
-        recursive = plan.is_recursive
+        recursive = self.analysis.plan.is_recursive
         # Hoisted out of the stratum loop: the live-plan list (recomputed
         # only after a failure changes membership), the failure schedule,
         # and the per-batch obs/checkpoint branch structure that used to
@@ -665,7 +629,7 @@ class QueryExecutor:
             due = failures_by_stratum.get(stratum)
             if due:
                 for spec in due:
-                    outcome = self._handle_failure(plan, spec, pending)
+                    outcome = self._handle_failure(spec, pending)
                     if outcome is not None:
                         return outcome  # restart path returns fresh results
                 plans = self._live_plans()
@@ -777,7 +741,7 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Failure handling (Section 4.3, Figure 12)
     # ------------------------------------------------------------------
-    def _handle_failure(self, plan: PhysicalPlan, spec: FailureSpec,
+    def _handle_failure(self, spec: FailureSpec,
                         pending: Dict[int, List[Delta]]) -> Optional[QueryResult]:
         victim = spec.node
         if victim is None:
@@ -800,9 +764,9 @@ class QueryExecutor:
                          recovery=self.options.recovery)
 
         if self.options.recovery == "restart":
-            return self._restart(plan)
+            return self._restart()
         obs = self.options.obs
-        if self._plan_replays_exactly(plan):
+        if self._plan_replays_exactly():
             def recover():
                 self._recover_incrementally(victim)
         else:
@@ -816,7 +780,7 @@ class QueryExecutor:
         self.flight.note("recovered", node=victim)
         return None
 
-    def _plan_replays_exactly(self, plan: PhysicalPlan) -> bool:
+    def _plan_replays_exactly(self) -> bool:
         """True when :meth:`_recover_incrementally` is exact: every row it
         re-emits lands in state that lost it, and none has reached the sink
         or surviving state already.  That takes a recursive plan (the sink
@@ -826,6 +790,7 @@ class QueryExecutor:
         averages — goes through :meth:`_resume_from_checkpoint`, which
         resets downstream state and recomputes it instead.
         """
+        plan = self.analysis.plan
         if not plan.is_recursive:
             return False
         for node in plan.root.walk():
@@ -848,12 +813,13 @@ class QueryExecutor:
                         return False
         return True
 
-    def _restart(self, plan: PhysicalPlan) -> QueryResult:
-        """Discard all progress; re-run the query on the surviving nodes."""
+    def _restart(self) -> QueryResult:
+        """Discard all progress; re-run the same prepared plan on the
+        surviving nodes."""
         wasted = self.metrics.total_seconds()
         fresh_options = dataclasses.replace(self.options, failure=None)
         retry = QueryExecutor(self.cluster, fresh_options)
-        result = retry.execute(plan)
+        result = retry.execute(self.analysis)
         result.metrics.recovery_seconds += wasted
         return result
 
@@ -887,7 +853,7 @@ class QueryExecutor:
         pushes it through the recursive pipeline.
         """
         rf = self.options.checkpoint_replication
-        if rf < 2 and self._plan.fixpoint is not None:
+        if rf < 2 and self.analysis.plan.fixpoint is not None:
             # Nothing was replicated, so the victim's mutable state is gone.
             raise RecoveryError(
                 f"checkpoint_replication={rf} keeps no Δ-set replicas: "
@@ -945,7 +911,7 @@ class QueryExecutor:
         # victim was serving (its own ranges plus any it inherited).
         emissions = []  # (scan, delta), in per-row emission order
         reread_total = 0
-        for table_name in self._plan.tables():
+        for table_name in self.analysis.plan.tables():
             table = self.cluster.catalog.get(table_name)
             if table.replication < 2:
                 # Nobody inherits an unreplicated range, so only the

@@ -10,7 +10,7 @@ shared instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError  # noqa: F401 — re-exported for callers
@@ -21,10 +21,36 @@ class PNode:
 
     children: Tuple["PNode", ...] = ()
 
+    @property
+    def kind(self) -> str:
+        """The node's type name without its ``P``: one step of a plan
+        path (``Collect/Fixpoint/Rehash``)."""
+        return type(self).__name__[1:]
+
     def walk(self):
         yield self
         for child in self.children:
             yield from child.walk()
+
+
+def instantiate(factory):
+    """``factory()``, or None when the user code behind it raises: the
+    analyses read what a factory builds without trusting it."""
+    try:
+        return factory()
+    except Exception:  # noqa: BLE001 - factories are user code
+        return None
+
+
+def derive(node: PNode, rebuilds: Optional[list], **changes) -> PNode:
+    """``dataclasses.replace(node, **changes)`` that notes ``(node, new)``
+    on ``rebuilds`` when one is given: a plan pass that rebuilds nodes
+    records where each came from, so facts inferred on the tree it was
+    handed still answer for the tree it returns."""
+    new = replace(node, **changes)
+    if rebuilds is not None:
+        rebuilds.append((node, new))
+    return new
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ rows of ``tests/test_equivalence.py``.  Here:
    without one — the operators never trust a proof.
 """
 
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -45,6 +44,39 @@ def test_executor_infers_only_for_the_sanitizer(sanitize, expected_calls):
     with mock.patch.object(absint, "infer", wraps=absint.infer) as spy:
         run(build("pagerank_delta"), sanitize=sanitize, rewrite=False)
     assert spy.call_count == expected_calls
+
+
+@pytest.mark.parametrize("rewrite", [True, False])
+@pytest.mark.parametrize("fuse", [True, False])
+@pytest.mark.parametrize("name", [*WORKLOADS, "wide_rewrites"])
+def test_proofs_of_the_built_tree_are_the_plans_facts(name, fuse, rewrite):
+    """The sanitizer's proofs come from the one inference on the
+    prepared plan, read through the node each built node was rebuilt
+    from.  For every stateful node they equal a fresh inference over the
+    rewritten, fused tree itself — ``wide_rewrites`` applies a filter
+    pushdown and an exchange narrowing first."""
+    from repro.analysis.absint import infer
+    from repro.analysis.analyzer import prepare
+    from repro.runtime.plan import PFixpoint, PGroupBy, PJoin
+    from test_rewrite_equivalence import _wide_builder
+
+    cluster, plan, _ = (_wide_builder() if name == "wide_rewrites"
+                        else build(name))
+    analysis = prepare(plan, cluster.catalog.widths()).configured(
+        rewrite, fuse)
+    fresh, _ = infer(analysis.root)
+    stateful = [n for n in analysis.root.walk()
+                if isinstance(n, (PFixpoint, PGroupBy, PJoin))]
+    assert stateful
+    for node in stateful:
+        mapped, direct = analysis.polarity_of(node), fresh.of(node)
+        assert (mapped.in_polarity, mapped.port_polarities,
+                mapped.monotone) == (direct.in_polarity,
+                                     direct.port_polarities,
+                                     direct.monotone), direct.path
+    if name == "wide_rewrites" and rewrite:
+        assert {d.kind for d in analysis.rewrites if d.applied} == {
+            "filter-pushdown", "narrow-exchange"}
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +133,14 @@ def _insert_only_groupby_min():
     """GroupBy(Min) carrying an exact insert-only input proof, attached
     the way the executor attaches it."""
     from repro.analysis.absint import INSERT_ONLY, NodeProperties, Polarity
-    from repro.runtime.executor import QueryExecutor
+    from repro.runtime.executor import arm_proofs
 
     gb = GroupBy(key_fn=lambda r: (r[0],),
                  specs=[AggregateSpec(Min(), arg=lambda r: r[1],
                                       output="m")])
     proven = Polarity(INSERT_ONLY, exact=True)
-    executor = QueryExecutor.__new__(QueryExecutor)
-    executor._absint_props = SimpleNamespace(of=lambda node: NodeProperties(
-        "/GroupBy", "GroupBy", proven, in_polarity=proven))
-    executor._apply_proofs(None, gb)
+    arm_proofs(gb, NodeProperties("/GroupBy", "GroupBy", proven,
+                                  in_polarity=proven))
     assert gb.proof_polarity == INSERT_ONLY
     return gb
 

@@ -1,9 +1,11 @@
 """Each query entry point compiles, lowers and analyses a plan once.
 
 The calls are counted by code object (``sys.setprofile``), so the count
-holds however a module binds the function.  The executor's rewrite pass
-still infers its own polarity and lineage on the plan it builds from,
-which is why ``execute`` and ``run --analyze`` read 2 for those two.
+holds however a module binds the function.  A plan is prepared once —
+by ``RQLSession.prepare`` for RQL, or on entry to
+``QueryExecutor.execute`` for a bare physical plan — and the executor
+builds from that preparation, so running a query (sanitized, restarted
+after a failure, or under EXPLAIN ANALYZE) infers nothing again.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from repro.algorithms.sssp import sssp_plan
 from repro.analysis import absint, lineage
 from repro.cli import main
 from repro.cluster import Cluster
@@ -20,6 +23,8 @@ from repro.datasets import lineitem
 from repro.optimizer.physical import lower
 from repro.rql import RQLSession
 from repro.rql.compiler import Compiler
+from repro.runtime import ExecOptions, FailureSpec, QueryExecutor
+from workloads import sssp_cluster
 
 PASSES = {Compiler.compile.__code__: "compile", lower.__code__: "lower",
           absint.infer.__code__: "infer",
@@ -70,8 +75,8 @@ def _quiet(fn, *args):
 
 
 ONCE = {"compile": 1, "lower": 1, "infer": 1, "lineage": 1}
-#: The executor's rewrite pass adds one inference of each kind.
-EXECUTED = {"compile": 1, "lower": 1, "infer": 2, "lineage": 2}
+#: A hand-wired plan is neither compiled nor lowered.
+PHYSICAL_ONCE = {"infer": 1, "lineage": 1}
 
 
 def test_session_analyze():
@@ -92,7 +97,7 @@ def test_session_execute():
     session = _lineitem_session()
     with counting() as counts:
         session.execute(TPCH_WHERE)
-    assert dict(counts) == EXECUTED
+    assert dict(counts) == ONCE
 
 
 def test_cli_analyze_json(edges_csv):
@@ -108,4 +113,32 @@ def test_cli_run_analyze(edges_csv):
         rc = _quiet(main, ["--analyze", "--table", f"graph={edges_csv}",
                            GRAPH_QUERY])
     assert rc == 0
-    assert dict(counts) == EXECUTED
+    assert dict(counts) == ONCE
+
+
+@pytest.mark.parametrize("sanitize", ["off", "full"])
+def test_executor_prepares_a_bare_plan_once(sanitize):
+    """``sssp_plan`` has a rewrite candidate, so its preparation infers
+    both facts; the sanitizer's proofs read the same inference."""
+    cluster = sssp_cluster(vertices=60)
+    with counting() as counts:
+        QueryExecutor(cluster, ExecOptions(sanitize=sanitize)).execute(
+            sssp_plan())
+    assert dict(counts) == PHYSICAL_ONCE
+
+
+def test_restart_recovery_reuses_the_prepared_plan():
+    cluster = sssp_cluster(vertices=60)
+    options = ExecOptions(recovery="restart",
+                          failure=FailureSpec(after_stratum=2))
+    with counting() as counts:
+        result = QueryExecutor(cluster, options).execute(sssp_plan())
+    assert result.metrics.recovery_seconds > 0
+    assert dict(counts) == PHYSICAL_ONCE
+
+
+def test_cli_telemetry_analyze():
+    with counting() as counts:
+        rc = _quiet(main, ["telemetry", "--workload", "sssp", "--analyze"])
+    assert rc == 0
+    assert dict(counts) == PHYSICAL_ONCE

@@ -12,7 +12,8 @@ and multi-input nodes must terminate a chain, and a single-operator
 
 from repro.cluster import Cluster
 from repro.operators import FusedKernel
-from repro.optimizer.fusion import fuse_plan, fusion_report
+from repro.analysis.analyzer import prepare
+from repro.optimizer.fusion import fuse_plan
 from repro.runtime import (
     ExecOptions,
     PFilter,
@@ -72,13 +73,13 @@ def test_custom_chain_fuses_and_matches_unfused():
         rows, fp, _, executor = _observe(builder, fuse, batch=True,
                                          sanitize="off")
         results[fuse] = (rows, fp)
-        fused_decisions = [d for d in executor.fusion_decisions if d.fused]
+        fused_decisions = [d for d in executor.analysis.fusion if d.fused]
         if fuse:
             assert len(fused_decisions) == 1
             assert fused_decisions[0].ops == ("Filter", "Project", "Apply")
             assert fused_decisions[0].label() == "Fused[Filter→Project→Apply]"
         else:
-            assert executor.fusion_decisions == []
+            assert executor.analysis.fusion == []
     assert results[True] == results[False]
     _, rows200 = _chain_cluster()
     expect = sorted((r[0], r[1], r[2] + 1.0, (r[2] + 1.0) * 2.0)
@@ -200,13 +201,41 @@ def test_multi_input_operator_terminates_chain():
     assert "stateful or source operator (Join)" in decisions[0].reason
 
 
-def test_fusion_report_matches_fuse_plan():
-    _, plan, _ = (lambda: (None, _chain_plan(), None))()
-    report = fusion_report(plan.root)
+def test_prepared_fusion_matches_fuse_plan():
+    plan = _chain_plan()
+    report = [d.to_dict() for d in prepare(plan).fusion]
+    assert report == [d.to_dict() for d in fuse_plan(plan.root)[1]]
     assert len(report) == 1
     assert report[0]["fused"] is True
     assert report[0]["ops"] == ["Filter", "Project", "Apply"]
     assert report[0]["label"] == "Fused[Filter→Project→Apply]"
+
+
+def test_prepared_fusion_is_what_the_run_fuses():
+    """The analyzer reports fusion after the rewrites, as the executor
+    applies it: on the wide plan the filter pushed below the exchange
+    and the narrowing projection fuse into one kernel, a chain the
+    unrewritten plan does not have."""
+    from repro.analysis.analyzer import analyze_plan
+    from repro.obs import ObsContext, Tracer
+    from test_rewrite_equivalence import _wide_builder
+
+    cluster, plan, extra = _wide_builder()
+    analysis = analyze_plan(plan, cluster.catalog.widths())
+    fused = [d for d in analysis.fusion if d.fused]
+    assert [(d.path, d.label()) for d in fused] == [
+        ("Collect/Fixpoint/Rehash/Project/Join/Rehash/Project",
+         "Fused[Filter→Project]")]
+    assert not any(d.fused for d in fuse_plan(plan.root)[1])
+    obs = ObsContext(tracer=Tracer(enabled=False))
+    try:
+        result = QueryExecutor(cluster, ExecOptions(obs=obs, **extra)
+                               ).execute(analysis)
+    finally:
+        obs.close()
+    assert result.analysis is analysis
+    kernels = [g["label"] for g in obs.fusion_groups() if g["node"] == 0]
+    assert kernels == [d.label() for d in fused]
 
 
 def test_pfused_walk_covers_constituents():

@@ -112,11 +112,11 @@ def test_wide_workload_rewrites_fire_and_preserve_rows():
     rows_on, fp_on, ex_on = _observe(_wide_builder, rewrite=True)
     rows_off, fp_off, ex_off = _observe(_wide_builder, rewrite=False)
     assert rows_on == rows_off
-    applied = [d for d in ex_on.rewrite_decisions if d.applied]
+    applied = [d for d in ex_on.analysis.rewrites if d.applied]
     kinds = {d.kind for d in applied}
     assert "filter-pushdown" in kinds
     assert "narrow-exchange" in kinds
-    assert ex_off.rewrite_decisions == []
+    assert ex_off.analysis.rewrites == []
     # The narrowed exchange ships 2-column rows instead of 8-column ones
     # (fingerprint shape: (n_iter, ((secs, bytes, ...), ...), total)).
     bytes_on = sum(it[1] for it in fp_on[1])
@@ -224,6 +224,6 @@ def test_analyzer_with_catalog_widths_reports_the_applied_rewrites():
                    if d.code in ("REX405", "REX406"))
     applied = sorted((d.path, "REX405" if d.kind == "filter-pushdown"
                       else "REX406")
-                     for d in ex.rewrite_decisions if d.applied)
+                     for d in ex.analysis.rewrites if d.applied)
     assert found == applied
     assert {code for _, code in found} == {"REX405", "REX406"}
